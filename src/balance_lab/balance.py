@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    QuantumChannel,
     ReversingOperation,
+    _dual,
+    _kms_dual,
+    _like,
+    _theta_conjugate,
+    _theta_kms_dual,
     apply,
-    dual,
     fixed_point_space,
-    kms_dual,
-    theta_kms_dual,
 )
 from .couplings import (
     Coupling,
@@ -40,42 +41,17 @@ from .couplings import (
     flip_coupling,
 )
 from .kernel import DEFAULT_TOL, frob_norm, matrix_unit, vec
-from .lindblad import (
-    dual_generator,
-    kms_dual_generator,
-    semigroup,
-    theta_kms_dual_generator,
-)
-from .states import FaithfulState, System, kms_pairing
-
-
-def dual_dynamics(dyn, state: FaithfulState, tol: float = DEFAULT_TOL):
-    if dyn.kind == "generator":
-        return dual_generator(dyn, state, tol=tol)
-    return dual(dyn, state, state, tol=tol)
-
-
-def kms_dual_dynamics(dyn, state: FaithfulState, tol: float = DEFAULT_TOL):
-    if dyn.kind == "generator":
-        return kms_dual_generator(dyn, state, tol=tol)
-    return kms_dual(dyn, state, state, tol=tol)
-
-
-def theta_kms_dual_dynamics(
-    dyn, state: FaithfulState, th: ReversingOperation, tol: float = DEFAULT_TOL
-):
-    if dyn.kind == "generator":
-        return theta_kms_dual_generator(dyn, state, th, tol=tol)
-    return theta_kms_dual(dyn, state, th, tol=tol)
+from .lindblad import semigroup
+from .states import System, kms_pairing
 
 
 def dual_system(sys: System, tol: float = DEFAULT_TOL) -> System:
-    return System(state=sys.state, dynamics=dual_dynamics(sys.dynamics, sys.state, tol))
+    return System(state=sys.state, dynamics=_dual(sys.dynamics, sys.state, sys.state, tol))
 
 
 def kms_dual_system(sys: System, tol: float = DEFAULT_TOL) -> System:
     return System(
-        state=sys.state, dynamics=kms_dual_dynamics(sys.dynamics, sys.state, tol)
+        state=sys.state, dynamics=_kms_dual(sys.dynamics, sys.state, sys.state, tol)
     )
 
 
@@ -83,8 +59,7 @@ def theta_kms_dual_system(
     sys: System, th: ReversingOperation, tol: float = DEFAULT_TOL
 ) -> System:
     return System(
-        state=sys.state,
-        dynamics=theta_kms_dual_dynamics(sys.dynamics, sys.state, th, tol),
+        state=sys.state, dynamics=_theta_kms_dual(sys.dynamics, sys.state, th, tol)
     )
 
 
@@ -135,7 +110,7 @@ def is_balanced(
     scale = 1.0 + frob_norm(s_alpha) + frob_norm(s_beta)
     residual = frob_norm(e.superoperator @ s_alpha - s_beta @ e.superoperator) / scale
 
-    beta_dual = dual_dynamics(sys_b.dynamics, sys_b.state, tol)
+    beta_dual = _dual(sys_b.dynamics, sys_b.state, sys_b.state, tol)
     k4 = w.kappa4()
     a4 = s_alpha.reshape(n, n, n, n)
     b4 = beta_dual.superoperator.reshape(m, m, m, m)
@@ -171,7 +146,7 @@ def sampled_balance(
 def is_kms_symmetric(sys: System, tol: float = DEFAULT_TOL) -> bool:
     """Whether the dynamics equals its KMS-dual."""
     s = sys.dynamics.superoperator
-    sig = kms_dual_dynamics(sys.dynamics, sys.state, tol).superoperator
+    sig = _kms_dual(sys.dynamics, sys.state, sys.state, tol).superoperator
     return frob_norm(sig - s) <= tol * (1.0 + frob_norm(s))
 
 
@@ -203,11 +178,10 @@ def check_theta_sqdb(
     to the diagonal coupling.  The two must agree.
     """
     s = sys.dynamics.superoperator
-    th_dual = theta_kms_dual_dynamics(sys.dynamics, sys.state, th, tol)
-    residual = frob_norm(th_dual.superoperator - s) / (1.0 + frob_norm(s))
+    dual_sys = theta_kms_dual_system(sys, th, tol)
+    residual = frob_norm(dual_sys.dynamics.superoperator - s) / (1.0 + frob_norm(s))
     sqdb = residual <= tol
 
-    dual_sys = System(state=sys.state, dynamics=th_dual)
     via = is_balanced(sys, dual_sys, diagonal_coupling(sys.state), tol).balanced
     return SqdbReport(
         sqdb=bool(sqdb),
@@ -280,10 +254,7 @@ def kms_symmetry_flip_check(
         a_theta = theta_kms_dual_system(sys_a, th, tol)
         theta_fwd = is_balanced(sys_a, a_theta, w, tol).balanced
         e = extract_channel(w)
-        s_th = th.superoperator
-        e_conj = QuantumChannel(
-            dim_in=e.dim_in, dim_out=e.dim_out, superoperator=s_th @ e.superoperator @ s_th
-        )
+        e_conj = _like(e, _theta_conjugate(th, e.superoperator))
         w_e = coupling_from_channel(e_conj, sys_a.state, sys_a.state, tol)
         theta_bwd = is_balanced(a_theta, sys_a, w_e, tol).balanced
         theta_eq = theta_fwd == theta_bwd
@@ -398,7 +369,7 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
 
     state = sys.state
     n = state.dim
-    beta_dual = dual_dynamics(sys.dynamics, state, tol)
+    beta_dual = _dual(sys.dynamics, state, state, tol)
     units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
     balance_res = 0.0
     gap = 0.0

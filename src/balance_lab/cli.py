@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .channels import (
     ReversingOperation,
     channel_from_json,
     channel_from_superoperator,
-    state_preservation_residual,
     validate_ucp,
 )
 from .couplings import (
@@ -48,7 +46,7 @@ from .couplings import (
     is_trivial,
     validate_coupling,
 )
-from .kernel import DEFAULT_TOL, matrix_from_json, matrix_to_json
+from .kernel import DEFAULT_TOL, ad_superop, matrix_from_json, matrix_to_json
 from .lindblad import (
     balance_sub_residuals,
     build_generator,
@@ -58,7 +56,13 @@ from .lindblad import (
     scenario_predict,
     standard_grid,
 )
-from .states import System, canonicalize_density_matrix, state_from_json
+from .states import (
+    System,
+    canonicalize_density_matrix,
+    preserves_state,
+    state_from_json,
+    state_preservation_residual,
+)
 
 
 class InputError(ValueError):
@@ -149,18 +153,12 @@ def load_state(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _frame_change_superop(unitary):
-    """Superoperator of a -> U* a U, the move into the state's eigenbasis."""
-    return np.kron(unitary.T, unitary.conj().T)
-
-
 def conjugate_dynamics(dyn, unitary):
-    """Express dynamics in the eigenbasis of a diagonalized state."""
+    """Express dynamics in the eigenbasis of a diagonalized state: the
+    superoperator of a -> U* a U, then the dynamics, then a -> U a U*."""
     if unitary is None:
         return dyn
-    w = _frame_change_superop(unitary)
-    w_inv = np.kron(unitary.conj(), unitary)
-    s = w @ dyn.superoperator @ w_inv
+    s = ad_superop(unitary.conj().T) @ dyn.superoperator @ ad_superop(unitary)
     if dyn.kind == "generator":
         return generator_from_superoperator(s, dyn.dim)
     return channel_from_superoperator(s, dyn.dim_in, dyn.dim_out)
@@ -216,7 +214,6 @@ def base_report(command: str, args, inputs: list[dict]) -> dict:
     return {
         "command": command,
         "tolerance": float(args.tol),
-        "seed": int(getattr(args, "seed", 0)),
         "inputs": inputs,
     }
 
@@ -278,7 +275,7 @@ def cmd_validate(args) -> int:
             report["verdicts"] = {"unital_generator": True, "valid": True}
             emit_report(report, args.json_out)
             return 0
-        ur = validate_ucp(dyn, tol, seed=args.seed)
+        ur = validate_ucp(dyn, tol)
         report["verdicts"] = ur.to_json()
         report["verdicts"]["valid"] = ur.ucp
         emit_report(report, args.json_out)
@@ -296,7 +293,7 @@ def cmd_extract_channel(args) -> int:
         emit_report(report, args.json_out)
         return 2
     ch = extract_channel(w)
-    ur = validate_ucp(ch, args.tol, seed=args.seed)
+    ur = validate_ucp(ch, args.tol)
     report["verdicts"]["extracted_ucp"] = ur.ucp
     report["residuals"] = {
         "state_preservation": state_preservation_residual(ch, w.state_a, w.state_b)
@@ -316,20 +313,15 @@ def cmd_coupling_from_channel(args) -> int:
     if ch.kind != "channel":
         raise InputError("coupling-from-channel requires a channel, not a generator")
     if u_a is not None or u_b is not None:
-        w_out = (
-            _frame_change_superop(u_b) if u_b is not None else np.eye(ch.dim_out**2)
-        )
-        w_in_inv = np.kron(u_a.conj(), u_a) if u_a is not None else np.eye(ch.dim_in**2)
+        w_out = ad_superop(u_b.conj().T) if u_b is not None else np.eye(ch.dim_out**2)
+        w_in_inv = ad_superop(u_a) if u_a is not None else np.eye(ch.dim_in**2)
         ch = channel_from_superoperator(
             w_out @ ch.superoperator @ w_in_inv, ch.dim_in, ch.dim_out
         )
     canonicalization_record(report, state_a=u_a, state_b=u_b)
-    ur = validate_ucp(ch, args.tol, seed=args.seed)
-    preserve = state_preservation_residual(ch, sa, sb)
-    report["verdicts"] = {
-        "ucp": ur.ucp,
-        "state_preserving": preserve <= args.tol * max(1.0, float(np.linalg.norm(ch.superoperator))),
-    }
+    ur = validate_ucp(ch, args.tol)
+    preserve, preserving = preserves_state(ch, sa, sb, args.tol)
+    report["verdicts"] = {"ucp": ur.ucp, "state_preserving": preserving}
     report["residuals"] = {"state_preservation": preserve}
     if not (report["verdicts"]["ucp"] and report["verdicts"]["state_preserving"]):
         report["error"] = "channel does not define a coupling"
@@ -535,12 +527,6 @@ def cmd_scenario_run(args) -> int:
     return 0 if result["agrees"] else 3
 
 
-def _grid_worker(payload):
-    spec_obj, tol = payload
-    spec = scenario_from_json(spec_obj)
-    return _scenario_result(spec, tol)
-
-
 def cmd_scenario_grid(args) -> int:
     if args.builtin:
         specs = standard_grid()
@@ -554,12 +540,7 @@ def cmd_scenario_grid(args) -> int:
         specs = [scenario_from_json(s) for s in obj["scenarios"]]
         inputs = [digest_entry(args.spec, sha)]
     report = base_report("scenario grid", args, inputs)
-    payloads = [(s.to_json(), args.tol) for s in specs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_grid_worker, payloads))
-    else:
-        results = [_grid_worker(p) for p in payloads]
+    results = [_scenario_result(s, args.tol) for s in specs]
     mismatches = sum(0 if r["agrees"] else 1 for r in results)
     report["grid_size"] = len(results)
     report["mismatches"] = mismatches
@@ -577,7 +558,6 @@ def cmd_scenario_grid(args) -> int:
 def _add_common(p):
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json-out", default=None)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -664,7 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
     pg = ssub.add_parser("grid", help="run a grid of scenarios")
     pg.add_argument("spec", nargs="?", default=None)
     pg.add_argument("--builtin", action="store_true", help="use the built-in characterization grid")
-    pg.add_argument("--jobs", type=int, default=1)
+    pg.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored; the grid runs serially"
+    )
     _add_common(pg)
     pg.set_defaults(func=cmd_scenario_grid)
 

@@ -27,7 +27,6 @@ from .channels import (
     compose_channels,
     dual,
     kms_dual,
-    state_preservation_residual,
     validate_ucp,
 )
 from .kernel import (
@@ -42,7 +41,7 @@ from .kernel import (
     matrix_unit,
     partial_trace,
 )
-from .states import FaithfulState, gns_vector, state_from_json
+from .states import FaithfulState, gns_vector, preserves_state, state_from_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,18 +164,20 @@ def coupling_from_channel(
 ) -> Coupling:
     """kappa_E = sum_ij E_ij (x) (rho_B^1/2 E(E_ji) rho_B^1/2)^T.
 
-    Defined exactly when E is u.c.p. and carries sa to sb; otherwise the
-    resulting functional fails positivity or the marginals and is rejected.
+    The exact inverse of the reshape in :func:`extract_channel`.  Defined
+    exactly when E is u.c.p. and carries sa to sb; otherwise the resulting
+    functional fails positivity or the marginals and is rejected.
     """
     if (e.dim_in, e.dim_out) != (sa.dim, sb.dim):
         raise ValueError("channel dimensions do not match the states")
     n, m = sa.dim, sb.dim
     r = sb.sqrt_spectrum
-    kappa = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = (r[:, None] * apply(e, matrix_unit(n, j, i)) * r[None, :]).T
-            kappa += np.kron(matrix_unit(n, i, j), block)
+    # s4[l, k, j, i] = E(E_ij)[k, l];  kappa4[i, l, j, k] = r_k E(E_ji)[k, l] r_l
+    s4 = e.superoperator.reshape(m, m, n, n)
+    kappa4 = r[None, None, None, :] * s4.transpose(2, 0, 3, 1) * r[None, :, None, None]
+    # + 0.0 turns negative zeros positive, as summing the defining formula does,
+    # so that the canonical JSON of kappa does not print "-0.0"
+    kappa = kappa4.reshape(n * m, n * m) + 0.0
     w = Coupling(kappa=kappa, state_a=sa, state_b=sb)
     report = validate_coupling(w, tol)
     if not report.valid:
@@ -284,9 +285,7 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
 def extraction_is_valid(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
     """Extracted channel is u.c.p. and carries state_a to state_b."""
     e = extract_channel(w)
-    rep = validate_ucp(e, tol)
-    res = state_preservation_residual(e, w.state_a, w.state_b)
-    return rep.ucp and res <= tol * max(1.0, frob_norm(e.superoperator))
+    return validate_ucp(e, tol).ucp and preserves_state(e, w.state_a, w.state_b, tol)[1]
 
 
 def coupling_from_json(obj) -> Coupling:

@@ -54,6 +54,11 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def ad_superop(u) -> np.ndarray:
+    """Superoperator of Ad_u: a -> u a u* (column stacking)."""
+    return np.kron(u.conj(), u)
+
+
 def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
     """Partial trace of an operator on C^n (x) C^m over one tensor factor.
 

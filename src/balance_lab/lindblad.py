@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .channels import QuantumChannel, transpose_superop, ReversingOperation
+from .channels import QuantumChannel, ReversingOperation, _dual, _kms_dual, _theta_kms_dual
 from .couplings import Coupling
 from .kernel import (
     DEFAULT_TOL,
@@ -78,6 +78,24 @@ class LindbladGenerator:
         a = as_matrix(a)
         return (self.superoperator @ vec(a)).reshape((self.dim, self.dim), order="F")
 
+    def jump_form_dual(
+        self, s: FaithfulState, s_dual: np.ndarray, tol: float
+    ) -> "LindbladGenerator | None":
+        """The dual generator in explicit jump form, or None.
+
+        Each jump is twisted to V -> rho^1/2 V^T rho^-1/2 and the Hamiltonian
+        is kept; the result is returned only when it reproduces ``s_dual``.
+        """
+        if self.jumps is None:
+            return None
+        r, rinv = s.sqrt_spectrum, s.inv_sqrt_spectrum
+        twisted = tuple((r[:, None] * v.T * rinv[None, :]) for v in self.jumps)
+        try:
+            candidate = build_generator(twisted, self.hamiltonian)
+        except ValueError:
+            return None
+        return candidate if close(candidate.superoperator, s_dual, tol) else None
+
 
 def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
     """Assemble L from jump operators and an optional Hermitian Hamiltonian."""
@@ -121,10 +139,6 @@ def semigroup(gen: LindbladGenerator, t: float) -> QuantumChannel:
     )
 
 
-def state_invariance_residual(gen: LindbladGenerator, s: FaithfulState) -> float:
-    return float(np.linalg.norm(gen.superoperator.conj().T @ vec(s.rho)))
-
-
 def dual_generator(
     gen: LindbladGenerator, s: FaithfulState, tol: float = DEFAULT_TOL
 ) -> LindbladGenerator:
@@ -135,31 +149,13 @@ def dual_generator(
     per-jump twist V -> rho^1/2 V^T rho^-1/2 reproduces the same superoperator
     the result carries that explicit jump form.
     """
-    if s.dim != gen.dim:
-        raise ValueError("state dimension does not match the generator")
-    res = state_invariance_residual(gen, s)
-    if res > tol * max(1.0, frob_norm(gen.superoperator)):
-        raise ValueError(f"dual generator undefined: state not invariant ({res:.3e})")
-    w = s.kms_weights
-    s_dual = (gen.superoperator.T * w[None, :]) / w[:, None]
-    if gen.jumps is not None:
-        r, rinv = s.sqrt_spectrum, s.inv_sqrt_spectrum
-        twisted = tuple((r[:, None] * v.T * rinv[None, :]) for v in gen.jumps)
-        try:
-            candidate = build_generator(twisted, gen.hamiltonian)
-        except ValueError:
-            candidate = None
-        if candidate is not None and close(candidate.superoperator, s_dual, tol):
-            return candidate
-    return LindbladGenerator(dim=gen.dim, superoperator=s_dual)
+    return _dual(gen, s, s, tol, name="dual generator")
 
 
 def kms_dual_generator(
     gen: LindbladGenerator, s: FaithfulState, tol: float = DEFAULT_TOL
 ) -> LindbladGenerator:
-    t = transpose_superop(gen.dim)
-    d = dual_generator(gen, s, tol=tol)
-    return LindbladGenerator(dim=gen.dim, superoperator=t @ d.superoperator @ t)
+    return _kms_dual(gen, s, s, tol)
 
 
 def theta_kms_dual_generator(
@@ -168,11 +164,7 @@ def theta_kms_dual_generator(
     th: ReversingOperation,
     tol: float = DEFAULT_TOL,
 ) -> LindbladGenerator:
-    if not th.compatible_with(s, tol):
-        raise ValueError("reversing operation incompatible with state")
-    sig = kms_dual_generator(gen, s, tol=tol)
-    s_th = th.superoperator
-    return LindbladGenerator(dim=gen.dim, superoperator=s_th @ sig.superoperator @ s_th)
+    return _theta_kms_dual(gen, s, th, tol)
 
 
 def cycle_shift(cycle_lengths, weights) -> np.ndarray:

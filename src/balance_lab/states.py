@@ -146,8 +146,8 @@ class System:
             d, "dim_out", None
         ) != self.state.dim:
             raise ValueError("system dynamics must be endomorphic on the state's algebra")
-        res = state_preservation_residual(self)
-        if res > 1e-6 * max(1.0, frob_norm(d.superoperator)):
+        res, ok = preserves_state(d, self.state, tol=1e-6)
+        if not ok:
             raise ValueError(
                 f"dynamics does not preserve the state (residual {res:.3e})"
             )
@@ -161,13 +161,30 @@ class System:
         return self.state.dim
 
 
-def state_preservation_residual(sys: System) -> float:
-    """How far mu o alpha is from mu (channel) or mu o L from 0 (generator)."""
-    rho_vec = vec(sys.state.rho)
-    image = sys.dynamics.superoperator.conj().T @ rho_vec
-    if sys.kind == "generator":
-        return float(np.linalg.norm(image))
-    return float(np.linalg.norm(image - rho_vec))
+def state_preservation_residual(
+    dyn, s_in: FaithfulState, s_out: FaithfulState | None = None
+) -> float:
+    """How far mu_out o eta is from mu_in (channel) or mu o L from 0 (generator).
+
+    ``s_out`` defaults to ``s_in``.  The value is
+    ||S^dagger vec(rho_out) - vec(rho_in)|| for a channel and
+    ||S^dagger vec(rho)|| for a generator.
+    """
+    s_out = s_in if s_out is None else s_out
+    if (dyn.dim_in, dyn.dim_out) != (s_in.dim, s_out.dim):
+        raise ValueError("states do not match the dimensions of the dynamics")
+    image = dyn.superoperator.conj().T @ vec(s_out.rho)
+    if dyn.kind == "channel":
+        image = image - vec(s_in.rho)
+    return float(np.linalg.norm(image))
+
+
+def preserves_state(
+    dyn, s_in: FaithfulState, s_out: FaithfulState | None = None, tol: float = DEFAULT_TOL
+) -> tuple[float, bool]:
+    """The preservation residual and whether it is within tol * max(1, ||S||)."""
+    res = state_preservation_residual(dyn, s_in, s_out)
+    return res, res <= tol * max(1.0, frob_norm(dyn.superoperator))
 
 
 def system(state: FaithfulState, dynamics) -> System:

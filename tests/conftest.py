@@ -149,6 +149,20 @@ def coupling_from_channel_oracle(superop, sa: FaithfulState, sb: FaithfulState) 
     return kappa
 
 
+def coupling_from_channel_loop(e, sa: FaithfulState, sb: FaithfulState) -> np.ndarray:
+    """kappa_E = sum_ij E_ij (x) (rho_B^1/2 E(E_ji) rho_B^1/2)^T, summed block
+    by block with kron; the reference for the reshaped construction."""
+    n, m = sa.dim, sb.dim
+    r = np.sqrt(sb.spectrum)
+    kappa = np.zeros((n * m, n * m), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            image = unvec(e.superoperator @ vec(matrix_unit(n, j, i)), m)
+            block = (r[:, None] * image * r[None, :]).T
+            kappa += np.kron(matrix_unit(n, i, j), block)
+    return kappa
+
+
 # ---------------------------------------------------------------------------
 # scenario fixtures
 

@@ -21,8 +21,15 @@ from balance_lab.channels import (
     transpose_superop,
     validate_ucp,
 )
+from balance_lab.couplings import extract_channel, new_coupling
 from balance_lab.kernel import frob_distance, matrix_unit, vec
-from balance_lab.lindblad import cycle_generator, semigroup
+from balance_lab.lindblad import (
+    cycle_generator,
+    dual_generator,
+    kms_dual_generator,
+    semigroup,
+    theta_kms_dual_generator,
+)
 from balance_lab.states import new_faithful_state
 
 from conftest import dual_superop_oracle, random_matrix, random_state_vector
@@ -38,6 +45,29 @@ def scenario_channel(t=0.7, k=(0.3, 0.6), g=(0.0,) * 7):
 
 def scenario_state():
     return new_faithful_state([0.15] * 3 + [0.1375] * 4)
+
+
+def scenario_generator():
+    return cycle_generator((3, 4), [0.3, 0.6], [0.1, 0.2, 0.3, -0.1, -0.2, -0.3, 0.4])
+
+
+def two_to_three_channel():
+    """The channel extracted from a coupling of a qubit and a qutrit state:
+    half an entangled vector on the first two qutrit levels, half a product."""
+    pa, pb = np.array([0.35, 0.65]), np.array([0.2, 0.3, 0.5])
+    om = np.zeros(6, dtype=complex)
+    om[[0, 4]] = np.sqrt(pa)  # e_0 (x) e_0 and e_1 (x) e_1
+    kappa = 0.5 * np.outer(om, om) + 0.5 * np.kron(np.diag(pa), np.diag(pb))
+    sa = new_faithful_state(pa)
+    sb = new_faithful_state(0.5 * np.array([pa[0], pa[1], 0.0]) + 0.5 * pb)
+    return extract_channel(new_coupling(kappa, sa, sb)), sa, sb
+
+
+def phase_theta(n, seed=0):
+    """Reversing operation a -> u a^T u* with diagonal phases u: u conj(u) = 1,
+    and it fixes every diagonal state."""
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2 * np.pi, n))
+    return ReversingOperation(dim=n, unitary=np.diag(phases))
 
 
 class TestApply:
@@ -67,7 +97,7 @@ class TestApply:
 class TestValidateUcp:
     def test_identity(self):
         rep = validate_ucp(identity_channel(3))
-        assert rep.cp and rep.unital and rep.schwarz_witness
+        assert rep.cp and rep.unital
 
     def test_transpose_not_cp(self):
         ch = channel_from_function(lambda a: a.T, 2, 2)
@@ -78,7 +108,7 @@ class TestValidateUcp:
 
     def test_scenario_semigroup_member(self):
         rep = validate_ucp(scenario_channel(0.7))
-        assert rep.cp and rep.unital and rep.schwarz_witness
+        assert rep.cp and rep.unital
 
 
 class TestDual:
@@ -259,3 +289,66 @@ class TestFixedPoints:
         for p in (p1, p2):
             coeffs = flat.conj() @ vec(p)
             assert np.linalg.norm(vec(p) - flat.T @ coeffs) <= 1e-9
+
+
+class TestDualCore:
+    """The KMS flip is an index permutation and the Theta-KMS-dual of plain
+    transposition is the dual; both must agree bit for bit with the dense
+    commutation-matrix products they replace."""
+
+    def test_kms_flip_matches_transpose_products(self):
+        s = scenario_state()
+        ch, gen = scenario_channel(), scenario_generator()
+        ch23, sa, sb = two_to_three_channel()
+        cases = [
+            (dual(ch, s, s), kms_dual(ch, s, s), s, s),
+            (dual(ch23, sa, sb), kms_dual(ch23, sa, sb), sa, sb),
+            (dual_generator(gen, s), kms_dual_generator(gen, s), s, s),
+        ]
+        for d, k, s_in, s_out in cases:
+            t_in, t_out = transpose_superop(s_in.dim), transpose_superop(s_out.dim)
+            assert np.array_equal(k.superoperator, t_in @ d.superoperator @ t_out)
+
+    def test_two_to_three_kms_dual_shape(self):
+        ch, sa, sb = two_to_three_channel()
+        k = kms_dual(ch, sa, sb)
+        assert (k.dim_in, k.dim_out) == (3, 2)
+        assert state_preservation_residual(k, sb, sa) <= 1e-12
+
+    def test_transpose_theta_is_dual_bit_for_bit(self):
+        s = scenario_state()
+        th = ReversingOperation(dim=7)
+        ch, gen = scenario_channel(), scenario_generator()
+        assert np.array_equal(
+            theta_kms_dual(ch, s, th).superoperator, dual(ch, s, s).superoperator
+        )
+        assert np.array_equal(
+            theta_kms_dual_generator(gen, s, th).superoperator,
+            dual_generator(gen, s).superoperator,
+        )
+
+    def test_unitary_theta_channel(self):
+        s = scenario_state()
+        th = phase_theta(7)
+        assert th.validate() and th.compatible_with(s)
+        ch = scenario_channel()
+        t = transpose_superop(7)
+        d = dual(ch, s, s).superoperator
+        got = theta_kms_dual(ch, s, th)
+        assert np.array_equal(got.superoperator, th.superoperator @ (t @ d @ t) @ th.superoperator)
+        # a genuine change against plain transposition, and still an involution
+        assert frob_distance(got.superoperator, d) > 1e-3
+        twice = theta_kms_dual(got, s, th)
+        assert frob_distance(twice.superoperator, ch.superoperator) <= 1e-9
+
+    def test_unitary_theta_generator(self):
+        s = scenario_state()
+        th = phase_theta(7, seed=1)
+        gen = scenario_generator()
+        t = transpose_superop(7)
+        d = dual_generator(gen, s).superoperator
+        got = theta_kms_dual_generator(gen, s, th)
+        assert np.array_equal(got.superoperator, th.superoperator @ (t @ d @ t) @ th.superoperator)
+        assert frob_distance(got.superoperator, d) > 1e-3
+        twice = theta_kms_dual_generator(got, s, th)
+        assert frob_distance(twice.superoperator, gen.superoperator) <= 1e-9

@@ -100,7 +100,6 @@ class TestValidate:
         golden = {
             "command": "validate",
             "tolerance": 1e-9,
-            "seed": 0,
             "inputs": [
                 {
                     "path": "state.json",

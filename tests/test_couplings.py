@@ -29,10 +29,11 @@ from balance_lab.couplings import (
     validate_coupling,
 )
 from balance_lab.kernel import frob_distance, kron, matrix_unit
-from balance_lab.lindblad import scenario_coupling
+from balance_lab.lindblad import cycle_generator, scenario_coupling, semigroup
 from balance_lab.states import new_faithful_state
 
 from conftest import (
+    coupling_from_channel_loop,
     coupling_from_channel_oracle,
     extract_channel_oracle,
     make_spec,
@@ -155,6 +156,20 @@ class TestCouplingFromChannel:
                 coupling_from_channel_oracle(e.superoperator, w.state_a, w.state_b),
                 atol=1e-11,
             )
+
+    def test_reshape_equals_kron_loop_exactly(self):
+        # bit for bit, signed zeros included, on extracted channels, a
+        # non-square constant channel and a semigroup member
+        sa = new_faithful_state(random_state_vector(3, seed=11))
+        sb = new_faithful_state(random_state_vector(2, seed=12))
+        spec = make_spec()
+        s = scenario_coupling(spec).state_a
+        sg = semigroup(cycle_generator(spec.cycle_lengths, spec.k, spec.g), 0.7)
+        cases = [(extract_channel(w), w.state_a, w.state_b) for w in scenario_pool()]
+        cases += [(constant_channel(sa, 2), sa, sb), (sg, s, s)]
+        for e, s_a, s_b in cases:
+            kappa = coupling_from_channel(e, s_a, s_b).kappa
+            assert kappa.tobytes() == coupling_from_channel_loop(e, s_a, s_b).tobytes()
 
     def test_rejects_non_ucp(self):
         # the transpose map is positive but not completely positive

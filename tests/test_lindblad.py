@@ -20,9 +20,8 @@ from balance_lab.lindblad import (
     scenario_state,
     semigroup,
     standard_grid,
-    state_invariance_residual,
 )
-from balance_lab.states import new_faithful_state
+from balance_lab.states import new_faithful_state, state_preservation_residual
 
 from conftest import make_spec, random_matrix
 
@@ -68,7 +67,7 @@ class TestBuildGenerator:
     def test_block_constant_state_invariant(self):
         gen = cycle_generator((3,), [0.3])
         s = new_faithful_state([1 / 3] * 3)
-        assert state_invariance_residual(gen, s) <= 1e-13
+        assert state_preservation_residual(gen, s) <= 1e-13
 
     def test_non_hermitian_hamiltonian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
