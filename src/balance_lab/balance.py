@@ -40,7 +40,7 @@ from .couplings import (
     kms_flip,
     flip_coupling,
 )
-from .kernel import DEFAULT_TOL, frob_norm, matrix_unit, vec
+from .kernel import DEFAULT_TOL, frob_norm, matrix_unit, relative_residual, vec
 from .lindblad import semigroup
 from .states import System, kms_pairing
 
@@ -95,8 +95,8 @@ def is_balanced(
 ) -> BalanceReport:
     """Channel-level intertwining check plus the direct pairing check.
 
-    The intertwining residual is ||S_E S_alpha - S_beta S_E||_F normalized by
-    (1 + ||S_alpha||_F + ||S_beta||_F); the definition residual is the largest
+    The intertwining residual is ||S_E S_alpha - S_beta S_E||_F relative to
+    ||S_alpha||_F + ||S_beta||_F; the definition residual is the largest
     defect of omega(alpha(a) (x) c) = omega(a (x) beta'(c)) over matrix-unit
     pairs, with the dual dynamics computed for the second system.  For
     generator dynamics both checks run on the generators, which is equivalent
@@ -107,8 +107,10 @@ def is_balanced(
     s_alpha = sys_a.dynamics.superoperator
     s_beta = sys_b.dynamics.superoperator
     e = extract_channel(w)
-    scale = 1.0 + frob_norm(s_alpha) + frob_norm(s_beta)
-    residual = frob_norm(e.superoperator @ s_alpha - s_beta @ e.superoperator) / scale
+    scale = frob_norm(s_alpha) + frob_norm(s_beta)
+    residual = relative_residual(
+        frob_norm(e.superoperator @ s_alpha - s_beta @ e.superoperator), scale
+    )
 
     beta_dual = _dual(sys_b.dynamics, sys_b.state, sys_b.state, tol)
     k4 = w.kappa4()
@@ -116,7 +118,7 @@ def is_balanced(
     b4 = beta_dual.superoperator.reshape(m, m, m, m)
     lhs = np.einsum("plrk,prji->ijkl", k4, a4)
     rhs = np.einsum("jqis,qslk->ijkl", k4, b4)
-    def_residual = float(np.max(np.abs(lhs - rhs))) / scale
+    def_residual = relative_residual(float(np.max(np.abs(lhs - rhs))), scale)
 
     balanced = residual <= tol
     agree = balanced == (def_residual <= tol)
@@ -147,7 +149,7 @@ def is_kms_symmetric(sys: System, tol: float = DEFAULT_TOL) -> bool:
     """Whether the dynamics equals its KMS-dual."""
     s = sys.dynamics.superoperator
     sig = _kms_dual(sys.dynamics, sys.state, sys.state, tol).superoperator
-    return frob_norm(sig - s) <= tol * (1.0 + frob_norm(s))
+    return relative_residual(frob_norm(sig - s), frob_norm(s)) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +181,7 @@ def check_theta_sqdb(
     """
     s = sys.dynamics.superoperator
     dual_sys = theta_kms_dual_system(sys, th, tol)
-    residual = frob_norm(dual_sys.dynamics.superoperator - s) / (1.0 + frob_norm(s))
+    residual = relative_residual(frob_norm(dual_sys.dynamics.superoperator - s), frob_norm(s))
     sqdb = residual <= tol
 
     via = is_balanced(sys, dual_sys, diagonal_coupling(sys.state), tol).balanced
@@ -364,7 +366,7 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
         worst = max(worst, closure_defect(x.conj().T))
         for y in basis:
             worst = max(worst, closure_defect(x @ y))
-    if worst > max(tol, 1e-8):
+    if worst > tol:
         raise ValueError(f"fixed-point set not an algebra numerically (defect {worst:.3e})")
 
     state = sys.state
@@ -388,7 +390,8 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
                 gap,
                 abs(kms_pairing(state, f, c) - mu_f * state.expectation(c)),
             )
-    found = balance_res <= tol and gap > tol
+    balanced = relative_residual(balance_res, frob_norm(beta_dual.superoperator)) <= tol
+    found = balanced and gap > tol
     return DisjointnessReport(
         ergodic=False,
         fixed_space_dim=dim,
@@ -464,9 +467,8 @@ def convergence_probe(
     n, m = w.dims
     s_k = sys_a.dynamics.superoperator
     evals = np.linalg.eigvals(s_k)
-    scale = max(1.0, float(np.max(np.abs(evals))) if evals.size else 1.0)
-    zero_cut = max(tol, 1e-12) * scale * 100
-    zero_mask = np.abs(evals) <= zero_cut
+    scale = float(np.max(np.abs(evals)))
+    zero_mask = np.array([relative_residual(abs(x), scale) <= tol for x in evals])
     nonzero = evals[~zero_mask]
     kernel = fixed_point_space(sys_a.dynamics, tol)
     kernel_is_scalars = len(kernel) == 1
@@ -476,13 +478,13 @@ def convergence_probe(
         and int(np.sum(zero_mask)) == 1
         and nonzero.size > 0
         and gap is not None
-        and gap > zero_cut
+        and relative_residual(gap, scale) > tol
     )
 
     e = extract_channel(w)
     images = [apply(e, matrix_unit(n, i, j)) for i in range(n) for j in range(n)]
     stacked = np.stack([vec(b) for b in images])
-    span_dim = int(np.linalg.matrix_rank(stacked, tol=1e-10))
+    span_dim = int(np.linalg.matrix_rank(stacked, rtol=tol))
     vacuous = span_dim <= 1
 
     states = _spanning_density_matrices(m)

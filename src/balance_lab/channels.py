@@ -20,10 +20,9 @@ built by one core in this module, exact for diagonal states:
   Theta.  For plain transposition that conjugation is the KMS flip again,
   so the Theta-KMS-dual is the dual itself.
 
-Kind enters in three places only: the preservation residual, the result
-constructor ``_like``, and the explicit jump form that the dual of a
-generator keeps when it has one.  ``dual``, ``kms_dual``, ``theta_kms_dual``
-and their generator and system twins are thin constructors over this core.
+Kind enters in two places only: the preservation residual and the result
+constructor ``_like``.  ``dual``, ``kms_dual``, ``theta_kms_dual`` and their
+generator and system twins are thin constructors over this core.
 """
 
 from __future__ import annotations
@@ -36,15 +35,16 @@ import numpy as np
 
 from .kernel import (
     DEFAULT_TOL,
-    PSD_EIG_FLOOR,
     ad_superop,
     as_matrix,
+    check_psd,
     close,
     frob_norm,
     matrix_from_json,
     matrix_to_json,
     matrix_unit,
     nullspace,
+    relative_residual,
     unvec,
     vec,
 )
@@ -172,18 +172,12 @@ def validate_ucp(ch: QuantumChannel, tol: float = DEFAULT_TOL) -> UcpReport:
 
     Together they imply the Kadison-Schwarz inequality, so it is not sampled.
     """
-    choi = (ch.choi + ch.choi.conj().T) / 2.0
-    herm_defect = frob_norm(ch.choi - ch.choi.conj().T)
-    evals = np.linalg.eigvalsh(choi)
-    min_eig = float(evals[0]) if herm_defect <= tol * max(1.0, frob_norm(choi)) else -np.inf
-    cp = min_eig >= -PSD_EIG_FLOOR * max(1.0, float(evals[-1]) if evals.size else 1.0)
-
+    cp, min_eig = check_psd(ch.choi, tol)
     image_one = apply(ch, np.eye(ch.dim_in))
     unital_res = frob_norm(image_one - np.eye(ch.dim_out))
-    unital = unital_res <= tol * max(1.0, float(ch.dim_out))
     return UcpReport(
-        cp=bool(cp),
-        unital=bool(unital),
+        cp=cp,
+        unital=relative_residual(unital_res, math.sqrt(ch.dim_out)) <= tol,
         choi_min_eig=float(min_eig),
         unital_residual=float(unital_res),
     )
@@ -207,20 +201,12 @@ def _like(dyn, superoperator: np.ndarray):
 
 def _dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float, name: str = "dual"):
     """The weighted transpose W_in^-1 S^T W_out, as dynamics of the same kind.
-
-    A generator with explicit jumps gets its dual in jump form when the
-    twisted jumps reproduce the weighted transpose.  ``name`` labels the error.
-    """
+    ``name`` labels the error."""
     res, ok = preserves_state(dyn, s_in, s_out, tol)
     if not ok:
         raise ValueError(f"{name} undefined: the state is not preserved (residual {res:.3e})")
     w_in, w_out = s_in.kms_weights, s_out.kms_weights
-    s_dual = (dyn.superoperator.T * w_out[None, :]) / w_in[:, None]
-    if dyn.kind == "generator":
-        twisted = dyn.jump_form_dual(s_in, s_dual, tol)
-        if twisted is not None:
-            return twisted
-    return _like(dyn, s_dual)
+    return _like(dyn, (dyn.superoperator.T * w_out[None, :]) / w_in[:, None])
 
 
 def _kms_flip(superoperator: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .kernel import (
     matrix_to_json,
     matrix_unit,
     partial_trace,
+    relative_residual,
 )
 from .states import FaithfulState, gns_vector, preserves_state, state_from_json
 
@@ -103,7 +104,7 @@ class CouplingReport:
 
 def validate_coupling(w: Coupling, tol: float = DEFAULT_TOL) -> CouplingReport:
     n, m = w.dims
-    psd = is_psd(w.kappa, max(tol, 1e-10))
+    psd = is_psd(w.kappa, tol)
     trace_defect = abs(complex(np.trace(w.kappa)) - 1.0)
     ma = frob_distance(partial_trace(w.kappa, (n, m), "second"), w.state_a.rho)
     mb = frob_distance(partial_trace(w.kappa, (n, m), "first"), w.state_b.rho)
@@ -246,7 +247,7 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
     composed = compose(w, psi, tol=tol)
     prod = np.kron(w.state_a.rho, psi.state_b.rho)
     residual = frob_distance(composed.kappa, prod)
-    direct = residual <= tol * max(1.0, frob_norm(prod))
+    direct = close(composed.kappa, prod, tol)
 
     mid = w.state_b
     n_a, m = w.dims
@@ -271,7 +272,10 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
         [[np.trace(rho @ x.conj().T @ y) for y in right] for x in left]
     )
     gram_norm = float(np.linalg.norm(gram))
-    hilbert = gram_norm <= tol * max(1.0, float(len(left)))
+    # Cauchy-Schwarz bound on the cross-Gram; not the norm of the centered
+    # families, which is exactly 0 for a product coupling
+    bound = frob_norm(e_w.superoperator) * frob_norm(e_psi_dual.superoperator)
+    hilbert = relative_residual(gram_norm, bound) <= tol
     return OrthogonalityReport(
         orthogonal=bool(direct),
         residual=float(residual),

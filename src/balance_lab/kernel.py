@@ -4,7 +4,10 @@ Conventions used throughout the package:
 
 * Matrices are ``numpy.ndarray`` of dtype complex128 in row-major (C) order.
 * Vectorization is column stacking: ``vec(X)[i + n*j] = X[i, j]``.
-* Comparisons are absolute on Frobenius norms, normalized by ``max(1, ||.||)``.
+* Every verdict is ``relative_residual(residual, scale) <= tol``, with the
+  scale an a-priori size of the operands, homogeneous of degree one in the
+  inputs of the residual (so verdicts survive a rescaling of time), never
+  floored at 1 and never the norm of terms that can cancel exactly.
 * Anything feeding a boolean verdict (eigenvalues, singular vectors) is made
   deterministic: eigenvalues sorted descending, eigenvector phases fixed so the
   largest-magnitude entry is real and positive.
@@ -16,11 +19,12 @@ row-major list of length ``rows*cols``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 DEFAULT_TOL = 1e-9
-PSD_EIG_FLOOR = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -95,10 +99,17 @@ def frob_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def relative_residual(residual: float, scale: float) -> float:
+    """``residual / scale``, with 0/0 = 0; a verdict holds when it is <= tol."""
+    if residual == 0.0:
+        return 0.0
+    return residual / scale if scale > 0.0 else math.inf
+
+
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Frobenius closeness, normalized by max(1, ||a||, ||b||)."""
-    scale = max(1.0, frob_norm(a), frob_norm(b))
-    return frob_distance(a, b) <= tol * scale
+    """Frobenius closeness relative to max(||a||, ||b||)."""
+    scale = max(frob_norm(a), frob_norm(b))
+    return relative_residual(frob_distance(a, b), scale) <= tol
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
@@ -108,16 +119,22 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     return close(m, m.conj().T, tol)
 
 
-def is_psd(m, tol: float = PSD_EIG_FLOOR) -> bool:
-    """Hermitian within tol and minimal eigenvalue >= -tol * max(1, ||m||)."""
+def check_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """:func:`is_psd`, and the minimal eigenvalue it judged (-inf when m is
+    not Hermitian within tol)."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
-        raise ValueError("is_psd requires a square matrix")
-    if not is_hermitian(m, max(tol, DEFAULT_TOL)):
-        return False
+        raise ValueError("a PSD check requires a square matrix")
+    if not is_hermitian(m, tol):
+        return False, -math.inf
     evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    floor = -tol * max(1.0, float(evals[-1]) if evals.size else 1.0)
-    return bool(evals[0] >= floor)
+    low, scale = float(evals[0]), float(np.max(np.abs(evals)))
+    return relative_residual(max(-low, 0.0), scale) <= tol, low
+
+
+def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
+    """Hermitian within tol and minimal eigenvalue >= -tol * max |eigenvalue|."""
+    return check_psd(m, tol)[0]
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -147,14 +164,11 @@ def deterministic_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nullspace(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical kernel (singular values < tol * largest)."""
+    """Orthonormal basis of the numerical kernel: the right singular vectors
+    whose singular values are not > tol * the largest (all of them for zero)."""
     m = as_matrix(m)
     _, sv, vh = np.linalg.svd(m)
-    if sv.size == 0:
-        cutoff = tol
-    else:
-        cutoff = tol * max(float(sv[0]), 1.0)
-    rank = int(np.sum(sv >= cutoff))
+    rank = sum(relative_residual(float(x), float(sv[0])) > tol for x in sv)
     basis = vh[rank:].conj()
     basis = _fix_phases(basis.T).T
     return [basis[i] for i in range(basis.shape[0])]

@@ -34,11 +34,11 @@ from .couplings import Coupling
 from .kernel import (
     DEFAULT_TOL,
     as_matrix,
-    close,
     frob_norm,
     is_hermitian,
     mat_exp,
     matrix_unit,
+    relative_residual,
     vec,
 )
 from .states import FaithfulState, System, new_faithful_state
@@ -59,7 +59,7 @@ class LindbladGenerator:
             raise ValueError("generator superoperator has wrong shape")
         object.__setattr__(self, "superoperator", s)
         one = vec(np.eye(self.dim, dtype=complex))
-        if np.linalg.norm(s @ one) > 1e-8 * max(1.0, frob_norm(s)):
+        if relative_residual(frob_norm(s @ one), frob_norm(s)) > DEFAULT_TOL:
             raise ValueError("generator is not unital: L(1) != 0")
 
     @property
@@ -78,24 +78,6 @@ class LindbladGenerator:
         a = as_matrix(a)
         return (self.superoperator @ vec(a)).reshape((self.dim, self.dim), order="F")
 
-    def jump_form_dual(
-        self, s: FaithfulState, s_dual: np.ndarray, tol: float
-    ) -> "LindbladGenerator | None":
-        """The dual generator in explicit jump form, or None.
-
-        Each jump is twisted to V -> rho^1/2 V^T rho^-1/2 and the Hamiltonian
-        is kept; the result is returned only when it reproduces ``s_dual``.
-        """
-        if self.jumps is None:
-            return None
-        r, rinv = s.sqrt_spectrum, s.inv_sqrt_spectrum
-        twisted = tuple((r[:, None] * v.T * rinv[None, :]) for v in self.jumps)
-        try:
-            candidate = build_generator(twisted, self.hamiltonian)
-        except ValueError:
-            return None
-        return candidate if close(candidate.superoperator, s_dual, tol) else None
-
 
 def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
     """Assemble L from jump operators and an optional Hermitian Hamiltonian."""
@@ -111,7 +93,7 @@ def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
             raise ValueError("jump operators must be square and share one dimension")
     if hamiltonian is not None:
         h = as_matrix(hamiltonian)
-        if h.shape != (n, n) or not is_hermitian(h, 1e-10):
+        if h.shape != (n, n) or not is_hermitian(h):
             raise ValueError("non-Hermitian hamiltonian")
     else:
         h = np.zeros((n, n), dtype=complex)
@@ -145,9 +127,7 @@ def dual_generator(
     """Generator of the dual semigroup with respect to an invariant state.
 
     Solves Tr(r a r L'(b)^T) = Tr(r L(a) r b^T) for all a, b (r = rho^1/2),
-    i.e. the weight-transformed transpose of the superoperator.  When the
-    per-jump twist V -> rho^1/2 V^T rho^-1/2 reproduces the same superoperator
-    the result carries that explicit jump form.
+    i.e. the weight-transformed transpose of the superoperator.
     """
     return _dual(gen, s, s, tol, name="dual generator")
 

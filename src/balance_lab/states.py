@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, as_matrix, deterministic_eigh, frob_norm, vec
+from .kernel import DEFAULT_TOL, as_matrix, deterministic_eigh, frob_norm, relative_residual, vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +91,11 @@ def canonicalize_density_matrix(rho, tol: float = DEFAULT_TOL):
     n = rho.shape[0]
     if rho.shape != (n, n):
         raise ValueError("density matrix must be square")
-    herm_defect = frob_norm(rho - rho.conj().T)
-    if herm_defect > tol * max(1.0, frob_norm(rho)):
+    scale = frob_norm(rho)
+    if relative_residual(frob_norm(rho - rho.conj().T), scale) > tol:
         raise ValueError("density matrix is not Hermitian")
     off = rho - np.diag(np.diag(rho))
-    if frob_norm(off) <= tol * max(1.0, frob_norm(rho)):
+    if relative_residual(frob_norm(off), scale) <= tol:
         return new_faithful_state(np.real(np.diag(rho))), None
     evals, evecs = deterministic_eigh((rho + rho.conj().T) / 2.0)
     if np.min(evals) <= tol:
@@ -146,7 +146,7 @@ class System:
             d, "dim_out", None
         ) != self.state.dim:
             raise ValueError("system dynamics must be endomorphic on the state's algebra")
-        res, ok = preserves_state(d, self.state, tol=1e-6)
+        res, ok = preserves_state(d, self.state)
         if not ok:
             raise ValueError(
                 f"dynamics does not preserve the state (residual {res:.3e})"
@@ -182,9 +182,9 @@ def state_preservation_residual(
 def preserves_state(
     dyn, s_in: FaithfulState, s_out: FaithfulState | None = None, tol: float = DEFAULT_TOL
 ) -> tuple[float, bool]:
-    """The preservation residual and whether it is within tol * max(1, ||S||)."""
+    """The preservation residual and whether it is within tol relative to ||S||."""
     res = state_preservation_residual(dyn, s_in, s_out)
-    return res, res <= tol * max(1.0, frob_norm(dyn.superoperator))
+    return res, relative_residual(res, frob_norm(dyn.superoperator)) <= tol
 
 
 def system(state: FaithfulState, dynamics) -> System:

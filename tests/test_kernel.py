@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from balance_lab.kernel import (
+    close,
     frob_distance,
     is_psd,
     kron,
@@ -16,6 +17,7 @@ from balance_lab.kernel import (
     matrix_unit,
     nullspace,
     partial_trace,
+    relative_residual,
     deterministic_eigh,
     vec,
     unvec,
@@ -152,6 +154,23 @@ class TestPredicates:
 
     def test_is_psd_small_negative(self):
         assert not is_psd(np.diag([1.0, -1e-3]), 1e-10)
+
+    def test_relative_residual_zero_over_zero(self):
+        assert relative_residual(0.0, 0.0) == 0.0
+        assert relative_residual(1e-300, 0.0) == np.inf
+        assert relative_residual(3.0, 2.0) == 1.5
+
+    @pytest.mark.parametrize("c", [1e8, 1e-3, 1e-12])
+    def test_predicates_scale_free(self, c):
+        # no floor at 1: a verdict on c * m is the verdict on m
+        a = random_psd(4, seed=3)
+        b = a + 1e-6 * random_matrix(4, seed=4)
+        assert close(c * a, c * a * (1 + 1e-10)) and not close(c * a, c * b)
+        assert close(np.zeros((2, 2)), np.zeros((2, 2)))
+        shifted = a - (np.linalg.eigvalsh(a)[0] + 1e-3) * np.eye(4)
+        assert is_psd(c * a) and not is_psd(c * shifted)
+        gen = cycle_generator((3, 4), [0.3, 0.6]).superoperator
+        assert len(nullspace(c * gen)) == len(nullspace(gen)) == 7
 
     def test_frob_distance_self(self):
         a = random_matrix(3, seed=4)

@@ -117,7 +117,6 @@ class TestDualGenerator:
         gen = cycle_generator((3, 4), l, h)
         s = scenario_state(make_spec())
         d = dual_generator(gen, s)
-        assert d.jumps is not None
         expected = build_generator(
             (cycle_shift((3, 4), 1 - l), cycle_shift((3, 4), l).conj().T),
             np.diag(h).astype(complex),
