@@ -25,11 +25,11 @@ import numpy as np
 from .channels import (
     ReversingOperation,
     _dual,
+    _fixed_point_operator,
     _kms_dual,
     _like,
     _theta_conjugate,
     _theta_kms_dual,
-    apply,
     fixed_point_space,
 )
 from .couplings import (
@@ -40,9 +40,9 @@ from .couplings import (
     kms_flip,
     flip_coupling,
 )
-from .kernel import DEFAULT_TOL, frob_norm, matrix_unit, relative_residual, vec
+from .kernel import DEFAULT_TOL, frob_norm, relative_residual, vec
 from .lindblad import semigroup
-from .states import System, kms_pairing
+from .states import System
 
 
 def dual_system(sys: System, tol: float = DEFAULT_TOL) -> System:
@@ -356,40 +356,28 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
             message="no non-trivial identity-system balance found (consistent with disjointness)",
         )
 
-    flat = np.stack([vec(b) for b in basis])
-    def closure_defect(x):
-        coeffs = flat.conj() @ vec(x)
-        return float(np.linalg.norm(vec(x) - flat.T @ coeffs))
-
-    worst = 0.0
-    for x in basis:
-        worst = max(worst, closure_defect(x.conj().T))
-        for y in basis:
-            worst = max(worst, closure_defect(x @ y))
+    n = sys.dim
+    stack = np.stack(basis)
+    # every x* and x y must lie in the span: the defect is the distance to it,
+    # the same for any flattening, so row-major flattening is used
+    closure = np.concatenate(
+        [stack.conj().transpose(0, 2, 1), (stack[:, None] @ stack[None, :]).reshape(-1, n, n)]
+    ).reshape(-1, n * n)
+    onb = stack.reshape(dim, n * n)
+    worst = float(np.max(np.linalg.norm(closure - (closure @ onb.conj().T) @ onb, axis=1)))
     if worst > tol:
         raise ValueError(f"fixed-point set not an algebra numerically (defect {worst:.3e})")
 
     state = sys.state
-    n = state.dim
+    r = state.sqrt_spectrum
     beta_dual = _dual(sys.dynamics, state, state, tol)
-    units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
-    balance_res = 0.0
-    gap = 0.0
-    for f in basis:
-        mu_f = state.expectation(f)
-        for c in units:
-            img = (
-                beta_dual.superoperator @ vec(c)
-            ).reshape((n, n), order="F")
-            if sys.kind == "generator":
-                defect = abs(kms_pairing(state, f, img))
-            else:
-                defect = abs(kms_pairing(state, f, img) - kms_pairing(state, f, c))
-            balance_res = max(balance_res, float(defect))
-            gap = max(
-                gap,
-                abs(kms_pairing(state, f, c) - mu_f * state.expectation(c)),
-            )
+    # row f of pairing is vec(rho^1/2 f rho^1/2), the form b -> Tr(rho^1/2 f rho^1/2 b^T)
+    # on vec(b); the witness residual is its value on beta'(E_ij) - E_ij
+    # (channel) or L'(E_ij), the gap its distance from mu(f) mu(E_ij)
+    pairing = (r[:, None] * stack * r[None, :]).transpose(0, 2, 1).reshape(dim, n * n)
+    balance_res = float(np.max(np.abs(pairing @ _fixed_point_operator(beta_dual))))
+    mu_f = np.sum(state.spectrum * np.diagonal(stack, axis1=1, axis2=2), axis=1)
+    gap = float(np.max(np.abs(pairing - np.outer(mu_f, vec(state.rho)))))
     balanced = relative_residual(balance_res, frob_norm(beta_dual.superoperator)) <= tol
     found = balanced and gap > tol
     return DisjointnessReport(
@@ -404,17 +392,14 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
     )
 
 
-def _spanning_density_matrices(m: int) -> list[np.ndarray]:
-    """Rank-one density matrices spanning the full matrix algebra."""
-    vecs = []
+def _spanning_density_matrices(m: int) -> np.ndarray:
+    """Rank-one density matrices lambda spanning the full matrix algebra, as
+    the m^2 x m^2 matrix of rows vec(lambda^T), so that row . vec(b) = Tr(lambda b)."""
     eye = np.eye(m, dtype=complex)
-    for i in range(m):
-        vecs.append(eye[:, i])
-    for i in range(m):
-        for j in range(i + 1, m):
-            vecs.append((eye[:, i] + eye[:, j]) / np.sqrt(2))
-            vecs.append((eye[:, i] + 1j * eye[:, j]) / np.sqrt(2))
-    return [np.outer(v, v.conj()) for v in vecs]
+    i, j = np.triu_indices(m, 1)
+    pairs = np.stack([eye[i] + eye[j], eye[i] + 1j * eye[j]], axis=1) / np.sqrt(2)
+    v = np.concatenate([eye, pairs.reshape(-1, m)])
+    return (v[:, :, None] * v.conj()[:, None, :]).reshape(m * m, m * m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,7 +449,7 @@ def convergence_probe(
     if not rep.balanced:
         raise ValueError("convergence probe requires a balanced triple")
 
-    n, m = w.dims
+    m = w.state_b.dim
     s_k = sys_a.dynamics.superoperator
     evals = np.linalg.eigvals(s_k)
     scale = float(np.max(np.abs(evals)))
@@ -481,23 +466,17 @@ def convergence_probe(
         and relative_residual(gap, scale) > tol
     )
 
-    e = extract_channel(w)
-    images = [apply(e, matrix_unit(n, i, j)) for i in range(n) for j in range(n)]
-    stacked = np.stack([vec(b) for b in images])
-    span_dim = int(np.linalg.matrix_rank(stacked, rtol=tol))
+    # the images of the matrix units are the columns of S_E
+    s_e = extract_channel(w).superoperator
+    span_dim = int(np.linalg.matrix_rank(s_e, rtol=tol))
     vacuous = span_dim <= 1
 
     states = _spanning_density_matrices(m)
-    targets = [sys_b.state.expectation(b) for b in images]
+    targets = vec(sys_b.state.rho) @ s_e
     deviations = []
     for t in sorted(float(t) for t in t_grid):
-        ch = semigroup(sys_b.dynamics, t)
-        sup = 0.0
-        for b, nb in zip(images, targets):
-            evolved = apply(ch, b)
-            for lam in states:
-                sup = max(sup, abs(complex(np.trace(lam @ evolved)) - nb))
-        deviations.append((t, float(sup)))
+        evolved = states @ (semigroup(sys_b.dynamics, t).superoperator @ s_e)
+        deviations.append((t, float(np.max(np.abs(evolved - targets)))))
 
     if not certified:
         return ConvergenceReport(

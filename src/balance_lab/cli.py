@@ -441,7 +441,11 @@ def cmd_sqdb(args) -> int:
     if args.theta_unitary:
         obj, sha = load_json(args.theta_unitary)
         inputs.append(digest_entry(args.theta_unitary, sha))
-        th = ReversingOperation(dim=sys_x.dim, unitary=matrix_from_json(obj))
+        try:
+            unitary = matrix_from_json(obj)
+        except ValueError as exc:
+            raise InputError(f"{args.theta_unitary}: {exc}") from exc
+        th = ReversingOperation(dim=sys_x.dim, unitary=unitary)
     else:
         th = ReversingOperation(dim=sys_x.dim)
     rep = check_theta_sqdb(sys_x, th, args.tol)
@@ -535,9 +539,12 @@ def cmd_scenario_grid(args) -> int:
         if not args.spec:
             raise InputError("scenario grid needs a spec file or --builtin")
         obj, sha = load_json(args.spec)
-        if not isinstance(obj, dict) or "scenarios" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("scenarios"), list):
             raise InputError(f"{args.spec}: expected an object with a 'scenarios' list")
-        specs = [scenario_from_json(s) for s in obj["scenarios"]]
+        try:
+            specs = [scenario_from_json(s) for s in obj["scenarios"]]
+        except ValueError as exc:
+            raise InputError(f"{args.spec}: {exc}") from exc
         inputs = [digest_entry(args.spec, sha)]
     report = base_report("scenario grid", args, inputs)
     results = [_scenario_result(s, args.tol) for s in specs]

@@ -23,8 +23,8 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
-    apply,
     compose_channels,
+    constant_channel,
     dual,
     kms_dual,
     validate_ucp,
@@ -38,7 +38,6 @@ from .kernel import (
     is_psd,
     matrix_from_json,
     matrix_to_json,
-    matrix_unit,
     partial_trace,
     relative_residual,
 )
@@ -249,28 +248,15 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
     residual = frob_distance(composed.kappa, prod)
     direct = close(composed.kappa, prod, tol)
 
-    mid = w.state_b
-    n_a, m = w.dims
-    n_c = psi.state_b.dim
+    m = w.state_b.dim
     e_w = extract_channel(w)
     e_psi_dual = dual(extract_channel(psi), psi.state_a, psi.state_b, tol=tol)
-    rho = mid.rho
-    eye = np.eye(m, dtype=complex)
-    left = []
-    for i in range(n_a):
-        for j in range(n_a):
-            u = matrix_unit(n_a, i, j)
-            x = apply(e_w, u) - w.state_a.expectation(u) * eye
-            left.append(x)
-    right = []
-    for i in range(n_c):
-        for j in range(n_c):
-            u = matrix_unit(n_c, i, j)
-            y = apply(e_psi_dual, u) - psi.state_b.expectation(u) * eye
-            right.append(y)
-    gram = np.array(
-        [[np.trace(rho @ x.conj().T @ y) for y in right] for x in left]
-    )
+    # centered families: column (i, j) is vec(E(E_ij) - mu(E_ij) 1)
+    x = e_w.superoperator - constant_channel(w.state_a, m).superoperator
+    y = e_psi_dual.superoperator - constant_channel(psi.state_b, m).superoperator
+    # Tr(rho x* y) weights the entry vec index k + m*l by p_l of the middle state
+    weights = np.kron(w.state_b.spectrum, np.ones(m))
+    gram = x.conj().T @ (weights[:, None] * y)
     gram_norm = float(np.linalg.norm(gram))
     # Cauchy-Schwarz bound on the cross-Gram; not the norm of the centered
     # families, which is exactly 0 for a product coupling

@@ -112,6 +112,15 @@ def close(a, b, tol: float = DEFAULT_TOL) -> bool:
     return relative_residual(frob_distance(a, b), scale) <= tol
 
 
+def _close_each(a, b, tol: float = DEFAULT_TOL) -> bool:
+    """:func:`close` on every matrix (the last two axes) of two broadcast stacks."""
+    dist = np.linalg.norm(a - b, axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), np.linalg.norm(b, axis=(-2, -1)))
+    # relative_residual(dist, scale) <= tol elementwise, with 0/0 = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bool(np.all((dist == 0.0) | (dist / scale <= tol)))
+
+
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -183,11 +192,11 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dims must be >= 1")
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    if flat.size != rows * cols:
+        raise ValueError(f"matrix data has {flat.size} entries, expected {rows * cols}")
     return flat.reshape(rows, cols)

@@ -71,12 +71,12 @@ def new_faithful_state(p) -> FaithfulState:
 
 def state_from_json(obj) -> FaithfulState:
     try:
-        dim, spectrum = int(obj["dim"]), obj["spectrum"]
-    except (KeyError, TypeError) as exc:
+        dim, p = int(obj["dim"]), np.asarray(obj["spectrum"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
-    if len(spectrum) != dim:
+    if p.shape != (dim,):
         raise ValueError("malformed state object: dim does not match spectrum length")
-    return new_faithful_state(spectrum)
+    return new_faithful_state(p)
 
 
 def canonicalize_density_matrix(rho, tol: float = DEFAULT_TOL):

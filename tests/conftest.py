@@ -11,10 +11,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from balance_lab.couplings import Coupling
-from balance_lab.kernel import matrix_unit, unvec, vec
-from balance_lab.lindblad import ScenarioSpec
-from balance_lab.states import FaithfulState
+from balance_lab.balance import (
+    ConvergenceReport,
+    DisjointnessReport,
+    is_balanced,
+)
+from balance_lab.channels import _dual, apply, dual, fixed_point_space
+from balance_lab.couplings import Coupling, OrthogonalityReport, compose, extract_channel
+from balance_lab.kernel import (
+    DEFAULT_TOL,
+    close,
+    frob_distance,
+    frob_norm,
+    matrix_unit,
+    relative_residual,
+    unvec,
+    vec,
+)
+from balance_lab.lindblad import ScenarioSpec, semigroup
+from balance_lab.states import FaithfulState, kms_pairing
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -161,6 +176,216 @@ def coupling_from_channel_loop(e, sa: FaithfulState, sb: FaithfulState) -> np.nd
             block = (r[:, None] * image * r[None, :]).T
             kappa += np.kron(matrix_unit(n, i, j), block)
     return kappa
+
+
+def is_orthogonal_loop(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> OrthogonalityReport:
+    """is_orthogonal with the cross-Gram summed matrix unit by matrix unit:
+    Tr(rho x* y) for every pair of centered images; the reference for the
+    weighted product of superoperators."""
+    composed = compose(w, psi, tol=tol)
+    prod = np.kron(w.state_a.rho, psi.state_b.rho)
+    residual = frob_distance(composed.kappa, prod)
+    direct = close(composed.kappa, prod, tol)
+
+    mid = w.state_b
+    n_a, m = w.dims
+    n_c = psi.state_b.dim
+    e_w = extract_channel(w)
+    e_psi_dual = dual(extract_channel(psi), psi.state_a, psi.state_b, tol=tol)
+    rho = mid.rho
+    eye = np.eye(m, dtype=complex)
+    left = []
+    for i in range(n_a):
+        for j in range(n_a):
+            u = matrix_unit(n_a, i, j)
+            x = apply(e_w, u) - w.state_a.expectation(u) * eye
+            left.append(x)
+    right = []
+    for i in range(n_c):
+        for j in range(n_c):
+            u = matrix_unit(n_c, i, j)
+            y = apply(e_psi_dual, u) - psi.state_b.expectation(u) * eye
+            right.append(y)
+    gram = np.array(
+        [[np.trace(rho @ x.conj().T @ y) for y in right] for x in left]
+    )
+    gram_norm = float(np.linalg.norm(gram))
+    bound = frob_norm(e_w.superoperator) * frob_norm(e_psi_dual.superoperator)
+    hilbert = relative_residual(gram_norm, bound) <= tol
+    return OrthogonalityReport(
+        orthogonal=bool(direct),
+        residual=float(residual),
+        hilbert_criterion=bool(hilbert),
+        cross_gram_norm=gram_norm,
+        methods_agree=bool(direct == hilbert),
+        tol=tol,
+    )
+
+
+def disjointness_probe_loop(sys, tol: float = DEFAULT_TOL) -> DisjointnessReport:
+    """disjointness_probe with the closure defect taken product by product and
+    the witness pairings kms_pairing by kms_pairing over the matrix units."""
+    basis = fixed_point_space(sys.dynamics, tol)
+    dim = len(basis)
+    if dim <= 1:
+        return DisjointnessReport(
+            ergodic=True,
+            fixed_space_dim=dim,
+            witness_found=False,
+            balance_residual=None,
+            nontriviality_gap=None,
+            witness_basis=None,
+            message="no non-trivial identity-system balance found (consistent with disjointness)",
+        )
+
+    flat = np.stack([vec(b) for b in basis])
+
+    def closure_defect(x):
+        coeffs = flat.conj() @ vec(x)
+        return float(np.linalg.norm(vec(x) - flat.T @ coeffs))
+
+    worst = 0.0
+    for x in basis:
+        worst = max(worst, closure_defect(x.conj().T))
+        for y in basis:
+            worst = max(worst, closure_defect(x @ y))
+    if worst > tol:
+        raise ValueError(f"fixed-point set not an algebra numerically (defect {worst:.3e})")
+
+    state = sys.state
+    n = state.dim
+    beta_dual = _dual(sys.dynamics, state, state, tol)
+    units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+    balance_res = 0.0
+    gap = 0.0
+    for f in basis:
+        mu_f = state.expectation(f)
+        for c in units:
+            img = (beta_dual.superoperator @ vec(c)).reshape((n, n), order="F")
+            if sys.kind == "generator":
+                defect = abs(kms_pairing(state, f, img))
+            else:
+                defect = abs(kms_pairing(state, f, img) - kms_pairing(state, f, c))
+            balance_res = max(balance_res, float(defect))
+            gap = max(gap, abs(kms_pairing(state, f, c) - mu_f * state.expectation(c)))
+    balanced = relative_residual(balance_res, frob_norm(beta_dual.superoperator)) <= tol
+    found = balanced and gap > tol
+    return DisjointnessReport(
+        ergodic=False,
+        fixed_space_dim=dim,
+        witness_found=bool(found),
+        balance_residual=float(balance_res),
+        nontriviality_gap=float(gap),
+        witness_basis=basis,
+        message="identity system on the fixed-point algebra balances the dynamics "
+        "through the restricted diagonal coupling",
+    )
+
+
+def spanning_density_matrices_loop(m: int) -> list[np.ndarray]:
+    """Rank-one density matrices spanning the full matrix algebra, one by one."""
+    vecs = []
+    eye = np.eye(m, dtype=complex)
+    for i in range(m):
+        vecs.append(eye[:, i])
+    for i in range(m):
+        for j in range(i + 1, m):
+            vecs.append((eye[:, i] + eye[:, j]) / np.sqrt(2))
+            vecs.append((eye[:, i] + 1j * eye[:, j]) / np.sqrt(2))
+    return [np.outer(v, v.conj()) for v in vecs]
+
+
+def convergence_probe_loop(
+    sys_a, sys_b, w: Coupling, t_grid, tol: float = DEFAULT_TOL, deviation_tol: float = 1e-6
+) -> ConvergenceReport:
+    """convergence_probe with the images of the matrix units applied one by
+    one and every state paired with np.trace."""
+    if sys_a.kind != "generator" or sys_b.kind != "generator":
+        raise ValueError("convergence probe requires generator dynamics")
+    rep = is_balanced(sys_a, sys_b, w, tol)
+    if not rep.balanced:
+        raise ValueError("convergence probe requires a balanced triple")
+
+    n, m = w.dims
+    s_k = sys_a.dynamics.superoperator
+    evals = np.linalg.eigvals(s_k)
+    scale = float(np.max(np.abs(evals)))
+    zero_mask = np.array([relative_residual(abs(x), scale) <= tol for x in evals])
+    nonzero = evals[~zero_mask]
+    kernel = fixed_point_space(sys_a.dynamics, tol)
+    kernel_is_scalars = len(kernel) == 1
+    gap = float(-np.max(nonzero.real)) if nonzero.size else None
+    certified = (
+        kernel_is_scalars
+        and int(np.sum(zero_mask)) == 1
+        and nonzero.size > 0
+        and gap is not None
+        and relative_residual(gap, scale) > tol
+    )
+
+    e = extract_channel(w)
+    images = [apply(e, matrix_unit(n, i, j)) for i in range(n) for j in range(n)]
+    stacked = np.stack([vec(b) for b in images])
+    span_dim = int(np.linalg.matrix_rank(stacked, rtol=tol))
+    vacuous = span_dim <= 1
+
+    states = spanning_density_matrices_loop(m)
+    targets = [sys_b.state.expectation(b) for b in images]
+    deviations = []
+    for t in sorted(float(t) for t in t_grid):
+        ch = semigroup(sys_b.dynamics, t)
+        sup = 0.0
+        for b, nb in zip(images, targets):
+            evolved = apply(ch, b)
+            for lam in states:
+                sup = max(sup, abs(complex(np.trace(lam @ evolved)) - nb))
+        deviations.append((t, float(sup)))
+
+    if not certified:
+        return ConvergenceReport(
+            certified=False,
+            gap=gap,
+            vacuous=vacuous,
+            deviations=deviations,
+            threshold_time=None,
+            passed=None,
+            message="spectral condition fails; convergence transfer inapplicable",
+        )
+    threshold = 50.0 / gap
+    late = [d for t, d in deviations if t >= threshold]
+    passed = bool(late and max(late) <= deviation_tol)
+    message = "hypothesis certified spectrally"
+    if vacuous:
+        message += "; extracted channel has scalar range, statement vacuous"
+    if not late:
+        message += f"; grid does not reach threshold time {threshold:.3g}"
+        passed = None
+    return ConvergenceReport(
+        certified=True,
+        gap=gap,
+        vacuous=vacuous,
+        deviations=deviations,
+        threshold_time=threshold,
+        passed=passed,
+        message=message,
+    )
+
+
+def reversing_validate_loop(th, tol: float = DEFAULT_TOL) -> bool:
+    """ReversingOperation.validate by n^5 calls to th.apply on matrix units."""
+    n = th.dim
+    for i in range(n):
+        for j in range(n):
+            a = matrix_unit(n, i, j)
+            if not close(th.apply(th.apply(a)), a, tol):
+                return False
+            for k in range(n):
+                b = matrix_unit(n, j, k)
+                if not close(th.apply(a @ b), th.apply(b) @ th.apply(a), tol):
+                    return False
+            if not close(th.apply(a.conj().T), th.apply(a).conj().T, tol):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

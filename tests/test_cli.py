@@ -33,6 +33,11 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
 class TestValidate:
     def test_state_valid(self, workdir, capsys):
         f = write(workdir / "state.json", new_faithful_state([0.5, 0.5]).to_json())
@@ -51,6 +56,30 @@ class TestValidate:
         bad.write_text("{not json", encoding="utf-8")
         code, _ = run(capsys, "validate", str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rho": {"rows": 1, "cols": 1, "data": 5}},
+            {"dim": 1, "spectrum": 5},
+            {
+                "dim_in": 1,
+                "dim_out": 1,
+                "superoperator": {"rows": 1, "cols": 1, "data": [["x", 0]]},
+            },
+            {
+                "dim_in": 1,
+                "dim_out": 1,
+                "superoperator": {"rows": 1, "cols": 1, "data": [["1", 0]]},
+            },
+        ],
+        ids=["rho-data-scalar", "spectrum-scalar", "entry-string", "entry-numeric-string"],
+    )
+    def test_malformed_object_is_input_error(self, workdir, capsys, obj):
+        f = write(workdir / "bad.json", obj)
+        code, err = run_err(capsys, "validate", f)
+        assert code == 1
+        assert err.startswith("input error:") and "malformed" in err
 
     def test_coupling_trace_defect(self, workdir, capsys):
         s = new_faithful_state([0.5, 0.5])
@@ -296,6 +325,23 @@ class TestSqdbErgodicConvergence:
             assert rep["verdicts"]["sqdb"] is expected
             assert rep["verdicts"]["methods_agree"] is True
 
+    def test_sqdb_theta_unitary_exit_codes(self, workdir, capsys):
+        spec = make_spec(k=(0.5, 0.5), l=(0.5, 0.5))
+        f = write(workdir / "spec.json", spec.to_json())
+        phase = np.diag(np.exp(1j * np.linspace(0.2, 1.7, 7)))
+        cases = (
+            (matrix_to_json(phase), 0, None),
+            (matrix_to_json(2.0 * np.eye(7)), 2, "validation failure:"),
+            ({"rows": 7, "cols": 7, "data": 5}, 1, "input error:"),
+            ({"rows": 7, "cols": 7}, 1, "input error:"),
+        )
+        for i, (theta, expected, prefix) in enumerate(cases):
+            t = write(workdir / f"theta{i}.json", theta)
+            code, err = run_err(capsys, "sqdb", "--scenario", f, "--theta-unitary", t)
+            assert code == expected
+            if prefix is not None:
+                assert err.startswith(prefix)
+
     def test_ergodic_scenario(self, workdir, capsys):
         f = write(workdir / "spec.json", make_spec().to_json())
         code, out = run(capsys, "ergodic", "--scenario", f)
@@ -363,6 +409,21 @@ class TestScenarioCommands:
         rep = json.loads(out)
         assert rep["grid_size"] == 2
         assert rep["mismatches"] == 0
+
+    def test_grid_scenarios_not_a_list(self, workdir, capsys):
+        f = write(workdir / "grid.json", {"scenarios": 3})
+        code, err = run_err(capsys, "scenario", "grid", f)
+        assert code == 1
+        assert err.startswith("input error:")
+
+    def test_grid_entry_missing_keys_matches_run(self, workdir, capsys):
+        entry = {k: v for k, v in make_spec().to_json().items() if k != "types"}
+        grid = write(workdir / "grid.json", {"scenarios": [make_spec().to_json(), entry]})
+        single = write(workdir / "spec.json", entry)
+        for argv in (("scenario", "grid", grid), ("scenario", "run", single)):
+            code, err = run_err(capsys, *argv)
+            assert code == 1
+            assert err.startswith("input error:") and "malformed scenario" in err
 
     def test_grid_builtin(self, workdir, capsys):
         code, out = run(capsys, "scenario", "grid", "--builtin")

@@ -4,6 +4,8 @@ Balance, sqdb, KMS symmetry and fixed points are linear in the dynamics, so
 every verdict must survive a rescaling of time, a relabelling of the cycles
 of a scenario and a change of the smallest state eigenvalue p_min; the two
 zero generators are the degenerate 0/0 case of the relative-residual rule.
+Balance must also read the same in its equivalent forms: through the duals
+and KMS-duals in reversed order, and at sampled times of the semigroups.
 """
 
 import dataclasses
@@ -15,9 +17,11 @@ import pytest
 from balance_lab.balance import (
     check_theta_sqdb,
     disjointness_probe,
+    dual_order_check,
     is_balanced,
     is_ergodic,
     is_kms_symmetric,
+    sampled_balance,
 )
 from balance_lab.channels import ReversingOperation, validate_ucp
 from balance_lab.couplings import (
@@ -121,6 +125,34 @@ class TestRescaling:
         sqdb, _, agree, kms, ergodic, _, witness, dims = zip(*unscaled_verdicts())
         assert set(sqdb) == set(kms) == set(ergodic) == set(witness) == {True, False}
         assert all(agree) and len(set(dims)) > 2
+
+
+class TestEquivalentForms:
+    """Balance of the built-in grid is the same statement in every form the
+    paper gives: primal, dual pair and KMS pair in reversed order, and the
+    semigroups at sampled times."""
+
+    def test_dual_order(self):
+        wrong = []
+        for i, spec in enumerate(GRID):
+            t = scenario_build(spec)
+            rep = dual_order_check(t.system_a, t.system_b, t.coupling)
+            if not rep.consistent or rep.primal != scenario_predict(spec):
+                wrong.append((i, rep.to_json()))
+        assert wrong == []
+
+    def test_sampled_times(self):
+        wrong = []
+        for i, spec in enumerate(GRID):
+            t = scenario_build(spec)
+            verdict = is_balanced(t.system_a, t.system_b, t.coupling).balanced
+            for time, rep in sampled_balance(t.system_a, t.system_b, t.coupling, (0.1, 1.0, 5.0)):
+                if rep.balanced != verdict:
+                    wrong.append((i, time, rep.residual))
+        assert wrong == []
+
+    def test_grid_covers_both_verdicts(self):
+        assert {scenario_predict(spec) for spec in GRID} == {True, False}
 
 
 class TestZeroDynamics:
