@@ -246,7 +246,7 @@ def kms_symmetry_flip_check(
             message="hypothesis not met: dynamics are not KMS-symmetric",
         )
     forward = is_balanced(sys_a, sys_b, w, tol).balanced
-    backward = is_balanced(sys_b, sys_a, kms_flip(w, tol), tol).balanced
+    backward = is_balanced(sys_b, sys_a, kms_flip(w), tol).balanced
 
     theta_fwd = theta_bwd = theta_eq = None
     message = "kms-symmetric flip equivalence evaluated"
@@ -300,7 +300,7 @@ def dual_order_check(
     dual_pair = is_balanced(d_b, d_a, flip_coupling(w), tol).balanced
     k_b = kms_dual_system(sys_b, tol)
     k_a = kms_dual_system(sys_a, tol)
-    kms_pair = is_balanced(k_b, k_a, kms_flip(w, tol), tol).balanced
+    kms_pair = is_balanced(k_b, k_a, kms_flip(w), tol).balanced
     return DualOrderReport(
         primal=bool(primal),
         dual_pair=bool(dual_pair),

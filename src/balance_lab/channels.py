@@ -22,7 +22,8 @@ built by one core in this module, exact for diagonal states:
 
 Kind enters in two places only: the preservation residual and the result
 constructor ``_like``.  ``dual``, ``kms_dual``, ``theta_kms_dual`` and their
-generator and system twins are thin constructors over this core.
+generator and system twins are thin constructors over this core, and so is
+``change_frame``, the one change of basis of dynamics.
 """
 
 from __future__ import annotations
@@ -198,6 +199,21 @@ def _like(dyn, superoperator: np.ndarray):
         dim_out=math.isqrt(superoperator.shape[0]),
         superoperator=superoperator,
     )
+
+
+def change_frame(dyn, u_in=None, u_out=None):
+    """Dynamics of the same kind in new bases: Ad_{u_out*} o S o Ad_{u_in}.
+
+    With rho_in = u_in diag(p_in) u_in* and likewise for rho_out, this is
+    ``dyn`` expressed in the eigenbases of the two states, where they are
+    diagonal.  ``None`` keeps the fixed basis on that side.
+    """
+    s = dyn.superoperator
+    if u_out is not None:
+        s = ad_superop(u_out.conj().T) @ s
+    if u_in is not None:
+        s = s @ ad_superop(u_in)
+    return dyn if s is dyn.superoperator else _like(dyn, s)
 
 
 def _dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float, name: str = "dual"):

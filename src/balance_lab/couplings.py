@@ -12,7 +12,8 @@ channel E: M_n -> M_m through
 
 with closed form E(a) = rho_B^-1/2 (Tr_first(kappa (a (x) 1)))^T rho_B^-1/2 for
 diagonal rho_B, and conversely every such channel determines a coupling.
-Composition, flips and orthogonality are all routed through this bijection.
+Composition and orthogonality are routed through this bijection; the flips
+are index permutations of kappa.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .channels import (
     compose_channels,
     constant_channel,
     dual,
-    kms_dual,
     validate_ucp,
 )
 from .kernel import (
@@ -196,12 +196,11 @@ def flip_coupling(w: Coupling) -> Coupling:
     return Coupling(kappa=flipped, state_a=w.state_b, state_b=w.state_a)
 
 
-def kms_flip(w: Coupling, tol: float = DEFAULT_TOL) -> Coupling:
-    """The coupling whose extracted channel is the KMS-dual of E_omega."""
-    e = extract_channel(w)
-    return coupling_from_channel(
-        kms_dual(e, w.state_a, w.state_b, tol=tol), w.state_b, w.state_a, tol=tol
-    )
+def kms_flip(w: Coupling) -> Coupling:
+    """The coupling whose extracted channel is the KMS-dual of E_omega: the
+    flipped coupling transposed, an index permutation of kappa."""
+    f = flip_coupling(w)
+    return Coupling(kappa=f.kappa.T, state_a=f.state_a, state_b=f.state_b)
 
 
 def compose(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Coupling:

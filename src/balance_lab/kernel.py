@@ -165,13 +165,6 @@ def deterministic_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return w[order], _fix_phases(v[:, order])
 
 
-def deterministic_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """General eigendecomposition sorted by descending real part, then imag."""
-    w, v = np.linalg.eig(as_matrix(m))
-    order = np.lexsort((-w.imag, -w.real))
-    return w[order], _fix_phases(v[:, order])
-
-
 def nullspace(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical kernel: the right singular vectors
     whose singular values are not > tol * the largest (all of them for zero)."""

@@ -8,6 +8,7 @@ from balance_lab.channels import (
     QuantumChannel,
     ReversingOperation,
     apply,
+    change_frame,
     channel_from_function,
     channel_from_kraus,
     compose_channels,
@@ -352,3 +353,50 @@ class TestDualCore:
         assert frob_distance(got.superoperator, d) > 1e-3
         twice = theta_kms_dual_generator(got, s, th)
         assert frob_distance(twice.superoperator, gen.superoperator) <= 1e-9
+
+
+def unitary(n, seed):
+    q, _ = np.linalg.qr(random_matrix(n, seed=seed))
+    return q
+
+
+class TestChangeFrame:
+    """change_frame(dyn, u_in, u_out) is Ad_{u_out*} o S o Ad_{u_in}."""
+
+    def test_none_keeps_dynamics(self):
+        ch, gen = scenario_channel(), scenario_generator()
+        assert change_frame(ch) is ch
+        assert change_frame(gen) is gen
+
+    def test_acts_as_conjugation(self):
+        ch, _, _ = two_to_three_channel()
+        u_in, u_out = unitary(2, seed=30), unitary(3, seed=31)
+        a = random_matrix(2, seed=32)
+        expected = u_out.conj().T @ apply(ch, u_in @ a @ u_in.conj().T) @ u_out
+        assert_allclose(apply(change_frame(ch, u_in, u_out), a), expected, atol=1e-12)
+        only_in = apply(ch, u_in @ a @ u_in.conj().T)
+        assert_allclose(apply(change_frame(ch, u_in=u_in), a), only_in, atol=1e-12)
+        only_out = u_out.conj().T @ apply(ch, a) @ u_out
+        assert_allclose(apply(change_frame(ch, u_out=u_out), a), only_out, atol=1e-12)
+
+    def test_generator_stays_generator(self):
+        gen = scenario_generator()
+        u = unitary(7, seed=33)
+        got = change_frame(gen, u, u)
+        assert got.kind == "generator" and got.dim == 7
+        assert_allclose(
+            got.superoperator,
+            np.kron(u.T, u.conj().T) @ gen.superoperator @ np.kron(u.conj(), u),
+            atol=1e-12,
+        )
+
+    def test_round_trip(self):
+        ch, _, _ = two_to_three_channel()
+        gen = scenario_generator()
+        u2, u3, u7 = unitary(2, seed=34), unitary(3, seed=35), unitary(7, seed=36)
+        for dyn, u_in, u_out in ((ch, u2, u3), (gen, u7, u7)):
+            there = change_frame(dyn, u_in, u_out)
+            assert frob_distance(there.superoperator, dyn.superoperator) > 1e-3
+            back = change_frame(there, u_in.conj().T, u_out.conj().T)
+            assert back.kind == dyn.kind
+            assert frob_distance(back.superoperator, dyn.superoperator) <= 1e-12

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 import balance_lab.cli as cli
-from balance_lab.channels import channel_from_function, identity_channel
+from balance_lab.channels import channel_from_function, constant_channel, identity_channel
 from balance_lab.cli import dumps_canonical, main
-from balance_lab.couplings import diagonal_coupling, product_coupling
-from balance_lab.kernel import matrix_to_json
-from balance_lab.lindblad import scenario_build
-from balance_lab.states import new_faithful_state
+from balance_lab.couplings import (
+    diagonal_coupling,
+    extract_channel,
+    product_coupling,
+)
+from balance_lab.kernel import ad_superop, matrix_to_json
+from balance_lab.lindblad import scenario_build, scenario_coupling
+from balance_lab.states import canonicalize_density_matrix, new_faithful_state
 
 from conftest import make_spec
 
@@ -200,6 +204,43 @@ class TestCanonicalization:
         assert rep["canonicalization"]["applied"] is True
         assert rep["verdicts"]["ergodic"] is True
         assert rep["verdicts"]["witness_found"] is False
+
+
+    @pytest.mark.parametrize("rotated", ["both", "a", "b"])
+    def test_coupling_from_channel_in_rotated_frame(self, workdir, capsys, rotated):
+        # E = 0.6 id + 0.4 const preserves diag(p); handed over in the frames
+        # of rotated density matrices with spectrum p, on both sides or on
+        # one, it must give the same kappa as in the diagonal frame
+        q_a, p, rho_a = rotated_frame(seed=5)
+        q_b, _, _ = rotated_frame(seed=6)
+        rho_b = q_b @ np.diag(p) @ q_b.conj().T
+        s, v_a = canonicalize_density_matrix(rho_a)
+        _, v_b = canonicalize_density_matrix(rho_b)
+        s0 = 0.6 * np.eye(9) + 0.4 * constant_channel(s).superoperator
+        diag = write(workdir / "diag.json", s.to_json())
+        state_a, state_b, s_rot = diag, diag, s0
+        if rotated in ("both", "a"):
+            state_a = write(workdir / "rho_a.json", {"rho": matrix_to_json(rho_a)})
+            s_rot = s_rot @ ad_superop(v_a.conj().T)
+        if rotated in ("both", "b"):
+            state_b = write(workdir / "rho_b.json", {"rho": matrix_to_json(rho_b)})
+            s_rot = ad_superop(v_b) @ s_rot
+
+        def kappa(name, superop, state_a, state_b):
+            ch = {"dim_in": 3, "dim_out": 3, "superoperator": matrix_to_json(superop)}
+            out = workdir / f"{name}_w.json"
+            code, report = run(
+                capsys, "coupling-from-channel", write(workdir / f"{name}.json", ch),
+                "--state-a", state_a, "--state-b", state_b, "--out", str(out),
+            )
+            assert code == 0
+            applied = json.loads(report)["canonicalization"]["applied"]
+            assert applied is (name == "rotated")
+            return np.array(json.loads(out.read_text())["kappa"]["data"])
+
+        expected = kappa("diagonal", s0, diag, diag)
+        assert np.abs(expected).max() > 0.1
+        assert np.abs(kappa("rotated", s_rot, state_a, state_b) - expected).max() <= 1e-12
 
 
 class TestExtractionRoundtrip:
@@ -443,6 +484,188 @@ class TestScenarioCommands:
         _, out1 = run(capsys, "scenario", "grid", f, "--jobs", "1")
         _, out2 = run(capsys, "scenario", "grid", f, "--jobs", "2")
         assert out1 == out2
+
+
+class TestInputPaths:
+    """Every file goes through one loader; every failure to read or write a
+    file is an input error (exit 1), never a traceback."""
+
+    @pytest.fixture
+    def files(self, workdir):
+        s = new_faithful_state([0.5, 0.5])
+        return {
+            "dyn": write(workdir / "dyn.json", identity_channel(2).to_json()),
+            "state": write(workdir / "state.json", s.to_json()),
+            "w": write(workdir / "w.json", product_coupling(s, s).to_json()),
+        }
+
+    @pytest.mark.parametrize("top", [5, [1, 2], "kraus", None], ids=["int", "list", "str", "null"])
+    @pytest.mark.parametrize("role", ["validate", "--dynamics", "--state", "--dynamics-a"])
+    def test_non_object(self, workdir, capsys, files, top, role):
+        bad = str(workdir / "bad.json")
+        (workdir / "bad.json").write_text(json.dumps(top), encoding="utf-8")
+        argv = {
+            "validate": ["validate", bad],
+            "--dynamics": ["ergodic", "--dynamics", bad, "--state", files["state"]],
+            "--state": ["ergodic", "--dynamics", files["dyn"], "--state", bad],
+            "--dynamics-a": [
+                "check-balance", "--dynamics-a", bad, "--dynamics-b", files["dyn"],
+                "--coupling", files["w"],
+            ],
+        }[role]
+        code, err = run_err(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"input error: {bad}:")
+
+    @pytest.mark.parametrize("flag", ["--out", "--json-out"])
+    def test_unwritable_output(self, workdir, capsys, files, flag):
+        path = str(workdir / "missing" / "r.json")
+        code, err = run_err(capsys, "extract-channel", files["w"], flag, path)
+        assert code == 1
+        assert err.startswith(f"input error: {path}:")
+
+
+def key_paths(obj, prefix=""):
+    """The ordered dotted key paths of a report; a list of objects
+    contributes the paths of its first entry under "[]"."""
+    if isinstance(obj, dict):
+        paths = []
+        for k, v in obj.items():
+            paths += [prefix + k] + key_paths(v, f"{prefix}{k}.")
+        return paths
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        return key_paths(obj[0], prefix + "[].")
+    return []
+
+
+def schema_commands(workdir):
+    """One command of each kind on scenario-built n = 7 inputs."""
+    spec = make_spec()
+    psi_spec = make_spec(types=("product", "entangled"))
+    w = scenario_coupling(spec)
+    f = {
+        "spec": write(workdir / "spec.json", spec.to_json()),
+        "grid": write(workdir / "grid.json", {"scenarios": [spec.to_json(), psi_spec.to_json()]}),
+        "w": write(workdir / "w.json", w.to_json()),
+        "psi": write(workdir / "psi.json", scenario_coupling(psi_spec).to_json()),
+        "channel": write(workdir / "channel.json", extract_channel(w).to_json()),
+        "state": write(workdir / "state.json", w.state_a.to_json()),
+    }
+    return {
+        "validate": ["validate", f["w"]],
+        "extract-channel": ["extract-channel", f["w"], "--out", "e.json"],
+        "coupling-from-channel": [
+            "coupling-from-channel", f["channel"], "--state-a", f["state"],
+            "--state-b", f["state"], "--out", "w_back.json",
+        ],
+        "check-balance": ["check-balance", "--scenario", f["spec"], "--sampled-times", "0.5"],
+        "compose": ["compose", f["w"], f["psi"], "--out", "composed.json"],
+        "check-orthogonal": ["check-orthogonal", f["w"], f["psi"]],
+        "sqdb": ["sqdb", "--scenario", f["spec"]],
+        "ergodic": ["ergodic", "--scenario", f["spec"]],
+        "convergence": ["convergence", "--scenario", f["spec"], "--times", "1.0"],
+        "scenario-run": ["scenario", "run", f["spec"]],
+        "scenario-grid": ["scenario", "grid", f["grid"]],
+    }
+
+
+HEAD = ["command", "tolerance", "inputs", "inputs.[].path", "inputs.[].sha256"]
+CANON = ["canonicalization", "canonicalization.applied"]
+SCENARIO = ["cycles", "block_probs", "partition", "types", "k", "l", "g", "h"]
+RESULT = ["predicted_balanced", "balanced", "agrees", "method_agreement", "residuals"] + [
+    f"residuals.{k}" for k in ("intertwining", "definition", "shift_part", "commutator_part")
+]
+
+# command -> (exit code, verdicts, key paths after HEAD); floats are not
+# pinned, since their last digits vary with the platform
+SCHEMA = {
+    "validate": (
+        0,
+        {"psd": True, "marginals_ok": True, "trace_ok": True, "valid": True},
+        ["object_type", "verdicts", "verdicts.psd", "verdicts.marginals_ok",
+         "verdicts.trace_ok", "verdicts.valid", "residuals", "residuals.trace_defect",
+         "residuals.marginal_a_distance", "residuals.marginal_b_distance"],
+    ),
+    "extract-channel": (
+        0,
+        {"coupling_valid": True, "extracted_ucp": True},
+        ["verdicts", "verdicts.coupling_valid", "verdicts.extracted_ucp", "residuals",
+         "residuals.state_preservation", "outputs"],
+    ),
+    "coupling-from-channel": (
+        0,
+        {"ucp": True, "state_preserving": True},
+        CANON + ["verdicts", "verdicts.ucp", "verdicts.state_preserving", "residuals",
+                 "residuals.state_preservation", "outputs"],
+    ),
+    "check-balance": (
+        0,
+        {"balanced": True, "method_agreement": True},
+        ["verdicts", "verdicts.balanced", "verdicts.method_agreement", "residuals",
+         "residuals.intertwining", "residuals.definition", "sampled", "sampled.[].t",
+         "sampled.[].balanced", "sampled.[].residual"],
+    ),
+    "compose": (
+        0,
+        {"composable": True, "trivial": False},
+        ["verdicts", "verdicts.composable", "verdicts.trivial", "outputs"],
+    ),
+    "check-orthogonal": (
+        0,
+        {"orthogonal": False, "hilbert_criterion": False, "methods_agree": True},
+        ["verdicts", "verdicts.orthogonal", "verdicts.hilbert_criterion",
+         "verdicts.methods_agree", "residuals", "residuals.composition_vs_product",
+         "residuals.cross_gram_norm"],
+    ),
+    "sqdb": (
+        0,
+        {"sqdb": False, "via_balance": False, "methods_agree": True},
+        CANON + ["verdicts", "verdicts.sqdb", "verdicts.via_balance", "verdicts.methods_agree",
+                 "residuals", "residuals.theta_dual_distance"],
+    ),
+    "ergodic": (
+        0,
+        {"ergodic": False, "witness_found": True},
+        CANON + ["verdicts", "verdicts.ergodic", "verdicts.witness_found", "fixed_space_dim",
+                 "residuals", "residuals.witness_balance", "residuals.nontriviality_gap",
+                 "witnesses", "witnesses.[].rows", "witnesses.[].cols", "witnesses.[].data",
+                 "message"],
+    ),
+    "convergence": (
+        0,
+        {"certified": False, "vacuous": False, "passed": None},
+        ["verdicts", "verdicts.certified", "verdicts.vacuous", "verdicts.passed", "gap",
+         "threshold_time", "deviations", "deviations.[].t", "deviations.[].sup_deviation",
+         "message"],
+    ),
+    "scenario-run": (
+        0,
+        {"predicted_balanced": True, "balanced": True, "agrees": True, "method_agreement": True},
+        RESULT,
+    ),
+    "scenario-grid": (
+        0,
+        {},
+        ["grid_size", "mismatches", "results", "results.[].scenario"]
+        + [f"results.[].scenario.{k}" for k in SCENARIO]
+        + [f"results.[].{k}" for k in RESULT],
+    ),
+}
+
+
+class TestReportSchema:
+    """Exit code, verdicts and the ordered key paths of every command's report."""
+
+    @pytest.mark.parametrize("command", sorted(SCHEMA))
+    def test_schema(self, workdir, capsys, command):
+        code, out = run(capsys, *schema_commands(workdir)[command])
+        report = json.loads(out)
+        verdicts = report.get("verdicts", {k: v for k, v in report.items() if isinstance(v, bool)})
+        assert (code, verdicts, key_paths(report)) == (
+            SCHEMA[command][0],
+            SCHEMA[command][1],
+            HEAD + SCHEMA[command][2],
+        )
 
 
 class TestCanonicalJson:

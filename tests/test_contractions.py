@@ -15,13 +15,20 @@ from balance_lab.balance import (
     convergence_probe,
     disjointness_probe,
 )
-from balance_lab.channels import ReversingOperation, channel_from_kraus, identity_channel
+from balance_lab.channels import (
+    ReversingOperation,
+    channel_from_kraus,
+    identity_channel,
+    kms_dual,
+)
 from balance_lab.couplings import (
     Coupling,
     coupling_from_channel,
     diagonal_coupling,
+    extract_channel,
     flip_coupling,
     is_orthogonal,
+    kms_flip,
     product_coupling,
 )
 from balance_lab.kernel import vec
@@ -281,3 +288,17 @@ class TestReversingValidate:
         u = th.unitary
         assert np.allclose(u @ u.conj(), np.eye(2))
         assert not th.validate()
+
+
+class TestKmsFlip:
+    """kms_flip is the index permutation kappa -> flip(kappa)^T; its channel
+    must be the KMS-dual, which the plain flip (the dual) is not."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (4, 3), (2, 5)])
+    def test_extracts_kms_dual(self, n, seed):
+        w = kraus_coupling(n, P3, seed=seed)
+        got = extract_channel(kms_flip(w)).superoperator
+        expected = kms_dual(extract_channel(w), w.state_a, w.state_b).superoperator
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        plain = extract_channel(flip_coupling(w)).superoperator
+        assert np.max(np.abs(plain - expected)) > 1e-3
