@@ -34,13 +34,14 @@ from .channels import (
 )
 from .couplings import (
     Coupling,
+    _weigh_rows,
     coupling_from_channel,
     diagonal_coupling,
     extract_channel,
     kms_flip,
     flip_coupling,
 )
-from .kernel import DEFAULT_TOL, frob_norm, relative_residual, vec
+from .kernel import DEFAULT_TOL, _max_relative_residual, frob_norm, relative_residual, vec
 from .lindblad import semigroup
 from .states import System
 
@@ -96,29 +97,27 @@ def is_balanced(
     """Channel-level intertwining check plus the direct pairing check.
 
     The intertwining residual is ||S_E S_alpha - S_beta S_E||_F relative to
-    ||S_alpha||_F + ||S_beta||_F; the definition residual is the largest
-    defect of omega(alpha(a) (x) c) = omega(a (x) beta'(c)) over matrix-unit
-    pairs, with the dual dynamics computed for the second system.  For
-    generator dynamics both checks run on the generators, which is equivalent
-    to all times at once.
+    ||S_alpha||_F + ||S_beta||_F.  The definition residual checks
+    omega o (alpha (x) 1) = omega o (1 (x) beta') as P S_alpha = S_beta'^T P
+    on the pairing matrix P of the coupling, componentwise relative: the
+    largest entry of |P S_alpha - S_beta'^T P| over
+    |P| |S_alpha| + |S_beta'^T| |P| (Oettli-Prager), with 0/0 = 0, so that
+    it does not grow with the KMS weights that the dual beta' divides by.
+    For generator dynamics both checks run on the generators, which is
+    equivalent to all times at once.
     """
     _check_triple(sys_a, sys_b, w)
-    n, m = w.dims
     s_alpha = sys_a.dynamics.superoperator
     s_beta = sys_b.dynamics.superoperator
-    e = extract_channel(w)
+    p = w.pairing()
+    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)
     scale = frob_norm(s_alpha) + frob_norm(s_beta)
-    residual = relative_residual(
-        frob_norm(e.superoperator @ s_alpha - s_beta @ e.superoperator), scale
-    )
+    residual = relative_residual(frob_norm(s_e @ s_alpha - s_beta @ s_e), scale)
 
-    beta_dual = _dual(sys_b.dynamics, sys_b.state, sys_b.state, tol)
-    k4 = w.kappa4()
-    a4 = s_alpha.reshape(n, n, n, n)
-    b4 = beta_dual.superoperator.reshape(m, m, m, m)
-    lhs = np.einsum("plrk,prji->ijkl", k4, a4)
-    rhs = np.einsum("jqis,qslk->ijkl", k4, b4)
-    def_residual = relative_residual(float(np.max(np.abs(lhs - rhs))), scale)
+    beta_dual_t = _dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T
+    defect = np.abs(p @ s_alpha - beta_dual_t @ p)
+    size = np.abs(p) @ np.abs(s_alpha) + np.abs(beta_dual_t) @ np.abs(p)
+    def_residual = _max_relative_residual(defect, size)
 
     balanced = residual <= tol
     agree = balanced == (def_residual <= tol)

@@ -370,5 +370,7 @@ def channel_from_json(obj) -> QuantumChannel:
             raise ValueError(f"malformed channel object: {exc}") from exc
         return channel_from_superoperator(s, dim_in, dim_out)
     if "kraus" in obj:
+        if not isinstance(obj["kraus"], list):
+            raise ValueError("malformed channel object: 'kraus' is not a list")
         return channel_from_kraus([matrix_from_json(k) for k in obj["kraus"]])
     raise ValueError("malformed channel object: need 'superoperator' or 'kraus'")

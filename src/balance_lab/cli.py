@@ -159,7 +159,10 @@ def parse_state(obj):
 def parse_dynamics(obj):
     """Channel or generator, detected by the presence of a Hamiltonian/jumps."""
     if "jumps" in obj or ("kraus" in obj and obj.get("hamiltonian") is not None):
-        ops = [matrix_from_json(v) for v in obj.get("jumps", obj.get("kraus", []))]
+        ops = obj.get("jumps", obj.get("kraus"))
+        if not isinstance(ops, list):
+            raise ValueError("malformed generator object: 'jumps' or 'kraus' is not a list")
+        ops = [matrix_from_json(v) for v in ops]
         ham = obj.get("hamiltonian")
         return build_generator(ops, matrix_from_json(ham) if ham is not None else None)
     return channel_from_json(obj)

@@ -5,15 +5,28 @@ C^n (x) C^m whose partial traces are diag(p_A) and diag(p_B).  The commutant
 copy of the second algebra is identified with M_m via c <-> 1 (x) c, so a
 coupling pairs observables as omega(a (x) c) = Tr(kappa (a (x) c)).
 
-Every coupling determines a unique unital completely positive state-preserving
-channel E: M_n -> M_m through
+Everything here reads kappa through one realignment, the pairing matrix
 
-    omega(a (x) c) = Tr(rho_B^1/2 E(a) rho_B^1/2 c^T),
+    P[k + m*l, i + n*j] = omega(E_ij (x) E_kl),
 
-with closed form E(a) = rho_B^-1/2 (Tr_first(kappa (a (x) 1)))^T rho_B^-1/2 for
-diagonal rho_B, and conversely every such channel determines a coupling.
-Composition and orthogonality are routed through this bijection; the flips
-are index permutations of kappa.
+an m^2 x n^2 matrix indexed like a superoperator M_n -> M_m (column
+stacking), so that omega(a (x) c) = vec(c)^T P vec(a) (:func:`evaluate`).
+``Coupling.pairing`` and its inverse are the only code that knows kappa's
+four-index layout; in terms of P:
+
+* every coupling determines a unique unital completely positive
+  state-preserving channel E: M_n -> M_m through
+  omega(a (x) c) = Tr(rho_B^1/2 E(a) rho_B^1/2 c^T), and its superoperator
+  is P with row (k, l) divided by r_k r_l, r = sqrt(p_B)
+  (:func:`extract_channel`).  Conversely every such channel determines a
+  coupling, P = S_E with row (k, l) multiplied by r_k r_l
+  (:func:`coupling_from_channel`);
+* swapping the tensor factors transposes P; its channel is the dual of E
+  (:func:`flip_coupling`);
+* the KMS flip is P -> j o P^T o j for the modular transposition j,
+  X -> X^T; its channel is the KMS-dual of E (:func:`kms_flip`).
+
+Composition and orthogonality are routed through the channel bijection.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
+    _kms_flip,
     compose_channels,
     constant_channel,
     dual,
@@ -40,6 +54,7 @@ from .kernel import (
     matrix_to_json,
     partial_trace,
     relative_residual,
+    vec,
 )
 from .states import FaithfulState, gns_vector, preserves_state, state_from_json
 
@@ -61,9 +76,10 @@ class Coupling:
     def dims(self) -> tuple[int, int]:
         return self.state_a.dim, self.state_b.dim
 
-    def kappa4(self) -> np.ndarray:
+    def pairing(self) -> np.ndarray:
+        """P[k + m*l, i + n*j] = omega(E_ij (x) E_kl) = kappa[(j, l), (i, k)]."""
         n, m = self.dims
-        return self.kappa.reshape(n, m, n, m)
+        return self.kappa.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
 
     def to_json(self) -> dict:
         return {
@@ -71,6 +87,24 @@ class Coupling:
             "state_a": self.state_a.to_json(),
             "state_b": self.state_b.to_json(),
         }
+
+
+def _from_pairing(p: np.ndarray, state_a: FaithfulState, state_b: FaithfulState) -> Coupling:
+    """The coupling whose :meth:`Coupling.pairing` is ``p``."""
+    n, m = state_a.dim, state_b.dim
+    kappa = p.reshape(m, m, n, n).transpose(2, 0, 3, 1).reshape(n * m, n * m)
+    return Coupling(kappa=kappa, state_a=state_a, state_b=state_b)
+
+
+def _weigh_rows(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row k + m*l of an m^2-row matrix multiplied by r_k and then by r_l.
+
+    Two factors, not their product r_k r_l: that order rounds as the block
+    sum defining :func:`coupling_from_channel` does, so a rebuilt coupling has
+    the same bits, and the same canonical JSON, either way.
+    """
+    m = r.shape[0]
+    return (x.reshape(m, m, -1) * r[None, :, None] * r[:, None, None]).reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +161,12 @@ def new_coupling(
 
 
 def evaluate(w: Coupling, a, c) -> complex:
-    """omega(a (x) c) = Tr(kappa (a (x) c))."""
+    """omega(a (x) c) = Tr(kappa (a (x) c)) = vec(c)^T P vec(a)."""
     n, m = w.dims
     a, c = as_matrix(a), as_matrix(c)
     if a.shape != (n, n) or c.shape != (m, m):
         raise ValueError("operand dimensions do not match the coupling")
-    return complex(np.einsum("pqrs,rp,sq->", w.kappa4(), a, c))
+    return complex(vec(c) @ w.pairing() @ vec(a))
 
 
 def diagonal_coupling(s: FaithfulState) -> Coupling:
@@ -146,13 +180,10 @@ def product_coupling(sa: FaithfulState, sb: FaithfulState) -> Coupling:
 
 
 def extract_channel(w: Coupling) -> QuantumChannel:
-    """The unique channel E with omega(a (x) c) = Tr(rho_B^1/2 E(a) rho_B^1/2 c^T)."""
+    """The unique channel E with omega(a (x) c) = Tr(rho_B^1/2 E(a) rho_B^1/2 c^T):
+    E(E_ij)[k, l] = P[k + m*l, i + n*j] / (r_k r_l)."""
     n, m = w.dims
-    k4 = w.kappa4()
-    inv = w.state_b.inv_sqrt_spectrum
-    # E(E_ij)[k, l] = kappa4[j, l, i, k] / (r_k r_l)
-    e4 = np.einsum("jlik,k,l->klij", k4, inv, inv)
-    s = e4.transpose(1, 0, 3, 2).reshape(m * m, n * n)
+    s = _weigh_rows(w.pairing(), w.state_b.inv_sqrt_spectrum)
     return QuantumChannel(dim_in=n, dim_out=m, superoperator=s)
 
 
@@ -170,15 +201,9 @@ def coupling_from_channel(
     """
     if (e.dim_in, e.dim_out) != (sa.dim, sb.dim):
         raise ValueError("channel dimensions do not match the states")
-    n, m = sa.dim, sb.dim
-    r = sb.sqrt_spectrum
-    # s4[l, k, j, i] = E(E_ij)[k, l];  kappa4[i, l, j, k] = r_k E(E_ji)[k, l] r_l
-    s4 = e.superoperator.reshape(m, m, n, n)
-    kappa4 = r[None, None, None, :] * s4.transpose(2, 0, 3, 1) * r[None, :, None, None]
     # + 0.0 turns negative zeros positive, as summing the defining formula does,
     # so that the canonical JSON of kappa does not print "-0.0"
-    kappa = kappa4.reshape(n * m, n * m) + 0.0
-    w = Coupling(kappa=kappa, state_a=sa, state_b=sb)
+    w = _from_pairing(_weigh_rows(e.superoperator, sb.sqrt_spectrum) + 0.0, sa, sb)
     report = validate_coupling(w, tol)
     if not report.valid:
         raise ValueError(
@@ -189,18 +214,14 @@ def coupling_from_channel(
 
 
 def flip_coupling(w: Coupling) -> Coupling:
-    """Swap the tensor factors; the extracted channel becomes the dual."""
-    n, m = w.dims
-    k4 = w.kappa4()
-    flipped = k4.transpose(1, 0, 3, 2).reshape(m * n, m * n)
-    return Coupling(kappa=flipped, state_a=w.state_b, state_b=w.state_a)
+    """Swap the tensor factors, P -> P^T; the extracted channel becomes the dual."""
+    return _from_pairing(w.pairing().T, w.state_b, w.state_a)
 
 
 def kms_flip(w: Coupling) -> Coupling:
-    """The coupling whose extracted channel is the KMS-dual of E_omega: the
-    flipped coupling transposed, an index permutation of kappa."""
-    f = flip_coupling(w)
-    return Coupling(kappa=f.kappa.T, state_a=f.state_a, state_b=f.state_b)
+    """The coupling whose extracted channel is the KMS-dual of E_omega:
+    P -> j o P^T o j, an index permutation of kappa."""
+    return _from_pairing(_kms_flip(w.pairing().T), w.state_b, w.state_a)
 
 
 def compose(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Coupling:

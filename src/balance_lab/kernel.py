@@ -4,10 +4,11 @@ Conventions used throughout the package:
 
 * Matrices are ``numpy.ndarray`` of dtype complex128 in row-major (C) order.
 * Vectorization is column stacking: ``vec(X)[i + n*j] = X[i, j]``.
-* Every verdict is ``relative_residual(residual, scale) <= tol``, with the
-  scale an a-priori size of the operands, homogeneous of degree one in the
-  inputs of the residual (so verdicts survive a rescaling of time), never
-  floored at 1 and never the norm of terms that can cancel exactly.
+* Every verdict is ``relative_residual(residual, scale) <= tol``, or its
+  largest value entry by entry, with the scale an a-priori size of the
+  operands, homogeneous of degree one in the inputs of the residual (so
+  verdicts survive a rescaling of time), never floored at 1 and never the
+  norm of terms that can cancel exactly.
 * Anything feeding a boolean verdict (eigenvalues, singular vectors) is made
   deterministic: eigenvalues sorted descending, eigenvector phases fixed so the
   largest-magnitude entry is real and positive.
@@ -106,6 +107,13 @@ def relative_residual(residual: float, scale: float) -> float:
     return residual / scale if scale > 0.0 else math.inf
 
 
+def _max_relative_residual(residual: np.ndarray, scale: np.ndarray) -> float:
+    """The largest :func:`relative_residual` over two broadcast arrays,
+    entry by entry, with 0/0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(residual == 0.0, 0.0, residual / scale)))
+
+
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Frobenius closeness relative to max(||a||, ||b||)."""
     scale = max(frob_norm(a), frob_norm(b))
@@ -116,9 +124,7 @@ def _close_each(a, b, tol: float = DEFAULT_TOL) -> bool:
     """:func:`close` on every matrix (the last two axes) of two broadcast stacks."""
     dist = np.linalg.norm(a - b, axis=(-2, -1))
     scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), np.linalg.norm(b, axis=(-2, -1)))
-    # relative_residual(dist, scale) <= tol elementwise, with 0/0 = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return bool(np.all((dist == 0.0) | (dist / scale <= tol)))
+    return _max_relative_residual(dist, scale) <= tol
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:

@@ -178,6 +178,19 @@ def coupling_from_channel_loop(e, sa: FaithfulState, sb: FaithfulState) -> np.nd
     return kappa
 
 
+def definition_contractions(
+    kappa: np.ndarray, dims: tuple[int, int], s_alpha: np.ndarray, s_beta_dual: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """omega(alpha(E_ij) (x) E_kl) and omega(E_ij (x) beta'(E_kl)) as two
+    (i, j, k, l) arrays, contracted from the four-index layout of kappa; the
+    reference for P S_alpha and S_beta'^T P on the pairing matrix P."""
+    n, m = dims
+    k4 = kappa.reshape(n, m, n, m)
+    lhs = np.einsum("plrk,prji->ijkl", k4, s_alpha.reshape(n, n, n, n))
+    rhs = np.einsum("jqis,qslk->ijkl", k4, s_beta_dual.reshape(m, m, m, m))
+    return lhs, rhs
+
+
 def is_orthogonal_loop(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> OrthogonalityReport:
     """is_orthogonal with the cross-Gram summed matrix unit by matrix unit:
     Tr(rho x* y) for every pair of centered images; the reference for the

@@ -76,8 +76,17 @@ class TestValidate:
                 "dim_out": 1,
                 "superoperator": {"rows": 1, "cols": 1, "data": [["1", 0]]},
             },
+            {"kraus": 5},
+            {"jumps": 5},
         ],
-        ids=["rho-data-scalar", "spectrum-scalar", "entry-string", "entry-numeric-string"],
+        ids=[
+            "rho-data-scalar",
+            "spectrum-scalar",
+            "entry-string",
+            "entry-numeric-string",
+            "kraus-scalar",
+            "jumps-scalar",
+        ],
     )
     def test_malformed_object_is_input_error(self, workdir, capsys, obj):
         f = write(workdir / "bad.json", obj)

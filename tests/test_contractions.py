@@ -2,10 +2,14 @@
 
 is_orthogonal, disjointness_probe, convergence_probe and
 ReversingOperation.validate read the images of the matrix units from the
-superoperators they already hold.  The loops they replaced are kept in
-conftest as references; verdicts must be equal and residuals equal to
-rounding.
+superoperators they already hold, and the definition of balance is read from
+the pairing matrix of the coupling.  The loops and four-index contractions
+they replaced are kept in conftest as references; verdicts must be equal and
+residuals equal to rounding.
 """
+
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,9 +18,12 @@ from balance_lab.balance import (
     _spanning_density_matrices,
     convergence_probe,
     disjointness_probe,
+    dual_system,
+    is_balanced,
 )
 from balance_lab.channels import (
     ReversingOperation,
+    _kms_flip,
     channel_from_kraus,
     identity_channel,
     kms_dual,
@@ -31,12 +38,19 @@ from balance_lab.couplings import (
     kms_flip,
     product_coupling,
 )
-from balance_lab.kernel import vec
-from balance_lab.lindblad import scenario_build, scenario_coupling, semigroup
+from balance_lab.kernel import matrix_unit, vec
+from balance_lab.lindblad import (
+    scenario_build,
+    scenario_coupling,
+    scenario_predict,
+    semigroup,
+    standard_grid,
+)
 from balance_lab.states import System, new_faithful_state
 
 from conftest import (
     convergence_probe_loop,
+    definition_contractions,
     disjointness_probe_loop,
     is_orthogonal_loop,
     make_spec,
@@ -302,3 +316,89 @@ class TestKmsFlip:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         plain = extract_channel(flip_coupling(w)).superoperator
         assert np.max(np.abs(plain - expected)) > 1e-3
+
+
+GRID = standard_grid()
+
+
+def pairing_cases():
+    """The built-in grid couplings and both couplings of every orthogonality
+    case, which add n != m, complex kappa and flipped Kraus couplings."""
+    cases = {f"grid-{i}": scenario_coupling(spec) for i, spec in enumerate(GRID)}
+    for name, (w, psi) in ORTHOGONALITY.items():
+        cases[f"{name}-w"], cases[f"{name}-psi"] = w, psi
+    return cases
+
+
+PAIRING = pairing_cases()
+
+
+def as_ijkl(x, n, m):
+    """An m^2 x n^2 matrix indexed [k + m*l, i + n*j] as an (i, j, k, l) array."""
+    return x.reshape(m, m, n, n).transpose(3, 2, 1, 0)
+
+
+class TestPairing:
+    """Coupling.pairing is P[k + m*l, i + n*j] = omega(E_ij (x) E_kl); the
+    flips are exact permutations of P, and the definition defect of balance
+    is P S_alpha - S_beta'^T P."""
+
+    @pytest.mark.parametrize("case", sorted(ORTHOGONALITY))
+    def test_entries_are_traces(self, case):
+        for w in ORTHOGONALITY[case]:
+            n, m = w.dims
+            oracle = np.zeros((m * m, n * n), dtype=complex)
+            for i, j, k, l in itertools.product(range(n), range(n), range(m), range(m)):
+                unit = np.kron(matrix_unit(n, i, j), matrix_unit(m, k, l))
+                oracle[k + m * l, i + n * j] = np.trace(w.kappa @ unit)
+            assert np.array_equal(w.pairing(), oracle)
+
+    def test_flips_permute_the_pairing(self):
+        wrong = []
+        for name, w in PAIRING.items():
+            p = w.pairing()
+            if not np.array_equal(flip_coupling(w).pairing(), p.T):
+                wrong.append(("flip", name))
+            if not np.array_equal(kms_flip(w).pairing(), _kms_flip(p.T)):
+                wrong.append(("kms_flip", name))
+        assert wrong == []
+
+    def test_definition_defect_matches_contractions(self):
+        worst = {}
+        for seed, (name, w) in enumerate(sorted(PAIRING.items())):
+            n, m = w.dims
+            s_alpha = random_matrix(n * n, seed=2 * seed)
+            s_beta_dual = random_matrix(m * m, seed=2 * seed + 1)
+            lhs, rhs = definition_contractions(w.kappa, w.dims, s_alpha, s_beta_dual)
+            p = w.pairing()
+            defect = as_ijkl(p @ s_alpha - s_beta_dual.T @ p, n, m)
+            worst[name] = np.linalg.norm(defect - (lhs - rhs)) / np.linalg.norm(lhs - rhs)
+        assert max(worst.values()) <= 1e-13, max(worst, key=worst.get)
+
+    @pytest.mark.parametrize("q", [None, 1e-12])
+    def test_definition_residual_is_componentwise(self, q):
+        """The defect over the same contractions taken with |kappa|, |S_alpha|
+        and |S_beta'|, largest entry, 0/0 = 0; at p_min = 1e-12 too."""
+        wrong = []
+        for i, spec in enumerate(GRID):
+            if q is not None:
+                spec = dataclasses.replace(spec, block_probs=(3 * q, 1 - 3 * q))
+            t = scenario_build(spec)
+            w = t.coupling
+            s_alpha = t.system_a.dynamics.superoperator
+            s_beta_dual = dual_system(t.system_b).dynamics.superoperator
+            lhs, rhs = definition_contractions(w.kappa, w.dims, s_alpha, s_beta_dual)
+            size = sum(
+                definition_contractions(np.abs(w.kappa), w.dims, np.abs(s_alpha), np.abs(s_beta_dual))
+            )
+            defect = np.abs(lhs - rhs)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = float(np.max(np.where(defect == 0.0, 0.0, defect / size)))
+            got = is_balanced(t.system_a, t.system_b, w).definition_residual
+            if scenario_predict(spec):
+                ok = got <= 1e-13 and expected <= 1e-13
+            else:
+                ok = got == pytest.approx(expected, rel=1e-12) and got > 1e-3
+            if not ok:
+                wrong.append((i, got, expected))
+        assert wrong == []

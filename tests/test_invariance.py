@@ -249,9 +249,9 @@ class TestPsdBoundary:
 
 class TestPminSweep:
     # block_probs (3q, 1 - 3q) put p_min = q on the 3-cycle.  The verdicts hold
-    # at every q; below q = 1e-6 the definition residual, computed through a
-    # dual that divides by the KMS weights sqrt(p), no longer agrees with the
-    # intertwining residual on some specs (5 of 72 at 1e-7, 9 of 72 from 1e-8).
+    # at every q, and so does method agreement: the definition residual goes
+    # through a dual that divides by the KMS weights sqrt(p), and is judged
+    # componentwise against the same weights.
     @pytest.mark.parametrize("e", range(2, 13))
     def test_verdicts_at_pmin(self, e):
         q = 10.0**-e
@@ -265,5 +265,4 @@ class TestPminSweep:
             if not rep.method_agreement:
                 disagree.append(i)
         assert wrong == []
-        if q >= 1e-6:
-            assert disagree == []
+        assert disagree == []
