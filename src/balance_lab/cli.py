@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -70,24 +71,26 @@ class InputError(ValueError):
 # canonical JSON output
 
 
-def _format_float(x: float) -> str:
-    if np.isnan(x) or np.isinf(x):
-        return json.dumps(str(x))
-    if x == int(x) and abs(x) < 1e16:
-        return format(x, ".1f")
-    return format(x, ".17g")
+_FLAT = (int, float, str, np.integer, np.floating)
+
+
+def _scalar(x) -> str:
+    """One JSON scalar: floats to 17 significant digits, a whole float
+    below 1e16 with ``.0``, and NaN and infinities as strings."""
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if not math.isfinite(x):
+            return json.dumps(str(x))
+        return format(x, ".1f" if x.is_integer() and abs(x) < 1e16 else ".17g")
+    if x is None or isinstance(x, (bool, str)):
+        return json.dumps(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
     pad = "  " * indent
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -97,15 +100,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        flat = all(isinstance(v, (int, float, bool, str, np.floating, np.integer)) for v in seq)
-        if flat and len(seq) <= 8:
-            return "[" + ", ".join(dumps_canonical(v) for v in seq) + "]"
-        items = [f"{pad}  {dumps_canonical(v, indent + 1)}" for v in seq]
+        if len(obj) <= 8 and all(isinstance(v, _FLAT) for v in obj):
+            return "[" + ", ".join(map(_scalar, obj)) + "]"
+        items = [f"{pad}  {dumps_canonical(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _scalar(obj)
 
 
 # ---------------------------------------------------------------------------

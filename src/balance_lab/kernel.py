@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-9
 
@@ -85,7 +84,10 @@ def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
 
 
 def mat_exp(m) -> np.ndarray:
-    """Matrix exponential (Pade + scaling/squaring via scipy)."""
+    """Matrix exponential (Pade + scaling/squaring via scipy).  scipy is
+    imported here, its only use, so that nothing else pays for loading it."""
+    import scipy.linalg
+
     return scipy.linalg.expm(as_matrix(m))
 
 
@@ -183,8 +185,8 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
 
 
 def matrix_to_json(m) -> dict:
-    m = as_matrix(m)
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    m = np.ascontiguousarray(as_matrix(m))
+    data = m.view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 

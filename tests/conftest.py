@@ -8,6 +8,8 @@ path.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -399,6 +401,49 @@ def reversing_validate_loop(th, tol: float = DEFAULT_TOL) -> bool:
             if not close(th.apply(a.conj().T), th.apply(a).conj().T, tol):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON reference: the recursive writer that cli.dumps_canonical
+# replaced, one call and one isinstance chain per value
+
+
+def format_float_reference(x: float) -> str:
+    if np.isnan(x) or np.isinf(x):
+        return json.dumps(str(x))
+    if x == int(x) and abs(x) < 1e16:
+        return format(x, ".1f")
+    return format(x, ".17g")
+
+
+def dumps_canonical_reference(obj, indent: int = 0) -> str:
+    pad = "  " * indent
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float_reference(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {dumps_canonical_reference(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (int, float, bool, str, np.floating, np.integer)) for v in seq)
+        if flat and len(seq) <= 8:
+            return "[" + ", ".join(dumps_canonical_reference(v) for v in seq) + "]"
+        items = [f"{pad}  {dumps_canonical_reference(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command line: exit codes, report determinism, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,11 +16,11 @@ from balance_lab.couplings import (
     extract_channel,
     product_coupling,
 )
-from balance_lab.kernel import ad_superop, matrix_to_json
-from balance_lab.lindblad import scenario_build, scenario_coupling
+from balance_lab.kernel import ad_superop, matrix_from_json, matrix_to_json
+from balance_lab.lindblad import scenario_build, scenario_coupling, semigroup
 from balance_lab.states import canonicalize_density_matrix, new_faithful_state
 
-from conftest import make_spec
+from conftest import dumps_canonical_reference, make_spec, random_matrix, taylor_exp_oracle
 
 
 @pytest.fixture
@@ -687,3 +690,97 @@ class TestCanonicalJson:
     def test_report_parses_back(self):
         obj = {"a": [1.0, 2.5e-17], "b": {"c": True, "d": None}}
         assert json.loads(dumps_canonical(obj)) == obj
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            -0.0,
+            1e16,
+            1e17,
+            2.0,
+            np.float64(0.1),
+            np.float64(-3.0),
+            np.int64(7),
+            True,
+            None,
+            "a \"quoted\" string",
+            (1, 2.5, "x"),
+            {},
+            [],
+            [0.1 * k for k in range(9)],
+            [None, 1.0],
+        ],
+        ids=repr,
+    )
+    def test_scalars_and_containers_match_reference(self, value):
+        assert dumps_canonical(value) == dumps_canonical_reference(value)
+
+    def test_nested_report_matches_reference(self):
+        report = {
+            "command": "check-balance",
+            "verdicts": {"balanced": True, "methods_agree": False},
+            "residuals": {"definition": 2.5e-17, "nan": float("nan"), "zero": -0.0},
+            "times": (0.1, 1.0, 5.0),
+            "results": [{"n": np.int64(12), "ok": None}, {"x": [[1.0, -0.0], [1e17, 3]]}],
+            "empty": {"list": [], "dict": {}},
+        }
+        assert dumps_canonical(report) == dumps_canonical_reference(report)
+
+    def test_n12_coupling_and_channel_match_reference(self):
+        spec = make_spec(
+            types=("entangled", "mixed", "product"),
+            partition=((0,), (1,), (2,)),
+            cycles=(4, 4, 4),
+            k=(0.3, 0.6, 0.45),
+            l=(0.3, 0.6, 0.7),
+            g=tuple(0.1 * q for q in range(12)),
+            h=tuple(0.05 * q for q in range(12)),
+            block_probs=(0.2, 0.3, 0.5),
+        )
+        triple = scenario_build(spec)
+        for obj in (triple.coupling, semigroup(triple.system_a.dynamics, 1.0)):
+            data = obj.to_json()
+            assert dumps_canonical(data) == dumps_canonical_reference(data)
+
+    def test_matrix_to_json_keeps_signed_zeros_and_views(self):
+        m = random_matrix(5, seed=3)
+        m[0, 0], m[0, 1], m[1, 1] = -0.0, complex(0.0, -0.0), complex(np.nan, -np.inf)
+        for view in (m, m.T, m[:, 1:2], m[0:1, ::2], m[::-2, ::3]):
+            data = matrix_to_json(view)["data"]
+            entries = [[float(z.real), float(z.imag)] for z in view.reshape(-1)]
+            assert dumps_canonical(data) == dumps_canonical_reference(entries)
+            assert np.array_equal(matrix_from_json(matrix_to_json(view)), view, equal_nan=True)
+
+
+class TestImport:
+    """The CLI loads scipy only when a command exponentiates a generator."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "import balance_lab.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from balance_lab.kernel import mat_exp, matrix_from_json, matrix_to_json\n"
+        "x = mat_exp(matrix_from_json(json.load(sys.stdin)))\n"
+        "print(json.dumps({'loaded': loaded, 'exp': matrix_to_json(x)}))\n"
+    )
+
+    def test_cli_import_leaves_scipy_unloaded_until_mat_exp(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        m = 0.7 * random_matrix(6, seed=5)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            input=json.dumps(matrix_to_json(m)),
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        out = json.loads(proc.stdout)
+        assert out["loaded"] == []
+        y = taylor_exp_oracle(m)
+        x = matrix_from_json(out["exp"])
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
