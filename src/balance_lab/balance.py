@@ -41,7 +41,14 @@ from .couplings import (
     kms_flip,
     flip_coupling,
 )
-from .kernel import DEFAULT_TOL, _max_relative_residual, frob_norm, relative_residual, vec
+from .kernel import (
+    DEFAULT_TOL,
+    _max_relative_residual,
+    eigenvalues,
+    frob_norm,
+    relative_residual,
+    vec,
+)
 from .lindblad import semigroup
 from .states import System
 
@@ -334,6 +341,30 @@ class DisjointnessReport:
         }
 
 
+# complex entries of x y products that _algebra_defect holds at a time (64 MiB);
+# all d^2 n^2 of them at once would take 3 GB for identity-like dynamics at n = 24
+_CLOSURE_ENTRY_BUDGET = 1 << 22
+
+
+def _algebra_defect(stack: np.ndarray) -> float:
+    """The largest distance from the span of an orthonormal basis (a stack of
+    n x n matrices) to an x* or an x y of basis elements, the x y formed a few
+    x at a time.  The distance is the same for any flattening, so row-major
+    flattening is used."""
+    dim, n, _ = stack.shape
+    onb = stack.reshape(dim, n * n)
+
+    def defect(rows: np.ndarray) -> float:
+        return float(np.max(np.linalg.norm(rows - (rows @ onb.conj().T) @ onb, axis=1)))
+
+    worst = defect(stack.conj().transpose(0, 2, 1).reshape(dim, n * n))
+    step = max(1, _CLOSURE_ENTRY_BUDGET // (dim * n * n))
+    for start in range(0, dim, step):
+        products = stack[start : start + step, None] @ stack[None, :]
+        worst = max(worst, defect(products.reshape(-1, n * n)))
+    return worst
+
+
 def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessReport:
     """Constructive side of "ergodic iff disjoint from identity systems".
 
@@ -357,13 +388,7 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
 
     n = sys.dim
     stack = np.stack(basis)
-    # every x* and x y must lie in the span: the defect is the distance to it,
-    # the same for any flattening, so row-major flattening is used
-    closure = np.concatenate(
-        [stack.conj().transpose(0, 2, 1), (stack[:, None] @ stack[None, :]).reshape(-1, n, n)]
-    ).reshape(-1, n * n)
-    onb = stack.reshape(dim, n * n)
-    worst = float(np.max(np.linalg.norm(closure - (closure @ onb.conj().T) @ onb, axis=1)))
+    worst = _algebra_defect(stack)
     if worst > tol:
         raise ValueError(f"fixed-point set not an algebra numerically (defect {worst:.3e})")
 
@@ -450,7 +475,7 @@ def convergence_probe(
 
     m = w.state_b.dim
     s_k = sys_a.dynamics.superoperator
-    evals = np.linalg.eigvals(s_k)
+    evals = eigenvalues(s_k)
     scale = float(np.max(np.abs(evals)))
     zero_mask = np.array([relative_residual(abs(x), scale) <= tol for x in evals])
     nonzero = evals[~zero_mask]

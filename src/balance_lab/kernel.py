@@ -12,6 +12,12 @@ Conventions used throughout the package:
 * Anything feeding a boolean verdict (eigenvalues, singular vectors) is made
   deterministic: eigenvalues sorted descending, eigenvector phases fixed so the
   largest-magnitude entry is real and positive.
+* A matrix exponential or a spectrum is taken one invariant block at a time.
+  The blocks are the connected components of the exact nonzero pattern,
+  symmetrized: i and j share a block when m[i, j] != 0 or m[j, i] != 0.  No
+  tolerance enters, since dropping a small entry would drop a real coupling.
+  A matrix with a single block, such as any dense generator, takes the one
+  dense call, so its result is bit-identical to that call.
 
 The JSON wire format for a matrix is
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with ``data`` a flat,
@@ -83,12 +89,72 @@ def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
     raise ValueError(f"side must be 'first' or 'second', got {side!r}")
 
 
+def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the exact nonzero pattern of a square
+    matrix, symmetrized (i ~ j when m[i, j] != 0 or m[j, i] != 0), grouped by
+    size: one (count, size) array of indices per size, ascending in each row.
+
+    A permutation that lists the components one after another makes m
+    block-diagonal, so a function of m that is analytic, or its spectrum,
+    can be taken block by block."""
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    rows, cols = np.nonzero(m)
+    label = np.arange(n)
+    while True:
+        # every index takes the smallest label among its neighbours in either
+        # direction, then the label of that label (pointer jumping); labels
+        # only fall, and stop once every nonzero joins two equal labels
+        before = label
+        label = label.copy()
+        np.minimum.at(label, rows, label[cols])
+        np.minimum.at(label, cols, label[rows])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    _, comp, counts = np.unique(label, return_inverse=True, return_counts=True)
+    order = np.lexsort((comp, counts[comp]))
+    groups, start = [], 0
+    for size, count in zip(*np.unique(counts, return_counts=True)):
+        groups.append(order[start : start + size * count].reshape(count, size))
+        start += size * count
+    return groups
+
+
+def _block_index(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pair that picks from a matrix the (count, k, k) stack of its
+    diagonal blocks on the rows of a (count, k) index array."""
+    return idx[:, :, None], idx[:, None, :]
+
+
 def mat_exp(m) -> np.ndarray:
-    """Matrix exponential (Pade + scaling/squaring via scipy).  scipy is
-    imported here, its only use, so that nothing else pays for loading it."""
+    """Matrix exponential (Pade + scaling/squaring via scipy), one invariant
+    block at a time: the blocks of each size go to one stacked call and are
+    scattered into a zero matrix.  A matrix with one block takes the single
+    dense call.  scipy is imported here, its only use, so that nothing else
+    pays for loading it."""
     import scipy.linalg
 
-    return scipy.linalg.expm(as_matrix(m))
+    m = as_matrix(m)
+    groups = _invariant_blocks(m)
+    if len(groups) == 1 and groups[0].shape[0] == 1:
+        return scipy.linalg.expm(m)
+    out = np.zeros_like(m)
+    for idx in groups:
+        block = _block_index(idx)
+        out[block] = scipy.linalg.expm(m[block])
+    return out
+
+
+def eigenvalues(m) -> np.ndarray:
+    """All eigenvalues with multiplicity, in no particular order, taken one
+    invariant block at a time as in :func:`mat_exp`."""
+    m = as_matrix(m)
+    groups = _invariant_blocks(m)
+    if len(groups) == 1 and groups[0].shape[0] == 1:
+        return np.linalg.eigvals(m)
+    return np.concatenate([np.linalg.eigvals(m[_block_index(idx)]).ravel() for idx in groups])
 
 
 def frob_norm(a) -> float:

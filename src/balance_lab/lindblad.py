@@ -26,6 +26,7 @@ must be constant on every entangled block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -114,8 +115,8 @@ def generator_from_superoperator(s, dim: int) -> LindbladGenerator:
 
 def semigroup(gen: LindbladGenerator, t: float) -> QuantumChannel:
     """The channel e^{tL}."""
-    if t < 0:
-        raise ValueError("semigroup time must be non-negative")
+    if not math.isfinite(t) or t < 0:
+        raise ValueError("semigroup time must be finite and non-negative")
     return QuantumChannel(
         dim_in=gen.dim, dim_out=gen.dim, superoperator=mat_exp(t * gen.superoperator)
     )

@@ -1,8 +1,10 @@
 """Balance verification and its consequences: symmetry, detailed balance,
 ergodicity, disjointness witnesses, convergence transfer."""
 
+import numpy as np
 import pytest
 
+import balance_lab.balance as balance
 from balance_lab.balance import (
     check_theta_sqdb,
     convergence_probe,
@@ -17,7 +19,13 @@ from balance_lab.balance import (
     sampled_balance,
     theta_kms_dual_system,
 )
-from balance_lab.channels import ReversingOperation, constant_channel, identity_channel
+from balance_lab.channels import (
+    ReversingOperation,
+    constant_channel,
+    fixed_point_space,
+    identity_channel,
+)
+from balance_lab.cli import dumps_canonical
 from balance_lab.couplings import diagonal_coupling, product_coupling
 from balance_lab.kernel import frob_distance
 from balance_lab.lindblad import cycle_generator, scenario_build
@@ -250,6 +258,36 @@ class TestDisjointnessProbe:
         rep = disjointness_probe(System(state=s, dynamics=identity_channel(2)))
         assert rep.fixed_space_dim == 4
         assert rep.witness_found
+
+
+class TestAlgebraDefectChunks:
+    """The closure check of disjointness_probe forms the x y products a few
+    rows at a time; the chunks change neither the defect nor the report."""
+
+    @pytest.mark.parametrize(
+        "make_system",
+        [
+            lambda: System(
+                state=new_faithful_state(random_state_vector(6, seed=7)),
+                dynamics=identity_channel(6),
+            ),
+            lambda: scenario_systems().system_b,
+        ],
+        ids=["identity n=6", "two-cycle shift commutant"],
+    )
+    def test_chunked_equals_one_chunk(self, monkeypatch, make_system):
+        sys_x = make_system()
+        stack = np.stack(fixed_point_space(sys_x.dynamics))
+        dim, n, _ = stack.shape
+        one = disjointness_probe(sys_x)
+        one_defect = balance._algebra_defect(stack)
+        assert dim * dim * n * n <= balance._CLOSURE_ENTRY_BUDGET
+        monkeypatch.setattr(balance, "_CLOSURE_ENTRY_BUDGET", 2 * dim * n * n + 1)
+        # ceil(dim / 2) chunks of two x each
+        chunked = disjointness_probe(sys_x)
+        assert balance._algebra_defect(stack) == one_defect
+        assert dumps_canonical(chunked.to_json()) == dumps_canonical(one.to_json())
+        assert all(np.array_equal(a, b) for a, b in zip(chunked.witness_basis, one.witness_basis))
 
 
 def single_cycle_triple(entangled=True, k=0.4, g=(0.05, 0.21, 0.47)):

@@ -7,8 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import balance_lab.balance as balance
 import balance_lab.cli as cli
+import balance_lab.lindblad as lindblad
 from balance_lab.channels import channel_from_function, constant_channel, identity_channel
 from balance_lab.cli import dumps_canonical, main
 from balance_lab.couplings import (
@@ -16,7 +19,7 @@ from balance_lab.couplings import (
     extract_channel,
     product_coupling,
 )
-from balance_lab.kernel import ad_superop, matrix_from_json, matrix_to_json
+from balance_lab.kernel import _invariant_blocks, ad_superop, matrix_from_json, matrix_to_json
 from balance_lab.lindblad import scenario_build, scenario_coupling, semigroup
 from balance_lab.states import canonicalize_density_matrix, new_faithful_state
 
@@ -422,6 +425,18 @@ class TestSqdbErgodicConvergence:
         assert rep["verdicts"]["passed"] is True
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_times_rejected(self, workdir, capsys, bad):
+        f = write(workdir / "spec.json", make_spec().to_json())
+        for argv in (
+            ("check-balance", "--scenario", f, "--sampled-times", "1", bad),
+            ("convergence", "--scenario", f, "--times", "1", bad),
+        ):
+            code, err = run_err(capsys, *argv)
+            assert code == 2
+            assert err == "validation failure: semigroup time must be finite and non-negative\n"
+
+
 class TestScenarioCommands:
     def test_run_balanced(self, workdir, capsys):
         f = write(workdir / "spec.json", make_spec().to_json())
@@ -784,3 +799,79 @@ class TestImport:
         y = taylor_exp_oracle(m)
         x = matrix_from_json(out["exp"])
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def assert_leaves_close(x, y):
+    """Equal structure and non-float leaves; floats agree to 1e-12 relative,
+    or to 1e-14 absolute where both are below 1e-12: a deviation that has
+    decayed to rounding noise (about 2e-14 at t = 1000) keeps no digits."""
+    if isinstance(x, dict):
+        assert isinstance(y, dict) and x.keys() == y.keys()
+        for key in x:
+            assert_leaves_close(x[key], y[key])
+    elif isinstance(x, list):
+        assert isinstance(y, list) and len(x) == len(y)
+        for a, b in zip(x, y):
+            assert_leaves_close(a, b)
+    elif isinstance(x, float) and isinstance(y, float):
+        size = max(abs(x), abs(y))
+        assert abs(x - y) <= (1e-12 * size if size >= 1e-12 else 1e-14)
+    else:
+        assert x == y
+
+
+class TestBlockwiseMatchesDense:
+    """check-balance --sampled-times and convergence exponentiate and
+    diagonalize block by block; the dense scipy expm and numpy eigvals give
+    the same verdicts and the same floats to rounding."""
+
+    G7 = (0.11, -0.52, 0.37, 0.93, -0.08, 0.64, -0.71)
+    G12 = (0.2, -0.4, 0.9, 0.1, -0.6, 0.3, 0.75, -0.15, 0.5, -0.9, 0.05, 0.45)
+    SPECS = {
+        "one 7-cycle": make_spec(
+            cycles=(7,),
+            block_probs=(1.0,),
+            partition=((0,),),
+            types=("entangled",),
+            k=(0.4,),
+            l=(0.4,),
+            g=G7,
+            h=tuple(x + 0.3 for x in G7),
+        ),
+        "three 4-cycles": make_spec(
+            cycles=(4, 4, 4),
+            block_probs=(0.3, 0.3, 0.4),
+            partition=((0,), (1,), (2,)),
+            types=("entangled", "mixed", "product"),
+            k=(0.3, 0.6, 0.45),
+            l=(0.3, 0.6, 0.2),
+            g=G12,
+            h=tuple(x + 0.2 for x in G12[:4]) + (0.1,) * 8,
+        ),
+    }
+
+    def reports(self, capsys, f):
+        out = []
+        for argv in (
+            ("check-balance", "--scenario", f, "--sampled-times", "0.1", "1", "5"),
+            ("convergence", "--scenario", f, "--times", "1", "1000"),
+        ):
+            code, text = run(capsys, *argv)
+            assert code == 0
+            out.append(json.loads(text))
+        return out
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_reports_match_dense(self, workdir, capsys, monkeypatch, name):
+        spec = self.SPECS[name]
+        triple = scenario_build(spec)
+        for sys_x in (triple.system_a, triple.system_b):
+            assert sum(idx.shape[0] for idx in _invariant_blocks(sys_x.dynamics.superoperator)) > 1
+        f = write(workdir / "spec.json", spec.to_json())
+        blockwise = self.reports(capsys, f)
+        monkeypatch.setattr(lindblad, "mat_exp", lambda m: scipy.linalg.expm(m))
+        monkeypatch.setattr(balance, "eigenvalues", np.linalg.eigvals)
+        dense = self.reports(capsys, f)
+        for x, y in zip(blockwise, dense):
+            assert x["verdicts"] == y["verdicts"]
+            assert_leaves_close(x, y)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from balance_lab.kernel import (
+    _invariant_blocks,
     close,
+    eigenvalues,
     frob_distance,
     is_psd,
     kron,
@@ -22,7 +26,7 @@ from balance_lab.kernel import (
     vec,
     unvec,
 )
-from balance_lab.lindblad import cycle_generator
+from balance_lab.lindblad import cycle_generator, scenario_build, standard_grid
 
 from conftest import (
     kron_entry_oracle,
@@ -125,6 +129,81 @@ class TestMatExp:
         m = random_matrix(5, seed=7)
         m *= 5.0 / np.linalg.norm(m, 2)
         assert frob_distance(mat_exp(m) @ mat_exp(-m), np.eye(5)) <= 1e-9
+
+
+def grid_generators():
+    """The superoperators of both generators of every standard_grid scenario."""
+    out = []
+    for spec in standard_grid():
+        triple = scenario_build(spec)
+        out += [triple.system_a.dynamics.superoperator, triple.system_b.dynamics.superoperator]
+    return out
+
+
+GRID_GENERATORS = grid_generators()
+
+
+def split_block_diagonal(sizes, seed):
+    """A dense-blocked block-diagonal matrix, its blocks of the given sizes."""
+    return scipy.linalg.block_diag(*(random_matrix(k, seed=seed + i) for i, k in enumerate(sizes)))
+
+
+def assert_same_spectrum(x, y, rtol):
+    """x and y are equal as multisets, matched one to one, to rtol * max |y|."""
+    assert x.shape == y.shape
+    cost = np.abs(x[:, None] - y[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert np.max(cost[rows, cols]) <= rtol * np.max(np.abs(y))
+
+
+class TestInvariantBlocks:
+    """mat_exp and eigenvalues work one block of the symmetrized exact-zero
+    pattern at a time; a single block takes the dense call."""
+
+    def test_dense_matrix_is_the_single_dense_call(self):
+        m = random_matrix(12, seed=21)
+        assert len(_invariant_blocks(m)) == 1
+        assert np.array_equal(mat_exp(m), scipy.linalg.expm(m))
+        assert np.array_equal(eigenvalues(m), np.linalg.eigvals(m))
+
+    def test_grid_generators_split(self):
+        # otherwise the tests below would only see the dense call
+        for s in GRID_GENERATORS:
+            assert sum(idx.shape[0] for idx in _invariant_blocks(s)) > 1
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 1000.0])
+    def test_grid_generators_match_dense_expm(self, t):
+        for s in GRID_GENERATORS:
+            x, m = mat_exp(t * s), t * s
+            refs = [scipy.linalg.expm(m)] + ([taylor_exp_oracle(m)] if t <= 1.0 else [])
+            for ref in refs:
+                assert frob_distance(x, ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_permutation_covariance(self):
+        m = split_block_diagonal((1, 3, 3, 4, 2), seed=30)
+        p = np.eye(13)[np.random.default_rng(31).permutation(13)]
+        lhs, rhs = mat_exp(p @ m @ p.T), p @ mat_exp(m) @ p.T
+        assert frob_distance(lhs, rhs) <= 1e-14 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("entry", [(1, 4), (4, 1)])
+    def test_one_way_coupling_joins_blocks(self, entry):
+        m = split_block_diagonal((3, 2), seed=40)
+        m[entry] = 0.7
+        assert m[entry[::-1]] == 0
+        ref = scipy.linalg.expm(m)
+        assert frob_distance(mat_exp(m), ref) <= 1e-13 * np.linalg.norm(ref)
+        assert_same_spectrum(eigenvalues(m), np.linalg.eigvals(m), 1e-12)
+
+    def test_diagonal_and_zero(self):
+        d = np.array([0.3, -1.0, 2.0, 0.5j, 0.0])
+        assert np.array_equal(mat_exp(np.diag(d)), np.diag(np.exp(d)))
+        assert np.array_equal(np.sort_complex(eigenvalues(np.diag(d))), np.sort_complex(d))
+        assert np.array_equal(mat_exp(np.zeros((5, 5))), np.eye(5))
+        assert np.array_equal(eigenvalues(np.zeros((5, 5))), np.zeros(5))
+
+    def test_eigenvalues_match_dense(self):
+        for s in GRID_GENERATORS + [random_matrix(20, seed=50)]:
+            assert_same_spectrum(eigenvalues(s), np.linalg.eigvals(s), 1e-12)
 
 
 class TestNullspace:

@@ -1,5 +1,7 @@
 """Generators, cyclic shifts, duals with jump form, the scenario family."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -100,6 +102,11 @@ class TestSemigroup:
     def test_negative_time(self):
         with pytest.raises(ValueError, match="non-negative"):
             semigroup(cycle_generator((3,), [0.4]), -0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_time_must_be_finite_and_non_negative(self, t):
+        with pytest.raises(ValueError, match="^semigroup time must be finite and non-negative$"):
+            semigroup(cycle_generator((3,), [0.4]), t)
 
 
 class TestDualGenerator:
