@@ -16,8 +16,9 @@ Conventions used throughout the package:
   The blocks are the connected components of the exact nonzero pattern,
   symmetrized: i and j share a block when m[i, j] != 0 or m[j, i] != 0.  No
   tolerance enters, since dropping a small entry would drop a real coupling.
-  A matrix with a single block, such as any dense generator, takes the one
-  dense call, so its result is bit-identical to that call.
+  A matrix with a single block, such as any dense generator, is a stack of
+  one slice, which scipy and numpy treat exactly as the matrix itself, so
+  its result is bit-identical to the dense call.
 
 The JSON wire format for a matrix is
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with ``data`` a flat,
@@ -122,27 +123,19 @@ def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _block_index(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index pair that picks from a matrix the (count, k, k) stack of its
-    diagonal blocks on the rows of a (count, k) index array."""
-    return idx[:, :, None], idx[:, None, :]
-
-
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential (Pade + scaling/squaring via scipy), one invariant
     block at a time: the blocks of each size go to one stacked call and are
-    scattered into a zero matrix.  A matrix with one block takes the single
-    dense call.  scipy is imported here, its only use, so that nothing else
-    pays for loading it."""
+    scattered into a zero matrix.  scipy treats every slice of a stack as it
+    treats a single matrix, so a matrix with one block gets exactly
+    ``scipy.linalg.expm(m)``.  scipy is imported here, its only use, so that
+    nothing else pays for loading it."""
     import scipy.linalg
 
     m = as_matrix(m)
-    groups = _invariant_blocks(m)
-    if len(groups) == 1 and groups[0].shape[0] == 1:
-        return scipy.linalg.expm(m)
     out = np.zeros_like(m)
-    for idx in groups:
-        block = _block_index(idx)
+    for idx in _invariant_blocks(m):
+        block = idx[:, :, None], idx[:, None, :]
         out[block] = scipy.linalg.expm(m[block])
     return out
 
@@ -151,10 +144,8 @@ def eigenvalues(m) -> np.ndarray:
     """All eigenvalues with multiplicity, in no particular order, taken one
     invariant block at a time as in :func:`mat_exp`."""
     m = as_matrix(m)
-    groups = _invariant_blocks(m)
-    if len(groups) == 1 and groups[0].shape[0] == 1:
-        return np.linalg.eigvals(m)
-    return np.concatenate([np.linalg.eigvals(m[_block_index(idx)]).ravel() for idx in groups])
+    stacks = (m[idx[:, :, None], idx[:, None, :]] for idx in _invariant_blocks(m))
+    return np.concatenate([np.linalg.eigvals(block).ravel() for block in stacks])
 
 
 def frob_norm(a) -> float:

@@ -158,7 +158,8 @@ def assert_same_spectrum(x, y, rtol):
 
 class TestInvariantBlocks:
     """mat_exp and eigenvalues work one block of the symmetrized exact-zero
-    pattern at a time; a single block takes the dense call."""
+    pattern at a time; a single block is a one-slice stack, bit-identical to
+    the dense call."""
 
     def test_dense_matrix_is_the_single_dense_call(self):
         m = random_matrix(12, seed=21)
@@ -167,7 +168,7 @@ class TestInvariantBlocks:
         assert np.array_equal(eigenvalues(m), np.linalg.eigvals(m))
 
     def test_grid_generators_split(self):
-        # otherwise the tests below would only see the dense call
+        # otherwise the tests below would only see a single block
         for s in GRID_GENERATORS:
             assert sum(idx.shape[0] for idx in _invariant_blocks(s)) > 1
 
