@@ -7,23 +7,24 @@ completely positive.  Kraus input describes the Heisenberg-picture map
 a -> sum_j V_j* a V_j.
 
 Every dual of every kind of dynamics (channel or semigroup generator) is
-built by one core in this module, exact for diagonal states:
+built by one core, ``dual``, exact for diagonal states:
 
 * the dual is the adjoint with respect to the bilinear pairing
   Tr(rho^1/2 a rho^1/2 b^T), the weighted transpose W_in^-1 S^T W_out with
   W = rho^1/2 (x) rho^1/2.  It is defined for state-preserving dynamics only,
   as judged by ``states.preserves_state``;
 * the KMS-dual, the adjoint for the KMS pairing Tr(rho^1/2 a rho^1/2 b), is
-  the dual conjugated by the modular transposition j, X -> X^T.  On a
-  superoperator j o S o j is an index permutation (``_kms_flip``);
-* the Theta-KMS-dual is the KMS-dual conjugated by a reversing operation
-  Theta.  For plain transposition that conjugation is the KMS flip again,
-  so the Theta-KMS-dual is the dual itself.
+  j o dual o j for the modular transposition j, X -> X^T.  On a
+  superoperator that conjugation is an index permutation (``_kms_flip``);
+* the Theta-KMS-dual is Theta o (j o dual o j) o Theta for a reversing
+  operation Theta = Ad_u o j.  Since j o Ad_u o j = Ad_conj(u), it is
+  Ad_u o dual o Ad_conj(u): the dual seen in the frame of Theta's unitary,
+  ``change_frame(dual, conj(u), u*)``.  For plain transposition (u = 1) it is
+  the dual itself.
 
 Kind enters in two places only: the preservation residual and the result
-constructor ``_like``.  ``dual``, ``kms_dual``, ``theta_kms_dual`` and their
-generator and system twins are thin constructors over this core, and so is
-``change_frame``, the one change of basis of dynamics.
+constructor ``_like``.  The generator and system twins of the three duals
+call them, and ``change_frame`` is the one change of basis of dynamics.
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ def channel_from_function(f, dim_in: int, dim_out: int) -> QuantumChannel:
         for i in range(dim_in):
             s[:, i + dim_in * j] = vec(f(matrix_unit(dim_in, i, j)))
     return QuantumChannel(dim_in=dim_in, dim_out=dim_out, superoperator=s)
-
-
-def channel_from_superoperator(s, dim_in: int, dim_out: int) -> QuantumChannel:
-    return QuantumChannel(dim_in=dim_in, dim_out=dim_out, superoperator=as_matrix(s))
 
 
 def channel_from_kraus(kraus) -> QuantumChannel:
@@ -216,11 +213,17 @@ def change_frame(dyn, u_in=None, u_out=None):
     return dyn if s is dyn.superoperator else _like(dyn, s)
 
 
-def _dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float, name: str = "dual"):
-    """The weighted transpose W_in^-1 S^T W_out, as dynamics of the same kind.
-    ``name`` labels the error."""
+def dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TOL):
+    """The unique map eta' with Tr(r_in a r_in eta'(c)^T) = Tr(r_out eta(a) r_out c^T),
+    as dynamics of the kind of ``dyn``.
+
+    Here r = rho^1/2, the commutant is identified with the matrix algebra via
+    c <-> 1 (x) c, and invertibility of rho makes the defining linear system
+    nonsingular: the solution is W_in^-1 S^T W_out on diagonal weights.
+    """
     res, ok = preserves_state(dyn, s_in, s_out, tol)
     if not ok:
+        name = "dual generator" if dyn.kind == "generator" else "dual"
         raise ValueError(f"{name} undefined: the state is not preserved (residual {res:.3e})")
     w_in, w_out = s_in.kms_weights, s_out.kms_weights
     return _like(dyn, (dyn.superoperator.T * w_out[None, :]) / w_in[:, None])
@@ -233,49 +236,10 @@ def _kms_flip(superoperator: np.ndarray) -> np.ndarray:
     return superoperator.reshape(m, m, n, n).transpose(1, 0, 3, 2).reshape(m * m, n * n)
 
 
-def _theta_conjugate(th: "ReversingOperation", superoperator: np.ndarray) -> np.ndarray:
-    """Theta o S o Theta.  Plain transposition is the KMS flip."""
-    if th.unitary is None:
-        return _kms_flip(superoperator)
-    s_th = th.superoperator
-    return s_th @ superoperator @ s_th
-
-
-def _kms_dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float):
-    d = _dual(dyn, s_in, s_out, tol)
-    return _like(d, _kms_flip(d.superoperator))
-
-
-def _theta_kms_dual(dyn, s: FaithfulState, th: "ReversingOperation", tol: float):
-    if not th.compatible_with(s, tol):
-        raise ValueError("reversing operation incompatible with state")
-    k = _kms_dual(dyn, s, s, tol)
-    return _like(k, _theta_conjugate(th, k.superoperator))
-
-
-def dual(
-    ch: QuantumChannel,
-    s_in: FaithfulState,
-    s_out: FaithfulState,
-    tol: float = DEFAULT_TOL,
-) -> QuantumChannel:
-    """The unique map eta' with Tr(r_in a r_in eta'(c)^T) = Tr(r_out eta(a) r_out c^T).
-
-    Here r = rho^1/2, the commutant is identified with the matrix algebra via
-    c <-> 1 (x) c, and invertibility of rho makes the defining linear system
-    nonsingular: the solution is W_in^-1 S^T W_out on diagonal weights.
-    """
-    return _dual(ch, s_in, s_out, tol)
-
-
-def kms_dual(
-    ch: QuantumChannel,
-    s_in: FaithfulState,
-    s_out: FaithfulState,
-    tol: float = DEFAULT_TOL,
-) -> QuantumChannel:
+def kms_dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TOL):
     """modular_transpose o dual o modular_transpose; the KMS-pairing adjoint."""
-    return _kms_dual(ch, s_in, s_out, tol)
+    d = dual(dyn, s_in, s_out, tol)
+    return _like(d, _kms_flip(d.superoperator))
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +276,15 @@ class ReversingOperation:
             return t
         return ad_superop(self.unitary) @ t
 
+    @property
+    def frame(self) -> tuple:
+        """(conj(u), u*): ``change_frame(dyn, *frame)`` is
+        Ad_u o dyn o Ad_conj(u) = Theta o (j o dyn o j) o Theta.  Plain
+        transposition keeps the fixed basis on both sides."""
+        if self.unitary is None:
+            return None, None
+        return self.unitary.conj(), self.unitary.conj().T
+
     def compatible_with(self, s: FaithfulState, tol: float = DEFAULT_TOL) -> bool:
         if s.dim != self.dim:
             return False
@@ -335,14 +308,13 @@ class ReversingOperation:
         )
 
 
-def theta_kms_dual(
-    ch: QuantumChannel,
-    s: FaithfulState,
-    th: ReversingOperation,
-    tol: float = DEFAULT_TOL,
-) -> QuantumChannel:
-    """Theta o kms_dual o Theta for an endomorphic state-preserving channel."""
-    return _theta_kms_dual(ch, s, th, tol)
+def theta_kms_dual(dyn, s: FaithfulState, th: ReversingOperation, tol: float = DEFAULT_TOL):
+    """Theta o kms_dual o Theta for endomorphic state-preserving dynamics: the
+    dual in the frame of Theta's unitary (the dual itself for plain
+    transposition)."""
+    if not th.compatible_with(s, tol):
+        raise ValueError("reversing operation incompatible with state")
+    return change_frame(dual(dyn, s, s, tol), *th.frame)
 
 
 def _fixed_point_operator(dyn) -> np.ndarray:
@@ -368,7 +340,7 @@ def channel_from_json(obj) -> QuantumChannel:
             dim_in, dim_out = int(obj["dim_in"]), int(obj["dim_out"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed channel object: {exc}") from exc
-        return channel_from_superoperator(s, dim_in, dim_out)
+        return QuantumChannel(dim_in=dim_in, dim_out=dim_out, superoperator=s)
     if "kraus" in obj:
         if not isinstance(obj["kraus"], list):
             raise ValueError("malformed channel object: 'kraus' is not a list")

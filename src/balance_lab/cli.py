@@ -421,10 +421,6 @@ def cmd_convergence(args):
     report = base_report("convergence", args, inputs)
     times = args.times or [0.1, 1.0, 5.0]
     rep = convergence_probe(sys_a, sys_b, w, times, args.tol, args.deviation_tol)
-    if rep.certified and rep.threshold_time is not None:
-        if not any(t >= rep.threshold_time for t, _ in rep.deviations):
-            times = sorted(set(times) | {rep.threshold_time})
-            rep = convergence_probe(sys_a, sys_b, w, times, args.tol, args.deviation_tol)
     report["verdicts"] = {
         "certified": rep.certified,
         "vacuous": rep.vacuous,

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .channels import QuantumChannel, ReversingOperation, _dual, _kms_dual, _theta_kms_dual
+from .channels import QuantumChannel, ReversingOperation, dual, kms_dual, theta_kms_dual
 from .couplings import Coupling
 from .kernel import (
     DEFAULT_TOL,
@@ -75,10 +75,6 @@ class LindbladGenerator:
     def dim_out(self) -> int:
         return self.dim
 
-    def apply(self, a) -> np.ndarray:
-        a = as_matrix(a)
-        return (self.superoperator @ vec(a)).reshape((self.dim, self.dim), order="F")
-
 
 def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
     """Assemble L from jump operators and an optional Hermitian Hamiltonian."""
@@ -109,10 +105,6 @@ def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
     return LindbladGenerator(dim=n, superoperator=s, jumps=ops, hamiltonian=h)
 
 
-def generator_from_superoperator(s, dim: int) -> LindbladGenerator:
-    return LindbladGenerator(dim=dim, superoperator=as_matrix(s))
-
-
 def semigroup(gen: LindbladGenerator, t: float) -> QuantumChannel:
     """The channel e^{tL}."""
     if not math.isfinite(t) or t < 0:
@@ -130,13 +122,13 @@ def dual_generator(
     Solves Tr(r a r L'(b)^T) = Tr(r L(a) r b^T) for all a, b (r = rho^1/2),
     i.e. the weight-transformed transpose of the superoperator.
     """
-    return _dual(gen, s, s, tol, name="dual generator")
+    return dual(gen, s, s, tol)
 
 
 def kms_dual_generator(
     gen: LindbladGenerator, s: FaithfulState, tol: float = DEFAULT_TOL
 ) -> LindbladGenerator:
-    return _kms_dual(gen, s, s, tol)
+    return kms_dual(gen, s, s, tol)
 
 
 def theta_kms_dual_generator(
@@ -145,7 +137,7 @@ def theta_kms_dual_generator(
     th: ReversingOperation,
     tol: float = DEFAULT_TOL,
 ) -> LindbladGenerator:
-    return _theta_kms_dual(gen, s, th, tol)
+    return theta_kms_dual(gen, s, th, tol)
 
 
 def cycle_shift(cycle_lengths, weights) -> np.ndarray:

@@ -185,7 +185,3 @@ def preserves_state(
     """The preservation residual and whether it is within tol relative to ||S||."""
     res = state_preservation_residual(dyn, s_in, s_out)
     return res, relative_residual(res, frob_norm(dyn.superoperator)) <= tol
-
-
-def system(state: FaithfulState, dynamics) -> System:
-    return System(state=state, dynamics=dynamics)

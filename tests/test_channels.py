@@ -22,18 +22,29 @@ from balance_lab.channels import (
     transpose_superop,
     validate_ucp,
 )
-from balance_lab.couplings import extract_channel, new_coupling
+import balance_lab.balance as balance
+from balance_lab.balance import kms_symmetry_flip_check
+from balance_lab.couplings import coupling_from_channel, extract_channel, new_coupling
 from balance_lab.kernel import frob_distance, matrix_unit, vec
 from balance_lab.lindblad import (
+    build_generator,
     cycle_generator,
     dual_generator,
     kms_dual_generator,
     semigroup,
     theta_kms_dual_generator,
 )
-from balance_lab.states import new_faithful_state
+from balance_lab.states import System, gns_vector, new_faithful_state
 
-from conftest import dual_superop_oracle, random_matrix, random_state_vector
+from conftest import (
+    GENERIC7,
+    assert_relative_close,
+    dual_superop_oracle,
+    random_matrix,
+    random_state_vector,
+    theta_conjugate_oracle,
+    theta_kms_dual_oracle,
+)
 
 
 def pinching_channel(n):
@@ -333,10 +344,11 @@ class TestDualCore:
         th = phase_theta(7)
         assert th.validate() and th.compatible_with(s)
         ch = scenario_channel()
-        t = transpose_superop(7)
         d = dual(ch, s, s).superoperator
         got = theta_kms_dual(ch, s, th)
-        assert np.array_equal(got.superoperator, th.superoperator @ (t @ d @ t) @ th.superoperator)
+        frame_form = change_frame(dual(ch, s, s), *th.frame).superoperator
+        assert np.array_equal(got.superoperator, frame_form)
+        assert_relative_close(got.superoperator, theta_kms_dual_oracle(ch, s, th))
         # a genuine change against plain transposition, and still an involution
         assert frob_distance(got.superoperator, d) > 1e-3
         twice = theta_kms_dual(got, s, th)
@@ -346,13 +358,109 @@ class TestDualCore:
         s = scenario_state()
         th = phase_theta(7, seed=1)
         gen = scenario_generator()
-        t = transpose_superop(7)
         d = dual_generator(gen, s).superoperator
         got = theta_kms_dual_generator(gen, s, th)
-        assert np.array_equal(got.superoperator, th.superoperator @ (t @ d @ t) @ th.superoperator)
+        frame_form = change_frame(dual(gen, s, s), *th.frame).superoperator
+        assert np.array_equal(got.superoperator, frame_form)
+        assert_relative_close(got.superoperator, theta_kms_dual_oracle(gen, s, th))
         assert frob_distance(got.superoperator, d) > 1e-3
         twice = theta_kms_dual_generator(got, s, th)
         assert frob_distance(twice.superoperator, gen.superoperator) <= 1e-9
+
+
+def theta_cases():
+    """(reversing operation, compatible state, generic state-preserving
+    generator) for plain transposition and the unitary reversing operations
+    of these tests: diagonal phases on 7 and 3 levels and the 2 x 2 swap."""
+    s7, s3, s2 = scenario_state(), new_faithful_state([1 / 3] * 3), new_faithful_state([0.5] * 2)
+    gen3 = cycle_generator((3,), [0.3], [0.1, 0.5, -0.4])
+    v = random_matrix(2, seed=40)
+    gen2 = build_generator([v + v.conj().T], np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]]))
+    return {
+        "transpose-7": (ReversingOperation(dim=7), s7, scenario_generator()),
+        "phases-7": (phase_theta(7), s7, scenario_generator()),
+        "generic-phases-7": (
+            ReversingOperation(dim=7, unitary=np.diag(np.exp(1j * np.array(GENERIC7)))),
+            s7,
+            scenario_generator(),
+        ),
+        "phases-3": (
+            ReversingOperation(dim=3, unitary=np.diag(np.exp(1j * np.array([0.3, -1.2, 2.0])))),
+            s3,
+            gen3,
+        ),
+        "swap-2": (ReversingOperation(dim=2, unitary=np.array([[0.0, 1.0], [1.0, 0.0]])), s2, gen2),
+    }
+
+
+def entangled_coupling(s, seed):
+    """Half the entangled vector (u (x) 1) sum_i sqrt(p_i) e_i (x) e_i with
+    random diagonal phases u, which commute with rho, half the product
+    coupling."""
+    u = phase_theta(s.dim, seed).unitary
+    om = np.kron(u, np.eye(s.dim)) @ gns_vector(s)
+    return new_coupling(0.5 * np.outer(om, om.conj()) + 0.5 * np.kron(s.rho, s.rho), s, s)
+
+
+class TestThetaFrame:
+    """The Theta-KMS-dual is the dual in the frame of Theta's unitary,
+    change_frame(dual, conj(u), u*); it must match the dense
+    Theta o (j o dual o j) o Theta it replaced, and be the dual itself for
+    plain transposition."""
+
+    @pytest.mark.parametrize("case", sorted(theta_cases()))
+    def test_matches_dense_theta_conjugation(self, case):
+        th, s, gen = theta_cases()[case]
+        assert th.validate() and th.compatible_with(s)
+        ch = semigroup(gen, 0.7)
+        for dyn, got in (
+            (ch, theta_kms_dual(ch, s, th)),
+            (gen, theta_kms_dual_generator(gen, s, th)),
+        ):
+            assert got.kind == dyn.kind
+            oracle = theta_kms_dual_oracle(dyn, s, th)
+            if th.unitary is None:
+                assert np.array_equal(got.superoperator, dual(dyn, s, s).superoperator)
+                assert np.array_equal(got.superoperator, oracle)
+            else:
+                assert frob_distance(got.superoperator, dual(dyn, s, s).superoperator) > 1e-3
+                assert_relative_close(got.superoperator, oracle)
+
+    def test_error_label_follows_kind(self):
+        # rotated, the generator preserves the state only to rounding
+        u = unitary(3, seed=41)
+        gen = change_frame(cycle_generator((3,), [0.3], [0.1, 0.5, -0.4]), u, u)
+        s, th = new_faithful_state([1 / 3] * 3), ReversingOperation(dim=3)
+        for label, dyn in (("dual generator", gen), ("dual", semigroup(gen, 0.7))):
+            for build in (
+                lambda: dual(dyn, s, s, 1e-18),
+                lambda: kms_dual(dyn, s, s, 1e-18),
+                lambda: theta_kms_dual(dyn, s, th, 1e-18),
+            ):
+                with pytest.raises(ValueError, match=f"^{label} undefined"):
+                    build()
+
+    @pytest.mark.parametrize("case", sorted(theta_cases()))
+    def test_flip_check_conjugates_the_extracted_channel(self, case, monkeypatch):
+        th, s, _ = theta_cases()[case]
+        # identity dynamics are KMS-symmetric, so the Theta variant runs
+        sys = System(state=s, dynamics=identity_channel(s.dim))
+        w = entangled_coupling(s, seed=s.dim)
+        seen = []
+
+        def capture(e, *args, **kwargs):
+            seen.append(e)
+            return coupling_from_channel(e, *args, **kwargs)
+
+        monkeypatch.setattr(balance, "coupling_from_channel", capture)
+        rep = kms_symmetry_flip_check(sys, sys, w, th=th)
+        assert rep.hypothesis_met and rep.theta_equivalent is not None
+        (e_conj,) = seen
+        oracle = theta_conjugate_oracle(th, extract_channel(w).superoperator)
+        if th.unitary is None:
+            assert np.array_equal(e_conj.superoperator, oracle)
+        else:
+            assert_relative_close(e_conj.superoperator, oracle)
 
 
 def unitary(n, seed):

@@ -424,6 +424,33 @@ class TestSqdbErgodicConvergence:
         assert rep["verdicts"]["certified"] is True
         assert rep["verdicts"]["passed"] is True
 
+    def test_convergence_default_times_probe_once(self, workdir, capsys, monkeypatch):
+        # the default grid (0.1, 1, 5) ends before the threshold time 50 / gap;
+        # the probe adds that time itself, so nothing is computed twice
+        g = (0.11, -0.52, 0.37, 0.93, -0.08, 0.64, -0.71)
+        spec = make_spec(
+            cycles=(7,), block_probs=(1.0,), partition=((0,),), types=("entangled",),
+            k=(0.4,), l=(0.4,), g=g, h=g,
+        )
+        f = write(workdir / "spec.json", spec.to_json())
+        calls = {}
+        for name, home in (("convergence_probe", balance), ("is_balanced", balance),
+                           ("semigroup", lindblad)):
+            orig = getattr(home, name)
+
+            def counted(*args, _name=name, _orig=orig, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _orig(*args, **kwargs)
+
+            for module in (cli, balance, lindblad):
+                if getattr(module, name, None) is orig:
+                    monkeypatch.setattr(module, name, counted)
+        code, out = run(capsys, "convergence", "--scenario", f)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["verdicts"]["certified"] is True and rep["verdicts"]["passed"] is True
+        assert [d["t"] for d in rep["deviations"]] == [0.1, 1.0, 5.0, rep["threshold_time"]]
+        assert calls == {"convergence_probe": 1, "is_balanced": 1, "semigroup": 4}
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_times_rejected(self, workdir, capsys, bad):

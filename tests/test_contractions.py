@@ -38,7 +38,7 @@ from balance_lab.couplings import (
     kms_flip,
     product_coupling,
 )
-from balance_lab.kernel import matrix_unit, vec
+from balance_lab.kernel import eigenvalues, matrix_unit, vec
 from balance_lab.lindblad import (
     scenario_build,
     scenario_coupling,
@@ -49,6 +49,8 @@ from balance_lab.lindblad import (
 from balance_lab.states import System, new_faithful_state
 
 from conftest import (
+    GENERIC7,
+    assert_same_spectrum,
     convergence_probe_loop,
     definition_contractions,
     disjointness_probe_loop,
@@ -62,7 +64,6 @@ from conftest import (
 
 RTOL, ATOL = 1e-12, 1e-15
 
-GENERIC7 = tuple(np.linspace(-0.6, 0.9, 7))
 # two cycles (3, 4) and one 7-cycle, both balanced, at n = 7
 MULTI7 = make_spec()
 SINGLE7 = make_spec(
@@ -248,6 +249,18 @@ class TestConvergenceProbe:
         args = (triple.system_a, triple.system_b, triple.coupling, times)
         assert_json_match(convergence_probe(*args).to_json(), convergence_probe_loop(*args).to_json())
 
+    @pytest.mark.parametrize("case", sorted(CONVERGENCE))
+    def test_spectrum_matches_dense(self, case):
+        # convergence_probe_loop shares the block-wise spectrum with the probe
+        s_k = CONVERGENCE[case][0].system_a.dynamics.superoperator
+        assert_same_spectrum(eigenvalues(s_k), np.linalg.eigvals(s_k), 1e-12)
+
+    def test_short_grid_is_extended_to_the_threshold_time(self):
+        triple, times = CONVERGENCE["certified-short-grid"]
+        rep = convergence_probe(triple.system_a, triple.system_b, triple.coupling, times)
+        assert [t for t, _ in rep.deviations] == [1.0, rep.threshold_time]
+        assert rep.deviations[-1][1] <= 1e-6
+
     def test_cases_cover_the_branches(self):
         def probe(case):
             triple, times = CONVERGENCE[case]
@@ -255,7 +268,7 @@ class TestConvergenceProbe:
 
         assert probe("certified").passed is True and not probe("certified").vacuous
         assert probe("certified-n7").passed is True
-        assert probe("certified-short-grid").passed is None
+        assert probe("certified-short-grid").passed is True
         assert not probe("uncertified").certified
         assert not probe("uncertified-multi-cycle").certified
         assert probe("vacuous").certified and probe("vacuous").vacuous

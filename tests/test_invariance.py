@@ -5,7 +5,8 @@ every verdict must survive a rescaling of time, a relabelling of the cycles
 of a scenario and a change of the smallest state eigenvalue p_min; the two
 zero generators are the degenerate 0/0 case of the relative-residual rule.
 Balance must also read the same in its equivalent forms: through the duals
-and KMS-duals in reversed order, and at sampled times of the semigroups.
+and KMS-duals in reversed order, and at sampled times of the semigroups.  The
+dual must commute with a change of frame that fixes the state.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from balance_lab.balance import (
     is_kms_symmetric,
     sampled_balance,
 )
-from balance_lab.channels import ReversingOperation, validate_ucp
+from balance_lab.channels import ReversingOperation, change_frame, dual, validate_ucp
 from balance_lab.couplings import (
     Coupling,
     diagonal_coupling,
@@ -38,11 +39,12 @@ from balance_lab.lindblad import (
     scenario_build,
     scenario_predict,
     scenario_state,
+    semigroup,
     standard_grid,
 )
 from balance_lab.states import System, new_faithful_state
 
-from conftest import make_spec
+from conftest import assert_relative_close, make_spec
 
 GRID = standard_grid()
 SCALES = (1e8, 1.0, 1e-3, 1e-9, 1e-12)
@@ -266,3 +268,26 @@ class TestPminSweep:
                 disagree.append(i)
         assert wrong == []
         assert disagree == []
+
+
+def diagonal_phases(n: int, seed: int) -> np.ndarray:
+    return np.diag(np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2 * np.pi, n)))
+
+
+class TestFrameCovariance:
+    """The dual commutes with a change of frame by unitaries that fix the
+    state: dual(change_frame(dyn, v, v)) = change_frame(dual(dyn), v*, v*)
+    for diagonal phases v, on both generators of every grid spec and on their
+    channels at t = 1."""
+
+    @pytest.mark.parametrize("index", range(len(GRID)))
+    def test_dual_of_rotated_dynamics(self, index):
+        triple = scenario_build(GRID[index])
+        s = triple.system_a.state
+        v = diagonal_phases(s.dim, seed=index)
+        for sys in (triple.system_a, triple.system_b):
+            for dyn in (sys.dynamics, semigroup(sys.dynamics, 1.0)):
+                lhs = dual(change_frame(dyn, v, v), s, s)
+                rhs = change_frame(dual(dyn, s, s), v.conj().T, v.conj().T)
+                assert lhs.kind == rhs.kind == dyn.kind
+                assert_relative_close(lhs.superoperator, rhs.superoperator)

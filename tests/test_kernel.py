@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -29,6 +28,7 @@ from balance_lab.kernel import (
 from balance_lab.lindblad import cycle_generator, scenario_build, standard_grid
 
 from conftest import (
+    assert_same_spectrum,
     kron_entry_oracle,
     partial_trace_oracle,
     random_matrix,
@@ -146,14 +146,6 @@ GRID_GENERATORS = grid_generators()
 def split_block_diagonal(sizes, seed):
     """A dense-blocked block-diagonal matrix, its blocks of the given sizes."""
     return scipy.linalg.block_diag(*(random_matrix(k, seed=seed + i) for i, k in enumerate(sizes)))
-
-
-def assert_same_spectrum(x, y, rtol):
-    """x and y are equal as multisets, matched one to one, to rtol * max |y|."""
-    assert x.shape == y.shape
-    cost = np.abs(x[:, None] - y[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    assert np.max(cost[rows, cols]) <= rtol * np.max(np.abs(y))
 
 
 class TestInvariantBlocks:
