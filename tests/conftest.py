@@ -316,6 +316,26 @@ def spanning_density_matrices_loop(m: int) -> list[np.ndarray]:
     return [np.outer(v, v.conj()) for v in vecs]
 
 
+def spectral_certificate_loop(gen, eigvals, tol: float = DEFAULT_TOL):
+    """(gap, number of zero eigenvalues, certified) of a generator, decided
+    as convergence_probe decides them, from the spectrum eigvals(S)."""
+    evals = eigvals(gen.superoperator)
+    scale = float(np.max(np.abs(evals)))
+    zero_mask = np.array([relative_residual(abs(x), scale) <= tol for x in evals])
+    nonzero = evals[~zero_mask]
+    zeros = int(np.sum(zero_mask))
+    kernel_is_scalars = len(fixed_point_space(gen, tol)) == 1
+    gap = float(-np.max(nonzero.real)) if nonzero.size else None
+    certified = (
+        kernel_is_scalars
+        and zeros == 1
+        and nonzero.size > 0
+        and gap is not None
+        and relative_residual(gap, scale) > tol
+    )
+    return gap, zeros, certified
+
+
 def convergence_probe_loop(
     sys_a, sys_b, w: Coupling, t_grid, tol: float = DEFAULT_TOL, deviation_tol: float = 1e-6
 ) -> ConvergenceReport:
@@ -324,7 +344,8 @@ def convergence_probe_loop(
     kernel.eigenvalues, so that a grid extended to the threshold time 50 / gap
     evaluates the same time as the probe: the deviation there is rounding
     noise that moves with the last bits of t.  tests/test_contractions.py
-    checks that spectrum against dense numpy eigvals on the same generators."""
+    checks the probe's gap and certificate against spectral_certificate_loop
+    with dense numpy eigvals."""
     if sys_a.kind != "generator" or sys_b.kind != "generator":
         raise ValueError("convergence probe requires generator dynamics")
     rep = is_balanced(sys_a, sys_b, w, tol)
@@ -332,21 +353,7 @@ def convergence_probe_loop(
         raise ValueError("convergence probe requires a balanced triple")
 
     n, m = w.dims
-    s_k = sys_a.dynamics.superoperator
-    evals = eigenvalues(s_k)
-    scale = float(np.max(np.abs(evals)))
-    zero_mask = np.array([relative_residual(abs(x), scale) <= tol for x in evals])
-    nonzero = evals[~zero_mask]
-    kernel = fixed_point_space(sys_a.dynamics, tol)
-    kernel_is_scalars = len(kernel) == 1
-    gap = float(-np.max(nonzero.real)) if nonzero.size else None
-    certified = (
-        kernel_is_scalars
-        and int(np.sum(zero_mask)) == 1
-        and nonzero.size > 0
-        and gap is not None
-        and relative_residual(gap, scale) > tol
-    )
+    gap, _, certified = spectral_certificate_loop(sys_a.dynamics, eigenvalues, tol)
 
     e = extract_channel(w)
     images = [apply(e, matrix_unit(n, i, j)) for i in range(n) for j in range(n)]

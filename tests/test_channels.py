@@ -346,8 +346,6 @@ class TestDualCore:
         ch = scenario_channel()
         d = dual(ch, s, s).superoperator
         got = theta_kms_dual(ch, s, th)
-        frame_form = change_frame(dual(ch, s, s), *th.frame).superoperator
-        assert np.array_equal(got.superoperator, frame_form)
         assert_relative_close(got.superoperator, theta_kms_dual_oracle(ch, s, th))
         # a genuine change against plain transposition, and still an involution
         assert frob_distance(got.superoperator, d) > 1e-3
@@ -360,8 +358,6 @@ class TestDualCore:
         gen = scenario_generator()
         d = dual_generator(gen, s).superoperator
         got = theta_kms_dual_generator(gen, s, th)
-        frame_form = change_frame(dual(gen, s, s), *th.frame).superoperator
-        assert np.array_equal(got.superoperator, frame_form)
         assert_relative_close(got.superoperator, theta_kms_dual_oracle(gen, s, th))
         assert frob_distance(got.superoperator, d) > 1e-3
         twice = theta_kms_dual_generator(got, s, th)
@@ -371,14 +367,14 @@ class TestDualCore:
 def theta_cases():
     """(reversing operation, compatible state, generic state-preserving
     generator) for plain transposition and the unitary reversing operations
-    of these tests: diagonal phases on 7 and 3 levels and the 2 x 2 swap."""
+    of these tests: diagonal phases on 7 and 3 levels and the 2 x 2 swap
+    (TestDualCore checks the phases of phase_theta(7))."""
     s7, s3, s2 = scenario_state(), new_faithful_state([1 / 3] * 3), new_faithful_state([0.5] * 2)
     gen3 = cycle_generator((3,), [0.3], [0.1, 0.5, -0.4])
     v = random_matrix(2, seed=40)
     gen2 = build_generator([v + v.conj().T], np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]]))
     return {
         "transpose-7": (ReversingOperation(dim=7), s7, scenario_generator()),
-        "phases-7": (phase_theta(7), s7, scenario_generator()),
         "generic-phases-7": (
             ReversingOperation(dim=7, unitary=np.diag(np.exp(1j * np.array(GENERIC7)))),
             s7,

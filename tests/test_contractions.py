@@ -60,6 +60,7 @@ from conftest import (
     random_state_vector,
     reversing_validate_loop,
     spanning_density_matrices_loop,
+    spectral_certificate_loop,
 )
 
 RTOL, ATOL = 1e-12, 1e-15
@@ -251,9 +252,22 @@ class TestConvergenceProbe:
 
     @pytest.mark.parametrize("case", sorted(CONVERGENCE))
     def test_spectrum_matches_dense(self, case):
-        # convergence_probe_loop shares the block-wise spectrum with the probe
-        s_k = CONVERGENCE[case][0].system_a.dynamics.superoperator
-        assert_same_spectrum(eigenvalues(s_k), np.linalg.eigvals(s_k), 1e-12)
+        # convergence_probe_loop shares the block-wise spectrum with the
+        # probe, so the gap and the certificate are checked here against the
+        # dense spectrum
+        triple, times = CONVERGENCE[case]
+        gen = triple.system_a.dynamics
+        assert_same_spectrum(
+            eigenvalues(gen.superoperator), np.linalg.eigvals(gen.superoperator), 1e-12
+        )
+        gap, zeros, certified = spectral_certificate_loop(gen, np.linalg.eigvals)
+        assert spectral_certificate_loop(gen, eigenvalues)[1] == zeros
+        rep = convergence_probe(triple.system_a, triple.system_b, triple.coupling, times)
+        assert rep.certified == certified
+        if gap is None:
+            assert rep.gap is None
+        else:
+            np.testing.assert_allclose(rep.gap, gap, rtol=RTOL, atol=ATOL)
 
     def test_short_grid_is_extended_to_the_threshold_time(self):
         triple, times = CONVERGENCE["certified-short-grid"]
