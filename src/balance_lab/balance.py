@@ -18,7 +18,7 @@ probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .couplings import (
 )
 from .kernel import (
     DEFAULT_TOL,
+    Report,
     _max_relative_residual,
     eigenvalues,
     frob_norm,
@@ -54,36 +55,13 @@ from .lindblad import semigroup
 from .states import System
 
 
-def dual_system(sys: System, tol: float = DEFAULT_TOL) -> System:
-    return System(state=sys.state, dynamics=dual(sys.dynamics, sys.state, sys.state, tol))
-
-
-def kms_dual_system(sys: System, tol: float = DEFAULT_TOL) -> System:
-    return System(state=sys.state, dynamics=kms_dual(sys.dynamics, sys.state, sys.state, tol))
-
-
-def theta_kms_dual_system(
-    sys: System, th: ReversingOperation, tol: float = DEFAULT_TOL
-) -> System:
-    return System(state=sys.state, dynamics=theta_kms_dual(sys.dynamics, sys.state, th, tol))
-
-
 @dataclass(frozen=True, eq=False)
-class BalanceReport:
+class BalanceReport(Report):
     balanced: bool
     residual: float
     definition_residual: float
     method_agreement: bool
     tol: float
-
-    def to_json(self) -> dict:
-        return {
-            "balanced": self.balanced,
-            "residual": self.residual,
-            "definition_residual": self.definition_residual,
-            "method_agreement": self.method_agreement,
-            "tol": self.tol,
-        }
 
 
 def _check_triple(sys_a: System, sys_b: System, w: Coupling):
@@ -156,21 +134,12 @@ def is_kms_symmetric(sys: System, tol: float = DEFAULT_TOL) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class SqdbReport:
+class SqdbReport(Report):
     sqdb: bool
     residual: float
     via_balance: bool
     methods_agree: bool
     tol: float
-
-    def to_json(self) -> dict:
-        return {
-            "sqdb": self.sqdb,
-            "residual": self.residual,
-            "via_balance": self.via_balance,
-            "methods_agree": self.methods_agree,
-            "tol": self.tol,
-        }
 
 
 def check_theta_sqdb(
@@ -183,7 +152,7 @@ def check_theta_sqdb(
     to the diagonal coupling.  The two must agree.
     """
     s = sys.dynamics.superoperator
-    dual_sys = theta_kms_dual_system(sys, th, tol)
+    dual_sys = System(state=sys.state, dynamics=theta_kms_dual(sys.dynamics, sys.state, th, tol))
     residual = relative_residual(frob_norm(dual_sys.dynamics.superoperator - s), frob_norm(s))
     sqdb = residual <= tol
 
@@ -197,28 +166,16 @@ def check_theta_sqdb(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FlipSymmetryReport:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class FlipSymmetryReport(Report):
     hypothesis_met: bool
-    forward_balanced: bool | None
-    backward_balanced: bool | None
-    equivalent: bool | None
-    theta_forward: bool | None
-    theta_backward: bool | None
-    theta_equivalent: bool | None
+    forward_balanced: bool | None = None
+    backward_balanced: bool | None = None
+    equivalent: bool | None = None
+    theta_forward: bool | None = None
+    theta_backward: bool | None = None
+    theta_equivalent: bool | None = None
     message: str
-
-    def to_json(self) -> dict:
-        return {
-            "hypothesis_met": self.hypothesis_met,
-            "forward_balanced": self.forward_balanced,
-            "backward_balanced": self.backward_balanced,
-            "equivalent": self.equivalent,
-            "theta_forward": self.theta_forward,
-            "theta_backward": self.theta_backward,
-            "theta_equivalent": self.theta_equivalent,
-            "message": self.message,
-        }
 
 
 def kms_symmetry_flip_check(
@@ -239,14 +196,7 @@ def kms_symmetry_flip_check(
     """
     if not (is_kms_symmetric(sys_a, tol) and is_kms_symmetric(sys_b, tol)):
         return FlipSymmetryReport(
-            hypothesis_met=False,
-            forward_balanced=None,
-            backward_balanced=None,
-            equivalent=None,
-            theta_forward=None,
-            theta_backward=None,
-            theta_equivalent=None,
-            message="hypothesis not met: dynamics are not KMS-symmetric",
+            hypothesis_met=False, message="hypothesis not met: dynamics are not KMS-symmetric"
         )
     forward = is_balanced(sys_a, sys_b, w, tol).balanced
     backward = is_balanced(sys_b, sys_a, kms_flip(w), tol).balanced
@@ -256,11 +206,12 @@ def kms_symmetry_flip_check(
     if th is not None:
         if not sys_a.state.same_state(sys_b.state):
             raise ValueError("theta variant requires both systems on one state")
-        a_theta = theta_kms_dual_system(sys_a, th, tol)
+        s = sys_a.state
+        a_theta = System(state=s, dynamics=theta_kms_dual(sys_a.dynamics, s, th, tol))
         theta_fwd = is_balanced(sys_a, a_theta, w, tol).balanced
         e = extract_channel(w)
         e_conj = change_frame(_like(e, _kms_flip(e.superoperator)), *th.frame)
-        w_e = coupling_from_channel(e_conj, sys_a.state, sys_a.state, tol)
+        w_e = coupling_from_channel(e_conj, s, s, tol)
         theta_bwd = is_balanced(a_theta, sys_a, w_e, tol).balanced
         theta_eq = theta_fwd == theta_bwd
         message += "; theta variant evaluated"
@@ -277,19 +228,11 @@ def kms_symmetry_flip_check(
 
 
 @dataclass(frozen=True, eq=False)
-class DualOrderReport:
+class DualOrderReport(Report):
     primal: bool
     dual_pair: bool
     kms_pair: bool
     consistent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "primal": self.primal,
-            "dual_pair": self.dual_pair,
-            "kms_pair": self.kms_pair,
-            "consistent": self.consistent,
-        }
 
 
 def dual_order_check(
@@ -298,11 +241,12 @@ def dual_order_check(
     """Balance is equivalent to balance of the duals and of the KMS-duals in
     reversed order, with the flipped and KMS-flipped couplings."""
     primal = is_balanced(sys_a, sys_b, w, tol).balanced
-    d_b = dual_system(sys_b, tol)
-    d_a = dual_system(sys_a, tol)
+    s_a, s_b = sys_a.state, sys_b.state
+    d_b = System(state=s_b, dynamics=dual(sys_b.dynamics, s_b, s_b, tol))
+    d_a = System(state=s_a, dynamics=dual(sys_a.dynamics, s_a, s_a, tol))
     dual_pair = is_balanced(d_b, d_a, flip_coupling(w), tol).balanced
-    k_b = kms_dual_system(sys_b, tol)
-    k_a = kms_dual_system(sys_a, tol)
+    k_b = System(state=s_b, dynamics=kms_dual(sys_b.dynamics, s_b, s_b, tol))
+    k_a = System(state=s_a, dynamics=kms_dual(sys_a.dynamics, s_a, s_a, tol))
     kms_pair = is_balanced(k_b, k_a, kms_flip(w), tol).balanced
     return DualOrderReport(
         primal=bool(primal),
@@ -317,25 +261,15 @@ def is_ergodic(sys: System, tol: float = DEFAULT_TOL) -> bool:
     return len(fixed_point_space(sys.dynamics, tol)) == 1
 
 
-@dataclass(frozen=True, eq=False)
-class DisjointnessReport:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class DisjointnessReport(Report):
     ergodic: bool
     fixed_space_dim: int
     witness_found: bool
-    balance_residual: float | None
-    nontriviality_gap: float | None
-    witness_basis: list | None
+    balance_residual: float | None = None
+    nontriviality_gap: float | None = None
+    witness_basis: list | None = field(default=None, repr=False)
     message: str
-
-    def to_json(self) -> dict:
-        return {
-            "ergodic": self.ergodic,
-            "fixed_space_dim": self.fixed_space_dim,
-            "witness_found": self.witness_found,
-            "balance_residual": self.balance_residual,
-            "nontriviality_gap": self.nontriviality_gap,
-            "message": self.message,
-        }
 
 
 # complex entries of x y products that _algebra_defect holds at a time (64 MiB);
@@ -377,9 +311,6 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
             ergodic=True,
             fixed_space_dim=dim,
             witness_found=False,
-            balance_residual=None,
-            nontriviality_gap=None,
-            witness_basis=None,
             message="no non-trivial identity-system balance found (consistent with disjointness)",
         )
 
@@ -423,26 +354,15 @@ def _spanning_density_matrices(m: int) -> np.ndarray:
     return (v[:, :, None] * v.conj()[:, None, :]).reshape(m * m, m * m)
 
 
-@dataclass(frozen=True, eq=False)
-class ConvergenceReport:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ConvergenceReport(Report):
     certified: bool
     gap: float | None
     vacuous: bool
     deviations: list
-    threshold_time: float | None
-    passed: bool | None
+    threshold_time: float | None = None
+    passed: bool | None = None
     message: str
-
-    def to_json(self) -> dict:
-        return {
-            "certified": self.certified,
-            "gap": self.gap,
-            "vacuous": self.vacuous,
-            "deviations": [[t, d] for t, d in self.deviations],
-            "threshold_time": self.threshold_time,
-            "passed": self.passed,
-            "message": self.message,
-        }
 
 
 def convergence_probe(
@@ -510,8 +430,6 @@ def convergence_probe(
             gap=gap,
             vacuous=vacuous,
             deviations=deviations,
-            threshold_time=None,
-            passed=None,
             message="spectral condition fails; convergence transfer inapplicable",
         )
     late = [d for t, d in deviations if t >= threshold]

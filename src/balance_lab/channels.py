@@ -23,8 +23,8 @@ built by one core, ``dual``, exact for diagonal states:
   the dual itself.
 
 Kind enters in two places only: the preservation residual and the result
-constructor ``_like``.  The generator and system twins of the three duals
-call them, and ``change_frame`` is the one change of basis of dynamics.
+constructor ``_like``.  The generator twins of the three duals call them,
+and ``change_frame`` is the one change of basis of dynamics.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from .kernel import (
     DEFAULT_TOL,
+    Report,
     _close_each,
     ad_superop,
     as_matrix,
@@ -45,14 +46,12 @@ from .kernel import (
     frob_norm,
     matrix_from_json,
     matrix_to_json,
-    matrix_unit,
     nullspace,
     relative_residual,
     unvec,
     vec,
 )
 from .states import FaithfulState, preserves_state
-from .states import state_preservation_residual  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +85,6 @@ class QuantumChannel:
             "dim_out": self.dim_out,
             "superoperator": matrix_to_json(self.superoperator),
         }
-
-
-def channel_from_function(f, dim_in: int, dim_out: int) -> QuantumChannel:
-    s = np.zeros((dim_out**2, dim_in**2), dtype=complex)
-    for j in range(dim_in):
-        for i in range(dim_in):
-            s[:, i + dim_in * j] = vec(f(matrix_unit(dim_in, i, j)))
-    return QuantumChannel(dim_in=dim_in, dim_out=dim_out, superoperator=s)
 
 
 def channel_from_kraus(kraus) -> QuantumChannel:
@@ -146,24 +137,12 @@ def transpose_superop(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class UcpReport:
+class UcpReport(Report):
     cp: bool
     unital: bool
+    ucp: bool
     choi_min_eig: float
     unital_residual: float
-
-    @property
-    def ucp(self) -> bool:
-        return self.cp and self.unital
-
-    def to_json(self) -> dict:
-        return {
-            "cp": self.cp,
-            "unital": self.unital,
-            "ucp": self.ucp,
-            "choi_min_eig": self.choi_min_eig,
-            "unital_residual": self.unital_residual,
-        }
 
 
 def validate_ucp(ch: QuantumChannel, tol: float = DEFAULT_TOL) -> UcpReport:
@@ -174,9 +153,11 @@ def validate_ucp(ch: QuantumChannel, tol: float = DEFAULT_TOL) -> UcpReport:
     cp, min_eig = check_psd(ch.choi, tol)
     image_one = apply(ch, np.eye(ch.dim_in))
     unital_res = frob_norm(image_one - np.eye(ch.dim_out))
+    unital = relative_residual(unital_res, math.sqrt(ch.dim_out)) <= tol
     return UcpReport(
         cp=cp,
-        unital=relative_residual(unital_res, math.sqrt(ch.dim_out)) <= tol,
+        unital=unital,
+        ucp=cp and unital,
         choi_min_eig=float(min_eig),
         unital_residual=float(unital_res),
     )

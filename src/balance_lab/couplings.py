@@ -41,10 +41,10 @@ from .channels import (
     compose_channels,
     constant_channel,
     dual,
-    validate_ucp,
 )
 from .kernel import (
     DEFAULT_TOL,
+    Report,
     as_matrix,
     close,
     frob_distance,
@@ -56,7 +56,7 @@ from .kernel import (
     relative_residual,
     vec,
 )
-from .states import FaithfulState, gns_vector, preserves_state, state_from_json
+from .states import FaithfulState, gns_vector, state_from_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,44 +108,28 @@ def _weigh_rows(x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CouplingReport:
+class CouplingReport(Report):
     psd: bool
     trace_defect: float
     marginal_a_distance: float
     marginal_b_distance: float
+    valid: bool
     tol: float
-
-    @property
-    def valid(self) -> bool:
-        return (
-            self.psd
-            and self.trace_defect <= self.tol
-            and self.marginal_a_distance <= self.tol
-            and self.marginal_b_distance <= self.tol
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "psd": self.psd,
-            "trace_defect": self.trace_defect,
-            "marginal_a_distance": self.marginal_a_distance,
-            "marginal_b_distance": self.marginal_b_distance,
-            "valid": self.valid,
-            "tol": self.tol,
-        }
 
 
 def validate_coupling(w: Coupling, tol: float = DEFAULT_TOL) -> CouplingReport:
     n, m = w.dims
-    psd = is_psd(w.kappa, tol)
+    psd = bool(is_psd(w.kappa, tol))
     trace_defect = abs(complex(np.trace(w.kappa)) - 1.0)
     ma = frob_distance(partial_trace(w.kappa, (n, m), "second"), w.state_a.rho)
     mb = frob_distance(partial_trace(w.kappa, (n, m), "first"), w.state_b.rho)
     return CouplingReport(
-        psd=bool(psd),
-        trace_defect=float(trace_defect),
-        marginal_a_distance=float(ma),
-        marginal_b_distance=float(mb),
+        psd=psd,
+        trace_defect=trace_defect,
+        marginal_a_distance=ma,
+        marginal_b_distance=mb,
+        # a conjunction, not max(...) <= tol: max skips a NaN that is not first
+        valid=psd and trace_defect <= tol and ma <= tol and mb <= tol,
         tol=tol,
     )
 
@@ -237,23 +221,13 @@ def is_trivial(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class OrthogonalityReport:
+class OrthogonalityReport(Report):
     orthogonal: bool
     residual: float
     hilbert_criterion: bool
     cross_gram_norm: float
     methods_agree: bool
     tol: float
-
-    def to_json(self) -> dict:
-        return {
-            "orthogonal": self.orthogonal,
-            "residual": self.residual,
-            "hilbert_criterion": self.hilbert_criterion,
-            "cross_gram_norm": self.cross_gram_norm,
-            "methods_agree": self.methods_agree,
-            "tol": self.tol,
-        }
 
 
 def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> OrthogonalityReport:
@@ -290,12 +264,6 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
         methods_agree=bool(direct == hilbert),
         tol=tol,
     )
-
-
-def extraction_is_valid(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
-    """Extracted channel is u.c.p. and carries state_a to state_b."""
-    e = extract_channel(w)
-    return validate_ucp(e, tol).ucp and preserves_state(e, w.state_a, w.state_b, tol)[1]
 
 
 def coupling_from_json(obj) -> Coupling:

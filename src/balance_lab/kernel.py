@@ -28,6 +28,7 @@ row-major list of length ``rows*cols``.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -164,6 +165,15 @@ def relative_residual(residual: float, scale: float) -> float:
     if residual == 0.0:
         return 0.0
     return residual / scale if scale > 0.0 else math.inf
+
+
+class Report:
+    """Base of the verdict reports, each a frozen dataclass: its JSON form is
+    its fields in declaration order, leaving out those declared
+    ``repr=False``."""
+
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def _max_relative_residual(residual: np.ndarray, scale: np.ndarray) -> float:

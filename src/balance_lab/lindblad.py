@@ -38,7 +38,6 @@ from .kernel import (
     frob_norm,
     is_hermitian,
     mat_exp,
-    matrix_unit,
     relative_residual,
     vec,
 )
@@ -286,21 +285,21 @@ def scenario_coupling(spec: ScenarioSpec) -> Coupling:
     s = scenario_state(spec)
     p, n = s.spectrum, s.dim
     kappa = np.zeros((n * n, n * n), dtype=complex)
+    # the blocks sit on disjoint index sets, so each entry is written once;
+    # e_q (x) e_r has index q n + r
     for indices, btype in zip(spec.block_indices(), spec.block_types):
-        if not indices:
-            continue
+        q = np.asarray(indices, dtype=int)
         if btype == "entangled":
-            om = np.zeros(n * n, dtype=complex)
-            for q in indices:
-                om[q * n + q] = np.sqrt(p[q])
-            kappa += np.outer(om, om.conj())
+            r = np.sqrt(p[q])
+            kappa[np.ix_(q * (n + 1), q * (n + 1))] = np.outer(r, r)
         elif btype == "mixed":
-            for q in indices:
-                kappa += p[q] * np.kron(matrix_unit(n, q, q), matrix_unit(n, q, q))
+            kappa[q * (n + 1), q * (n + 1)] = p[q]
         else:
-            mass = sum(p[q] for q in indices)
-            d = sum(p[q] * matrix_unit(n, q, q) for q in indices) / np.sqrt(mass)
-            kappa += np.kron(d, d)
+            # the complex quotient and the sum in index order round as the
+            # Kronecker form (diag(p_q) / sqrt(mass)) (x) itself did
+            d = p[q].astype(complex) / np.sqrt(sum(p[i] for i in indices))
+            qr = (q[:, None] * n + q[None, :]).ravel()
+            kappa[qr, qr] = np.outer(d, d).ravel()
     return Coupling(kappa=kappa, state_a=s, state_b=s)
 
 
@@ -380,25 +379,31 @@ def standard_grid() -> list[ScenarioSpec]:
 def balance_sub_residuals(spec: ScenarioSpec) -> tuple[float, float]:
     """Split the generator-level balance defect of a real kappa into the
     shift part and the Hamiltonian-commutator part; both vanish iff balanced."""
-    s = scenario_state(spec)
-    n = s.dim
+    n = spec.dim
     kappa = scenario_coupling(spec).kappa
-    eye = np.eye(n, dtype=complex)
+    k4 = kappa.reshape(n, n, n, n)  # [i, k, j, l] = kappa[i n + k, j n + l]
+
+    def sandwich(x: np.ndarray, factor: int) -> np.ndarray:
+        """(x on one tensor factor) kappa (its adjoint), the left product
+        first, as the two n^2 x n^2 matmuls rounded it."""
+        left = np.moveaxis(np.tensordot(x, k4, axes=(1, factor)), 0, factor)
+        right = np.tensordot(left, x.conj(), axes=(factor + 2, 1))
+        return np.moveaxis(right, -1, factor + 2)
+
     r_k = cycle_shift(spec.cycle_lengths, np.asarray(spec.k))
     r_1k = cycle_shift(spec.cycle_lengths, 1.0 - np.asarray(spec.k))
     r_l = cycle_shift(spec.cycle_lengths, np.asarray(spec.l))
     r_1l = cycle_shift(spec.cycle_lengths, 1.0 - np.asarray(spec.l))
-    a1 = np.kron(r_k, eye)
-    a2 = np.kron(r_1k, eye)
-    b1 = np.kron(eye, r_1l)
-    b2 = np.kron(eye, r_l)
     jump = (
-        a1 @ kappa @ a1.conj().T
-        + a2.conj().T @ kappa @ a2
-        - b1 @ kappa @ b1.conj().T
-        - b2.conj().T @ kappa @ b2
+        sandwich(r_k, 0)
+        + sandwich(r_1k.conj().T, 0)
+        - sandwich(r_1l, 1)
+        - sandwich(r_l.conj().T, 1)
     )
-    g1 = np.kron(np.diag(np.asarray(spec.g)).astype(complex), eye)
-    h1 = np.kron(eye, np.diag(np.asarray(spec.h)).astype(complex))
-    comm = (g1 @ kappa - kappa @ g1) - (h1 @ kappa - kappa @ h1)
-    return float(frob_norm(jump)), float(frob_norm(comm))
+    # diag(g) (x) 1 and 1 (x) diag(h) on kappa's rows and columns
+    g = np.repeat(np.asarray(spec.g), n)
+    h = np.tile(np.asarray(spec.h), n)
+    comm = (g[:, None] * kappa - kappa * g) - (h[:, None] * kappa - kappa * h)
+    # the norm sums in memory order; row-major order sums as it did on the
+    # n^2 x n^2 matrix
+    return frob_norm(np.ascontiguousarray(jump)), frob_norm(comm)

@@ -19,7 +19,14 @@ from balance_lab.balance import (
     DisjointnessReport,
     is_balanced,
 )
-from balance_lab.channels import apply, dual, fixed_point_space, transpose_superop
+from balance_lab.channels import (
+    QuantumChannel,
+    apply,
+    dual,
+    fixed_point_space,
+    transpose_superop,
+    validate_ucp,
+)
 from balance_lab.couplings import Coupling, OrthogonalityReport, compose, extract_channel
 from balance_lab.kernel import (
     DEFAULT_TOL,
@@ -32,8 +39,8 @@ from balance_lab.kernel import (
     unvec,
     vec,
 )
-from balance_lab.lindblad import ScenarioSpec, semigroup
-from balance_lab.states import FaithfulState, kms_pairing
+from balance_lab.lindblad import ScenarioSpec, cycle_shift, scenario_state, semigroup
+from balance_lab.states import FaithfulState, kms_pairing, preserves_state
 
 
 # a generic Hamiltonian diagonal (and set of phases) on seven levels
@@ -63,6 +70,22 @@ def random_state_vector(n: int, seed: int = 0) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def channel_from_function(f, dim_in: int, dim_out: int) -> QuantumChannel:
+    """The channel of a Python function on matrices, column by column from
+    the images of the matrix units."""
+    s = np.zeros((dim_out**2, dim_in**2), dtype=complex)
+    for j in range(dim_in):
+        for i in range(dim_in):
+            s[:, i + dim_in * j] = vec(f(matrix_unit(dim_in, i, j)))
+    return QuantumChannel(dim_in=dim_in, dim_out=dim_out, superoperator=s)
+
+
+def extraction_is_valid(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
+    """Extracted channel is u.c.p. and carries state_a to state_b."""
+    e = extract_channel(w)
+    return validate_ucp(e, tol).ucp and preserves_state(e, w.state_a, w.state_b, tol)[1]
 
 
 def kron_entry_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -301,6 +324,58 @@ def disjointness_probe_loop(sys, tol: float = DEFAULT_TOL) -> DisjointnessReport
         message="identity system on the fixed-point algebra balances the dynamics "
         "through the restricted diagonal coupling",
     )
+
+
+def scenario_coupling_kron(spec: ScenarioSpec) -> np.ndarray:
+    """kappa of lindblad.scenario_coupling summed block by block from outer
+    and Kronecker products of matrix units; the reference for writing it by
+    index."""
+    s = scenario_state(spec)
+    p, n = s.spectrum, s.dim
+    kappa = np.zeros((n * n, n * n), dtype=complex)
+    for indices, btype in zip(spec.block_indices(), spec.block_types):
+        if not indices:
+            continue
+        if btype == "entangled":
+            om = np.zeros(n * n, dtype=complex)
+            for q in indices:
+                om[q * n + q] = np.sqrt(p[q])
+            kappa += np.outer(om, om.conj())
+        elif btype == "mixed":
+            for q in indices:
+                kappa += p[q] * np.kron(matrix_unit(n, q, q), matrix_unit(n, q, q))
+        else:
+            mass = sum(p[q] for q in indices)
+            d = sum(p[q] * matrix_unit(n, q, q) for q in indices) / np.sqrt(mass)
+            kappa += np.kron(d, d)
+    return kappa
+
+
+def balance_sub_residuals_kron(spec: ScenarioSpec) -> tuple[float, float]:
+    """lindblad.balance_sub_residuals with every Kraus conjugation and
+    commutator a product of n^2 x n^2 Kronecker matrices; the reference for
+    the tensor-factor form."""
+    n = spec.dim
+    kappa = scenario_coupling_kron(spec)
+    eye = np.eye(n, dtype=complex)
+    r_k = cycle_shift(spec.cycle_lengths, np.asarray(spec.k))
+    r_1k = cycle_shift(spec.cycle_lengths, 1.0 - np.asarray(spec.k))
+    r_l = cycle_shift(spec.cycle_lengths, np.asarray(spec.l))
+    r_1l = cycle_shift(spec.cycle_lengths, 1.0 - np.asarray(spec.l))
+    a1 = np.kron(r_k, eye)
+    a2 = np.kron(r_1k, eye)
+    b1 = np.kron(eye, r_1l)
+    b2 = np.kron(eye, r_l)
+    jump = (
+        a1 @ kappa @ a1.conj().T
+        + a2.conj().T @ kappa @ a2
+        - b1 @ kappa @ b1.conj().T
+        - b2.conj().T @ kappa @ b2
+    )
+    g1 = np.kron(np.diag(np.asarray(spec.g)).astype(complex), eye)
+    h1 = np.kron(eye, np.diag(np.asarray(spec.h)).astype(complex))
+    comm = (g1 @ kappa - kappa @ g1) - (h1 @ kappa - kappa @ h1)
+    return float(frob_norm(jump)), float(frob_norm(comm))
 
 
 def spanning_density_matrices_loop(m: int) -> list[np.ndarray]:

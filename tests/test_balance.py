@@ -10,20 +10,20 @@ from balance_lab.balance import (
     convergence_probe,
     disjointness_probe,
     dual_order_check,
-    dual_system,
     is_balanced,
     is_ergodic,
     is_kms_symmetric,
-    kms_dual_system,
     kms_symmetry_flip_check,
     sampled_balance,
-    theta_kms_dual_system,
 )
 from balance_lab.channels import (
     ReversingOperation,
     constant_channel,
+    dual,
     fixed_point_space,
     identity_channel,
+    kms_dual,
+    theta_kms_dual,
 )
 from balance_lab.cli import dumps_canonical
 from balance_lab.couplings import diagonal_coupling, product_coupling
@@ -201,10 +201,14 @@ class TestDualOrder:
         assert rep.consistent
 
     def test_dual_systems_preserve_state(self):
-        triple = scenario_systems(g=(0.2,) * 3 + (0.0,) * 4)
-        for builder in (dual_system, kms_dual_system):
-            builder(triple.system_a)
-        theta_kms_dual_system(triple.system_a, ReversingOperation(dim=7))
+        sys_a = scenario_systems(g=(0.2,) * 3 + (0.0,) * 4).system_a
+        s = sys_a.state
+        for d in (
+            dual(sys_a.dynamics, s, s),
+            kms_dual(sys_a.dynamics, s, s),
+            theta_kms_dual(sys_a.dynamics, s, ReversingOperation(dim=7)),
+        ):
+            System(state=s, dynamics=d)
 
 
 class TestErgodicity:

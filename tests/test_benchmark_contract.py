@@ -8,6 +8,7 @@ import os
 import pytest
 
 import balance_lab
+from balance_lab.balance import BalanceReport, DualOrderReport
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -41,3 +42,21 @@ def test_warmup_ops_pass_their_checks(perfbench, workload):
     assert ops
     failures = [(op.kind, op.check(op.run())) for op in ops]
     assert [f for f in failures if f[1] is not None] == []
+
+
+def test_failure_messages_show_the_report(perfbench):
+    """The sampled and dual-order checks put a failing report's to_json()
+    into their message."""
+    _, workloads = perfbench
+    ops = {op.kind.split(".")[0]: op for op in workloads.warmup_ops("probes", 1)}
+    unbalanced = BalanceReport(
+        balanced=False, residual=0.5, definition_residual=0.5, method_agreement=True, tol=1e-9
+    )
+    inconsistent = DualOrderReport(primal=True, dual_pair=False, kms_pair=True, consistent=False)
+    for kind, result, rep in (
+        ("sampled", [(1.0, unbalanced)], unbalanced),
+        ("dual_order", inconsistent, inconsistent),
+    ):
+        message = ops[kind].check(result)
+        assert message is not None
+        assert all(repr(key) in message for key in rep.to_json())

@@ -9,7 +9,6 @@ from balance_lab.channels import (
     ReversingOperation,
     apply,
     change_frame,
-    channel_from_function,
     channel_from_kraus,
     compose_channels,
     constant_channel,
@@ -17,7 +16,6 @@ from balance_lab.channels import (
     fixed_point_space,
     identity_channel,
     kms_dual,
-    state_preservation_residual,
     theta_kms_dual,
     transpose_superop,
     validate_ucp,
@@ -34,11 +32,12 @@ from balance_lab.lindblad import (
     semigroup,
     theta_kms_dual_generator,
 )
-from balance_lab.states import System, gns_vector, new_faithful_state
+from balance_lab.states import System, gns_vector, new_faithful_state, state_preservation_residual
 
 from conftest import (
     GENERIC7,
     assert_relative_close,
+    channel_from_function,
     dual_superop_oracle,
     random_matrix,
     random_state_vector,

@@ -12,7 +12,7 @@ import scipy.linalg
 import balance_lab.balance as balance
 import balance_lab.cli as cli
 import balance_lab.lindblad as lindblad
-from balance_lab.channels import channel_from_function, constant_channel, identity_channel
+from balance_lab.channels import constant_channel, identity_channel
 from balance_lab.cli import dumps_canonical, main
 from balance_lab.couplings import (
     diagonal_coupling,
@@ -23,7 +23,13 @@ from balance_lab.kernel import _invariant_blocks, ad_superop, matrix_from_json, 
 from balance_lab.lindblad import scenario_build, scenario_coupling, semigroup
 from balance_lab.states import canonicalize_density_matrix, new_faithful_state
 
-from conftest import dumps_canonical_reference, make_spec, random_matrix, taylor_exp_oracle
+from conftest import (
+    channel_from_function,
+    dumps_canonical_reference,
+    make_spec,
+    random_matrix,
+    taylor_exp_oracle,
+)
 
 
 @pytest.fixture

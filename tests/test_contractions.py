@@ -18,13 +18,13 @@ from balance_lab.balance import (
     _spanning_density_matrices,
     convergence_probe,
     disjointness_probe,
-    dual_system,
     is_balanced,
 )
 from balance_lab.channels import (
     ReversingOperation,
     _kms_flip,
     channel_from_kraus,
+    dual,
     identity_channel,
     kms_dual,
 )
@@ -413,7 +413,8 @@ class TestPairing:
             t = scenario_build(spec)
             w = t.coupling
             s_alpha = t.system_a.dynamics.superoperator
-            s_beta_dual = dual_system(t.system_b).dynamics.superoperator
+            s_b = t.system_b.state
+            s_beta_dual = dual(t.system_b.dynamics, s_b, s_b).superoperator
             lhs, rhs = definition_contractions(w.kappa, w.dims, s_alpha, s_beta_dual)
             size = sum(
                 definition_contractions(np.abs(w.kappa), w.dims, np.abs(s_alpha), np.abs(s_beta_dual))

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from balance_lab.channels import (
     apply,
-    channel_from_function,
     constant_channel,
     dual,
     identity_channel,
@@ -19,7 +18,6 @@ from balance_lab.couplings import (
     diagonal_coupling,
     evaluate,
     extract_channel,
-    extraction_is_valid,
     flip_coupling,
     is_orthogonal,
     is_trivial,
@@ -33,9 +31,11 @@ from balance_lab.lindblad import cycle_generator, scenario_coupling, semigroup
 from balance_lab.states import new_faithful_state
 
 from conftest import (
+    channel_from_function,
     coupling_from_channel_loop,
     coupling_from_channel_oracle,
     extract_channel_oracle,
+    extraction_is_valid,
     make_spec,
     random_matrix,
     random_state_vector,

@@ -10,6 +10,7 @@ from balance_lab.channels import apply, validate_ucp
 from balance_lab.couplings import validate_coupling
 from balance_lab.kernel import frob_distance, matrix_unit, vec
 from balance_lab.lindblad import (
+    VALID_BLOCK_TYPES,
     balance_sub_residuals,
     build_generator,
     cycle_generator,
@@ -25,7 +26,12 @@ from balance_lab.lindblad import (
 )
 from balance_lab.states import new_faithful_state, state_preservation_residual
 
-from conftest import make_spec, random_matrix
+from conftest import (
+    balance_sub_residuals_kron,
+    make_spec,
+    random_matrix,
+    scenario_coupling_kron,
+)
 
 
 class TestCycleShift:
@@ -253,6 +259,60 @@ class TestSubResiduals:
             )
         )
         assert jump <= 1e-12 and comm > 1e-6
+
+
+def random_block_spec(seed, cycles, partition, types):
+    """Random weights, shift weights and Hamiltonians on a fixed layout; l and
+    h agree with k and g at about half the entries, so both verdicts occur."""
+    g = np.random.default_rng(seed)
+    nc, n = len(cycles), sum(cycles)
+    bp = g.random(nc) + 0.1
+    k = g.uniform(0.05, 0.95, nc)
+    l = np.where(g.random(nc) < 0.5, k, g.uniform(0.05, 0.95, nc))
+    gh = g.normal(size=n)
+    h = np.where(g.random(n) < 0.5, gh, g.normal(size=n))
+    return make_spec(
+        cycles=cycles,
+        block_probs=tuple(bp / bp.sum()),
+        partition=partition,
+        types=types,
+        k=tuple(k),
+        l=tuple(l),
+        g=tuple(gh),
+        h=tuple(h),
+    )
+
+
+# layouts whose first coupling block spans several cycles
+MULTI_CYCLE_LAYOUTS = (
+    ((3, 4, 5), ((0, 2), (1,))),
+    ((4, 3, 5, 4), ((1, 3), (0, 2))),
+    ((6, 6, 6, 6), ((0, 1, 2), (3,))),
+)
+
+
+class TestScenarioByIndex:
+    """scenario_coupling writes kappa by index and balance_sub_residuals acts
+    on one tensor factor at a time; both keep the bits of the Kronecker forms
+    in conftest, signed zeros included."""
+
+    @staticmethod
+    def assert_same_bits(spec):
+        assert scenario_coupling(spec).kappa.tobytes() == scenario_coupling_kron(spec).tobytes()
+        assert balance_sub_residuals(spec) == balance_sub_residuals_kron(spec)
+
+    def test_builtin_grid(self):
+        for spec in standard_grid():
+            self.assert_same_bits(spec)
+
+    @pytest.mark.parametrize("layout", range(len(MULTI_CYCLE_LAYOUTS)))
+    @pytest.mark.parametrize("btype", VALID_BLOCK_TYPES)
+    def test_multi_cycle_blocks(self, layout, btype):
+        cycles, partition = MULTI_CYCLE_LAYOUTS[layout]
+        others = [t for t in VALID_BLOCK_TYPES if t != btype]
+        for seed, other in enumerate(others):
+            spec = random_block_spec(10 * layout + seed, cycles, partition, (btype, other))
+            self.assert_same_bits(spec)
 
 
 class TestStandardGrid:
