@@ -48,6 +48,7 @@ from .kernel import (
     _max_relative_residual,
     eigenvalues,
     frob_norm,
+    rank,
     relative_residual,
     vec,
 )
@@ -325,11 +326,14 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
     beta_dual = dual(sys.dynamics, state, state, tol)
     # row f of pairing is vec(rho^1/2 f rho^1/2), the form b -> Tr(rho^1/2 f rho^1/2 b^T)
     # on vec(b); the witness residual is its value on beta'(E_ij) - E_ij
-    # (channel) or L'(E_ij), the gap its distance from mu(f) mu(E_ij)
+    # (channel) or L'(E_ij), the gap its distance from mu(f) mu(E_ij).  Both
+    # are spectral norms of matrices with one row per f, linear in f: another
+    # orthonormal basis multiplies them on the left by a unitary, which
+    # leaves the norms as they are
     pairing = (r[:, None] * stack * r[None, :]).transpose(0, 2, 1).reshape(dim, n * n)
-    balance_res = float(np.max(np.abs(pairing @ _fixed_point_operator(beta_dual))))
+    balance_res = float(np.linalg.norm(pairing @ _fixed_point_operator(beta_dual), 2))
     mu_f = np.sum(state.spectrum * np.diagonal(stack, axis1=1, axis2=2), axis=1)
-    gap = float(np.max(np.abs(pairing - np.outer(mu_f, vec(state.rho)))))
+    gap = float(np.linalg.norm(pairing - np.outer(mu_f, vec(state.rho)), 2))
     balanced = relative_residual(balance_res, frob_norm(beta_dual.superoperator)) <= tol
     found = balanced and gap > tol
     return DisjointnessReport(
@@ -410,7 +414,7 @@ def convergence_probe(
 
     # the images of the matrix units are the columns of S_E
     s_e = extract_channel(w).superoperator
-    span_dim = int(np.linalg.matrix_rank(s_e, rtol=tol))
+    span_dim = rank(s_e, tol)
     vacuous = span_dim <= 1
 
     threshold = 50.0 / gap if certified else None

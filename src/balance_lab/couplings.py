@@ -31,7 +31,7 @@ Composition and orthogonality are routed through the channel bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,23 +113,29 @@ class CouplingReport(Report):
     trace_defect: float
     marginal_a_distance: float
     marginal_b_distance: float
-    valid: bool
+    valid: bool = field(init=False)
     tol: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "valid", self.psd and self.trace_ok and self.marginals_ok)
+
+    # conjunctions of <=, not max(...) <= tol: max skips a NaN that is not first
+    @property
+    def trace_ok(self) -> bool:
+        return self.trace_defect <= self.tol
+
+    @property
+    def marginals_ok(self) -> bool:
+        return self.marginal_a_distance <= self.tol and self.marginal_b_distance <= self.tol
 
 
 def validate_coupling(w: Coupling, tol: float = DEFAULT_TOL) -> CouplingReport:
     n, m = w.dims
-    psd = bool(is_psd(w.kappa, tol))
-    trace_defect = abs(complex(np.trace(w.kappa)) - 1.0)
-    ma = frob_distance(partial_trace(w.kappa, (n, m), "second"), w.state_a.rho)
-    mb = frob_distance(partial_trace(w.kappa, (n, m), "first"), w.state_b.rho)
     return CouplingReport(
-        psd=psd,
-        trace_defect=trace_defect,
-        marginal_a_distance=ma,
-        marginal_b_distance=mb,
-        # a conjunction, not max(...) <= tol: max skips a NaN that is not first
-        valid=psd and trace_defect <= tol and ma <= tol and mb <= tol,
+        psd=bool(is_psd(w.kappa, tol)),
+        trace_defect=abs(complex(np.trace(w.kappa)) - 1.0),
+        marginal_a_distance=frob_distance(partial_trace(w.kappa, (n, m), "second"), w.state_a.rho),
+        marginal_b_distance=frob_distance(partial_trace(w.kappa, (n, m), "first"), w.state_b.rho),
         tol=tol,
     )
 

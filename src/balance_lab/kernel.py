@@ -12,13 +12,18 @@ Conventions used throughout the package:
 * Anything feeding a boolean verdict (eigenvalues, singular vectors) is made
   deterministic: eigenvalues sorted descending, eigenvector phases fixed so the
   largest-magnitude entry is real and positive.
-* A matrix exponential or a spectrum is taken one invariant block at a time.
-  The blocks are the connected components of the exact nonzero pattern,
-  symmetrized: i and j share a block when m[i, j] != 0 or m[j, i] != 0.  No
-  tolerance enters, since dropping a small entry would drop a real coupling.
-  A matrix with a single block, such as any dense generator, is a stack of
-  one slice, which scipy and numpy treat exactly as the matrix itself, so
-  its result is bit-identical to the dense call.
+* Every factorization is taken one block of the exact nonzero pattern at a
+  time.  No tolerance enters the split, since dropping a small entry would
+  drop a real coupling.  Eigen-type factorizations (a matrix exponential, a
+  spectrum, the PSD check) use the symmetrized split: i and j share a block
+  when m[i, j] != 0 or m[j, i] != 0.  SVD-type factorizations (a numerical
+  kernel, a rank) use the bipartite split, which also fits a rectangular
+  matrix: row i and column j share a block when m[i, j] != 0.  Each
+  verdict is still cut against the whole matrix's scale (its largest
+  singular value or |eigenvalue|), never a block's.  A matrix with a single
+  block, such as any dense generator, is a stack of one slice, which scipy
+  and numpy treat exactly as the matrix itself, so its result is
+  bit-identical to the dense call.
 
 The JSON wire format for a matrix is
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with ``data`` a flat,
@@ -91,6 +96,23 @@ def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
     raise ValueError(f"side must be 'first' or 'second', got {side!r}")
 
 
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A label per node of the graph on ``size`` nodes with an edge between
+    a[k] and b[k]; two nodes share a label exactly when they are connected."""
+    label = np.arange(size)
+    while True:
+        # every node takes the smallest label among its neighbours, then the
+        # label of that label (pointer jumping); labels only fall, and stop
+        # once every edge joins two equal labels
+        before = label
+        label = label.copy()
+        np.minimum.at(label, a, label[b])
+        np.minimum.at(label, b, label[a])
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
+
+
 def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     """The connected components of the exact nonzero pattern of a square
     matrix, symmetrized (i ~ j when m[i, j] != 0 or m[j, i] != 0), grouped by
@@ -102,26 +124,51 @@ def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    rows, cols = np.nonzero(m)
-    label = np.arange(n)
-    while True:
-        # every index takes the smallest label among its neighbours in either
-        # direction, then the label of that label (pointer jumping); labels
-        # only fall, and stop once every nonzero joins two equal labels
-        before = label
-        label = label.copy()
-        np.minimum.at(label, rows, label[cols])
-        np.minimum.at(label, cols, label[rows])
-        label = label[label]
-        if np.array_equal(label, before):
-            break
-    _, comp, counts = np.unique(label, return_inverse=True, return_counts=True)
+    _, comp, counts = np.unique(_components(n, *np.nonzero(m)), return_inverse=True,
+                                return_counts=True)
     order = np.lexsort((comp, counts[comp]))
     groups, start = [], 0
     for size, count in zip(*np.unique(counts, return_counts=True)):
         groups.append(order[start : start + size * count].reshape(count, size))
         start += size * count
     return groups
+
+
+def _bipartite_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of the exact nonzero pattern of an r x c
+    matrix as a bipartite graph (row i ~ column j when m[i, j] != 0), grouped
+    by shape: per shape, a (count, rows) and a (count, cols) array of
+    indices, ascending in each row.  A zero row or a zero column is a
+    component of its own, of shape (1, 0) or (0, 1).
+
+    Permuting the rows and the columns to list the components one after
+    another makes m block-diagonal with these (possibly rectangular) blocks,
+    so its singular values are those of the blocks together, and its right
+    singular vectors those of the blocks, padded with zeros."""
+    r, c = m.shape
+    rows, cols = np.nonzero(m)
+    labels, comp = np.unique(_components(r + c, rows, r + cols), return_inverse=True)
+    row_comp, col_comp = comp[:r], comp[r:]
+    # one key per block shape, ordered by the number of rows first
+    k = labels.size
+    key = np.bincount(row_comp, minlength=k) * (c + 1) + np.bincount(col_comp, minlength=k)
+    row_order = np.lexsort((row_comp, key[row_comp]))
+    col_order = np.lexsort((col_comp, key[col_comp]))
+    groups, row_start, col_start = [], 0, 0
+    for k, count in zip(*np.unique(key, return_counts=True)):
+        nr, nc = divmod(int(k), c + 1)
+        groups.append((
+            row_order[row_start : row_start + nr * count].reshape(count, nr),
+            col_order[col_start : col_start + nc * count].reshape(count, nc),
+        ))
+        row_start += nr * count
+        col_start += nc * count
+    return groups
+
+
+def _stacks(m: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
+    """The blocks m[rows, cols] of one group as a (count, rows, cols) stack."""
+    return m[row_idx[:, :, None], col_idx[:, None, :]]
 
 
 def mat_exp(m) -> np.ndarray:
@@ -141,12 +188,17 @@ def mat_exp(m) -> np.ndarray:
     return out
 
 
+def _spectrum(m: np.ndarray, solver) -> np.ndarray:
+    """``solver`` (np.linalg.eigvals or eigvalsh) on every invariant block of
+    m, the eigenvalues concatenated, in no particular order."""
+    blocks = (_stacks(m, idx, idx) for idx in _invariant_blocks(m))
+    return np.concatenate([solver(block).ravel() for block in blocks])
+
+
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues with multiplicity, in no particular order, taken one
     invariant block at a time as in :func:`mat_exp`."""
-    m = as_matrix(m)
-    stacks = (m[idx[:, :, None], idx[:, None, :]] for idx in _invariant_blocks(m))
-    return np.concatenate([np.linalg.eigvals(block).ravel() for block in stacks])
+    return _spectrum(as_matrix(m), np.linalg.eigvals)
 
 
 def frob_norm(a) -> float:
@@ -211,8 +263,8 @@ def check_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
         raise ValueError("a PSD check requires a square matrix")
     if not is_hermitian(m, tol):
         return False, -math.inf
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    low, scale = float(evals[0]), float(np.max(np.abs(evals)))
+    evals = _spectrum((m + m.conj().T) / 2.0, np.linalg.eigvalsh)
+    low, scale = float(np.min(evals)), float(np.max(np.abs(evals)))
     return relative_residual(max(-low, 0.0), scale) <= tol, low
 
 
@@ -222,14 +274,16 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry (the first of
+    equals) is real positive; an all-zero column stays as it is."""
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot is the arithmetic of abs() on one complex scalar, and each column
+    # is multiplied as one contiguous row by a broadcast scalar: the np.abs
+    # ufunc, or a product of two arrays of length one, can differ in the last bit
+    size = np.hypot(pivot.real, pivot.imag)
+    turn = size > 0
     v = v.copy()
-    for c in range(v.shape[1]):
-        col = v[:, c]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0:
-            v[:, c] = col * (abs(pivot) / pivot)
+    v.T[turn] = np.ascontiguousarray(v.T[turn]) * (size[turn] / pivot[turn])[:, None]
     return v
 
 
@@ -240,14 +294,50 @@ def deterministic_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return w[order], _fix_phases(v[:, order])
 
 
+def _svd_blocks(m: np.ndarray):
+    """np.linalg.svd one bipartite block at a time: per block shape, the
+    column indices of the blocks, their singular values and their right
+    singular vectors; and the largest singular value of the whole matrix
+    (0 for the zero matrix)."""
+    out = []
+    for row_idx, col_idx in _bipartite_blocks(m):
+        _, sv, vh = np.linalg.svd(_stacks(m, row_idx, col_idx))
+        out.append((col_idx, sv, vh))
+    top = max((float(sv.max()) for _, sv, _ in out if sv.size), default=0.0)
+    return out, top
+
+
+def _kept(sv: np.ndarray, top: float, tol: float) -> np.ndarray:
+    """Which singular values count toward the rank: those > tol * the
+    largest, as a :func:`relative_residual` (none of them for zero)."""
+    if top == 0.0:
+        return np.zeros(sv.shape, dtype=bool)
+    return sv / top > tol
+
+
+def rank(m, tol: float = DEFAULT_TOL) -> int:
+    """Numerical rank: the number of singular values > tol * the largest,
+    as ``np.linalg.matrix_rank(m, rtol=tol)``, taken one block at a time."""
+    blocks, top = _svd_blocks(as_matrix(m))
+    return sum(int(np.count_nonzero(_kept(sv, top, tol))) for _, sv, _ in blocks)
+
+
 def nullspace(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical kernel: the right singular vectors
-    whose singular values are not > tol * the largest (all of them for zero)."""
+    whose singular values are not > tol * the largest (all of them for zero),
+    taken one block at a time and padded with zeros."""
     m = as_matrix(m)
-    _, sv, vh = np.linalg.svd(m)
-    rank = sum(relative_residual(float(x), float(sv[0])) > tol for x in sv)
-    basis = vh[rank:].conj()
-    basis = _fix_phases(basis.T).T
+    blocks, top = _svd_blocks(m)
+    parts = []
+    for col_idx, sv, vh in blocks:
+        # singular values are descending, so a block's kernel is the rows of
+        # vh from its rank on (with the c - r extra rows of a wide block)
+        block_rank = np.count_nonzero(_kept(sv, top, tol), axis=1)
+        which, row = np.nonzero(np.arange(col_idx.shape[1]) >= block_rank[:, None])
+        part = np.zeros((which.size, m.shape[1]), dtype=complex)
+        part[np.arange(which.size)[:, None], col_idx[which]] = vh[which, row].conj()
+        parts.append(part)
+    basis = _fix_phases(np.concatenate(parts).T).T
     return [basis[i] for i in range(basis.shape[0])]
 
 

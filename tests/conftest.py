@@ -300,18 +300,20 @@ def disjointness_probe_loop(sys, tol: float = DEFAULT_TOL) -> DisjointnessReport
     n = state.dim
     beta_dual = dual(sys.dynamics, state, state, tol)
     units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
-    balance_res = 0.0
-    gap = 0.0
-    for f in basis:
+    # one row per basis element f, one column per matrix unit c; the reported
+    # numbers are the spectral norms of the two matrices
+    defects = np.zeros((dim, n * n), dtype=complex)
+    gaps = np.zeros((dim, n * n), dtype=complex)
+    for a, f in enumerate(basis):
         mu_f = state.expectation(f)
-        for c in units:
+        for b, c in enumerate(units):
             img = (beta_dual.superoperator @ vec(c)).reshape((n, n), order="F")
-            if sys.kind == "generator":
-                defect = abs(kms_pairing(state, f, img))
-            else:
-                defect = abs(kms_pairing(state, f, img) - kms_pairing(state, f, c))
-            balance_res = max(balance_res, float(defect))
-            gap = max(gap, abs(kms_pairing(state, f, c) - mu_f * state.expectation(c)))
+            defects[a, b] = kms_pairing(state, f, img)
+            if sys.kind == "channel":
+                defects[a, b] -= kms_pairing(state, f, c)
+            gaps[a, b] = kms_pairing(state, f, c) - mu_f * state.expectation(c)
+    balance_res = float(np.linalg.svd(defects, compute_uv=False)[0])
+    gap = float(np.linalg.svd(gaps, compute_uv=False)[0])
     balanced = relative_residual(balance_res, frob_norm(beta_dual.superoperator)) <= tol
     found = balanced and gap > tol
     return DisjointnessReport(
@@ -518,6 +520,49 @@ def reversing_validate_loop(th, tol: float = DEFAULT_TOL) -> bool:
             if not close(th.apply(a.conj().T), th.apply(a).conj().T, tol):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# dense factorization references: kernel.nullspace, kernel.check_psd and
+# kernel._fix_phases as they were before the block-wise split and the
+# vectorized phase fix
+
+
+def fix_phases_loop(v: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude entry is real positive."""
+    v = v.copy()
+    for c in range(v.shape[1]):
+        col = v[:, c]
+        k = int(np.argmax(np.abs(col)))
+        pivot = col[k]
+        if abs(pivot) > 0:
+            v[:, c] = col * (abs(pivot) / pivot)
+    return v
+
+
+def nullspace_dense(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """The numerical kernel from one SVD of the whole matrix."""
+    _, sv, vh = np.linalg.svd(m)
+    rank = sum(relative_residual(float(x), float(sv[0])) > tol for x in sv)
+    basis = fix_phases_loop(vh[rank:].conj().T).T
+    return [basis[i] for i in range(basis.shape[0])]
+
+
+def check_psd_dense(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """The PSD verdict and minimal eigenvalue from one eigvalsh of the whole
+    (Hermitian within tol) matrix."""
+    if not close(m, m.conj().T, tol):
+        return False, -np.inf
+    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    low, scale = float(evals[0]), float(np.max(np.abs(evals)))
+    return relative_residual(max(-low, 0.0), scale) <= tol, low
+
+
+def kernel_projector(basis, n: int) -> np.ndarray:
+    """The orthogonal projector onto the span of a list of orthonormal
+    vectors of length n."""
+    b = np.reshape(np.array(basis, dtype=complex), (len(basis), n))
+    return b.T @ b.conj()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from balance_lab.channels import (
 from balance_lab.cli import dumps_canonical
 from balance_lab.couplings import diagonal_coupling, product_coupling
 from balance_lab.kernel import frob_distance
-from balance_lab.lindblad import cycle_generator, scenario_build
+from balance_lab.lindblad import cycle_generator, scenario_build, semigroup
 from balance_lab.states import System, new_faithful_state
 
 from conftest import make_spec, random_state_vector
@@ -262,6 +262,49 @@ class TestDisjointnessProbe:
         rep = disjointness_probe(System(state=s, dynamics=identity_channel(2)))
         assert rep.fixed_space_dim == 4
         assert rep.witness_found
+
+
+def random_unitary(d: int, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed)
+    q, r = np.linalg.qr(g.normal(size=(d, d)) + 1j * g.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestWitnessNormsAreBasisFree:
+    """nontriviality_gap and balance_residual are spectral norms of matrices
+    with one row per fixed-point basis element, linear in it: recomputed on
+    the basis mixed by a random unitary, they agree to 1e-13 relative to
+    the scale of each (the gap itself; ||beta'||_F, the scale the balance
+    verdict divides by, for the residual, which is rounding noise)."""
+
+    SYSTEMS = {
+        "two-cycle-generator": lambda: scenario_build(
+            make_spec(l=(0.3, 0.6), h=(0.1, 0.25, 0.47, 0.0, 0.33, 0.71, 0.9))
+        ).system_b,
+        "shift-commutant": lambda: scenario_systems().system_b,
+        "shift-commutant-channel": lambda: System(
+            state=scenario_systems().system_b.state,
+            dynamics=semigroup(scenario_systems().system_b.dynamics, 1.0),
+        ),
+        "identity-channel": lambda: System(
+            state=new_faithful_state(random_state_vector(3, seed=8)), dynamics=identity_channel(3)
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SYSTEMS))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mixed_basis(self, monkeypatch, case, seed):
+        sys = self.SYSTEMS[case]()
+        rep = disjointness_probe(sys)
+        basis = np.stack(rep.witness_basis)
+        u = random_unitary(len(basis), seed)
+        mixed = list(np.tensordot(u, basis, axes=1))
+        monkeypatch.setattr(balance, "fixed_point_space", lambda dyn, tol: mixed)
+        again = disjointness_probe(sys)
+        assert again.witness_found == rep.witness_found
+        assert abs(again.nontriviality_gap - rep.nontriviality_gap) <= 1e-13 * rep.nontriviality_gap
+        scale = np.linalg.norm(dual(sys.dynamics, sys.state, sys.state).superoperator)
+        assert abs(again.balance_residual - rep.balance_residual) <= 1e-13 * scale
 
 
 class TestAlgebraDefectChunks:

@@ -35,6 +35,28 @@ def test_every_traced_name_resolves(perfbench):
     assert balance_lab.lindblad.dual is dual
 
 
+def test_nullspace_spans_sit_under_fixed_point_space(perfbench):
+    """The per-layer series kernel.nullspace counts the kernels of the
+    fixed-point space: every nullspace span of the ergodicity and
+    convergence probes is a child of a channels.fixed_point_space span."""
+    tracing, workloads = perfbench
+    ops = [op for op in workloads.warmup_ops("probes", 1)
+           if op.kind.split(".")[0] in ("ergodic", "convergence")]
+    assert len(ops) == 2
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for op in ops:
+            assert op.check(op.run()) is None
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    nulls = [s for s in spans if s[tracing.NAME] == "kernel.nullspace"]
+    assert len(nulls) == 2
+    for s in nulls:
+        assert spans[s[tracing.PARENT]][tracing.NAME] == "channels.fixed_point_space"
+
+
 @pytest.mark.parametrize("workload", ["grid", "probes"])
 def test_warmup_ops_pass_their_checks(perfbench, workload):
     _, workloads = perfbench

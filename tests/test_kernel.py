@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from balance_lab.couplings import Coupling, extract_channel
 from balance_lab.kernel import (
+    _bipartite_blocks,
+    _fix_phases,
     _invariant_blocks,
+    check_psd,
     close,
     eigenvalues,
     frob_distance,
@@ -20,19 +24,27 @@ from balance_lab.kernel import (
     matrix_unit,
     nullspace,
     partial_trace,
+    rank,
     relative_residual,
     deterministic_eigh,
     vec,
     unvec,
 )
 from balance_lab.lindblad import cycle_generator, scenario_build, standard_grid
+from balance_lab.states import new_faithful_state
 
 from conftest import (
     assert_same_spectrum,
+    check_psd_dense,
+    fix_phases_loop,
+    kernel_projector,
     kron_entry_oracle,
+    make_spec,
+    nullspace_dense,
     partial_trace_oracle,
     random_matrix,
     random_psd,
+    rng,
     taylor_exp_oracle,
 )
 
@@ -131,16 +143,35 @@ class TestMatExp:
         assert frob_distance(mat_exp(m) @ mat_exp(-m), np.eye(5)) <= 1e-9
 
 
-def grid_generators():
-    """The superoperators of both generators of every standard_grid scenario."""
+GRID_TRIPLES = [scenario_build(spec) for spec in standard_grid()]
+# the superoperators of both generators of every standard_grid scenario
+GRID_GENERATORS = [
+    sys.dynamics.superoperator for t in GRID_TRIPLES for sys in (t.system_a, t.system_b)
+]
+
+
+def probe_like_triples():
+    """Triples with the cycle structures of the benchmark's probe slots: one
+    12-cycle, three 4-cycles, one 16-cycle and four 4-cycles, a generic
+    Hamiltonian on each."""
     out = []
-    for spec in standard_grid():
-        triple = scenario_build(spec)
-        out += [triple.system_a.dynamics.superoperator, triple.system_b.dynamics.superoperator]
+    for cycles, types in (
+        ((12,), ("entangled",)),
+        ((4, 4, 4), ("entangled", "mixed", "product")),
+        ((16,), ("entangled",)),
+        ((4, 4, 4, 4), ("entangled", "mixed", "product", "entangled")),
+    ):
+        n, c = sum(cycles), len(cycles)
+        g = tuple(np.linspace(-0.6, 0.9, n))
+        spec = make_spec(
+            types=types, partition=tuple((i,) for i in range(c)), k=(0.4,) * c, l=(0.4,) * c,
+            g=g, h=g, cycles=cycles, block_probs=(1.0 / c,) * c,
+        )
+        out.append(scenario_build(spec))
     return out
 
 
-GRID_GENERATORS = grid_generators()
+PROBE_TRIPLES = probe_like_triples()
 
 
 def split_block_diagonal(sizes, seed):
@@ -218,6 +249,216 @@ class TestNullspace:
         coeffs = np.array([b.conj() @ one for b in basis])
         residual = one - sum(c * b for c, b in zip(coeffs, basis))
         assert np.linalg.norm(residual) <= 1e-9
+
+
+def two_by_three_coupling() -> Coupling:
+    """A classical coupling of a qubit and a qutrit, kappa = diag of the
+    joint distribution [[0.2, 0.2, 0], [0, 0.1, 0.5]]: S_E is 9 x 4."""
+    joint = np.array([[0.2, 0.2, 0.0], [0.0, 0.1, 0.5]])
+    return Coupling(
+        kappa=np.diag(joint.ravel()).astype(complex),
+        state_a=new_faithful_state(joint.sum(axis=1)),
+        state_b=new_faithful_state(joint.sum(axis=0)),
+    )
+
+
+def kernel_operators():
+    """Matrices whose kernel a probe takes: every grid and probe-like
+    generator L, and S - 1 for its channel semigroup(L, 1)."""
+    gens = GRID_GENERATORS + [
+        sys.dynamics.superoperator for t in PROBE_TRIPLES for sys in (t.system_a, t.system_b)
+    ]
+    return gens + [mat_exp(s) - np.eye(len(s)) for s in gens]
+
+
+def psd_inputs():
+    """The couplings' kappa and the Choi matrices of their channels."""
+    couplings = [t.coupling for t in GRID_TRIPLES + PROBE_TRIPLES]
+    return [w.kappa for w in couplings] + [extract_channel(w).choi for w in couplings]
+
+
+def extracted_superoperators():
+    """S_E for every grid and probe-like coupling and the 2 x 3 one."""
+    couplings = [t.coupling for t in GRID_TRIPLES + PROBE_TRIPLES] + [two_by_three_coupling()]
+    return [extract_channel(w).superoperator for w in couplings]
+
+
+KERNEL_OPERATORS = kernel_operators()
+PSD_INPUTS = psd_inputs()
+EXTRACTED = extracted_superoperators()
+SCALES = (1e8, 1.0, 1e-3, 1e-9, 1e-12)
+
+
+def below_psd(m):
+    """m shifted down by 1e-3 max |eigenvalue| below its smallest eigenvalue."""
+    evals = np.linalg.eigvalsh(m)
+    return m - (evals[0] + 1e-3 * np.max(np.abs(evals))) * np.eye(len(m))
+
+
+def assert_same_kernel(m, tol=1e-9):
+    got, ref = nullspace(m, tol), nullspace_dense(m, tol)
+    assert len(got) == len(ref)
+    n = m.shape[1]
+    assert np.linalg.norm(kernel_projector(got, n) - kernel_projector(ref, n), 2) <= 1e-12
+
+
+def assert_same_psd(m, tol=1e-9):
+    (ok, low), (ref_ok, ref_low) = check_psd(m, tol), check_psd_dense(m, tol)
+    assert ok == ref_ok
+    scale = np.max(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+    assert abs(low - ref_low) <= 10 * len(m) ** 2 * np.finfo(float).eps * scale
+
+
+class TestBlockwiseFactorizations:
+    """nullspace and rank work one block of the bipartite exact-zero pattern
+    at a time, check_psd one block of the symmetrized one, each cut against
+    the whole matrix's scale; a single block is the dense call, bit for
+    bit.  The references are the dense factorizations they replaced."""
+
+    @pytest.mark.parametrize("shape", [(12, 12), (7, 11), (11, 7)])
+    def test_single_block_is_the_dense_call(self, shape):
+        m = random_matrix(*shape, seed=60)
+        m[:, 0] = m[:, 1]  # rank-deficient, and still one block
+        assert len(_bipartite_blocks(m)) == 1
+        got, ref = nullspace(m), nullspace_dense(m)
+        assert len(got) == len(ref) >= 1
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
+        assert rank(m) == np.linalg.matrix_rank(m, rtol=1e-9)
+
+    def test_single_block_psd_is_the_dense_call(self):
+        for h in (random_psd(12, seed=61), random_psd(12, seed=61) - 5.0 * np.eye(12)):
+            assert len(_invariant_blocks(h)) == 1
+            assert check_psd(h) == check_psd_dense(h)
+
+    def test_probe_inputs_split(self):
+        # otherwise the comparisons below would only see the dense path
+        for m in KERNEL_OPERATORS + EXTRACTED:
+            assert sum(rows.shape[0] for rows, _ in _bipartite_blocks(m)) > 1
+        for m in PSD_INPUTS:
+            assert sum(idx.shape[0] for idx in _invariant_blocks(m)) > 1
+
+    def test_kernels_match_dense(self):
+        for m in KERNEL_OPERATORS:
+            assert_same_kernel(m)
+
+    def test_psd_matches_dense(self):
+        for m in PSD_INPUTS:
+            assert_same_psd(m)
+            assert_same_psd(below_psd(m))
+            assert not check_psd(below_psd(m))[0]
+
+    def test_rank_matches_matrix_rank(self):
+        assert EXTRACTED[-1].shape == (9, 4)
+        for s_e in EXTRACTED:
+            assert rank(s_e) == np.linalg.matrix_rank(s_e, rtol=1e-9)
+        assert rank(EXTRACTED[-1]) == 2  # E(E_ij) = 0 off the diagonal
+        assert rank(np.zeros((2, 3))) == 0
+
+    def test_cut_is_global(self):
+        # a block of size 1e-12 is numerically zero next to one of size 1:
+        # judged by its own scale, it would count as full rank and negative
+        big, small = random_matrix(3, 4, seed=62), random_matrix(2, 2, seed=63)
+        m = scipy.linalg.block_diag(big, 1e-12 * small)
+        assert rank(m) == np.linalg.matrix_rank(m, rtol=1e-9) == 3
+        assert len(nullspace(m)) == 3
+        assert_same_kernel(m)
+        h = scipy.linalg.block_diag(random_psd(3, seed=64), -1e-12 * random_psd(2, seed=65))
+        assert check_psd(h)[0] and check_psd_dense(h)[0]
+        assert_same_psd(h)
+
+    def test_zero_rows_and_columns(self):
+        m = np.zeros((3, 4), dtype=complex)
+        m[0, 1], m[2, 3] = 2.0, 1.0
+        assert {(r.shape[1], c.shape[1]) for r, c in _bipartite_blocks(m)} == {
+            (0, 1), (1, 0), (1, 1)
+        }
+        assert rank(m) == 2
+        assert_same_kernel(m)
+        assert [np.flatnonzero(v).tolist() for v in nullspace(m)] == [[0], [2]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+            min_size=1, max_size=6,
+        ),
+        st.integers(0, 10_000),
+    )
+    def test_permuted_block_diagonal(self, blocks, seed):
+        g = rng(seed)
+        shapes = [(r, c, min(k, r, c)) for r, c, k in blocks]
+        rows, cols = sum(r for r, _, _ in shapes), sum(c for _, c, _ in shapes)
+        assume(rows and cols)
+        m = np.zeros((rows, cols), dtype=complex)
+        i = j = 0
+        for r, c, k in shapes:
+            a = g.normal(size=(r, k)) + 1j * g.normal(size=(r, k))
+            b = g.normal(size=(k, c)) + 1j * g.normal(size=(k, c))
+            m[i : i + r, j : j + c] = a @ b  # rank k
+            i, j = i + r, j + c
+        m = m[g.permutation(rows)][:, g.permutation(cols)]
+        expected = sum(k for _, _, k in shapes)
+        assert rank(m) == np.linalg.matrix_rank(m, rtol=1e-9) == expected
+        assert len(nullspace(m)) == cols - expected
+        assert_same_kernel(m)
+
+        # a Hermitian one, rank-deficient blocks and one of them negative
+        sizes = [r for r, _, _ in shapes if r]
+        assume(sizes)
+        h = np.zeros((sum(sizes),) * 2, dtype=complex)
+        i = 0
+        for r in sizes:
+            a = g.normal(size=(r, r - 1)) + 1j * g.normal(size=(r, r - 1))
+            h[i : i + r, i : i + r] = a @ a.conj().T
+            i += r
+        p = g.permutation(len(h))
+        assert_same_psd(h[p][:, p])
+        h[: sizes[0], : sizes[0]] -= 0.1 * np.eye(sizes[0])
+        assert_same_psd(h[p][:, p])
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_rescaling_changes_no_verdict(self, c):
+        for m in KERNEL_OPERATORS[::8]:
+            assert len(nullspace(c * m)) == len(nullspace(m))
+        for s_e in EXTRACTED:
+            assert rank(c * s_e) == rank(s_e)
+        for m in PSD_INPUTS[::8]:
+            assert check_psd(c * m)[0] and not check_psd(c * below_psd(m))[0]
+
+
+class TestFixPhases:
+    """The vectorized phase fix equals the column loop it replaced, bit for
+    bit, signs of zero included."""
+
+    def columns(self):
+        g = rng(70)
+        z = g.normal(size=(6, 5)) + 1j * g.normal(size=(6, 5))
+        a, b = 0.3, 0.4  # entries of equal magnitude: the first one is the pivot
+        tied = np.array([[a + 1j * b, b - 1j * a, -a + 1j * b], [-b - 1j * a, a - 1j * b, 1j * a + b],
+                         [b + 1j * a, -a - 1j * b, -b + 1j * a]])
+        signed_zero = np.array([[complex(-0.0, -0.0), 0j], [complex(-0.0, 0.0), 0.5j],
+                                [complex(0.0, -0.0), -0.0 - 0.5j]])
+        mixed = z.copy()
+        mixed[:, 1] = 0.0
+        mixed[:, 3] = complex(-0.0, -0.0)
+        return [z, tied, signed_zero, mixed, np.asfortranarray(mixed), z[:1], z[:, :1], z.T]
+
+    def test_matches_loop(self):
+        for v in self.columns():
+            before = v.tobytes()
+            got, ref = _fix_phases(v), fix_phases_loop(v)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            assert v.tobytes() == before  # the input is left as it was
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 10_000))
+    @example(1, 1, 0)
+    @example(1, 2, 0)
+    def test_random_matches_loop(self, n, m, seed):
+        g = rng(seed)
+        v = g.normal(size=(n, m)) + 1j * g.normal(size=(n, m))
+        v[:, g.integers(0, m)] = 0.0
+        assert _fix_phases(v).tobytes() == fix_phases_loop(v).tobytes()
 
 
 class TestPredicates:
