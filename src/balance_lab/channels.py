@@ -39,6 +39,7 @@ from .kernel import (
     DEFAULT_TOL,
     Report,
     _close_each,
+    _json_int,
     ad_superop,
     as_matrix,
     check_psd,
@@ -318,8 +319,8 @@ def channel_from_json(obj) -> QuantumChannel:
     if "superoperator" in obj:
         s = matrix_from_json(obj["superoperator"])
         try:
-            dim_in, dim_out = int(obj["dim_in"]), int(obj["dim_out"])
-        except (KeyError, TypeError) as exc:
+            dim_in, dim_out = _json_int(obj, "dim_in"), _json_int(obj, "dim_out")
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed channel object: {exc}") from exc
         return QuantumChannel(dim_in=dim_in, dim_out=dim_out, superoperator=s)
     if "kraus" in obj:

@@ -8,7 +8,10 @@ Conventions used throughout the package:
   largest value entry by entry, with the scale an a-priori size of the
   operands, homogeneous of degree one in the inputs of the residual (so
   verdicts survive a rescaling of time), never floored at 1 and never the
-  norm of terms that can cancel exactly.
+  norm of terms that can cancel exactly.  A cut over many values at once
+  (a rank, a numerical kernel, the zero eigenvalues of a generator, a
+  componentwise residual) uses the one array form of the same rule,
+  ``_relative_residuals``, with 0/0 = 0 and x/0 = inf as in the scalar.
 * Anything feeding a boolean verdict (eigenvalues, singular vectors) is made
   deterministic: eigenvalues sorted descending, eigenvector phases fixed so the
   largest-magnitude entry is real and positive.
@@ -18,7 +21,10 @@ Conventions used throughout the package:
   spectrum, the PSD check) use the symmetrized split: i and j share a block
   when m[i, j] != 0 or m[j, i] != 0.  SVD-type factorizations (a numerical
   kernel, a rank) use the bipartite split, which also fits a rectangular
-  matrix: row i and column j share a block when m[i, j] != 0.  Each
+  matrix: row i and column j share a block when m[i, j] != 0.  Both
+  splits label the components of their graph and hand the labels to one
+  grouping, ``_group`` (the symmetrized split passes its labels as the
+  rows and as the columns).  Each
   verdict is still cut against the whole matrix's scale (its largest
   singular value or |eigenvalue|), never a block's.  A matrix with a single
   block, such as any dense generator, is a stack of one slice, which scipy
@@ -113,6 +119,31 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return label
 
 
+def _group(row_label: np.ndarray, col_label: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The grouping behind both exact-zero splits: row i lies in the block
+    labelled row_label[i], column j in the one labelled col_label[j].  Per
+    block shape, ascending by rows and then by columns, a (count, rows) and
+    a (count, cols) array of indices: one block per row, in the order of
+    the labels, its indices ascending."""
+    k = 1 + int(max(row_label.max(initial=0), col_label.max(initial=0)))
+    c = col_label.size
+    # one key per block shape, ordered by the number of rows first; 0 for
+    # labels no row or column carries
+    key = np.bincount(row_label, minlength=k) * (c + 1) + np.bincount(col_label, minlength=k)
+    row_order = np.lexsort((row_label, key[row_label]))
+    col_order = np.lexsort((col_label, key[col_label]))
+    groups, row_start, col_start = [], 0, 0
+    for shape, count in zip(*np.unique(key[key > 0], return_counts=True)):
+        nr, nc = divmod(int(shape), c + 1)
+        groups.append((
+            row_order[row_start : row_start + nr * count].reshape(count, nr),
+            col_order[col_start : col_start + nc * count].reshape(count, nc),
+        ))
+        row_start += nr * count
+        col_start += nc * count
+    return groups
+
+
 def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     """The connected components of the exact nonzero pattern of a square
     matrix, symmetrized (i ~ j when m[i, j] != 0 or m[j, i] != 0), grouped by
@@ -124,14 +155,8 @@ def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _, comp, counts = np.unique(_components(n, *np.nonzero(m)), return_inverse=True,
-                                return_counts=True)
-    order = np.lexsort((comp, counts[comp]))
-    groups, start = [], 0
-    for size, count in zip(*np.unique(counts, return_counts=True)):
-        groups.append(order[start : start + size * count].reshape(count, size))
-        start += size * count
-    return groups
+    label = _components(n, *np.nonzero(m))
+    return [rows for rows, _ in _group(label, label)]
 
 
 def _bipartite_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -147,23 +172,8 @@ def _bipartite_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     singular vectors those of the blocks, padded with zeros."""
     r, c = m.shape
     rows, cols = np.nonzero(m)
-    labels, comp = np.unique(_components(r + c, rows, r + cols), return_inverse=True)
-    row_comp, col_comp = comp[:r], comp[r:]
-    # one key per block shape, ordered by the number of rows first
-    k = labels.size
-    key = np.bincount(row_comp, minlength=k) * (c + 1) + np.bincount(col_comp, minlength=k)
-    row_order = np.lexsort((row_comp, key[row_comp]))
-    col_order = np.lexsort((col_comp, key[col_comp]))
-    groups, row_start, col_start = [], 0, 0
-    for k, count in zip(*np.unique(key, return_counts=True)):
-        nr, nc = divmod(int(k), c + 1)
-        groups.append((
-            row_order[row_start : row_start + nr * count].reshape(count, nr),
-            col_order[col_start : col_start + nc * count].reshape(count, nc),
-        ))
-        row_start += nr * count
-        col_start += nc * count
-    return groups
+    label = _components(r + c, rows, r + cols)
+    return _group(label[:r], label[r:])
 
 
 def _stacks(m: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
@@ -228,11 +238,16 @@ class Report:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
+def _relative_residuals(residual, scale) -> np.ndarray:
+    """:func:`relative_residual` entry by entry over two broadcast arrays of
+    non-negative residuals and scales."""
+    with np.errstate(all="ignore"):
+        return np.where(residual == 0.0, 0.0, residual / scale)
+
+
 def _max_relative_residual(residual: np.ndarray, scale: np.ndarray) -> float:
-    """The largest :func:`relative_residual` over two broadcast arrays,
-    entry by entry, with 0/0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.max(np.where(residual == 0.0, 0.0, residual / scale)))
+    """The largest :func:`relative_residual` over two broadcast arrays."""
+    return float(np.max(_relative_residuals(residual, scale)))
 
 
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -250,9 +265,7 @@ def _close_each(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return close(m, m.conj().T, tol)
+    return m.shape[0] == m.shape[1] and close(m, m.conj().T, tol)
 
 
 def check_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -307,19 +320,11 @@ def _svd_blocks(m: np.ndarray):
     return out, top
 
 
-def _kept(sv: np.ndarray, top: float, tol: float) -> np.ndarray:
-    """Which singular values count toward the rank: those > tol * the
-    largest, as a :func:`relative_residual` (none of them for zero)."""
-    if top == 0.0:
-        return np.zeros(sv.shape, dtype=bool)
-    return sv / top > tol
-
-
 def rank(m, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank: the number of singular values > tol * the largest,
     as ``np.linalg.matrix_rank(m, rtol=tol)``, taken one block at a time."""
     blocks, top = _svd_blocks(as_matrix(m))
-    return sum(int(np.count_nonzero(_kept(sv, top, tol))) for _, sv, _ in blocks)
+    return sum(int(np.count_nonzero(_relative_residuals(sv, top) > tol)) for _, sv, _ in blocks)
 
 
 def nullspace(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -332,7 +337,7 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     for col_idx, sv, vh in blocks:
         # singular values are descending, so a block's kernel is the rows of
         # vh from its rank on (with the c - r extra rows of a wide block)
-        block_rank = np.count_nonzero(_kept(sv, top, tol), axis=1)
+        block_rank = np.count_nonzero(_relative_residuals(sv, top) > tol, axis=1)
         which, row = np.nonzero(np.arange(col_idx.shape[1]) >= block_rank[:, None])
         part = np.zeros((which.size, m.shape[1]), dtype=complex)
         part[np.arange(which.size)[:, None], col_idx[which]] = vh[which, row].conj()
@@ -347,14 +352,22 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def _json_int(obj, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer; a float, a string or a bool
+    is a ValueError."""
+    if type(obj[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
+    return obj[key]
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = _json_int(obj, "rows"), _json_int(obj, "cols"), obj["data"]
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix dims must be >= 1")
+        if flat.size != rows * cols:
+            raise ValueError(f"matrix data has {flat.size} entries, expected {rows * cols}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dims must be >= 1")
-    if flat.size != rows * cols:
-        raise ValueError(f"matrix data has {flat.size} entries, expected {rows * cols}")
     return flat.reshape(rows, cols)

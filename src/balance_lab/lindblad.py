@@ -41,7 +41,10 @@ from .kernel import (
     relative_residual,
     vec,
 )
-from .states import FaithfulState, System, new_faithful_state
+from .states import _NORMALIZATION_TOL, FaithfulState, System, new_faithful_state
+
+# how far apart two scenario parameters may be and still count as equal
+_PREDICT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +208,7 @@ class ScenarioSpec:
                 raise ValueError(f"cycle too short: length {r} < 3")
         nc = len(cl)
         bp = tuple(float(x) for x in self.block_probs)
-        if len(bp) != nc or min(bp) <= 0 or abs(sum(bp) - 1.0) > 1e-12:
+        if len(bp) != nc or min(bp) <= 0 or abs(sum(bp) - 1.0) > _NORMALIZATION_TOL:
             raise ValueError("block_probs must be positive per-cycle weights summing to 1")
         part = tuple(tuple(int(c) for c in blk) for blk in self.partition)
         flat = [c for blk in part for c in blk]
@@ -323,18 +326,18 @@ def scenario_build(spec: ScenarioSpec) -> ScenarioTriple:
     )
 
 
-def scenario_predict(spec: ScenarioSpec, eq_tol: float = 1e-12) -> bool:
+def scenario_predict(spec: ScenarioSpec) -> bool:
     """Arithmetic balance verdict: equal shift weights on every entangled or
     mixed block, and g - h constant on every entangled block."""
     for blk, btype in zip(spec.partition, spec.block_types):
         if btype in ("entangled", "mixed"):
             for c in blk:
-                if abs(spec.k[c] - spec.l[c]) > eq_tol:
+                if abs(spec.k[c] - spec.l[c]) > _PREDICT_TOL:
                     return False
     for indices, btype in zip(spec.block_indices(), spec.block_types):
         if btype == "entangled" and indices:
             diffs = [spec.g[q] - spec.h[q] for q in indices]
-            if max(diffs) - min(diffs) > eq_tol:
+            if max(diffs) - min(diffs) > _PREDICT_TOL:
                 return False
     return True
 

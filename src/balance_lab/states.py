@@ -14,7 +14,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, as_matrix, deterministic_eigh, frob_norm, relative_residual, vec
+from .kernel import (
+    DEFAULT_TOL,
+    _json_int,
+    as_matrix,
+    deterministic_eigh,
+    frob_norm,
+    is_hermitian,
+    relative_residual,
+    vec,
+)
+
+# how far from 1 the sum of a probability vector may be
+_NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +76,14 @@ def new_faithful_state(p) -> FaithfulState:
         raise ValueError("spectrum must be a non-empty vector")
     if np.min(p) <= 0.0:
         raise ValueError("state not faithful: spectrum has a non-positive entry")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if abs(p.sum() - 1.0) > _NORMALIZATION_TOL:
         raise ValueError(f"not normalized: spectrum sums to {p.sum()!r}")
     return FaithfulState(spectrum=p.copy())
 
 
 def state_from_json(obj) -> FaithfulState:
     try:
-        dim, p = int(obj["dim"]), np.asarray(obj["spectrum"], dtype=float)
+        dim, p = _json_int(obj, "dim"), np.asarray(obj["spectrum"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
     if p.shape != (dim,):
@@ -91,11 +103,10 @@ def canonicalize_density_matrix(rho, tol: float = DEFAULT_TOL):
     n = rho.shape[0]
     if rho.shape != (n, n):
         raise ValueError("density matrix must be square")
-    scale = frob_norm(rho)
-    if relative_residual(frob_norm(rho - rho.conj().T), scale) > tol:
+    if not is_hermitian(rho, tol):
         raise ValueError("density matrix is not Hermitian")
     off = rho - np.diag(np.diag(rho))
-    if relative_residual(frob_norm(off), scale) <= tol:
+    if relative_residual(frob_norm(off), frob_norm(rho)) <= tol:
         return new_faithful_state(np.real(np.diag(rho))), None
     evals, evecs = deterministic_eigh((rho + rho.conj().T) / 2.0)
     if np.min(evals) <= tol:

@@ -30,6 +30,7 @@ from balance_lab.channels import (
 from balance_lab.couplings import Coupling, OrthogonalityReport, compose, extract_channel
 from balance_lab.kernel import (
     DEFAULT_TOL,
+    _components,
     close,
     eigenvalues,
     frob_distance,
@@ -525,7 +526,8 @@ def reversing_validate_loop(th, tol: float = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 # dense factorization references: kernel.nullspace, kernel.check_psd and
 # kernel._fix_phases as they were before the block-wise split and the
-# vectorized phase fix
+# vectorized phase fix; and the two exact-zero splits as they were before
+# they shared one grouping
 
 
 def fix_phases_loop(v: np.ndarray) -> np.ndarray:
@@ -556,6 +558,44 @@ def check_psd_dense(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     low, scale = float(evals[0]), float(np.max(np.abs(evals)))
     return relative_residual(max(-low, 0.0), scale) <= tol, low
+
+
+def invariant_blocks_reference(m: np.ndarray) -> list[np.ndarray]:
+    """kernel._invariant_blocks with its own grouping: np.unique with counts,
+    a lexsort by (size, component), one slice per size."""
+    n = m.shape[0]
+    _, comp, counts = np.unique(_components(n, *np.nonzero(m)), return_inverse=True,
+                                return_counts=True)
+    order = np.lexsort((comp, counts[comp]))
+    groups, start = [], 0
+    for size, count in zip(*np.unique(counts, return_counts=True)):
+        groups.append(order[start : start + size * count].reshape(count, size))
+        start += size * count
+    return groups
+
+
+def bipartite_blocks_reference(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """kernel._bipartite_blocks with its own grouping: a bincount key per
+    block shape, a lexsort of the rows and of the columns by (key,
+    component), one pair of slices per key."""
+    r, c = m.shape
+    rows, cols = np.nonzero(m)
+    labels, comp = np.unique(_components(r + c, rows, r + cols), return_inverse=True)
+    row_comp, col_comp = comp[:r], comp[r:]
+    k = labels.size
+    key = np.bincount(row_comp, minlength=k) * (c + 1) + np.bincount(col_comp, minlength=k)
+    row_order = np.lexsort((row_comp, key[row_comp]))
+    col_order = np.lexsort((col_comp, key[col_comp]))
+    groups, row_start, col_start = [], 0, 0
+    for k, count in zip(*np.unique(key, return_counts=True)):
+        nr, nc = divmod(int(k), c + 1)
+        groups.append((
+            row_order[row_start : row_start + nr * count].reshape(count, nr),
+            col_order[col_start : col_start + nc * count].reshape(count, nc),
+        ))
+        row_start += nr * count
+        col_start += nc * count
+    return groups
 
 
 def kernel_projector(basis, n: int) -> np.ndarray:

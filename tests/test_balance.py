@@ -28,7 +28,7 @@ from balance_lab.channels import (
 from balance_lab.cli import dumps_canonical
 from balance_lab.couplings import diagonal_coupling, product_coupling
 from balance_lab.kernel import frob_distance
-from balance_lab.lindblad import cycle_generator, scenario_build, semigroup
+from balance_lab.lindblad import LindbladGenerator, cycle_generator, scenario_build, semigroup
 from balance_lab.states import System, new_faithful_state
 
 from conftest import make_spec, random_state_vector
@@ -382,6 +382,17 @@ class TestConvergenceProbe:
         )
         assert not rep.certified
         assert rep.passed is None
+        assert "inapplicable" in rep.message
+
+    def test_zero_generator_is_uncertified(self):
+        # scale 0: every eigenvalue is zero (0/0 = 0), so the kernel is not
+        # the scalars and there is no gap
+        s = new_faithful_state([0.5, 0.3, 0.2])
+        sys_0 = System(state=s, dynamics=LindbladGenerator(dim=3, superoperator=np.zeros((9, 9))))
+        rep = convergence_probe(sys_0, sys_0, diagonal_coupling(s), (1.0,))
+        assert rep.certified is False and rep.gap is None
+        assert rep.deviations == [(1.0, 0.8)]
+        assert rep.threshold_time is None and rep.passed is None
         assert "inapplicable" in rep.message
 
     def test_requires_balance(self):

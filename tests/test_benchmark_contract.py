@@ -35,26 +35,45 @@ def test_every_traced_name_resolves(perfbench):
     assert balance_lab.lindblad.dual is dual
 
 
-def test_nullspace_spans_sit_under_fixed_point_space(perfbench):
-    """The per-layer series kernel.nullspace counts the kernels of the
-    fixed-point space: every nullspace span of the ergodicity and
-    convergence probes is a child of a channels.fixed_point_space span."""
-    tracing, workloads = perfbench
-    ops = [op for op in workloads.warmup_ops("probes", 1)
-           if op.kind.split(".")[0] in ("ergodic", "convergence")]
+def assert_nullspaces_under_fixed_point_space(tracing, ops, certified):
+    ops = [op for op in ops if op.kind.split(".")[0] in ("ergodic", "convergence")]
     assert len(ops) == 2
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        for op in ops:
-            assert op.check(op.run()) is None
+        results = [op.run() for op in ops]
+        assert [op.check(r) for op, r in zip(ops, results)] == [None, None]
     finally:
         tracer.uninstall()
+    assert results[1].certified is certified
     spans = tracer.spans
     nulls = [s for s in spans if s[tracing.NAME] == "kernel.nullspace"]
     assert len(nulls) == 2
     for s in nulls:
         assert spans[s[tracing.PARENT]][tracing.NAME] == "channels.fixed_point_space"
+    probes = [i for i, s in enumerate(spans) if s[tracing.NAME] == "balance.convergence_probe"]
+    fixed = [s for s in spans if s[tracing.NAME] == "channels.fixed_point_space"
+             and s[tracing.PARENT] in probes]
+    assert len(probes) == len(fixed) == 1
+
+
+def test_nullspace_spans_sit_under_fixed_point_space(perfbench):
+    """The per-layer series kernel.nullspace counts the kernels of the
+    fixed-point space: every nullspace span of the ergodicity and
+    convergence probes is a child of a channels.fixed_point_space span,
+    one of them under the (uncertified) convergence probe."""
+    tracing, workloads = perfbench
+    assert_nullspaces_under_fixed_point_space(tracing, workloads.warmup_ops("probes", 1), False)
+
+
+def test_certified_probe_keeps_its_fixed_point_space(perfbench):
+    """As above on a single cycle with a generic Hamiltonian, which is
+    ergodic: a certified convergence probe computes the fixed-point space
+    too."""
+    tracing, workloads = perfbench
+    slot = (7, (7,), ("entangled",), ("mixed",))
+    ops = workloads.probes_round(1, slots=(slot,)).ops
+    assert_nullspaces_under_fixed_point_space(tracing, ops, True)
 
 
 @pytest.mark.parametrize("workload", ["grid", "probes"])

@@ -90,6 +90,16 @@ class TestValidate:
             },
             {"kraus": 5},
             {"jumps": 5},
+            {"rho": {"rows": 2, "cols": 2, "data": [[1, 0]]}},
+            {"rho": {"rows": 0, "cols": 0, "data": []}},
+            {"dim": 2.7, "spectrum": [0.5, 0.5]},
+            {"rho": {"rows": "2", "cols": 2, "data": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}},
+            {"rho": {"rows": 2, "cols": 2.9, "data": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}},
+            {
+                "dim_in": True,
+                "dim_out": 1,
+                "superoperator": {"rows": 1, "cols": 1, "data": [[1, 0]]},
+            },
         ],
         ids=[
             "rho-data-scalar",
@@ -98,6 +108,12 @@ class TestValidate:
             "entry-numeric-string",
             "kraus-scalar",
             "jumps-scalar",
+            "rho-data-short",
+            "rho-dims-zero",
+            "dim-float",
+            "rows-string",
+            "cols-float",
+            "dim-in-bool",
         ],
     )
     def test_malformed_object_is_input_error(self, workdir, capsys, obj):

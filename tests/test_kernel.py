@@ -12,6 +12,7 @@ from balance_lab.kernel import (
     _bipartite_blocks,
     _fix_phases,
     _invariant_blocks,
+    _relative_residuals,
     check_psd,
     close,
     eigenvalues,
@@ -35,8 +36,10 @@ from balance_lab.states import new_faithful_state
 
 from conftest import (
     assert_same_spectrum,
+    bipartite_blocks_reference,
     check_psd_dense,
     fix_phases_loop,
+    invariant_blocks_reference,
     kernel_projector,
     kron_entry_oracle,
     make_spec,
@@ -230,6 +233,73 @@ class TestInvariantBlocks:
             assert_same_spectrum(eigenvalues(s), np.linalg.eigvals(s), 1e-12)
 
 
+def assert_same_groups(got, ref):
+    """Equal index arrays, shapes and dtypes, in the same group order."""
+    assert len(got) == len(ref)
+    for x, y in zip(got, ref):
+        for a, b in zip(*((x, y) if isinstance(x, tuple) else ((x,), (y,)))):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def assert_both_splits_match(m):
+    assert_same_groups(_bipartite_blocks(m), bipartite_blocks_reference(m))
+    n = min(m.shape)
+    square = m[:n, :n]
+    assert_same_groups(_invariant_blocks(square), invariant_blocks_reference(square))
+
+
+class TestOneGrouping:
+    """Both exact-zero splits read one grouping of component labels, and
+    give the index arrays, in the group order, of the two groupings it
+    replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 1.0]),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    @example(1, 1, 0.0, False, 0)
+    @example(1, 1, 1.0, False, 0)
+    @example(6, 4, 0.0, False, 0)
+    @example(4, 7, 1.0, True, 1)
+    def test_random_patterns(self, rows, cols, density, blank, seed):
+        g = rng(seed)
+        m = np.where(g.random((rows, cols)) < density, g.normal(size=(rows, cols)), 0.0)
+        if blank:
+            m[g.integers(rows)] = 0.0
+            m[:, g.integers(cols)] = 0.0
+        assert_both_splits_match(m)
+        assert_both_splits_match(m.T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=7),
+        st.integers(0, 10_000),
+    )
+    def test_permuted_block_diagonal(self, shapes, seed):
+        g = rng(seed)
+        rows, cols = sum(r for r, _ in shapes), sum(c for _, c in shapes)
+        assume(rows and cols)
+        m = np.zeros((rows, cols))
+        i = j = 0
+        for r, c in shapes:
+            m[i : i + r, j : j + c] = g.normal(size=(r, c))
+            i, j = i + r, j + c
+        assert_both_splits_match(m[g.permutation(rows)][:, g.permutation(cols)])
+        sizes = [r for r, _ in shapes if r]
+        h = scipy.linalg.block_diag(*(g.normal(size=(r, r)) for r in sizes))
+        p = g.permutation(len(h))
+        assert_both_splits_match(h[p][:, p])
+
+    def test_grid_generators(self):
+        for s in GRID_GENERATORS:
+            assert_both_splits_match(s)
+
+
 class TestNullspace:
     def test_identity_empty(self):
         assert nullspace(np.eye(4)) == []
@@ -352,7 +422,7 @@ class TestBlockwiseFactorizations:
         for s_e in EXTRACTED:
             assert rank(s_e) == np.linalg.matrix_rank(s_e, rtol=1e-9)
         assert rank(EXTRACTED[-1]) == 2  # E(E_ij) = 0 off the diagonal
-        assert rank(np.zeros((2, 3))) == 0
+        assert rank(np.zeros((2, 3))) == rank(np.zeros((3, 2))) == 0
 
     def test_cut_is_global(self):
         # a block of size 1e-12 is numerically zero next to one of size 1:
@@ -472,6 +542,17 @@ class TestPredicates:
         assert relative_residual(0.0, 0.0) == 0.0
         assert relative_residual(1e-300, 0.0) == np.inf
         assert relative_residual(3.0, 2.0) == 1.5
+
+    def test_array_form_is_the_scalar_rule(self):
+        # 0/0 = 0, x/0 = inf, and finite ratios from 1e-300 to 1e300 (and
+        # over- and underflowing ones), bit for bit, entry by entry
+        values = [0.0, 1e-300, 1e-200, 1e-9, 0.3, 1.0, 7.0, 1e9, 1e200, 1e300]
+        res, scale = np.meshgrid(values, values, indexing="ij")
+        got = _relative_residuals(res, scale)
+        ref = np.array([[relative_residual(r, c) for c in values] for r in values])
+        assert got.tobytes() == ref.tobytes()
+        assert got[0, 0] == 0.0 and np.all(got[1:, 0] == np.inf)
+        assert _relative_residuals(np.array(values), 0.0).tolist() == [0.0] + [np.inf] * 9
 
     @pytest.mark.parametrize("c", [1e8, 1e-3, 1e-12])
     def test_predicates_scale_free(self, c):
