@@ -18,6 +18,7 @@ probe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,7 @@ from .kernel import (
     Report,
     _max_relative_residual,
     _relative_residuals,
+    _support,
     eigenvalues,
     frob_norm,
     rank,
@@ -89,19 +91,46 @@ def is_balanced(
     it does not grow with the KMS weights that the dual beta' divides by.
     For generator dynamics both checks run on the generators, which is
     equivalent to all times at once.
+
+    P and S_E are zero outside the rows and columns that the coupling
+    touches (``kernel._support``), so every product is taken over those
+    alone, and each residual is read on the two regions where it can be
+    nonzero: the support rows (both terms on the support columns, the first
+    alone on the others) and the other rows on the support columns (the
+    second alone).  The Frobenius norm is the hypot of the regions' norms,
+    the componentwise maximum the larger of their maxima, and 0/0 = 0
+    elsewhere.  A coupling with full support selects everything through
+    slices, so it runs the dense products and gives their bits.
     """
     _check_triple(sys_a, sys_b, w)
     s_alpha = sys_a.dynamics.superoperator
     s_beta = sys_b.dynamics.superoperator
-    p = w.pairing()
-    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)
     scale = frob_norm(s_alpha) + frob_norm(s_beta)
-    residual = relative_residual(frob_norm(s_e @ s_alpha - s_beta @ s_e), scale)
+    p = w.pairing()
+    rows, cols = _support(p)
+    other_rows = np.ones(p.shape[0], dtype=bool)
+    other_rows[rows] = False
 
-    beta_dual_t = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T
-    defect = np.abs(p @ s_alpha - beta_dual_t @ p)
-    size = np.abs(p) @ np.abs(s_alpha) + np.abs(beta_dual_t) @ np.abs(p)
-    def_residual = _max_relative_residual(defect, size)
+    def regions(xa: np.ndarray, bx: np.ndarray, op) -> tuple[np.ndarray, np.ndarray]:
+        """X A op B X (op np.subtract or np.add) for an X that is zero outside
+        rows x cols, from xa = (X A)[rows] and bx = (B X)[:, cols]: the only
+        parts that can be nonzero, the rows ``rows`` (written over xa) and,
+        up to sign, the other rows on cols, where the second term is alone."""
+        both = xa[:, cols]
+        # a no-op when cols is a slice, since op wrote into xa itself
+        xa[:, cols] = op(both, bx[rows], out=both)
+        return xa, bx[other_rows]
+
+    p = p[:, cols]
+    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)[rows]
+    p, a = p[rows], s_alpha[cols]
+    norm = math.hypot(*map(frob_norm, regions(s_e @ a, s_beta[:, rows] @ s_e, np.subtract)))
+    residual = relative_residual(norm, scale)
+
+    b = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T[:, rows]
+    defect = [np.abs(d) for d in regions(p @ a, b @ p, np.subtract)]
+    size = regions(np.abs(p) @ np.abs(a), np.abs(b) @ np.abs(p), np.add)
+    def_residual = float(np.max(list(map(_max_relative_residual, defect, size))))
 
     balanced = residual <= tol
     agree = balanced == (def_residual <= tol)
@@ -418,12 +447,15 @@ def convergence_probe(
     times = sorted(float(t) for t in t_grid)
     if certified and (not times or times[-1] < threshold):
         times = sorted(set(times) | {threshold})
+    # a zero column of S_E is the image of a matrix unit, which every state
+    # sees at deviation 0, so only the nonzero columns are evolved
+    s_e = s_e[:, _support(s_e)[1]]
     states = _spanning_density_matrices(w.state_b.dim)
     targets = vec(sys_b.state.rho) @ s_e
     deviations = []
     for t in times:
         evolved = states @ (semigroup(sys_b.dynamics, t).superoperator @ s_e)
-        deviations.append((t, float(np.max(np.abs(evolved - targets)))))
+        deviations.append((t, float(np.max(np.abs(evolved - targets), initial=0.0))))
 
     passed, message = None, "spectral condition fails; convergence transfer inapplicable"
     if certified:

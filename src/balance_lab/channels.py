@@ -319,7 +319,8 @@ def channel_from_json(obj) -> QuantumChannel:
     if "superoperator" in obj:
         s = matrix_from_json(obj["superoperator"])
         try:
-            dim_in, dim_out = _json_int(obj, "dim_in"), _json_int(obj, "dim_out")
+            dim_in = _json_int(obj["dim_in"], "dim_in")
+            dim_out = _json_int(obj["dim_out"], "dim_out")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed channel object: {exc}") from exc
         return QuantumChannel(dim_in=dim_in, dim_out=dim_out, superoperator=s)

@@ -30,6 +30,11 @@ Conventions used throughout the package:
   block, such as any dense generator, is a stack of one slice, which scipy
   and numpy treat exactly as the matrix itself, so its result is
   bit-identical to the dense call.
+* A product with a matrix that is zero outside a few rows and columns is
+  taken over those only (``_support``): x @ a is nonzero only on the
+  support rows of x, and b @ x only on its support columns.  A matrix whose
+  support is everything selects it through ``slice(None)``, so it runs the
+  dense product and gives its bits.
 
 The JSON wire format for a matrix is
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with ``data`` a flat,
@@ -155,7 +160,7 @@ def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    label = _components(n, *np.nonzero(m))
+    label = _components(n, *np.nonzero(m != 0))
     return [rows for rows, _ in _group(label, label)]
 
 
@@ -171,9 +176,20 @@ def _bipartite_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     so its singular values are those of the blocks together, and its right
     singular vectors those of the blocks, padded with zeros."""
     r, c = m.shape
-    rows, cols = np.nonzero(m)
+    rows, cols = np.nonzero(m != 0)
     label = _components(r + c, rows, r + cols)
     return _group(label[:r], label[r:])
+
+
+def _support(m: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray | slice]:
+    """The rows and the columns of m that hold a nonzero, each as an
+    ascending index array, or as slice(None) when it is all of them."""
+    mask = m != 0
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    return (
+        slice(None) if rows.size == m.shape[0] else rows,
+        slice(None) if cols.size == m.shape[1] else cols,
+    )
 
 
 def _stacks(m: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
@@ -246,8 +262,9 @@ def _relative_residuals(residual, scale) -> np.ndarray:
 
 
 def _max_relative_residual(residual: np.ndarray, scale: np.ndarray) -> float:
-    """The largest :func:`relative_residual` over two broadcast arrays."""
-    return float(np.max(_relative_residuals(residual, scale)))
+    """The largest :func:`relative_residual` over two broadcast arrays, 0 for
+    empty ones."""
+    return float(np.max(_relative_residuals(residual, scale), initial=0.0))
 
 
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -352,17 +369,18 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
-def _json_int(obj, key: str) -> int:
-    """``obj[key]``, which must be a JSON integer; a float, a string or a bool
-    is a ValueError."""
-    if type(obj[key]) is not int:
-        raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
-    return obj[key]
+def _json_int(value, name: str) -> int:
+    """``value``, the wire value called ``name``, which must be a JSON integer;
+    a float, a string or a bool is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = _json_int(obj, "rows"), _json_int(obj, "cols"), obj["data"]
+        rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
+        data = obj["data"]
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
         if rows < 1 or cols < 1:
             raise ValueError("matrix dims must be >= 1")

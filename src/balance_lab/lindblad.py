@@ -34,6 +34,7 @@ from .channels import QuantumChannel, ReversingOperation, dual, kms_dual, theta_
 from .couplings import Coupling
 from .kernel import (
     DEFAULT_TOL,
+    _json_int,
     as_matrix,
     frob_norm,
     is_hermitian,
@@ -260,12 +261,21 @@ class ScenarioSpec:
         }
 
 
+def _json_ints(values, name: str) -> tuple:
+    """A JSON list of integers as a tuple, each entry checked by
+    ``kernel._json_int`` (a TypeError otherwise)."""
+    return tuple(_json_int(v, f"{name}[{i}]") for i, v in enumerate(values))
+
+
 def scenario_from_json(obj) -> ScenarioSpec:
     try:
+        # ScenarioSpec coerces with int(), which would truncate a wire value
         return ScenarioSpec(
-            cycle_lengths=tuple(obj["cycles"]),
+            cycle_lengths=_json_ints(obj["cycles"], "cycles"),
             block_probs=tuple(obj["block_probs"]),
-            partition=tuple(tuple(b) for b in obj["partition"]),
+            partition=tuple(
+                _json_ints(blk, f"partition[{i}]") for i, blk in enumerate(obj["partition"])
+            ),
             block_types=tuple(obj["types"]),
             k=tuple(obj["k"]),
             l=tuple(obj["l"]),

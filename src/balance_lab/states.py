@@ -83,7 +83,7 @@ def new_faithful_state(p) -> FaithfulState:
 
 def state_from_json(obj) -> FaithfulState:
     try:
-        dim, p = _json_int(obj, "dim"), np.asarray(obj["spectrum"], dtype=float)
+        dim, p = _json_int(obj["dim"], "dim"), np.asarray(obj["spectrum"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
     if p.shape != (dim,):

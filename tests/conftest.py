@@ -15,8 +15,10 @@ import pytest
 import scipy.optimize
 
 from balance_lab.balance import (
+    BalanceReport,
     ConvergenceReport,
     DisjointnessReport,
+    _check_triple,
     is_balanced,
 )
 from balance_lab.channels import (
@@ -27,10 +29,17 @@ from balance_lab.channels import (
     transpose_superop,
     validate_ucp,
 )
-from balance_lab.couplings import Coupling, OrthogonalityReport, compose, extract_channel
+from balance_lab.couplings import (
+    Coupling,
+    OrthogonalityReport,
+    _weigh_rows,
+    compose,
+    extract_channel,
+)
 from balance_lab.kernel import (
     DEFAULT_TOL,
     _components,
+    _max_relative_residual,
     close,
     eigenvalues,
     frob_distance,
@@ -40,8 +49,15 @@ from balance_lab.kernel import (
     unvec,
     vec,
 )
-from balance_lab.lindblad import ScenarioSpec, cycle_shift, scenario_state, semigroup
-from balance_lab.states import FaithfulState, kms_pairing, preserves_state
+from balance_lab.lindblad import (
+    LindbladGenerator,
+    ScenarioSpec,
+    cycle_shift,
+    scenario_build,
+    scenario_state,
+    semigroup,
+)
+from balance_lab.states import FaithfulState, System, kms_pairing, preserves_state
 
 
 # a generic Hamiltonian diagonal (and set of phases) on seven levels
@@ -381,6 +397,34 @@ def balance_sub_residuals_kron(spec: ScenarioSpec) -> tuple[float, float]:
     return float(frob_norm(jump)), float(frob_norm(comm))
 
 
+def is_balanced_dense(sys_a, sys_b, w: Coupling, tol: float = DEFAULT_TOL) -> BalanceReport:
+    """is_balanced with every product taken over the whole of P and S_E,
+    zero rows and columns included, and each residual read on the whole
+    matrix: the six dense n^2 x n^2 products."""
+    _check_triple(sys_a, sys_b, w)
+    s_alpha = sys_a.dynamics.superoperator
+    s_beta = sys_b.dynamics.superoperator
+    p = w.pairing()
+    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)
+    scale = frob_norm(s_alpha) + frob_norm(s_beta)
+    residual = relative_residual(frob_norm(s_e @ s_alpha - s_beta @ s_e), scale)
+
+    beta_dual_t = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T
+    defect = np.abs(p @ s_alpha - beta_dual_t @ p)
+    size = np.abs(p) @ np.abs(s_alpha) + np.abs(beta_dual_t) @ np.abs(p)
+    def_residual = _max_relative_residual(defect, size)
+
+    balanced = residual <= tol
+    agree = balanced == (def_residual <= tol)
+    return BalanceReport(
+        balanced=bool(balanced),
+        residual=float(residual),
+        definition_residual=def_residual,
+        method_agreement=bool(agree),
+        tol=tol,
+    )
+
+
 def spanning_density_matrices_loop(m: int) -> list[np.ndarray]:
     """Rank-one density matrices spanning the full matrix algebra, one by one."""
     vecs = []
@@ -672,6 +716,19 @@ def make_spec(
         g=g,
         h=h,
     )
+
+
+def rescaled_triple(spec: ScenarioSpec, c: float):
+    """Both generators of the scenario multiplied by c."""
+    triple = scenario_build(spec)
+    systems = [
+        System(
+            state=sys.state,
+            dynamics=LindbladGenerator(dim=sys.dim, superoperator=c * sys.dynamics.superoperator),
+        )
+        for sys in (triple.system_a, triple.system_b)
+    ]
+    return systems[0], systems[1], triple.coupling
 
 
 @pytest.fixture(scope="session")

@@ -542,6 +542,19 @@ class TestScenarioCommands:
             assert code == 1
             assert err.startswith("input error:") and "malformed scenario" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("cycles", [3.9, 4]), ("cycles", [3, "4"]), ("partition", [[0], [1.7]]),
+         ("partition", [[0], [True]])],
+    )
+    def test_non_integer_wire_values(self, workdir, capsys, key, value):
+        # int() would truncate 3.9 to 3 and 1.7 to 1, and accept "4" and True
+        spec = write(workdir / "spec.json", {**make_spec().to_json(), key: value})
+        code, err = run_err(capsys, "scenario", "run", spec)
+        assert code == 1
+        assert err.startswith("input error:")
+        assert f"malformed scenario object: {key}[" in err and "must be an integer" in err
+
     def test_grid_builtin(self, workdir, capsys):
         code, out = run(capsys, "scenario", "grid", "--builtin")
         assert code == 0

@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balance_lab.balance import (
     _spanning_density_matrices,
@@ -24,6 +26,7 @@ from balance_lab.channels import (
     ReversingOperation,
     _kms_flip,
     channel_from_kraus,
+    constant_channel,
     dual,
     identity_channel,
     kms_dual,
@@ -37,9 +40,12 @@ from balance_lab.couplings import (
     is_orthogonal,
     kms_flip,
     product_coupling,
+    validate_coupling,
 )
-from balance_lab.kernel import eigenvalues, matrix_unit, vec
+from balance_lab.kernel import _support, eigenvalues, matrix_unit, vec
 from balance_lab.lindblad import (
+    LindbladGenerator,
+    build_generator,
     scenario_build,
     scenario_coupling,
     scenario_predict,
@@ -54,11 +60,14 @@ from conftest import (
     convergence_probe_loop,
     definition_contractions,
     disjointness_probe_loop,
+    is_balanced_dense,
     is_orthogonal_loop,
     make_spec,
     random_matrix,
     random_state_vector,
+    rescaled_triple,
     reversing_validate_loop,
+    rng,
     spanning_density_matrices_loop,
     spectral_certificate_loop,
 )
@@ -234,6 +243,11 @@ CONVERGENCE = {
     "uncertified": (single_cycle_triple(g=(0.0, 0.0, 0.0)), (1.0, 5.0)),
     "uncertified-multi-cycle": (scenario_build(MULTI7), (0.1, 1.0, 5.0)),
     "vacuous": (single_cycle_triple(entangled=False), (1.0, 100.0)),
+    # a mixed coupling: S_E is zero off the diagonal matrix units
+    "certified-mixed-n7": (
+        scenario_build(dataclasses.replace(SINGLE7, block_types=("mixed",))),
+        (0.5, 1000.0),
+    ),
 }
 
 
@@ -286,6 +300,18 @@ class TestConvergenceProbe:
         assert not probe("uncertified").certified
         assert not probe("uncertified-multi-cycle").certified
         assert probe("vacuous").certified and probe("vacuous").vacuous
+        mixed = probe("certified-mixed-n7")
+        assert mixed.passed is True and not mixed.vacuous
+
+    def test_cases_cover_zero_columns(self):
+        # the probe evolves only the nonzero columns of S_E
+        partial = {
+            case
+            for case, (triple, _) in CONVERGENCE.items()
+            if not isinstance(_support(extract_channel(triple.coupling).superoperator)[1], slice)
+        }
+        assert {"vacuous", "certified-mixed-n7"} <= partial
+        assert "certified" not in partial
 
 
 def swapped(th: ReversingOperation, unitary) -> ReversingOperation:
@@ -430,3 +456,162 @@ class TestPairing:
             if not ok:
                 wrong.append((i, got, expected))
         assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# is_balanced over the support of P against the six dense products
+
+
+def preserving_generator(state, seed: int) -> LindbladGenerator:
+    """A generator that preserves a diagonal state: jumps |i><j| at rates
+    c_ij p_i with c symmetric (detailed balance), a diagonal Hamiltonian and
+    a pull towards the state, a -> Tr(rho a) 1 - a."""
+    n, p = state.dim, state.spectrum
+    g = rng(seed)
+    c = g.uniform(0.2, 1.0, size=(n, n))
+    c = c + c.T
+    jumps = [np.sqrt(c[i, j] * p[i]) * matrix_unit(n, i, j)
+             for i in range(n) for j in range(n) if i != j]
+    gen = build_generator(jumps, np.diag(g.normal(size=n)).astype(complex))
+    pull = constant_channel(state).superoperator - np.eye(n * n)
+    return LindbladGenerator(dim=n, superoperator=gen.superoperator + 0.3 * pull)
+
+
+def preserving_systems(w: Coupling, kind: str, seed: int) -> tuple[System, System]:
+    """Systems on the two states of w with generators from
+    preserving_generator, or their channels at t = 0.7."""
+    systems = []
+    for k, state in enumerate((w.state_a, w.state_b)):
+        gen = preserving_generator(state, 2 * seed + k)
+        dyn = gen if kind == "generator" else semigroup(gen, 0.7)
+        systems.append(System(state=state, dynamics=dyn))
+    return systems[0], systems[1]
+
+
+def direct_sum_coupling(n: int, m: int, count: int, seed: int) -> Coupling:
+    """A coupling of random faithful states on C^n and C^m that is a direct
+    sum of ``count`` blocks.  Block b sits on A_b (x) B_b for random disjoint
+    index sets, so P is zero on every row (k, l) and column (i, j) whose two
+    indices lie in different blocks.  A block is a product, or, when
+    |A_b| = |B_b|, a mixed or an entangled block on matched spectra."""
+    g = rng(seed)
+    a_block = g.permutation(np.arange(n) % count)
+    b_block = g.permutation(np.arange(m) % count)
+    mass = g.dirichlet(np.ones(count))
+    p_a, p_b = np.zeros(n), np.zeros(m)
+    kappa = np.zeros((n * m, n * m), dtype=complex)
+    for b in range(count):
+        ia, ib = np.flatnonzero(a_block == b), np.flatnonzero(b_block == b)
+        pa = mass[b] * g.dirichlet(np.ones(ia.size))
+        p_a[ia] = pa
+        kind = g.choice(["product", "mixed", "entangled"]) if ia.size == ib.size else "product"
+        if kind == "product":
+            pb = mass[b] * g.dirichlet(np.ones(ib.size))
+            p_b[ib] = pb
+            # e_i (x) e_k has index i m + k
+            idx = (ia[:, None] * m + ib[None, :]).ravel()
+            kappa[idx, idx] = np.outer(pa, pb).ravel() / mass[b]
+            continue
+        p_b[ib] = pa
+        idx = ia * m + ib
+        if kind == "mixed":
+            kappa[idx, idx] = pa
+        else:
+            kappa[np.ix_(idx, idx)] = np.outer(np.sqrt(pa), np.sqrt(pa))
+    return Coupling(kappa=kappa, state_a=new_faithful_state(p_a), state_b=new_faithful_state(p_b))
+
+
+def assert_matches_dense(sys_a, sys_b, w):
+    """Equal verdicts and method agreement, residuals equal to rounding."""
+    new, dense = is_balanced(sys_a, sys_b, w), is_balanced_dense(sys_a, sys_b, w)
+    assert (new.balanced, new.method_agreement) == (dense.balanced, dense.method_agreement)
+    assert_json_match(new.to_json(), dense.to_json())
+
+
+def full_support(w: Coupling) -> bool:
+    return all(isinstance(index, slice) for index in _support(w.pairing()))
+
+
+def rectangular_couplings():
+    """The couplings of the orthogonality cases with n != m, and a product
+    coupling, which balances any two systems."""
+    cases = {name: w for name, w in PAIRING.items() if w.dims[0] != w.dims[1]}
+    cases["2-3-product"] = product_coupling(P2, P3)
+    return cases
+
+
+RECTANGULAR = rectangular_couplings()
+
+
+class TestSupportProducts:
+    """is_balanced multiplies only over the rows and columns of P that hold
+    a nonzero (kernel._support); conftest.is_balanced_dense is the six dense
+    products it replaced."""
+
+    def test_full_support_gives_the_dense_bits(self):
+        single, single3, two = scenario_build(SINGLE7), single_cycle_triple(), scenario_build(MULTI7)
+        cases = {
+            "single-7-cycle": (single.system_a, single.system_b, single.coupling),
+            "single-3-cycle": (single3.system_a, single3.system_b, single3.coupling),
+            "diagonal": (two.system_a, two.system_a, diagonal_coupling(two.system_a.state)),
+        }
+        for kind in ("generator", "channel"):
+            w = kraus_coupling(2, P3, seed=1)
+            cases[f"kraus-{kind}"] = (*preserving_systems(w, kind, seed=1), w)
+        for name, (sys_a, sys_b, w) in cases.items():
+            assert full_support(w), name
+            new, dense = is_balanced(sys_a, sys_b, w), is_balanced_dense(sys_a, sys_b, w)
+            for key, value in dense.to_json().items():
+                got = new.to_json()[key]
+                if isinstance(value, float):
+                    assert np.float64(got).tobytes() == np.float64(value).tobytes(), (name, key)
+                else:
+                    assert got == value, (name, key)
+
+    @pytest.mark.parametrize("c", [1e8, 1.0, 1e-3, 1e-9, 1e-12])
+    def test_grid_at_every_rate_scale(self, c):
+        partial = 0
+        for spec in GRID:
+            sys_a, sys_b, w = rescaled_triple(spec, c)
+            assert_matches_dense(sys_a, sys_b, w)
+            partial += not full_support(w)
+        assert partial > 0
+
+    @pytest.mark.parametrize("e", range(2, 13))
+    def test_pmin_sweep(self, e):
+        q = 10.0**-e
+        for spec in GRID:
+            t = scenario_build(dataclasses.replace(spec, block_probs=(3 * q, 1 - 3 * q)))
+            assert_matches_dense(t.system_a, t.system_b, t.coupling)
+
+    @pytest.mark.parametrize("kind", ["generator", "channel"])
+    @pytest.mark.parametrize("case", sorted(RECTANGULAR))
+    def test_rectangular(self, case, kind):
+        w = RECTANGULAR[case]
+        sys_a, sys_b = preserving_systems(w, kind, seed=len(case))
+        assert_matches_dense(sys_a, sys_b, w)
+        if case == "2-3-product":
+            assert not full_support(w)
+            assert is_balanced(sys_a, sys_b, w).balanced
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.integers(2, 5),
+        st.integers(1, 4),
+        st.sampled_from(["generator", "channel"]),
+        st.integers(0, 10_000),
+    )
+    def test_direct_sums(self, n, m, count, kind, seed):
+        count = min(count, n, m)
+        w = direct_sum_coupling(n, m, count, seed)
+        assert validate_coupling(w).valid
+        if count > 1:
+            rows, cols = _support(w.pairing())
+            assert not isinstance(rows, slice) and not isinstance(cols, slice)
+        sys_a, sys_b = preserving_systems(w, kind, seed)
+        assert_matches_dense(sys_a, sys_b, w)
+        # the product coupling of the same states balances any two systems
+        prod = product_coupling(w.state_a, w.state_b)
+        assert_matches_dense(sys_a, sys_b, prod)
+        assert is_balanced(sys_a, sys_b, prod).balanced

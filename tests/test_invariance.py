@@ -33,7 +33,6 @@ from balance_lab.couplings import (
     validate_coupling,
 )
 from balance_lab.lindblad import (
-    LindbladGenerator,
     ScenarioSpec,
     build_generator,
     scenario_build,
@@ -44,7 +43,7 @@ from balance_lab.lindblad import (
 )
 from balance_lab.states import System, new_faithful_state
 
-from conftest import assert_relative_close, make_spec
+from conftest import assert_relative_close, make_spec, rescaled_triple
 
 GRID = standard_grid()
 SCALES = (1e8, 1.0, 1e-3, 1e-9, 1e-12)
@@ -64,19 +63,6 @@ PROBED = GRID[:6] + [
         block_probs=(1.0,),
     ),
 ]
-
-
-def rescaled_triple(spec: ScenarioSpec, c: float):
-    """Both generators of the scenario multiplied by c."""
-    triple = scenario_build(spec)
-    systems = [
-        System(
-            state=sys.state,
-            dynamics=LindbladGenerator(dim=sys.dim, superoperator=c * sys.dynamics.superoperator),
-        )
-        for sys in (triple.system_a, triple.system_b)
-    ]
-    return systems[0], systems[1], triple.coupling
 
 
 def balance_of(spec: ScenarioSpec, c: float = 1.0):

@@ -13,6 +13,7 @@ from balance_lab.kernel import (
     _fix_phases,
     _invariant_blocks,
     _relative_residuals,
+    _support,
     check_psd,
     close,
     eigenvalues,
@@ -298,6 +299,43 @@ class TestOneGrouping:
     def test_grid_generators(self):
         for s in GRID_GENERATORS:
             assert_both_splits_match(s)
+
+
+class TestSupport:
+    """_support: the rows and the columns that hold a nonzero, slice(None)
+    for all of them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 1.0]),
+        st.integers(0, 10_000),
+    )
+    def test_random_patterns(self, rows, cols, density, seed):
+        g = rng(seed)
+        # real, imaginary or complex entries, so that a zero real part is not a zero
+        m = np.where(g.random((rows, cols)) < density, g.normal(size=(rows, cols)), 0.0)
+        m = m * g.choice([1.0, 1j, 1.0 + 1j], size=(rows, cols))
+        r, c = _support(m)
+        nonzero = m != 0
+        for index, hit in ((r, nonzero.any(axis=1)), (c, nonzero.any(axis=0))):
+            if hit.all():
+                assert index == slice(None)
+            else:
+                assert np.array_equal(index, np.flatnonzero(hit))
+        # everything outside the support is zero
+        assert np.count_nonzero(m[r][:, c]) == np.count_nonzero(m)
+
+    def test_negative_zero_is_zero(self):
+        m = np.array([[1.0, -0.0], [complex(-0.0, -0.0), 0.0]])
+        r, c = _support(m)
+        assert np.array_equal(r, [0]) and np.array_equal(c, [0])
+
+    def test_full_and_empty(self):
+        assert _support(np.ones((2, 5))) == (slice(None), slice(None))
+        r, c = _support(np.zeros((3, 4)))
+        assert r.size == 0 and c.size == 0
 
 
 class TestNullspace:
