@@ -45,6 +45,7 @@ from .kernel import (
     check_psd,
     close,
     frob_norm,
+    kraus_superop,
     matrix_from_json,
     matrix_to_json,
     nullspace,
@@ -89,17 +90,15 @@ class QuantumChannel:
 
 
 def channel_from_kraus(kraus) -> QuantumChannel:
-    """Heisenberg-picture Kraus form a -> sum_j V_j* a V_j."""
+    """Heisenberg-picture Kraus form a -> sum_j V_j* a V_j, vectorized as in
+    :func:`kernel.kraus_superop`."""
     ops = [as_matrix(v) for v in kraus]
     if not ops:
         raise ValueError("kraus list must be non-empty")
     n, m = ops[0].shape
-    s = np.zeros((m * m, n * n), dtype=complex)
-    for v in ops:
-        if v.shape != (n, m):
-            raise ValueError("kraus operators must share one shape")
-        s += np.kron(v.T, v.conj().T)
-    return QuantumChannel(dim_in=n, dim_out=m, superoperator=s)
+    if any(v.shape != (n, m) for v in ops):
+        raise ValueError("kraus operators must share one shape")
+    return QuantumChannel(dim_in=n, dim_out=m, superoperator=kraus_superop(ops, n, m))
 
 
 def identity_channel(n: int) -> QuantumChannel:

@@ -50,6 +50,7 @@ from .kernel import (
     frob_distance,
     frob_norm,
     is_psd,
+    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -166,7 +167,7 @@ def diagonal_coupling(s: FaithfulState) -> Coupling:
 
 
 def product_coupling(sa: FaithfulState, sb: FaithfulState) -> Coupling:
-    return Coupling(kappa=np.kron(sa.rho, sb.rho), state_a=sa, state_b=sb)
+    return Coupling(kappa=kron(sa.rho, sb.rho), state_a=sa, state_b=sb)
 
 
 def extract_channel(w: Coupling) -> QuantumChannel:
@@ -223,7 +224,7 @@ def compose(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Coupling:
 
 
 def is_trivial(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
-    return close(w.kappa, np.kron(w.state_a.rho, w.state_b.rho), tol)
+    return close(w.kappa, kron(w.state_a.rho, w.state_b.rho), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +245,7 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
     E_psi are orthogonal in the middle GNS space (cross-Gram matrix norm).
     """
     composed = compose(w, psi, tol=tol)
-    prod = np.kron(w.state_a.rho, psi.state_b.rho)
+    prod = kron(w.state_a.rho, psi.state_b.rho)
     residual = frob_distance(composed.kappa, prod)
     direct = close(composed.kappa, prod, tol)
 

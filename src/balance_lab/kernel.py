@@ -79,12 +79,30 @@ def unvec(v: np.ndarray, shape: tuple[int, int] | int) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
+    """The Kronecker product of two matrices: the entry products a[i, j] b[k, l]
+    that ``np.kron`` forms, in one broadcast and without its wrapper."""
+    a, b = as_matrix(a), as_matrix(b)
+    (p, q), (r, s) = a.shape, b.shape
+    return (a.reshape(p, 1, q, 1) * b.reshape(1, r, 1, s)).reshape(p * r, q * s)
+
+
+def kraus_superop(ops, n: int, m: int) -> np.ndarray:
+    """Superoperator of a -> sum_j V_j* a V_j for n x m matrices V_j, a map
+    M_n -> M_m, summed in the order of ``ops`` onto zeros.
+
+    Under column stacking, vec(a) = sum_ij a[i, j] e_(i + n j), the map
+    a -> v* a v has superoperator kron(v^T, conj(v)^T): column i + n j is
+    vec(v* E_ij v), whose (k, l) entry is v[i, k]^* v[j, l].  This is the one
+    place that states the convention; Ad_u (:func:`ad_superop`) is the case
+    v = u*.
+    """
+    return sum((kron(v.T, v.conj().T) for v in ops), np.zeros((m * m, n * n), dtype=complex))
 
 
 def ad_superop(u) -> np.ndarray:
-    """Superoperator of Ad_u: a -> u a u* (column stacking)."""
-    return np.kron(u.conj(), u)
+    """Superoperator of Ad_u: a -> u a u*, the Kraus term of v = u*
+    (:func:`kraus_superop`)."""
+    return kron(u.conj(), u)
 
 
 def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:

@@ -38,6 +38,8 @@ from .kernel import (
     as_matrix,
     frob_norm,
     is_hermitian,
+    kraus_superop,
+    kron,
     mat_exp,
     relative_residual,
     vec,
@@ -80,7 +82,8 @@ class LindbladGenerator:
 
 
 def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
-    """Assemble L from jump operators and an optional Hermitian Hamiltonian."""
+    """Assemble L from jump operators and an optional Hermitian Hamiltonian,
+    vectorized as in :func:`kernel.kraus_superop`."""
     ops = tuple(as_matrix(v) for v in jumps)
     if ops:
         n = ops[0].shape[0]
@@ -98,13 +101,10 @@ def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
     else:
         h = np.zeros((n, n), dtype=complex)
 
-    s = np.zeros((n * n, n * n), dtype=complex)
-    acc = np.zeros((n, n), dtype=complex)
-    for v in ops:
-        s += np.kron(v.T, v.conj().T)
-        acc += v.conj().T @ v
-    s -= 0.5 * (np.kron(acc.T, np.eye(n)) + np.kron(np.eye(n), acc))
-    s += 1j * (np.kron(np.eye(n), h) - np.kron(h.T, np.eye(n)))
+    s = kraus_superop(ops, n, n)
+    acc = sum((v.conj().T @ v for v in ops), np.zeros((n, n), dtype=complex))
+    s -= 0.5 * (kron(acc.T, np.eye(n)) + kron(np.eye(n), acc))
+    s += 1j * (kron(np.eye(n), h) - kron(h.T, np.eye(n)))
     return LindbladGenerator(dim=n, superoperator=s, jumps=ops, hamiltonian=h)
 
 
@@ -165,7 +165,8 @@ def cycle_shift(cycle_lengths, weights) -> np.ndarray:
 def cycle_generator(cycle_lengths, weights, ham_diag=None) -> LindbladGenerator:
     """K(a) = R_k* a R_k + R_{1-k} a R_{1-k}* - a + i[diag(g), a]."""
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0.0) or np.any(weights >= 1.0):
+    # a comparison with NaN is false, so ask each weight to be inside
+    if not np.all((weights > 0.0) & (weights < 1.0)):
         raise ValueError("shift weights must lie strictly between 0 and 1")
     r_k = cycle_shift(cycle_lengths, weights)
     r_1k = cycle_shift(cycle_lengths, 1.0 - weights)
@@ -208,8 +209,11 @@ class ScenarioSpec:
             if r < 3:
                 raise ValueError(f"cycle too short: length {r} < 3")
         nc = len(cl)
+        # a scenario file may hold NaN or Infinity, and a comparison with NaN
+        # is false: so each range check asks for the inside, entry by entry
+        # (an infinite weight fails the sum)
         bp = tuple(float(x) for x in self.block_probs)
-        if len(bp) != nc or min(bp) <= 0 or abs(sum(bp) - 1.0) > _NORMALIZATION_TOL:
+        if len(bp) != nc or not all(x > 0 for x in bp) or abs(sum(bp) - 1.0) > _NORMALIZATION_TOL:
             raise ValueError("block_probs must be positive per-cycle weights summing to 1")
         part = tuple(tuple(int(c) for c in blk) for blk in self.partition)
         flat = [c for blk in part for c in blk]
@@ -220,14 +224,14 @@ class ScenarioSpec:
             raise ValueError(f"block types must be drawn from {VALID_BLOCK_TYPES}")
         for name, w in (("k", self.k), ("l", self.l)):
             w = tuple(float(x) for x in w)
-            if len(w) != nc or min(w) <= 0.0 or max(w) >= 1.0:
+            if len(w) != nc or not all(0.0 < x < 1.0 for x in w):
                 raise ValueError(f"{name} must have one entry per cycle in (0, 1)")
             object.__setattr__(self, name, w)
         n = sum(cl)
         for name, v in (("g", self.g), ("h", self.h)):
             v = tuple(float(x) for x in v)
-            if len(v) != n:
-                raise ValueError(f"{name} must have one real entry per basis index")
+            if len(v) != n or not all(map(math.isfinite, v)):
+                raise ValueError(f"{name} must have one finite real entry per basis index")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "block_probs", bp)
         object.__setattr__(self, "partition", part)
@@ -394,29 +398,30 @@ def balance_sub_residuals(spec: ScenarioSpec) -> tuple[float, float]:
     shift part and the Hamiltonian-commutator part; both vanish iff balanced."""
     n = spec.dim
     kappa = scenario_coupling(spec).kappa
-    k4 = kappa.reshape(n, n, n, n)  # [i, k, j, l] = kappa[i n + k, j n + l]
 
     def sandwich(x: np.ndarray, factor: int) -> np.ndarray:
-        """(x on one tensor factor) kappa (its adjoint), the left product
-        first, as the two n^2 x n^2 matmuls rounded it."""
-        left = np.moveaxis(np.tensordot(x, k4, axes=(1, factor)), 0, factor)
-        right = np.tensordot(left, x.conj(), axes=(factor + 2, 1))
-        return np.moveaxis(right, -1, factor + 2)
+        """(x on one tensor factor) kappa (its adjoint) for x with one nonzero
+        per row: every entry of the two n^2 x n^2 matmuls was a sum with one
+        nonzero term, so it is kappa gathered at the nonzeros' columns, times
+        their weights in the matmuls' order."""
+        col = np.argmax(x != 0, axis=1)
+        w = x[np.arange(n), col]
+        # index i n + k of C^n (x) C^n: x acts on i (factor 0) or on k (factor 1)
+        rows = np.arange(n * n).reshape(n, n).take(col, factor).ravel()
+        w = np.repeat(w, n) if factor == 0 else np.tile(w, n)
+        return w[:, None] * kappa.take(rows, 0).take(rows, 1) * w.conj()
 
-    r_k = cycle_shift(spec.cycle_lengths, np.asarray(spec.k))
-    r_1k = cycle_shift(spec.cycle_lengths, 1.0 - np.asarray(spec.k))
-    r_l = cycle_shift(spec.cycle_lengths, np.asarray(spec.l))
-    r_1l = cycle_shift(spec.cycle_lengths, 1.0 - np.asarray(spec.l))
+    k, l = np.asarray(spec.k), np.asarray(spec.l)
     jump = (
-        sandwich(r_k, 0)
-        + sandwich(r_1k.conj().T, 0)
-        - sandwich(r_1l, 1)
-        - sandwich(r_l.conj().T, 1)
+        sandwich(cycle_shift(spec.cycle_lengths, k), 0)
+        + sandwich(cycle_shift(spec.cycle_lengths, 1.0 - k).conj().T, 0)
+        - sandwich(cycle_shift(spec.cycle_lengths, 1.0 - l), 1)
+        - sandwich(cycle_shift(spec.cycle_lengths, l).conj().T, 1)
     )
     # diag(g) (x) 1 and 1 (x) diag(h) on kappa's rows and columns
     g = np.repeat(np.asarray(spec.g), n)
     h = np.tile(np.asarray(spec.h), n)
     comm = (g[:, None] * kappa - kappa * g) - (h[:, None] * kappa - kappa * h)
-    # the norm sums in memory order; row-major order sums as it did on the
-    # n^2 x n^2 matrix
-    return frob_norm(np.ascontiguousarray(jump)), frob_norm(comm)
+    # the norm sums in memory order: both arrays are row-major, as the
+    # n^2 x n^2 matmuls were
+    return frob_norm(jump), frob_norm(comm)

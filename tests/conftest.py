@@ -739,3 +739,34 @@ def balanced_spec() -> ScenarioSpec:
 @pytest.fixture(scope="session")
 def unbalanced_spec() -> ScenarioSpec:
     return make_spec(types=("entangled", "entangled"), l=(0.3, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# np.kron forms of the superoperators built through kernel.kron
+
+
+def build_generator_kron(jumps, hamiltonian=None) -> np.ndarray:
+    """The superoperator of lindblad.build_generator summed from np.kron
+    products; the reference for forming them by kernel.kron."""
+    ops = [np.asarray(v, dtype=complex) for v in jumps]
+    n = ops[0].shape[0] if ops else np.asarray(hamiltonian).shape[0]
+    h = np.zeros((n, n), dtype=complex) if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
+    s = np.zeros((n * n, n * n), dtype=complex)
+    acc = np.zeros((n, n), dtype=complex)
+    for v in ops:
+        s += np.kron(v.T, v.conj().T)
+        acc += v.conj().T @ v
+    s -= 0.5 * (np.kron(acc.T, np.eye(n)) + np.kron(np.eye(n), acc))
+    s += 1j * (np.kron(np.eye(n), h) - np.kron(h.T, np.eye(n)))
+    return s
+
+
+def channel_from_kraus_kron(kraus) -> np.ndarray:
+    """The superoperator of channels.channel_from_kraus summed from np.kron
+    products."""
+    ops = [np.asarray(v, dtype=complex) for v in kraus]
+    n, m = ops[0].shape
+    s = np.zeros((m * m, n * n), dtype=complex)
+    for v in ops:
+        s += np.kron(v.T, v.conj().T)
+    return s

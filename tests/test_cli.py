@@ -1,6 +1,7 @@
 """Command line: exit codes, report determinism, file round trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -937,3 +938,47 @@ class TestBlockwiseMatchesDense:
         for x, y in zip(blockwise, dense):
             assert x["verdicts"] == y["verdicts"]
             assert_leaves_close(x, y)
+
+
+class TestNonFiniteScenario:
+    """Python's json reads NaN and Infinity; such an entry in any float field
+    of a scenario exits 1 with an input error that names the field, for a
+    single spec and inside a grid file alike, before any arithmetic runs."""
+
+    CASES = [
+        ("k", [math.nan, 0.6]),
+        ("l", [0.3, math.inf]),
+        ("block_probs", [math.nan, 0.55]),
+        ("g", [math.inf] + [0.0] * 6),
+        ("h", [0.0] * 6 + [-math.inf]),
+    ]
+
+    @staticmethod
+    def write_raw(path, obj):
+        text = json.dumps(obj)
+        assert "NaN" in text or "Infinity" in text
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_scenario_run(self, workdir, capsys, key, value):
+        f = self.write_raw(workdir / "spec.json", {**make_spec().to_json(), key: value})
+        code, err = run_err(capsys, "scenario", "run", f)
+        assert code == 1
+        assert err.startswith("input error:") and f": {key} must " in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_grid_file(self, workdir, capsys, key, value):
+        good = make_spec().to_json()
+        f = self.write_raw(workdir / "grid.json", {"scenarios": [good, {**good, key: value}]})
+        code, err = run_err(capsys, "scenario", "grid", f)
+        assert code == 1
+        assert err.startswith("input error:") and f": {key} must " in err
+        assert err.count("\n") == 1
+
+    def test_check_balance_scenario_flag(self, workdir, capsys):
+        f = self.write_raw(workdir / "spec.json", {**make_spec().to_json(), "k": [math.nan, 0.6]})
+        code, err = run_err(capsys, "check-balance", "--scenario", f)
+        assert code == 1
+        assert err.startswith("input error:") and ": k must " in err

@@ -321,3 +321,23 @@ class TestStandardGrid:
         assert len(grid) >= 48
         verdicts = {scenario_predict(s) for s in grid}
         assert verdicts == {True, False}
+
+
+class TestNonFiniteParameters:
+    """A comparison with NaN is false, so a range check alone lets NaN
+    through; every float field of a scenario, and every shift weight, must
+    be finite."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("block_probs", (math.nan, 0.55)), ("k", (math.nan, 0.6)), ("l", (0.3, math.inf)),
+         ("g", (math.inf,) + (0.0,) * 6), ("h", (0.0,) * 6 + (-math.inf,))],
+    )
+    def test_scenario_spec_names_the_field(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must "):
+            make_spec(**{key: value})
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)])
+    def test_cycle_generator(self, weights):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            cycle_generator((3, 4), weights)
