@@ -46,6 +46,7 @@ from .couplings import (
 from .kernel import (
     DEFAULT_TOL,
     Report,
+    _row_sparse,
     _max_relative_residual,
     _relative_residuals,
     _support,
@@ -100,14 +101,18 @@ def is_balanced(
     second alone).  The Frobenius norm is the hypot of the regions' norms,
     the componentwise maximum the larger of their maxima, and 0/0 = 0
     elsewhere.  A coupling with full support selects everything through
-    slices, so it runs the dense products and gives their bits.
+    slices.  Each product with the support block of P or S_E is taken by
+    row gather where the kernel's cost rule allows (``kernel._row_sparse``),
+    and by BLAS elsewhere; S_E's gathered entries are P's times the two
+    factors of ``couplings._weigh_rows``, so they have S_E's bits.
     """
     _check_triple(sys_a, sys_b, w)
     s_alpha = sys_a.dynamics.superoperator
     s_beta = sys_b.dynamics.superoperator
     scale = frob_norm(s_alpha) + frob_norm(s_beta)
     p = w.pairing()
-    rows, cols = _support(p)
+    mask = p != 0
+    rows, cols = _support(p, mask)
     other_rows = np.ones(p.shape[0], dtype=bool)
     other_rows[rows] = False
 
@@ -121,15 +126,15 @@ def is_balanced(
         xa[:, cols] = op(both, bx[rows], out=both)
         return xa, bx[other_rows]
 
-    p = p[:, cols]
-    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)[rows]
-    p, a = p[rows], s_alpha[cols]
+    p = _row_sparse(p[:, cols][rows], mask[:, cols][rows])
+    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum, np.arange(mask.shape[0])[rows])
+    a = s_alpha[cols]
     norm = math.hypot(*map(frob_norm, regions(s_e @ a, s_beta[:, rows] @ s_e, np.subtract)))
     residual = relative_residual(norm, scale)
 
     b = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T[:, rows]
     defect = [np.abs(d) for d in regions(p @ a, b @ p, np.subtract)]
-    size = regions(np.abs(p) @ np.abs(a), np.abs(b) @ np.abs(p), np.add)
+    size = regions(abs(p) @ np.abs(a), np.abs(b) @ abs(p), np.add)
     def_residual = float(np.max(list(map(_max_relative_residual, defect, size))))
 
     balanced = residual <= tol
@@ -448,8 +453,11 @@ def convergence_probe(
     if certified and (not times or times[-1] < threshold):
         times = sorted(set(times) | {threshold})
     # a zero column of S_E is the image of a matrix unit, which every state
-    # sees at deviation 0, so only the nonzero columns are evolved
-    s_e = s_e[:, _support(s_e)[1]]
+    # sees at deviation 0, so only the nonzero columns are evolved, each by
+    # column gather where the kernel's cost rule allows
+    mask = s_e != 0
+    cols = _support(s_e, mask)[1]
+    s_e = _row_sparse(s_e[:, cols], mask[:, cols])
     states = _spanning_density_matrices(w.state_b.dim)
     targets = vec(sys_b.state.rho) @ s_e
     deviations = []

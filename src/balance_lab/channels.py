@@ -75,6 +75,12 @@ class QuantumChannel:
     def kind(self) -> str:
         return "channel"
 
+    @property
+    def scale(self) -> float:
+        """The size its verdicts are relative to, ||S||: a channel that
+        preserves a state is never zero."""
+        return frob_norm(self.superoperator)
+
     @cached_property
     def choi(self) -> np.ndarray:
         n, m = self.dim_in, self.dim_out
@@ -167,11 +173,14 @@ def validate_ucp(ch: QuantumChannel, tol: float = DEFAULT_TOL) -> UcpReport:
 # the dual core
 
 
-def _like(dyn, superoperator: np.ndarray):
+def _like(dyn, superoperator: np.ndarray, growth: float = 1.0):
     """The result constructor: dynamics of the kind of ``dyn`` with the given
-    superoperator, on the dimensions that superoperator maps between."""
+    superoperator, on the dimensions that superoperator maps between.  A
+    generator keeps the scale of ``dyn`` times ``growth``, a bound on how
+    much the map that made the superoperator can grow its norm."""
     if dyn.kind == "generator":
-        return type(dyn)(dim=math.isqrt(superoperator.shape[0]), superoperator=superoperator)
+        dim = math.isqrt(superoperator.shape[0])
+        return type(dyn)(dim=dim, superoperator=superoperator, scale=dyn.scale * growth)
     return QuantumChannel(
         dim_in=math.isqrt(superoperator.shape[1]),
         dim_out=math.isqrt(superoperator.shape[0]),
@@ -207,7 +216,8 @@ def dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TO
         name = "dual generator" if dyn.kind == "generator" else "dual"
         raise ValueError(f"{name} undefined: the state is not preserved (residual {res:.3e})")
     w_in, w_out = s_in.kms_weights, s_out.kms_weights
-    return _like(dyn, (dyn.superoperator.T * w_out[None, :]) / w_in[:, None])
+    growth = float(w_out.max() / w_in.min())
+    return _like(dyn, (dyn.superoperator.T * w_out[None, :]) / w_in[:, None], growth)
 
 
 def _kms_flip(superoperator: np.ndarray) -> np.ndarray:

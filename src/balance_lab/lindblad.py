@@ -27,7 +27,8 @@ must be constant on every entangled block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .channels import QuantumChannel, ReversingOperation, dual, kms_dual, theta_kms_dual
@@ -35,6 +36,7 @@ from .couplings import Coupling
 from .kernel import (
     DEFAULT_TOL,
     _json_int,
+    _json_number,
     as_matrix,
     frob_norm,
     is_hermitian,
@@ -52,20 +54,34 @@ _PREDICT_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class LindbladGenerator:
-    """GKS generator; ``jumps`` may be None when only the superoperator is known."""
+    """GKS generator; ``jumps`` may be None when only the superoperator is known.
+
+    ``scale`` is the a-priori size of L that its verdicts are relative to:
+    sum_j ||V_j||^2 + ||H|| when the jumps are known, ||L|| otherwise, unless
+    the maker of L passes it.  The norm of L itself cancels exactly when
+    L = 0, as for a jump proportional to 1 or any 1 x 1 generator."""
 
     dim: int
     superoperator: np.ndarray
     jumps: tuple | None = None
     hamiltonian: np.ndarray | None = None
+    scale: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         s = as_matrix(self.superoperator)
         if s.shape != (self.dim**2, self.dim**2):
             raise ValueError("generator superoperator has wrong shape")
         object.__setattr__(self, "superoperator", s)
+        if self.scale is None:
+            if self.jumps is None:
+                scale = frob_norm(s)
+            else:
+                # ||V||^2 and ||H|| as vdot(V, V), which costs a third of a norm call
+                h = 0.0 if self.hamiltonian is None else math.sqrt(np.vdot(self.hamiltonian, self.hamiltonian).real)
+                scale = sum(np.vdot(v, v).real for v in self.jumps) + h
+            object.__setattr__(self, "scale", float(scale))
         one = vec(np.eye(self.dim, dtype=complex))
-        if relative_residual(frob_norm(s @ one), frob_norm(s)) > DEFAULT_TOL:
+        if relative_residual(frob_norm(s @ one), self.scale) > DEFAULT_TOL:
             raise ValueError("generator is not unital: L(1) != 0")
 
     @property
@@ -265,26 +281,25 @@ class ScenarioSpec:
         }
 
 
-def _json_ints(values, name: str) -> tuple:
-    """A JSON list of integers as a tuple, each entry checked by
-    ``kernel._json_int`` (a TypeError otherwise)."""
-    return tuple(_json_int(v, f"{name}[{i}]") for i, v in enumerate(values))
+def _json_list(values, name: str, check) -> tuple:
+    """A JSON list as a tuple, each entry checked by ``check``
+    (``kernel._json_int`` or ``kernel._json_number``; a TypeError otherwise)."""
+    return tuple(check(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def scenario_from_json(obj) -> ScenarioSpec:
     try:
-        # ScenarioSpec coerces with int(), which would truncate a wire value
+        # ScenarioSpec coerces with int() and float(), which would truncate a
+        # wire integer and read a string of digits as numbers
         return ScenarioSpec(
-            cycle_lengths=_json_ints(obj["cycles"], "cycles"),
-            block_probs=tuple(obj["block_probs"]),
+            cycle_lengths=_json_list(obj["cycles"], "cycles", _json_int),
+            block_probs=_json_list(obj["block_probs"], "block_probs", _json_number),
             partition=tuple(
-                _json_ints(blk, f"partition[{i}]") for i, blk in enumerate(obj["partition"])
+                _json_list(blk, f"partition[{i}]", _json_int)
+                for i, blk in enumerate(obj["partition"])
             ),
             block_types=tuple(obj["types"]),
-            k=tuple(obj["k"]),
-            l=tuple(obj["l"]),
-            g=tuple(obj["g"]),
-            h=tuple(obj["h"]),
+            **{key: _json_list(obj[key], key, _json_number) for key in ("k", "l", "g", "h")},
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scenario object: {exc}") from exc

@@ -193,6 +193,7 @@ def state_preservation_residual(
 def preserves_state(
     dyn, s_in: FaithfulState, s_out: FaithfulState | None = None, tol: float = DEFAULT_TOL
 ) -> tuple[float, bool]:
-    """The preservation residual and whether it is within tol relative to ||S||."""
+    """The preservation residual and whether it is within tol relative to the
+    scale of the dynamics (||S||, or the size of a generator's terms)."""
     res = state_preservation_residual(dyn, s_in, s_out)
-    return res, relative_residual(res, frob_norm(dyn.superoperator)) <= tol
+    return res, relative_residual(res, dyn.scale) <= tol

@@ -556,6 +556,27 @@ class TestScenarioCommands:
         assert err.startswith("input error:")
         assert f"malformed scenario object: {key}[" in err and "must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("block_probs", ["0.45", 0.55]), ("block_probs", [0.45, True]), ("k", ["0.3", 0.6]),
+         ("l", [0.3, "0.6"]), ("g", "0123456"), ("g", ["0"] + [0.0] * 6), ("h", [0.0] * 6 + ["0"])],
+    )
+    def test_string_float_wire_values(self, workdir, capsys, key, value):
+        # float() would read "0123456" as the seven numbers 0, 1, ..., 6
+        spec = write(workdir / "spec.json", {**make_spec().to_json(), key: value})
+        code, err = run_err(capsys, "scenario", "run", spec)
+        assert code == 1
+        assert err.startswith("input error:")
+        assert f"malformed scenario object: {key}[" in err and "must be a number" in err
+
+    def test_integer_float_values_accepted(self, workdir, capsys):
+        # a JSON integer is a JSON number: g = 0 and block probs 0/1 are fine
+        spec = make_spec(types=("entangled",), partition=((0,),), k=(0.3,), l=(0.3,), cycles=(7,),
+                         block_probs=(1.0,))
+        obj = {**spec.to_json(), "g": [0] * 7, "h": [0] * 7, "block_probs": [1]}
+        code, out = run(capsys, "scenario", "run", write(workdir / "spec.json", obj))
+        assert code == 0 and json.loads(out)["agrees"]
+
     def test_grid_builtin(self, workdir, capsys):
         code, out = run(capsys, "scenario", "grid", "--builtin")
         assert code == 0

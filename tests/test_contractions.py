@@ -10,6 +10,7 @@ residuals equal to rounding.
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from balance_lab.channels import (
 )
 from balance_lab.couplings import (
     Coupling,
+    _weigh_rows,
     coupling_from_channel,
     diagonal_coupling,
     extract_channel,
@@ -42,7 +44,8 @@ from balance_lab.couplings import (
     product_coupling,
     validate_coupling,
 )
-from balance_lab.kernel import _support, eigenvalues, matrix_unit, vec
+from balance_lab import kernel
+from balance_lab.kernel import _row_sparse, _support, eigenvalues, matrix_unit, vec
 from balance_lab.lindblad import (
     LindbladGenerator,
     build_generator,
@@ -615,3 +618,75 @@ class TestSupportProducts:
         prod = product_coupling(w.state_a, w.state_b)
         assert_matches_dense(sys_a, sys_b, prod)
         assert is_balanced(sys_a, sys_b, prod).balanced
+
+
+def gather_cases():
+    """Triples at n = 12 and 16 whose pairing matrix the cost rule gathers:
+    a balanced entangled single cycle (generators, and their channels at
+    t = 1), and under the diagonal coupling a two-cycle system against
+    itself, against its dual (the call of check_theta_sqdb) and against
+    the second system of its scenario (unbalanced); at n = 12 also two
+    generators on a state with distinct eigenvalues, so that S_E's row
+    weights differ from row to row."""
+    cases = {}
+    for n in (12, 16):
+        g = np.linspace(-0.8, 0.9, n) ** 3
+        spec = make_spec(types=("entangled",), partition=((0,),), k=(0.35,), l=(0.35,),
+                         g=tuple(g), h=tuple(g + 0.2), cycles=(n,), block_probs=(1.0,))
+        t = scenario_build(spec)
+        a, b, w = t.system_a, t.system_b, t.coupling
+        cases[f"{n}-cycle"] = (a, b, w, True)
+        chan = [System(state=s.state, dynamics=semigroup(s.dynamics, 1.0)) for s in (a, b)]
+        cases[f"{n}-cycle-channels"] = (*chan, w, True)
+        t = scenario_build(make_spec(cycles=(n // 2, n - n // 2), g=tuple(g), h=tuple(g[::-1])))
+        sys = t.system_a
+        diag = diagonal_coupling(sys.state)
+        cases[f"{n}-diagonal"] = (sys, sys, diag, True)
+        dual_sys = System(state=sys.state, dynamics=dual(sys.dynamics, sys.state, sys.state))
+        cases[f"{n}-diagonal-dual"] = (sys, dual_sys, diag, False)
+        cases[f"{n}-diagonal-other"] = (sys, t.system_b, diag, False)
+    diag = diagonal_coupling(new_faithful_state(rng(12).dirichlet(np.ones(12))))
+    sys_a, sys_b = preserving_systems(diag, "generator", seed=12)
+    cases["12-generic-state"] = (sys_a, sys_a, diag, True)
+    cases["12-generic-state-other"] = (sys_a, sys_b, diag, False)
+    return cases
+
+
+GATHER = gather_cases()
+
+
+class TestGatherProducts:
+    """At n >= 12 the cost rule gathers the products of a single-cycle or a
+    diagonal pairing matrix (kernel._row_sparse); the report keeps the bits
+    of the six dense products (conftest.is_balanced_dense)."""
+
+    @pytest.mark.parametrize("name", sorted(GATHER))
+    def test_report_bits(self, name):
+        sys_a, sys_b, w, balanced = GATHER[name]
+        p = w.pairing()
+        assert full_support(w) and np.count_nonzero(p, axis=1).max() == 1, name
+        assert _row_sparse(p, p != 0).left is not None, name
+        new, dense = is_balanced(sys_a, sys_b, w), is_balanced_dense(sys_a, sys_b, w)
+        assert json.dumps(new.to_json()) == json.dumps(dense.to_json()), name
+        assert new.balanced == balanced and new.method_agreement, name
+
+    def test_gathered_extraction_bits(self):
+        """_weigh_rows weighs the gathered entries of P in the order in which
+        it weighs the dense P, so the products with S_E see S_E's bits."""
+        w = GATHER["12-generic-state"][2]
+        p, r = w.pairing(), w.state_b.inv_sqrt_spectrum
+        s_e = _weigh_rows(_row_sparse(p, p != 0), r, np.arange(p.shape[0]))
+        eye, want = np.eye(p.shape[0]), _weigh_rows(p, r)
+        assert (s_e @ eye + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert (eye @ s_e + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_convergence_matches_blas(self, n, monkeypatch):
+        """convergence_probe evolves S_E by column gather; with the cost rule
+        sent to BLAS the report has the same bytes."""
+        sys_a, sys_b, w, _ = GATHER[f"{n}-cycle"]
+        gathered = convergence_probe(sys_a, sys_b, w, (1.0, 30.0))
+        monkeypatch.setattr(kernel, "GATHER_COST", 10**9)
+        dense = convergence_probe(sys_a, sys_b, w, (1.0, 30.0))
+        assert gathered.certified
+        assert json.dumps(gathered.to_json()) == json.dumps(dense.to_json())

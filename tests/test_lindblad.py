@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from balance_lab.balance import is_balanced
 from balance_lab.channels import apply, validate_ucp
-from balance_lab.couplings import validate_coupling
+from balance_lab.couplings import diagonal_coupling, validate_coupling
 from balance_lab.kernel import frob_distance, matrix_unit, vec
 from balance_lab.lindblad import (
     VALID_BLOCK_TYPES,
@@ -24,7 +25,7 @@ from balance_lab.lindblad import (
     semigroup,
     standard_grid,
 )
-from balance_lab.states import new_faithful_state, state_preservation_residual
+from balance_lab.states import System, new_faithful_state, state_preservation_residual
 
 from conftest import (
     balance_sub_residuals_kron,
@@ -80,6 +81,38 @@ class TestBuildGenerator:
     def test_non_hermitian_hamiltonian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             build_generator([], np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "jumps, spectrum",
+        [
+            ([(0.3 + 0.2j) * np.eye(3)], [0.5, 0.3, 0.2]),
+            ([np.array([[0.3 + 0.2j]])], [1.0]),
+            ([(0.7 - 0.1j) * np.eye(4), 2j * np.eye(4)], [0.4, 0.3, 0.2, 0.1]),
+        ],
+        ids=["jump-prop-to-1", "1x1", "two-jumps"],
+    )
+    def test_zero_generator(self, jumps, spectrum):
+        """L = 0 up to rounding: unitality and state preservation are judged
+        against sum ||V_j||^2 + ||H||, not against ||L||, which cancels; L is
+        balanced with itself under the diagonal coupling, and so is its dual."""
+        gen = build_generator(jumps)
+        assert np.linalg.norm(gen.superoperator) <= 1e-15
+        assert gen.scale == pytest.approx(sum(np.linalg.norm(v) ** 2 for v in jumps))
+        s = new_faithful_state(spectrum)
+        sys = System(state=s, dynamics=gen)
+        rep = is_balanced(sys, sys, diagonal_coupling(s))
+        assert rep.balanced and rep.method_agreement
+        dual_sys = System(state=s, dynamics=dual_generator(gen, s))
+        assert is_balanced(dual_sys, sys, diagonal_coupling(s)).balanced
+
+    def test_scale_is_homogeneous(self):
+        """Scaling the jumps by sqrt(c) and H by c scales the generator's
+        scale by c, as it scales L."""
+        jumps, h = [random_matrix(3, seed=2)], np.diag([0.5, -0.2, 0.1]).astype(complex)
+        gen = build_generator(jumps, h)
+        for c in (1e8, 1e-12):
+            scaled = build_generator([np.sqrt(c) * v for v in jumps], c * h)
+            assert scaled.scale == pytest.approx(c * gen.scale, rel=1e-14)
 
 
 class TestSemigroup:
