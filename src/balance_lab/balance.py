@@ -26,8 +26,7 @@ import numpy as np
 from .channels import (
     ReversingOperation,
     _fixed_point_operator,
-    _kms_flip,
-    _like,
+    _kms_conjugate,
     change_frame,
     dual,
     fixed_point_space,
@@ -128,11 +127,14 @@ def is_balanced(
 
     p = _row_sparse(p[:, cols][rows], mask[:, cols][rows])
     s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum, np.arange(mask.shape[0])[rows])
-    a = s_alpha[cols]
+    # a and b C-ordered, each copied once where it is a transposed view (the
+    # superoperator of a dual system): a gather would copy it on every call
+    a = np.ascontiguousarray(s_alpha[cols])
     norm = math.hypot(*map(frob_norm, regions(s_e @ a, s_beta[:, rows] @ s_e, np.subtract)))
     residual = relative_residual(norm, scale)
 
     b = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T[:, rows]
+    b = np.ascontiguousarray(b)
     defect = [np.abs(d) for d in regions(p @ a, b @ p, np.subtract)]
     size = regions(abs(p) @ np.abs(a), np.abs(b) @ abs(p), np.add)
     def_residual = float(np.max(list(map(_max_relative_residual, defect, size))))
@@ -246,7 +248,7 @@ def kms_symmetry_flip_check(
         a_theta = System(state=s, dynamics=theta_kms_dual(sys_a.dynamics, s, th, tol))
         theta_fwd = is_balanced(sys_a, a_theta, w, tol).balanced
         e = extract_channel(w)
-        e_conj = change_frame(_like(e, _kms_flip(e.superoperator)), *th.frame)
+        e_conj = change_frame(_kms_conjugate(e), *th.frame)
         w_e = coupling_from_channel(e_conj, s, s, tol)
         theta_bwd = is_balanced(a_theta, sys_a, w_e, tol).balanced
         theta_eq = theta_fwd == theta_bwd
@@ -281,8 +283,9 @@ def dual_order_check(
     d_b = System(state=s_b, dynamics=dual(sys_b.dynamics, s_b, s_b, tol))
     d_a = System(state=s_a, dynamics=dual(sys_a.dynamics, s_a, s_a, tol))
     dual_pair = is_balanced(d_b, d_a, flip_coupling(w), tol).balanced
-    k_b = System(state=s_b, dynamics=kms_dual(sys_b.dynamics, s_b, s_b, tol))
-    k_a = System(state=s_a, dynamics=kms_dual(sys_a.dynamics, s_a, s_a, tol))
+    # the KMS-duals are j o dual o j (channels.kms_dual) of the duals just made
+    k_b = System(state=s_b, dynamics=_kms_conjugate(d_b.dynamics))
+    k_a = System(state=s_a, dynamics=_kms_conjugate(d_a.dynamics))
     kms_pair = is_balanced(k_b, k_a, kms_flip(w), tol).balanced
     return DualOrderReport(
         primal=bool(primal),

@@ -5,8 +5,9 @@ modules (matrix, state, channel, coupling, scenario).  Reports are printed,
 and optionally written, as canonical JSON: keys in a fixed order, floats with
 17 significant digits, so identical inputs produce identical bytes.
 
-Exit codes: 0 success, 1 malformed input or an unreadable or unwritable file,
-2 validation failure, 3 scenario prediction disagrees with the numeric verdict.
+Exit codes: 0 success, 1 malformed input (a malformed numeric flag among
+it) or an unreadable or unwritable file, 2 validation failure, 3 scenario
+prediction disagrees with the numeric verdict.
 
 Dynamics files are either a channel ({"dim_in", "dim_out", "superoperator"}
 or {"kraus": [...]}) or a semigroup generator ({"kraus": [...],
@@ -563,10 +564,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_numeric_flags(args) -> None:
+    """``--tol`` and ``--deviation-tol`` must be finite and positive, every
+    ``--times`` and ``--sampled-times`` value finite and non-negative; an
+    InputError names the flag.  argparse's float() reads nan, inf and 1e400
+    (as inf), and the checks compare with ``>``, which NaN fails."""
+    for flag in ("tol", "deviation_tol"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            name = flag.replace("_", "-")
+            raise InputError(f"--{name}: must be finite and positive, got {value!r}")
+    for flag in ("times", "sampled_times"):
+        for t in getattr(args, flag, None) or ():
+            if not (math.isfinite(t) and t >= 0):
+                name = flag.replace("_", "-")
+                raise InputError(f"--{name}: must be finite and non-negative, got {t!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_numeric_flags(args)
         report, code = args.func(args)
         text = dumps_canonical(report) + "\n"
         sys.stdout.write(text)

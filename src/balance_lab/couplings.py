@@ -224,10 +224,16 @@ def kms_flip(w: Coupling) -> Coupling:
 
 def compose(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Coupling:
     """Composition along a common middle state; E_{w o psi} = E_psi o E_w."""
+    return _compose(w, psi, extract_channel(w), extract_channel(psi), tol)
+
+
+def _compose(
+    w: Coupling, psi: Coupling, e_w: QuantumChannel, e_psi: QuantumChannel, tol: float
+) -> Coupling:
+    """:func:`compose` from the extracted channels of ``w`` and ``psi``."""
     if not w.state_b.same_state(psi.state_a):
         raise ValueError("couplings not composable: middle states differ")
-    e = compose_channels(extract_channel(psi), extract_channel(w))
-    return coupling_from_channel(e, w.state_a, psi.state_b, tol=tol)
+    return coupling_from_channel(compose_channels(e_psi, e_w), w.state_a, psi.state_b, tol=tol)
 
 
 def is_trivial(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
@@ -251,14 +257,15 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
     Hilbert-space criterion that the centered ranges of E_w and of the dual of
     E_psi are orthogonal in the middle GNS space (cross-Gram matrix norm).
     """
-    composed = compose(w, psi, tol=tol)
+    # each channel is extracted once, for the composition and the criterion
+    e_w, e_psi = extract_channel(w), extract_channel(psi)
+    composed = _compose(w, psi, e_w, e_psi, tol)
     prod = kron(w.state_a.rho, psi.state_b.rho)
     residual = frob_distance(composed.kappa, prod)
     direct = close(composed.kappa, prod, tol)
 
     m = w.state_b.dim
-    e_w = extract_channel(w)
-    e_psi_dual = dual(extract_channel(psi), psi.state_a, psi.state_b, tol=tol)
+    e_psi_dual = dual(e_psi, psi.state_a, psi.state_b, tol=tol)
     # centered families: column (i, j) is vec(E(E_ij) - mu(E_ij) 1)
     x = e_w.superoperator - constant_channel(w.state_a, m).superoperator
     y = e_psi_dual.superoperator - constant_channel(psi.state_b, m).superoperator

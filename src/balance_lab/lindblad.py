@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .channels import QuantumChannel, ReversingOperation, dual, kms_dual, theta_
 from .couplings import Coupling
 from .kernel import (
     DEFAULT_TOL,
+    _invariant_blocks,
     _json_int,
     _json_number,
     as_matrix,
@@ -84,6 +86,14 @@ class LindbladGenerator:
         if relative_residual(frob_norm(s @ one), self.scale) > DEFAULT_TOL:
             raise ValueError("generator is not unital: L(1) != 0")
 
+    @cached_property
+    def invariant_blocks(self) -> list[np.ndarray]:
+        """The exact-zero split of L (``kernel._invariant_blocks``), scanned
+        once.  For finite t >= 0 the pattern of t L is that of L or, where
+        an entry underflows or t = 0, part of it, so this is a valid split
+        of every t L."""
+        return _invariant_blocks(self.superoperator)
+
     @property
     def kind(self) -> str:
         return "generator"
@@ -128,9 +138,8 @@ def semigroup(gen: LindbladGenerator, t: float) -> QuantumChannel:
     """The channel e^{tL}."""
     if not math.isfinite(t) or t < 0:
         raise ValueError("semigroup time must be finite and non-negative")
-    return QuantumChannel(
-        dim_in=gen.dim, dim_out=gen.dim, superoperator=mat_exp(t * gen.superoperator)
-    )
+    s = mat_exp(t * gen.superoperator, gen.invariant_blocks)
+    return QuantumChannel(dim_in=gen.dim, dim_out=gen.dim, superoperator=s)
 
 
 def dual_generator(

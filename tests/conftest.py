@@ -14,6 +14,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import balance_lab.balance
+import balance_lab.channels
+import balance_lab.couplings
+import balance_lab.lindblad
+import balance_lab.states
 from balance_lab.balance import (
     BalanceReport,
     ConvergenceReport,
@@ -23,7 +28,9 @@ from balance_lab.balance import (
 )
 from balance_lab.channels import (
     QuantumChannel,
+    _like,
     apply,
+    constant_channel,
     dual,
     fixed_point_space,
     transpose_superop,
@@ -44,6 +51,7 @@ from balance_lab.kernel import (
     eigenvalues,
     frob_distance,
     frob_norm,
+    mat_exp,
     matrix_unit,
     relative_residual,
     unvec,
@@ -52,6 +60,7 @@ from balance_lab.kernel import (
 from balance_lab.lindblad import (
     LindbladGenerator,
     ScenarioSpec,
+    build_generator,
     cycle_shift,
     scenario_build,
     scenario_state,
@@ -193,6 +202,66 @@ def dual_superop_oracle(
             row += 1
     x, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     return x
+
+
+# ---------------------------------------------------------------------------
+# the dual, the preservation residual and the semigroup exponential as they
+# were formed before the one-pass dual, the copy-free residual and the
+# generator's cached split: references for their bits
+
+
+def state_preservation_residual_reference(dyn, s_in: FaithfulState, s_out=None) -> float:
+    """states.state_preservation_residual with S^dagger vec(rho_out) formed
+    on the conjugated transpose of S."""
+    s_out = s_in if s_out is None else s_out
+    image = dyn.superoperator.conj().T @ vec(s_out.rho)
+    if dyn.kind == "channel":
+        image = image - vec(s_in.rho)
+    return float(np.linalg.norm(image))
+
+
+def dual_reference(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TOL):
+    """channels.dual with the weighted transpose formed as
+    (S^T * w_out) / w_in, a C-ordered array read from S^T, behind the
+    reference preservation check."""
+    res = state_preservation_residual_reference(dyn, s_in, s_out)
+    if relative_residual(res, dyn.scale) > tol:
+        name = "dual generator" if dyn.kind == "generator" else "dual"
+        raise ValueError(f"{name} undefined: the state is not preserved (residual {res:.3e})")
+    w_in, w_out = s_in.kms_weights, s_out.kms_weights
+    growth = float(w_out.max() / w_in.min())
+    return _like(dyn, (dyn.superoperator.T * w_out[None, :]) / w_in[:, None], growth)
+
+
+def semigroup_reference(gen, t: float) -> np.ndarray:
+    """The superoperator of e^{tL} with the exact-zero split scanned on t L
+    itself, call by call."""
+    return mat_exp(t * gen.superoperator)
+
+
+def use_references(monkeypatch) -> None:
+    """Route every dual and every preservation residual of the package
+    through dual_reference and state_preservation_residual_reference."""
+    for module in (balance_lab.balance, balance_lab.channels, balance_lab.couplings,
+                   balance_lab.lindblad):
+        monkeypatch.setattr(module, "dual", dual_reference)
+    monkeypatch.setattr(balance_lab.states, "state_preservation_residual",
+                        state_preservation_residual_reference)
+
+
+def preserving_generator(state: FaithfulState, seed: int) -> LindbladGenerator:
+    """A generator that preserves a diagonal state: jumps |i><j| at rates
+    c_ij p_i with c symmetric (detailed balance), a diagonal Hamiltonian and
+    a pull towards the state, a -> Tr(rho a) 1 - a."""
+    n, p = state.dim, state.spectrum
+    g = rng(seed)
+    c = g.uniform(0.2, 1.0, size=(n, n))
+    c = c + c.T
+    jumps = [np.sqrt(c[i, j] * p[i]) * matrix_unit(n, i, j)
+             for i in range(n) for j in range(n) if i != j]
+    gen = build_generator(jumps, np.diag(g.normal(size=n)).astype(complex))
+    pull = constant_channel(state).superoperator - np.eye(n * n)
+    return LindbladGenerator(dim=n, superoperator=gen.superoperator + 0.3 * pull)
 
 
 def coupling_from_channel_oracle(superop, sa: FaithfulState, sb: FaithfulState) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Balance verification and its consequences: symmetry, detailed balance,
 ergodicity, disjointness witnesses, convergence transfer."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,13 @@ from balance_lab.kernel import frob_distance
 from balance_lab.lindblad import LindbladGenerator, cycle_generator, scenario_build, semigroup
 from balance_lab.states import System, new_faithful_state
 
-from conftest import make_spec, random_state_vector
+from conftest import (
+    dual_reference,
+    make_spec,
+    preserving_generator,
+    random_state_vector,
+    use_references,
+)
 
 
 def scenario_systems(k=(0.3, 0.6), l=(0.3, 0.6), g=(0.0,) * 7, h=(0.0,) * 7):
@@ -199,6 +207,35 @@ class TestDualOrder:
         rep = dual_order_check(triple.system_a, triple.system_b, triple.coupling)
         assert not rep.primal and not rep.dual_pair and not rep.kms_pair
         assert rep.consistent
+
+    def test_kms_duals_are_flips_of_the_duals(self, monkeypatch):
+        """The KMS-duals are the KMS flips of the two duals just made: five
+        duals a call (two, and one in each is_balanced), no kms_dual, and
+        the report of the reference duals and residuals."""
+        diag = diagonal_coupling(new_faithful_state([0.31, 0.07, 0.22, 0.15, 0.25]))
+        generic = [System(state=diag.state_a, dynamics=preserving_generator(diag.state_a, seed))
+                   for seed in (5, 6)]
+        cases = [
+            scenario_build(make_spec(types=("entangled", "mixed"))),
+            scenario_build(make_spec(types=("entangled", "entangled"), l=(0.3, 0.5))),
+        ]
+        cases = [(t.system_a, t.system_b, t.coupling) for t in cases]
+        cases += [(generic[0], generic[0], diag), (generic[0], generic[1], diag)]
+        new = [json.dumps(dual_order_check(*case).to_json()) for case in cases]
+        use_references(monkeypatch)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return dual_reference(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dual_order_check called kms_dual")
+
+        monkeypatch.setattr(balance, "dual", counted)
+        monkeypatch.setattr(balance, "kms_dual", refused)
+        assert [json.dumps(dual_order_check(*case).to_json()) for case in cases] == new
+        assert len(calls) == 5 * len(cases)
 
     def test_dual_systems_preserve_state(self):
         sys_a = scenario_systems(g=(0.2,) * 3 + (0.0,) * 4).system_a

@@ -1,5 +1,7 @@
 """Channels: application, u.c.p. validation, the three duals, fixed points."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,8 @@ from numpy.testing import assert_allclose
 from balance_lab.channels import (
     QuantumChannel,
     ReversingOperation,
+    _kms_flip,
+    _like,
     apply,
     change_frame,
     channel_from_kraus,
@@ -23,7 +27,7 @@ from balance_lab.channels import (
 import balance_lab.balance as balance
 from balance_lab.balance import kms_symmetry_flip_check
 from balance_lab.couplings import coupling_from_channel, extract_channel, new_coupling
-from balance_lab.kernel import frob_distance, matrix_unit, vec
+from balance_lab.kernel import ad_superop, frob_distance, matrix_unit, vec
 from balance_lab.lindblad import (
     build_generator,
     cycle_generator,
@@ -38,9 +42,12 @@ from conftest import (
     GENERIC7,
     assert_relative_close,
     channel_from_function,
+    dual_reference,
     dual_superop_oracle,
+    preserving_generator,
     random_matrix,
     random_state_vector,
+    state_preservation_residual_reference,
     theta_conjugate_oracle,
     theta_kms_dual_oracle,
 )
@@ -220,6 +227,25 @@ class TestReversingOperation:
     def test_state_compatibility(self):
         th = ReversingOperation(dim=2)
         assert th.compatible_with(new_faithful_state([0.3, 0.7]))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_validate_rejects_mutated_superoperators(self, n):
+        """validate reads the cached superoperator: each mutant fails the
+        one property it lacks, and the unmutated operations pass."""
+        # the identity map is involutive and *-preserving, but multiplicative
+        th = ReversingOperation(dim=n)
+        assert th.validate()
+        th.__dict__["superoperator"] = np.eye(n * n)
+        assert not th.validate()
+        # Ad_u o transpose with u conj(u) != 1 is antimultiplicative and
+        # *-preserving, but not involutive
+        u = np.eye(n, dtype=complex)
+        u[:2, :2] = [[0.0, 1.0], [1j, 0.0]]
+        assert not np.allclose(u @ u.conj(), np.eye(n))
+        th = phase_theta(n)
+        assert th.validate()
+        th.__dict__["superoperator"] = ad_superop(u) @ transpose_superop(n)
+        assert not th.validate()
 
 
 class TestThetaKmsDual:
@@ -503,3 +529,57 @@ class TestChangeFrame:
             back = change_frame(there, u_in.conj().T, u_out.conj().T)
             assert back.kind == dyn.kind
             assert frob_distance(back.superoperator, dyn.superoperator) <= 1e-12
+
+
+def layout_cases():
+    """(dynamics, s_in, s_out) on states with distinct eigenvalues: a
+    generator on five levels that preserves its state and its channel at
+    t = 0.7, and the two-to-three channel, whose dual maps M_3 to M_2."""
+    s = new_faithful_state(np.array([0.31, 0.07, 0.22, 0.15, 0.25]))
+    gen = preserving_generator(s, seed=17)
+    ch23, sa, sb = two_to_three_channel()
+    return {
+        "generator-5": (gen, s, s),
+        "channel-5": (semigroup(gen, 0.7), s, s),
+        "channel-2-to-3": (ch23, sa, sb),
+    }
+
+
+class TestDualLayout:
+    """dual forms W_out S W_in^-1 as one array and returns its transposed
+    view: the bits of the (S^T * w_out) / w_in it replaced
+    (conftest.dual_reference), for the three duals, the dual of a dual, the
+    preservation residual of either layout and the JSON form."""
+
+    @pytest.mark.parametrize("case", sorted(layout_cases()))
+    def test_duals_keep_their_bits(self, case):
+        dyn, s_in, s_out = layout_cases()[case]
+        got, ref = dual(dyn, s_in, s_out), dual_reference(dyn, s_in, s_out)
+        assert got.superoperator.tobytes() == ref.superoperator.tobytes()
+        assert not got.superoperator.flags.owndata and got.scale == ref.scale
+        kms = kms_dual(dyn, s_in, s_out).superoperator
+        assert kms.tobytes() == _kms_flip(ref.superoperator).tobytes()
+        # the dual of a dual reads a transposed view and is C-ordered
+        twice = dual(got, s_out, s_in).superoperator
+        assert twice.flags.c_contiguous
+        assert twice.tobytes() == dual_reference(ref, s_out, s_in).superoperator.tobytes()
+        if s_in is s_out:
+            th = phase_theta(s_in.dim, seed=3)
+            want = change_frame(ref, *th.frame).superoperator
+            assert theta_kms_dual(dyn, s_in, th).superoperator.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(layout_cases()))
+    def test_preservation_residual_bits(self, case):
+        dyn, s_in, s_out = layout_cases()[case]
+        d = dual(dyn, s_in, s_out)
+        c_ordered = _like(d, np.ascontiguousarray(d.superoperator))
+        for x, a, b in ((dyn, s_in, s_out), (d, s_out, s_in), (c_ordered, s_out, s_in)):
+            got = state_preservation_residual(x, a, b)
+            assert got == state_preservation_residual_reference(x, a, b) and got <= 1e-12
+
+    @pytest.mark.parametrize("case", ["channel-5", "channel-2-to-3"])
+    def test_json_of_transposed_view(self, case):
+        dyn, s_in, s_out = layout_cases()[case]
+        d = dual(dyn, s_in, s_out)
+        copy = QuantumChannel(d.dim_in, d.dim_out, np.ascontiguousarray(d.superoperator))
+        assert json.dumps(d.to_json()) == json.dumps(copy.to_json())

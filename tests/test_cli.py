@@ -475,16 +475,18 @@ class TestSqdbErgodicConvergence:
         assert [d["t"] for d in rep["deviations"]] == [0.1, 1.0, 5.0, rep["threshold_time"]]
         assert calls == {"convergence_probe": 1, "is_balanced": 1, "semigroup": 4}
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
     def test_non_finite_times_rejected(self, workdir, capsys, bad):
+        # a malformed flag is malformed input (TestNumericFlags)
         f = write(workdir / "spec.json", make_spec().to_json())
-        for argv in (
-            ("check-balance", "--scenario", f, "--sampled-times", "1", bad),
-            ("convergence", "--scenario", f, "--times", "1", bad),
+        for flag, argv in (
+            ("--sampled-times", ("check-balance", "--scenario", f, "--sampled-times", "1", bad)),
+            ("--times", ("convergence", "--scenario", f, "--times", "1", bad)),
         ):
             code, err = run_err(capsys, *argv)
-            assert code == 2
-            assert err == "validation failure: semigroup time must be finite and non-negative\n"
+            assert code == 1
+            value = "nan" if bad == "nan" else "inf"
+            assert err == f"input error: {flag}: must be finite and non-negative, got {value}\n"
 
 
 class TestScenarioCommands:
@@ -953,7 +955,8 @@ class TestBlockwiseMatchesDense:
             assert sum(idx.shape[0] for idx in _invariant_blocks(sys_x.dynamics.superoperator)) > 1
         f = write(workdir / "spec.json", spec.to_json())
         blockwise = self.reports(capsys, f)
-        monkeypatch.setattr(lindblad, "mat_exp", lambda m: scipy.linalg.expm(m))
+        # semigroup hands mat_exp the generator's split, which the dense expm ignores
+        monkeypatch.setattr(lindblad, "mat_exp", lambda m, blocks=None: scipy.linalg.expm(m))
         monkeypatch.setattr(balance, "eigenvalues", np.linalg.eigvals)
         dense = self.reports(capsys, f)
         for x, y in zip(blockwise, dense):
@@ -1003,3 +1006,36 @@ class TestNonFiniteScenario:
         code, err = run_err(capsys, "check-balance", "--scenario", f)
         assert code == 1
         assert err.startswith("input error:") and ": k must " in err
+
+
+class TestNumericFlags:
+    """argparse reads nan, inf and 1e400 (as inf) as floats: a tolerance
+    that is not finite and positive, or a time that is not finite and
+    non-negative, exits 1 with an input error that names the flag, before
+    any arithmetic runs."""
+
+    # the non-finite times are TestSqdbErgodicConvergence's
+    TOLS = ["nan", "-1", "inf", "0", "1e400"]
+    CASES = (
+        [(("check-balance", "--scenario", "{f}", "--sampled-times", "0"), "--sampled-times", "-1"),
+         (("convergence", "--scenario", "{f}", "--times", "1"), "--times", "-1")]
+        + [(("scenario", "run", "{f}"), "--tol", v) for v in TOLS]
+        + [(("convergence", "--scenario", "{f}"), "--deviation-tol", v) for v in TOLS]
+    )
+
+    @pytest.mark.parametrize("argv, flag, value", CASES)
+    def test_rejected(self, workdir, capsys, argv, flag, value):
+        f = write(workdir / "spec.json", make_spec().to_json())
+        code, err = run_err(capsys, *(a.format(f=f) for a in argv), flag, value)
+        assert code == 1
+        assert err.startswith(f"input error: {flag}: must be finite and ")
+        assert err.count("\n") == 1
+
+    def test_valid_values_accepted(self, workdir, capsys):
+        f = write(workdir / "spec.json", make_spec().to_json())
+        for argv in (
+            ("check-balance", "--scenario", f, "--sampled-times", "0", "0.5", "--tol", "1e-6"),
+            ("convergence", "--scenario", f, "--times", "0", "2", "--deviation-tol", "1e-3"),
+        ):
+            code, _ = run(capsys, *argv)
+            assert code == 0

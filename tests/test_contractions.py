@@ -27,7 +27,6 @@ from balance_lab.channels import (
     ReversingOperation,
     _kms_flip,
     channel_from_kraus,
-    constant_channel,
     dual,
     identity_channel,
     kms_dual,
@@ -47,8 +46,6 @@ from balance_lab.couplings import (
 from balance_lab import kernel
 from balance_lab.kernel import _row_sparse, _support, eigenvalues, matrix_unit, vec
 from balance_lab.lindblad import (
-    LindbladGenerator,
-    build_generator,
     scenario_build,
     scenario_coupling,
     scenario_predict,
@@ -66,6 +63,7 @@ from conftest import (
     is_balanced_dense,
     is_orthogonal_loop,
     make_spec,
+    preserving_generator,
     random_matrix,
     random_state_vector,
     rescaled_triple,
@@ -463,21 +461,6 @@ class TestPairing:
 
 # ---------------------------------------------------------------------------
 # is_balanced over the support of P against the six dense products
-
-
-def preserving_generator(state, seed: int) -> LindbladGenerator:
-    """A generator that preserves a diagonal state: jumps |i><j| at rates
-    c_ij p_i with c symmetric (detailed balance), a diagonal Hamiltonian and
-    a pull towards the state, a -> Tr(rho a) 1 - a."""
-    n, p = state.dim, state.spectrum
-    g = rng(seed)
-    c = g.uniform(0.2, 1.0, size=(n, n))
-    c = c + c.T
-    jumps = [np.sqrt(c[i, j] * p[i]) * matrix_unit(n, i, j)
-             for i in range(n) for j in range(n) if i != j]
-    gen = build_generator(jumps, np.diag(g.normal(size=n)).astype(complex))
-    pull = constant_channel(state).superoperator - np.eye(n * n)
-    return LindbladGenerator(dim=n, superoperator=gen.superoperator + 0.3 * pull)
 
 
 def preserving_systems(w: Coupling, kind: str, seed: int) -> tuple[System, System]:

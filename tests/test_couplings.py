@@ -1,5 +1,7 @@
 """Couplings: evaluation, extraction, the channel bijection, flips, composition."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from balance_lab.channels import (
     identity_channel,
     validate_ucp,
 )
+import balance_lab.couplings as couplings
 from balance_lab.couplings import (
     compose,
     coupling_from_channel,
@@ -37,8 +40,10 @@ from conftest import (
     extract_channel_oracle,
     extraction_is_valid,
     make_spec,
+    preserving_generator,
     random_matrix,
     random_state_vector,
+    use_references,
 )
 
 
@@ -290,6 +295,32 @@ class TestOrthogonality:
         for w in pool[:3]:
             for psi in pool[:3]:
                 assert is_orthogonal(w, psi).methods_agree
+
+    def test_report_bits_and_one_extraction_each(self, monkeypatch):
+        """is_orthogonal extracts each coupling once, for the composition and
+        for the criterion: the composition is compose's, and the report is
+        that of the reference duals and residuals."""
+        s = new_faithful_state([0.31, 0.07, 0.22, 0.15, 0.25])
+        ch = semigroup(preserving_generator(s, seed=9), 0.5)
+        generic = [diagonal_coupling(s), coupling_from_channel(ch, s, s)]
+        pool = scenario_pool()[:3]
+        pairs = [(w, psi) for w in pool for psi in pool]
+        pairs += [(w, psi) for w in generic for psi in generic]
+        new = [is_orthogonal(w, psi) for w, psi in pairs]
+        for (w, psi), rep in zip(pairs, new):
+            prod = kron(w.state_a.rho, psi.state_b.rho)
+            assert rep.residual == frob_distance(compose(w, psi).kappa, prod)
+        use_references(monkeypatch)
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return extract_channel(w)
+
+        monkeypatch.setattr(couplings, "extract_channel", counted)
+        old = [is_orthogonal(w, psi) for w, psi in pairs]
+        assert [json.dumps(r.to_json()) for r in old] == [json.dumps(r.to_json()) for r in new]
+        assert len(calls) == 2 * len(pairs)
 
     def test_trivial_cases(self):
         assert not is_trivial(diagonal_coupling(qubit()))

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from balance_lab import kernel
 from balance_lab.couplings import Coupling, diagonal_coupling, extract_channel
 from balance_lab.kernel import (
     GATHER_COST,
@@ -17,6 +18,7 @@ from balance_lab.kernel import (
     _gather_form,
     _gather_product,
     _invariant_blocks,
+    _padded,
     _relative_residuals,
     _support,
     check_psd,
@@ -463,6 +465,35 @@ class TestRowGather:
         y = other_factor(rng(5), 5, n, "complex")
         assert (rs @ x + 0.0).tobytes() == (m @ x + 0.0).tobytes()
         assert (y @ rs).tobytes() == (y @ m).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_forms_built_on_first_use(self, kind, monkeypatch):
+        """A product builds the one form it needs, once, and a matrix mapped
+        from the factor maps that form; the column form, read from the
+        row-major nonzeros by one stable sort by column, is the row form of
+        m.T."""
+        g = rng(7 + len(kind))
+        n = 2 * GATHER_COST
+        m = permutation_sparse(g, n, kind) + permutation_sparse(g, n, kind)
+        built = []
+
+        def padded(*args):
+            built.append(args[3])
+            return _padded(*args)
+
+        monkeypatch.setattr(kernel, "_padded", padded)
+        rs = _row_sparse(m, m != 0)
+        assert built == []
+        x = other_factor(g, 3, n, kind)
+        assert_allclose(x @ rs, x @ m, rtol=0, atol=1e-14)
+        weighed = abs(rs).weigh_rows(g.random(n) + 0.5, g.random(n) + 0.5)
+        x @ weighed, x @ rs
+        assert built == [n]
+        assert_allclose(rs @ x.T, m @ x.T, rtol=0, atol=1e-14)
+        assert len(built) == 2
+        monkeypatch.undo()
+        for got, want in zip(rs.right, _gather_form(np.ascontiguousarray(m.T), m.T != 0)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cost_rule(self, k):

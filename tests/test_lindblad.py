@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from balance_lab.balance import is_balanced
 from balance_lab.channels import apply, validate_ucp
 from balance_lab.couplings import diagonal_coupling, validate_coupling
-from balance_lab.kernel import frob_distance, matrix_unit, vec
+from balance_lab import kernel
+from balance_lab.kernel import _invariant_blocks, frob_distance, matrix_unit, vec
 from balance_lab.lindblad import (
     VALID_BLOCK_TYPES,
     balance_sub_residuals,
@@ -32,6 +33,7 @@ from conftest import (
     make_spec,
     random_matrix,
     scenario_coupling_kron,
+    semigroup_reference,
 )
 
 
@@ -146,6 +148,56 @@ class TestSemigroup:
     def test_time_must_be_finite_and_non_negative(self, t):
         with pytest.raises(ValueError, match="^semigroup time must be finite and non-negative$"):
             semigroup(cycle_generator((3,), [0.4]), t)
+
+
+def split_cases():
+    """Generators whose split has many blocks (a two-cycle scenario, a
+    16-cycle), one block (a dense generator) and blocks held together by
+    weak links only (a diagonal jump and a shift weighted 0.3, whose
+    entries in L are 0.09 and 0.045)."""
+    g = np.linspace(-0.9, 0.8, 16)
+    v = random_matrix(4, seed=31)
+    ham = np.diag([0.1, 0.7, -0.4, 0.9]).astype(complex)
+    weak = [np.diag([1.0, 1.5, 2.0, 2.5]).astype(complex), 0.3 * np.eye(4, k=-1)]
+    return {
+        "3+4": cycle_generator((3, 4), [0.3, 0.6], [0.1, 0.2, 0.3, -0.1, -0.2, -0.3, 0.4]),
+        "16-cycle": cycle_generator((16,), [0.4], g),
+        "dense-4": build_generator([v, v @ v], ham),
+        "weak-links-4": build_generator(weak, ham),
+    }
+
+
+class TestSemigroupSplit:
+    """semigroup hands mat_exp the exact-zero split that the generator
+    scanned once; every t gives the bits of the split scanned on t L
+    (conftest.semigroup_reference): at t = 0, where t L is zero, at
+    t = 5e-324, where every entry of L below 0.5 in size underflows, and at
+    ordinary times."""
+
+    @pytest.mark.parametrize("case", sorted(split_cases()))
+    def test_bits_against_the_per_call_split(self, case):
+        gen = split_cases()[case]
+        for t in (0.0, 5e-324, 1e-300, 0.1, 1.0, 1000.0):
+            got = semigroup(gen, t).superoperator
+            assert got.tobytes() == semigroup_reference(gen, t).tobytes(), t
+
+    def test_underflow_splits_finer(self):
+        # so that the case above runs a split coarser than that of t L
+        gen = split_cases()["weak-links-4"]
+        tiny = 5e-324 * gen.superoperator
+        assert 0 < np.count_nonzero(tiny) < np.count_nonzero(gen.superoperator)
+        count = lambda blocks: sum(idx.shape[0] for idx in blocks)  # noqa: E731
+        assert count(_invariant_blocks(tiny)) == 16 > count(gen.invariant_blocks) == 7
+
+    def test_split_is_scanned_once(self, monkeypatch):
+        gen = split_cases()["16-cycle"]
+        want = [idx.copy() for idx in _invariant_blocks(gen.superoperator)]
+        semigroup(gen, 1.0)
+        monkeypatch.setattr(kernel, "_invariant_blocks", None)
+        for t in (0.5, 2.0):
+            semigroup(gen, t)
+        assert len(gen.invariant_blocks) == len(want)
+        assert all(np.array_equal(x, y) for x, y in zip(gen.invariant_blocks, want))
 
 
 class TestDualGenerator:
