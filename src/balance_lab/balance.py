@@ -45,10 +45,9 @@ from .couplings import (
 from .kernel import (
     DEFAULT_TOL,
     Report,
-    _row_sparse,
+    _factor,
     _max_relative_residual,
     _relative_residuals,
-    _support,
     eigenvalues,
     frob_norm,
     rank,
@@ -93,50 +92,33 @@ def is_balanced(
     equivalent to all times at once.
 
     P and S_E are zero outside the rows and columns that the coupling
-    touches (``kernel._support``), so every product is taken over those
-    alone, and each residual is read on the two regions where it can be
-    nonzero: the support rows (both terms on the support columns, the first
-    alone on the others) and the other rows on the support columns (the
-    second alone).  The Frobenius norm is the hypot of the regions' norms,
-    the componentwise maximum the larger of their maxima, and 0/0 = 0
-    elsewhere.  A coupling with full support selects everything through
-    slices.  Each product with the support block of P or S_E is taken by
-    row gather where the kernel's cost rule allows (``kernel._row_sparse``),
-    and by BLAS elsewhere; S_E's gathered entries are P's times the two
-    factors of ``couplings._weigh_rows``, so they have S_E's bits.
+    touches, so both are read as one ``kernel._Factor`` of that support:
+    every product is taken over the support block alone, by row gather
+    where the kernel's cost rule allows and by BLAS elsewhere, and S_E is
+    P's factor with its rows weighed by ``couplings._weigh_rows``, so it
+    has S_E's bits.  Each residual is read on the two regions where it can
+    be nonzero (``_Factor.regions``): the support rows (both terms on the
+    support columns, the first alone on the others) and the other rows on
+    the support columns (the second alone).  The Frobenius norm is the
+    hypot of the regions' norms, the componentwise maximum the larger of
+    their maxima, and 0/0 = 0 elsewhere.
     """
     _check_triple(sys_a, sys_b, w)
     s_alpha = sys_a.dynamics.superoperator
     s_beta = sys_b.dynamics.superoperator
     scale = frob_norm(s_alpha) + frob_norm(s_beta)
-    p = w.pairing()
-    mask = p != 0
-    rows, cols = _support(p, mask)
-    other_rows = np.ones(p.shape[0], dtype=bool)
-    other_rows[rows] = False
-
-    def regions(xa: np.ndarray, bx: np.ndarray, op) -> tuple[np.ndarray, np.ndarray]:
-        """X A op B X (op np.subtract or np.add) for an X that is zero outside
-        rows x cols, from xa = (X A)[rows] and bx = (B X)[:, cols]: the only
-        parts that can be nonzero, the rows ``rows`` (written over xa) and,
-        up to sign, the other rows on cols, where the second term is alone."""
-        both = xa[:, cols]
-        # a no-op when cols is a slice, since op wrote into xa itself
-        xa[:, cols] = op(both, bx[rows], out=both)
-        return xa, bx[other_rows]
-
-    p = _row_sparse(p[:, cols][rows], mask[:, cols][rows])
-    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum, np.arange(mask.shape[0])[rows])
+    p = _factor(w.pairing())
+    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)
     # a and b C-ordered, each copied once where it is a transposed view (the
     # superoperator of a dual system): a gather would copy it on every call
-    a = np.ascontiguousarray(s_alpha[cols])
-    norm = math.hypot(*map(frob_norm, regions(s_e @ a, s_beta[:, rows] @ s_e, np.subtract)))
+    a = np.ascontiguousarray(s_alpha[p.cols])
+    norm = math.hypot(*map(frob_norm, p.regions(s_e @ a, s_beta[:, p.rows] @ s_e, np.subtract)))
     residual = relative_residual(norm, scale)
 
-    b = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T[:, rows]
+    b = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T[:, p.rows]
     b = np.ascontiguousarray(b)
-    defect = [np.abs(d) for d in regions(p @ a, b @ p, np.subtract)]
-    size = regions(abs(p) @ np.abs(a), np.abs(b) @ abs(p), np.add)
+    defect = [np.abs(d) for d in p.regions(p @ a, b @ p, np.subtract)]
+    size = p.regions(abs(p) @ np.abs(a), np.abs(b) @ abs(p), np.add)
     def_residual = float(np.max(list(map(_max_relative_residual, defect, size))))
 
     balanced = residual <= tol
@@ -433,7 +415,8 @@ def convergence_probe(
     if not rep.balanced:
         raise ValueError("convergence probe requires a balanced triple")
 
-    evals = eigenvalues(sys_a.dynamics.superoperator)
+    gen = sys_a.dynamics
+    evals = eigenvalues(gen.superoperator, gen.invariant_blocks)
     scale = float(np.max(np.abs(evals)))
     zero = _relative_residuals(np.abs(evals), scale) <= tol
     nonzero = evals[~zero]
@@ -456,16 +439,14 @@ def convergence_probe(
     if certified and (not times or times[-1] < threshold):
         times = sorted(set(times) | {threshold})
     # a zero column of S_E is the image of a matrix unit, which every state
-    # sees at deviation 0, so only the nonzero columns are evolved, each by
-    # column gather where the kernel's cost rule allows
-    mask = s_e != 0
-    cols = _support(s_e, mask)[1]
-    s_e = _row_sparse(s_e[:, cols], mask[:, cols])
+    # sees at deviation 0, so only the nonzero columns are evolved, over the
+    # nonzero rows, each by column gather where the kernel's cost rule allows
+    s_e = _factor(s_e)
     states = _spanning_density_matrices(w.state_b.dim)
-    targets = vec(sys_b.state.rho) @ s_e
+    targets = vec(sys_b.state.rho)[s_e.rows] @ s_e
     deviations = []
     for t in times:
-        evolved = states @ (semigroup(sys_b.dynamics, t).superoperator @ s_e)
+        evolved = states @ (semigroup(sys_b.dynamics, t).superoperator[:, s_e.rows] @ s_e)
         deviations.append((t, float(np.max(np.abs(evolved - targets), initial=0.0))))
 
     passed, message = None, "spectral condition fails; convergence transfer inapplicable"

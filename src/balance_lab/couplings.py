@@ -45,7 +45,6 @@ from .channels import (
 from .kernel import (
     DEFAULT_TOL,
     Report,
-    _RowSparse,
     as_matrix,
     close,
     frob_distance,
@@ -98,21 +97,17 @@ def _from_pairing(p: np.ndarray, state_a: FaithfulState, state_b: FaithfulState)
     return Coupling(kappa=kappa, state_a=state_a, state_b=state_b)
 
 
-def _weigh_rows(x, r: np.ndarray, rows: np.ndarray | None = None):
+def _weigh_rows(x, r: np.ndarray):
     """Row k + m*l of an m^2-row matrix multiplied by r_k and then by r_l.
 
     Two factors, not their product r_k r_l: that order rounds as the block
     sum defining :func:`coupling_from_channel` does, so a rebuilt coupling has
-    the same bits, and the same canonical JSON, either way.  Given ``rows``,
-    x holds those rows of such a matrix only, as an array or as a
-    ``kernel._RowSparse``, whose gathered entries are weighed alike.
+    the same bits, and the same canonical JSON, either way.  x is an array
+    or a ``kernel._Factor``, which weighs its rows alike.
     """
     m = r.shape[0]
-    q = np.arange(x.shape[0]) if rows is None else rows
-    first, then = r[q % m], r[q // m]
-    if isinstance(x, _RowSparse):
-        return x.weigh_rows(first, then)
-    return x * first[:, None] * then[:, None]
+    q = np.arange(x.shape[0])
+    return x * r[q % m][:, None] * r[q // m][:, None]
 
 
 @dataclass(frozen=True, eq=False)

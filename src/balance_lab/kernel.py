@@ -35,16 +35,19 @@ Conventions used throughout the package:
   (``lindblad.LindbladGenerator.invariant_blocks``, scanned on first use),
   and ``lindblad.semigroup`` hands it to ``mat_exp`` for every t, since the
   pattern of t L is that of L or, where entries underflow, part of it.
-* A product with a matrix that is zero outside a few rows and columns is
-  taken over those only (``_support``): x @ a is nonzero only on the
-  support rows of x, and b @ x only on its support columns.  A matrix whose
-  support is everything selects it through ``slice(None)``.
-* A product with a row-sparse factor m, k nonzeros at most in a row, is
-  taken by row gather where that is cheaper (``_row_sparse``): m @ x is the
-  k passes ``w[:, j, None] * x[idx[:, j]]`` over the gather form (idx, w)
-  of m (``_gather_form``), and x @ m the same on m.T, gathering columns.
-  Each form is built by the first product that needs it, both from one
-  list of m's nonzeros in row-major order.
+* A matrix that is zero outside a few rows and columns, and has few
+  nonzeros in a row or a column, is a factor of products (``_Factor``,
+  built by ``_factor`` from one scan of its pattern).  A product with it
+  is taken over its support block alone: m @ x is nonzero only on the
+  support rows of m and reads only the rows of x on its support columns,
+  and x @ m alike.  A matrix whose support is everything selects it
+  through ``slice(None)``.  On a side with k nonzeros at most in a row of
+  the block, the product is taken by row gather where that is cheaper:
+  m @ x is the k passes ``w[:, j, None] * x[idx[:, j]]`` over the gather
+  form (idx, w) of the block, and x @ m the same on its transpose,
+  gathering columns.  Both forms are built with the factor, from one list
+  of the block's nonzeros in row-major order; the dense block is kept only
+  for a side that stays on BLAS.
   That is O(k) passes over x where BLAS takes O(inner) steps, with inner
   the inner dimension of the product.  One cost rule picks the gather for
   each product: k * GATHER_COST <= inner, with the constant 128.  Measured
@@ -73,7 +76,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
-from functools import cached_property
 
 import numpy as np
 
@@ -236,19 +238,7 @@ def _bipartite_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return _group(label[:r], label[r:])
 
 
-def _support(m: np.ndarray, mask: np.ndarray | None = None) -> tuple[np.ndarray | slice, np.ndarray | slice]:
-    """The rows and the columns of m that hold a nonzero, each as an
-    ascending index array, or as slice(None) when it is all of them.
-    ``mask`` is m != 0, for a caller that has it already."""
-    mask = m != 0 if mask is None else mask
-    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
-    return (
-        slice(None) if rows.size == m.shape[0] else rows,
-        slice(None) if cols.size == m.shape[1] else cols,
-    )
-
-
-# The cost rule of a product with a row-sparse factor: by row gather when
+# The cost rule of a product with a sparse factor: by row gather when
 # k * GATHER_COST <= inner, by BLAS otherwise (see the module docstring).
 GATHER_COST = 128
 
@@ -295,93 +285,90 @@ def _gather_product(x: np.ndarray, form: tuple[np.ndarray, np.ndarray], axis: in
     return out
 
 
-class _RowSparse:
-    """A matrix m as a factor of products: m @ x by the row-gather form
-    ``left`` of m, x @ m by the row-gather form ``right`` of m.T (the column
-    form), each built on first use, and each by BLAS on the dense m for a
-    side the cost rule keeps there, whose form is None (made by
-    :func:`_row_sparse`)."""
+def _index(hit: np.ndarray) -> np.ndarray | slice:
+    """The ascending indices of the True entries of ``hit``, or slice(None)
+    when it is all of them."""
+    return slice(None) if hit.all() else np.flatnonzero(hit)
 
-    # numpy defers ``x @ m``, with x an array, to ``m.__rmatmul__(x)``
+
+class _Factor:
+    """A matrix m, zero outside its support ``rows`` x ``cols``, as a factor
+    of products (made by :func:`_factor`).  Products take the support block
+    alone: ``f @ x`` is (m @ y)[rows] for x = y[cols], and ``x @ f`` is
+    (y @ m)[:, cols] for x = y[:, rows].  Each is taken by the gather form of
+    the block, ``left``, or of its transpose, ``right``, on a side the cost
+    rule gathers, and by BLAS with the dense ``block`` on a side it does not;
+    ``block`` is None when both sides gather."""
+
+    # numpy defers ``x @ f``, with x an array, to ``f.__rmatmul__(x)``
     __array_ufunc__ = None
 
-    def __init__(self, dense: np.ndarray | None, left, right):
-        # left and right build the two forms, or are None for a BLAS side
-        self.dense, self._build = dense, (left, right)
-
-    @cached_property
-    def left(self):
-        return None if self._build[0] is None else self._build[0]()
-
-    @cached_property
-    def right(self):
-        return None if self._build[1] is None else self._build[1]()
+    def __init__(self, shape, rows, cols, block, left, right):
+        self.shape, self.rows, self.cols = shape, rows, cols
+        self.block, self.left, self.right = block, left, right
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.dense @ x if self.left is None else _gather_product(x, self.left, 0)
+        return self.block @ x if self.left is None else _gather_product(x, self.left, 0)
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.dense if self.right is None else _gather_product(x, self.right, -1)
+        return x @ self.block if self.right is None else _gather_product(x, self.right, -1)
 
-    def _map(self, dense, left, right) -> "_RowSparse":
-        """The matrix of the same pattern with the dense m and the weights of
-        the two gather forms (idx, w) passed through the given functions,
-        each form mapped from this one's on first use."""
-        return _RowSparse(
-            None if self.dense is None else dense(self.dense),
-            None if self._build[0] is None else lambda: (self.left[0], left(*self.left)),
-            None if self._build[1] is None else lambda: (self.right[0], right(*self.right)),
+    def _map(self, dense, left, right) -> "_Factor":
+        """The factor of the same support with the block and the weights w of
+        the two gather forms (idx, w) passed through the given functions."""
+        return _Factor(
+            self.shape, self.rows, self.cols,
+            None if self.block is None else dense(self.block),
+            None if self.left is None else (self.left[0], left(*self.left)),
+            None if self.right is None else (self.right[0], right(*self.right)),
         )
 
-    def __abs__(self) -> "_RowSparse":
+    def __abs__(self) -> "_Factor":
         return self._map(np.abs, lambda idx, w: np.abs(w), lambda idx, w: np.abs(w))
 
-    def weigh_rows(self, first: np.ndarray, then: np.ndarray) -> "_RowSparse":
-        """The matrix with row i multiplied by first[i] and then by then[i],
-        two roundings, in the dense form and the gathered weights alike."""
-        return self._map(
-            lambda m: m * first[:, None] * then[:, None],
-            lambda idx, w: w * first[:, None] * then[:, None],
-            lambda idx, w: w * first[idx] * then[idx],
-        )
+    def __mul__(self, column: np.ndarray) -> "_Factor":
+        """m with row i multiplied by column[i, 0], for a column of shape
+        (m.shape[0], 1): one rounding, in the block and the gathered weights
+        alike, so a product with the result has the bits of the product
+        with the weighed dense matrix."""
+        c = column[self.rows]
+        return self._map(lambda b: b * c, lambda idx, w: w * c, lambda idx, w: w * c[idx, 0])
+
+    def regions(self, xa: np.ndarray, bx: np.ndarray, op) -> tuple[np.ndarray, np.ndarray]:
+        """X A op B X (op np.subtract or np.add) for an X with this support,
+        from xa = X @ A[cols] and bx = B[:, rows] @ X: the only parts that can
+        be nonzero, the support rows (written over xa) and, up to sign, the
+        other rows on the support columns, where the second term is alone."""
+        both = xa[:, self.cols]
+        # a no-op when cols is a slice, since op wrote into xa itself
+        xa[:, self.cols] = op(both, bx[self.rows], out=both)
+        other = np.ones(bx.shape[0], dtype=bool)
+        other[self.rows] = False
+        return xa, bx[other]
 
 
-def _row_sparse(m: np.ndarray, mask: np.ndarray):
-    """m as a factor of products, with mask = m != 0: a :class:`_RowSparse`
-    when the cost rule gathers some product with it, else m itself, so that
-    a product the rule keeps on BLAS runs exactly as without the rule.  The
-    dense m is kept only when some product needs it.  Both forms are read
-    from one list of m's nonzeros in row-major order: the row form as it
-    stands, the column form after one stable sort by column, which keeps
-    the rows ascending within each column."""
+def _factor(m: np.ndarray) -> _Factor:
+    """m as a :class:`_Factor`, from one scan of m != 0: its support rows and
+    columns, the gather form of each side the cost rule gathers, and the
+    dense support block when a side stays on BLAS, so that such a product
+    runs exactly as the product with the block.  Both forms are read from
+    one list of the block's nonzeros in row-major order: the row form as it
+    stands, the column form after one stable sort by column, which keeps the
+    rows ascending within each column."""
+    mask = m != 0
+    rows, cols = _index(mask.any(axis=1)), _index(mask.any(axis=0))
+    block, mask = m[:, cols][rows], mask[:, cols][rows]
     k_left, k_right = _gather_k(mask, 1), _gather_k(mask, 0)
-    if not (k_left or k_right):
-        return m
-    rows, cols = _nonzeros(mask)
-    entries = m[rows, cols]
-
-    def left():
-        return _padded(rows, cols, entries, m.shape[0], k_left)
-
-    def right():
-        order = np.argsort(cols, kind="stable")
-        return _padded(cols[order], rows[order], entries[order], m.shape[1], k_right)
-
-    return _RowSparse(
-        None if k_left and k_right else m,
-        left if k_left else None,
-        right if k_right else None,
-    )
-
-
-def _gather_form(m: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The row-gather form (idx, w) of m, with mask = m != 0, so that
-    m @ x = sum_j w[:, j, None] * x[idx[:, j]]: per row, the columns of its
-    nonzeros, ascending, and their entries, both padded with zeros to k, the
-    most nonzeros in a row.  None when the cost rule keeps products with m
-    on BLAS."""
-    rs = _row_sparse(m, mask)
-    return rs.left if isinstance(rs, _RowSparse) else None
+    left = right = None
+    if k_left or k_right:
+        r, c = _nonzeros(mask)
+        entries = block[r, c]
+        if k_left:
+            left = _padded(r, c, entries, block.shape[0], k_left)
+        if k_right:
+            order = np.argsort(c, kind="stable")
+            right = _padded(c[order], r[order], entries[order], block.shape[1], k_right)
+    return _Factor(m.shape, rows, cols, None if k_left and k_right else block, left, right)
 
 
 def _stacks(m: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
@@ -407,17 +394,20 @@ def mat_exp(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     return out
 
 
-def _spectrum(m: np.ndarray, solver) -> np.ndarray:
+def _spectrum(m: np.ndarray, solver, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     """``solver`` (np.linalg.eigvals or eigvalsh) on every invariant block of
     m, the eigenvalues concatenated, in no particular order."""
-    blocks = (_stacks(m, idx, idx) for idx in _invariant_blocks(m))
-    return np.concatenate([solver(block).ravel() for block in blocks])
+    blocks = _invariant_blocks(m) if blocks is None else blocks
+    stacks = (_stacks(m, idx, idx) for idx in blocks)
+    return np.concatenate([solver(block).ravel() for block in stacks])
 
 
-def eigenvalues(m) -> np.ndarray:
+def eigenvalues(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     """All eigenvalues with multiplicity, in no particular order, taken one
-    invariant block at a time as in :func:`mat_exp`."""
-    return _spectrum(as_matrix(m), np.linalg.eigvals)
+    invariant block at a time as in :func:`mat_exp`.  ``blocks`` is
+    ``_invariant_blocks(m)`` for a caller that holds it, or any split into
+    unions of its blocks."""
+    return _spectrum(as_matrix(m), np.linalg.eigvals, blocks)
 
 
 def frob_norm(a) -> float:
@@ -576,6 +566,12 @@ def _json_number(value, name: str) -> int | float:
     if type(value) not in (int, float):
         raise TypeError(f"{name} must be a number, got {value!r}")
     return value
+
+
+def _json_list(values, name: str, check) -> tuple:
+    """A JSON list as a tuple, each entry checked by ``check``
+    (:func:`_json_int` or :func:`_json_number`; a TypeError otherwise)."""
+    return tuple(check(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -38,6 +38,7 @@ from .kernel import (
     DEFAULT_TOL,
     _invariant_blocks,
     _json_int,
+    _json_list,
     _json_number,
     as_matrix,
     frob_norm,
@@ -288,12 +289,6 @@ class ScenarioSpec:
             "g": list(self.g),
             "h": list(self.h),
         }
-
-
-def _json_list(values, name: str, check) -> tuple:
-    """A JSON list as a tuple, each entry checked by ``check``
-    (``kernel._json_int`` or ``kernel._json_number``; a TypeError otherwise)."""
-    return tuple(check(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def scenario_from_json(obj) -> ScenarioSpec:

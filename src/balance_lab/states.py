@@ -17,6 +17,8 @@ import numpy as np
 from .kernel import (
     DEFAULT_TOL,
     _json_int,
+    _json_list,
+    _json_number,
     as_matrix,
     deterministic_eigh,
     frob_norm,
@@ -74,17 +76,25 @@ def new_faithful_state(p) -> FaithfulState:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("spectrum must be a non-empty vector")
-    if np.min(p) <= 0.0:
+    # a comparison with NaN is false: so each check asks for the inside (NaN
+    # is not positive, and an infinite entry fails the sum)
+    if not np.all(p > 0.0):
         raise ValueError("state not faithful: spectrum has a non-positive entry")
-    if abs(p.sum() - 1.0) > _NORMALIZATION_TOL:
+    if not abs(p.sum() - 1.0) <= _NORMALIZATION_TOL:
         raise ValueError(f"not normalized: spectrum sums to {p.sum()!r}")
     return FaithfulState(spectrum=p.copy())
 
 
 def state_from_json(obj) -> FaithfulState:
+    """The state of a wire object {"dim", "spectrum"}; a spectrum entry that
+    is not a finite JSON number makes the object malformed."""
     try:
-        dim, p = _json_int(obj["dim"], "dim"), np.asarray(obj["spectrum"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = _json_int(obj["dim"], "dim")
+        p = np.array(_json_list(obj["spectrum"], "spectrum", _json_number), dtype=float)
+        if not np.all(np.isfinite(p)):
+            i = int(np.argmin(np.isfinite(p)))
+            raise ValueError(f"spectrum[{i}] must be finite, got {p[i]}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
     if p.shape != (dim,):
         raise ValueError("malformed state object: dim does not match spectrum length")

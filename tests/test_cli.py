@@ -955,9 +955,10 @@ class TestBlockwiseMatchesDense:
             assert sum(idx.shape[0] for idx in _invariant_blocks(sys_x.dynamics.superoperator)) > 1
         f = write(workdir / "spec.json", spec.to_json())
         blockwise = self.reports(capsys, f)
-        # semigroup hands mat_exp the generator's split, which the dense expm ignores
+        # semigroup hands mat_exp the generator's split, and convergence_probe
+        # hands it to eigenvalues; the dense expm and eigvals ignore it
         monkeypatch.setattr(lindblad, "mat_exp", lambda m, blocks=None: scipy.linalg.expm(m))
-        monkeypatch.setattr(balance, "eigenvalues", np.linalg.eigvals)
+        monkeypatch.setattr(balance, "eigenvalues", lambda m, blocks=None: np.linalg.eigvals(m))
         dense = self.reports(capsys, f)
         for x, y in zip(blockwise, dense):
             assert x["verdicts"] == y["verdicts"]
@@ -1039,3 +1040,43 @@ class TestNumericFlags:
         ):
             code, _ = run(capsys, *argv)
             assert code == 0
+
+
+class TestMalformedState:
+    """A state file whose spectrum holds NaN, an infinity, a string or a bool
+    exits 1 with an input error that names the entry, in validate and
+    inside a coupling file alike; a finite spectrum that is not a state
+    stays a verdict (exit 2)."""
+
+    CASES = [
+        ([math.nan, 0.5], "spectrum[0] must be finite"),
+        ([0.5, math.inf], "spectrum[1] must be finite"),
+        (["0.25", "0.75"], "spectrum[0] must be a number"),
+        ([0.25, True], "spectrum[1] must be a number"),
+    ]
+
+    @pytest.mark.parametrize("spectrum, message", CASES)
+    def test_validate(self, workdir, capsys, spectrum, message):
+        f = workdir / "state.json"
+        f.write_text(json.dumps({"dim": 2, "spectrum": spectrum}), encoding="utf-8")
+        code, err = run_err(capsys, "validate", str(f))
+        assert code == 1
+        assert err.startswith("input error:") and f"malformed state object: {message}" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("spectrum, message", CASES)
+    def test_coupling_file(self, workdir, capsys, spectrum, message):
+        obj = diagonal_coupling(new_faithful_state([0.25, 0.75])).to_json()
+        obj["state_b"]["spectrum"] = spectrum
+        f = workdir / "w.json"
+        f.write_text(json.dumps(obj), encoding="utf-8")
+        code, err = run_err(capsys, "extract-channel", str(f))
+        assert code == 1
+        assert err.startswith("input error:") and message in err
+
+    def test_negative_entry_is_a_verdict(self, workdir, capsys):
+        f = write(workdir / "state.json", {"dim": 2, "spectrum": [-0.25, 1.25]})
+        code, out = run(capsys, "validate", f)
+        report = json.loads(out)
+        assert code == 2 and report["verdicts"] == {"valid": False}
+        assert report["error"] == "state not faithful: spectrum has a non-positive entry"

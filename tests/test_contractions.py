@@ -44,7 +44,7 @@ from balance_lab.couplings import (
     validate_coupling,
 )
 from balance_lab import kernel
-from balance_lab.kernel import _row_sparse, _support, eigenvalues, matrix_unit, vec
+from balance_lab.kernel import _factor, eigenvalues, matrix_unit, vec
 from balance_lab.lindblad import (
     scenario_build,
     scenario_coupling,
@@ -284,6 +284,19 @@ class TestConvergenceProbe:
         else:
             np.testing.assert_allclose(rep.gap, gap, rtol=RTOL, atol=ATOL)
 
+    @pytest.mark.parametrize("case", ["certified", "uncertified-multi-cycle"])
+    def test_spectrum_reads_the_generator_split(self, case, monkeypatch):
+        """The spectrum is taken over the split that the generator holds,
+        with the bits of the split scanned on L, and nothing scans it again."""
+        triple, times = CONVERGENCE[case]
+        args = (triple.system_a, triple.system_b, triple.coupling, times)
+        gen = triple.system_a.dynamics
+        assert eigenvalues(gen.superoperator, gen.invariant_blocks).tobytes() == \
+            eigenvalues(gen.superoperator).tobytes()
+        want = json.dumps(convergence_probe(*args).to_json())
+        monkeypatch.setattr(kernel, "_invariant_blocks", None)
+        assert json.dumps(convergence_probe(*args).to_json()) == want
+
     def test_short_grid_is_extended_to_the_threshold_time(self):
         triple, times = CONVERGENCE["certified-short-grid"]
         rep = convergence_probe(triple.system_a, triple.system_b, triple.coupling, times)
@@ -309,7 +322,7 @@ class TestConvergenceProbe:
         partial = {
             case
             for case, (triple, _) in CONVERGENCE.items()
-            if not isinstance(_support(extract_channel(triple.coupling).superoperator)[1], slice)
+            if not isinstance(_factor(extract_channel(triple.coupling).superoperator).cols, slice)
         }
         assert {"vacuous", "certified-mixed-n7"} <= partial
         assert "certified" not in partial
@@ -515,7 +528,8 @@ def assert_matches_dense(sys_a, sys_b, w):
 
 
 def full_support(w: Coupling) -> bool:
-    return all(isinstance(index, slice) for index in _support(w.pairing()))
+    f = _factor(w.pairing())
+    return isinstance(f.rows, slice) and isinstance(f.cols, slice)
 
 
 def rectangular_couplings():
@@ -531,7 +545,7 @@ RECTANGULAR = rectangular_couplings()
 
 class TestSupportProducts:
     """is_balanced multiplies only over the rows and columns of P that hold
-    a nonzero (kernel._support); conftest.is_balanced_dense is the six dense
+    a nonzero (kernel._factor); conftest.is_balanced_dense is the six dense
     products it replaced."""
 
     def test_full_support_gives_the_dense_bits(self):
@@ -593,8 +607,8 @@ class TestSupportProducts:
         w = direct_sum_coupling(n, m, count, seed)
         assert validate_coupling(w).valid
         if count > 1:
-            rows, cols = _support(w.pairing())
-            assert not isinstance(rows, slice) and not isinstance(cols, slice)
+            f = _factor(w.pairing())
+            assert not isinstance(f.rows, slice) and not isinstance(f.cols, slice)
         sys_a, sys_b = preserving_systems(w, kind, seed)
         assert_matches_dense(sys_a, sys_b, w)
         # the product coupling of the same states balances any two systems
@@ -640,7 +654,7 @@ GATHER = gather_cases()
 
 class TestGatherProducts:
     """At n >= 12 the cost rule gathers the products of a single-cycle or a
-    diagonal pairing matrix (kernel._row_sparse); the report keeps the bits
+    diagonal pairing matrix (kernel._factor); the report keeps the bits
     of the six dense products (conftest.is_balanced_dense)."""
 
     @pytest.mark.parametrize("name", sorted(GATHER))
@@ -648,7 +662,7 @@ class TestGatherProducts:
         sys_a, sys_b, w, balanced = GATHER[name]
         p = w.pairing()
         assert full_support(w) and np.count_nonzero(p, axis=1).max() == 1, name
-        assert _row_sparse(p, p != 0).left is not None, name
+        assert _factor(p).left is not None, name
         new, dense = is_balanced(sys_a, sys_b, w), is_balanced_dense(sys_a, sys_b, w)
         assert json.dumps(new.to_json()) == json.dumps(dense.to_json()), name
         assert new.balanced == balanced and new.method_agreement, name
@@ -658,7 +672,7 @@ class TestGatherProducts:
         it weighs the dense P, so the products with S_E see S_E's bits."""
         w = GATHER["12-generic-state"][2]
         p, r = w.pairing(), w.state_b.inv_sqrt_spectrum
-        s_e = _weigh_rows(_row_sparse(p, p != 0), r, np.arange(p.shape[0]))
+        s_e = _weigh_rows(_factor(p), r)
         eye, want = np.eye(p.shape[0]), _weigh_rows(p, r)
         assert (s_e @ eye + 0.0).tobytes() == (want + 0.0).tobytes()
         assert (eye @ s_e + 0.0).tobytes() == (want + 0.0).tobytes()
@@ -673,3 +687,21 @@ class TestGatherProducts:
         dense = convergence_probe(sys_a, sys_b, w, (1.0, 30.0))
         assert gathered.certified
         assert json.dumps(gathered.to_json()) == json.dumps(dense.to_json())
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_convergence_zero_rows_match_loop(self, n):
+        """S_E of two entangled n/2-cycles is zero on the rows (k, l) and the
+        columns (i, j) that join different cycles: the probe evolves its
+        n^2 / 2 nonzero columns over its n^2 / 2 nonzero rows only, by BLAS
+        at n = 12 and by column gather at n = 16, and matches the
+        matrix-unit loop."""
+        g = np.linspace(-0.8, 0.9, n) ** 3
+        spec = make_spec(types=("entangled", "entangled"), k=(0.35, 0.6), l=(0.35, 0.6),
+                         g=tuple(g), h=tuple(g + 0.2), cycles=(n // 2, n // 2),
+                         block_probs=(0.4, 0.6))
+        t = scenario_build(spec)
+        s_e = _factor(extract_channel(t.coupling).superoperator)
+        assert s_e.rows.size == s_e.cols.size == n * n // 2
+        assert (s_e.right is not None) == (n == 16)
+        args = (t.system_a, t.system_b, t.coupling, (1.0,))
+        assert_json_match(convergence_probe(*args).to_json(), convergence_probe_loop(*args).to_json())

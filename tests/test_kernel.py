@@ -11,16 +11,11 @@ from balance_lab import kernel
 from balance_lab.couplings import Coupling, diagonal_coupling, extract_channel
 from balance_lab.kernel import (
     GATHER_COST,
-    _RowSparse,
-    _row_sparse,
     _bipartite_blocks,
+    _factor,
     _fix_phases,
-    _gather_form,
-    _gather_product,
     _invariant_blocks,
-    _padded,
     _relative_residuals,
-    _support,
     check_psd,
     close,
     eigenvalues,
@@ -309,8 +304,8 @@ class TestOneGrouping:
 
 
 class TestSupport:
-    """_support: the rows and the columns that hold a nonzero, slice(None)
-    for all of them."""
+    """_factor's support: the rows and the columns that hold a nonzero,
+    slice(None) for all of them, and the block they cut out of m."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -324,7 +319,8 @@ class TestSupport:
         # real, imaginary or complex entries, so that a zero real part is not a zero
         m = np.where(g.random((rows, cols)) < density, g.normal(size=(rows, cols)), 0.0)
         m = m * g.choice([1.0, 1j, 1.0 + 1j], size=(rows, cols))
-        r, c = _support(m)
+        f = _factor(m)
+        r, c = f.rows, f.cols
         nonzero = m != 0
         for index, hit in ((r, nonzero.any(axis=1)), (c, nonzero.any(axis=0))):
             if hit.all():
@@ -333,16 +329,20 @@ class TestSupport:
                 assert np.array_equal(index, np.flatnonzero(hit))
         # everything outside the support is zero
         assert np.count_nonzero(m[r][:, c]) == np.count_nonzero(m)
+        # at most 9 columns or rows: both sides stay on BLAS, with the block
+        assert f.left is None and f.right is None and f.shape == m.shape
+        assert f.block.tobytes() == m[r][:, c].tobytes()
 
     def test_negative_zero_is_zero(self):
         m = np.array([[1.0, -0.0], [complex(-0.0, -0.0), 0.0]])
-        r, c = _support(m)
-        assert np.array_equal(r, [0]) and np.array_equal(c, [0])
+        f = _factor(m)
+        assert np.array_equal(f.rows, [0]) and np.array_equal(f.cols, [0])
 
     def test_full_and_empty(self):
-        assert _support(np.ones((2, 5))) == (slice(None), slice(None))
-        r, c = _support(np.zeros((3, 4)))
-        assert r.size == 0 and c.size == 0
+        f = _factor(np.ones((2, 5)))
+        assert (f.rows, f.cols) == (slice(None), slice(None))
+        f = _factor(np.zeros((3, 4)))
+        assert f.rows.size == 0 and f.cols.size == 0 and f.block.shape == (0, 0)
 
 
 def row_sparse(g, rows: int, cols: int, k_max: int, kind: str) -> np.ndarray:
@@ -370,15 +370,22 @@ def permutation_sparse(g, n: int, kind: str) -> np.ndarray:
     return m
 
 
+@pytest.fixture
+def gather_all(monkeypatch):
+    """A cost rule that gathers every product, for factors whose support
+    block is too small for the real one."""
+    monkeypatch.setattr(kernel, "GATHER_COST", 1)
+
+
 class TestRowGather:
-    """Products by row gather (_gather_form, _gather_product) against the
-    dense BLAS product.  A row with one real nonzero gives the bits of the
-    sign-normalized product; a complex one, and a row with more nonzeros,
-    are within 1e-15 of |m| |x|: numpy's complex multiply fuses its two
-    products, and BLAS rounds a complex product either way (with OpenBLAS
-    0.3.31, a 24 x 128 by 128 x 50 product differed from the two rounded
-    products and one rounded sum in 1.5 % of its entries, a 60 x 128 by
-    128 x 24 one in none)."""
+    """Products with a _factor by row gather against the dense BLAS product
+    restricted to the support.  A row with one real nonzero gives the bits of
+    the sign-normalized product; a complex one, and a row with more
+    nonzeros, are within 1e-15 of |m| |x|: numpy's complex multiply fuses
+    its two products, and BLAS rounds a complex product either way (with
+    OpenBLAS 0.3.31, a 24 x 128 by 128 x 50 product differed from the two
+    rounded products and one rounded sum in 1.5 % of its entries, a
+    60 x 128 by 128 x 24 one in none)."""
 
     KINDS = ["real", "real-valued", "complex"]
 
@@ -391,140 +398,136 @@ class TestRowGather:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("k_max", [1, 2, 4])
-    def test_left_product(self, kind, k_max):
+    def test_left_product(self, kind, k_max, gather_all):
         g = rng(10 * k_max + len(kind))
         m = row_sparse(g, 60, GATHER_COST * k_max, k_max, kind)
         x = other_factor(g, m.shape[1], 24, kind)
-        form = _gather_form(m, m != 0)
-        assert form is not None and form[0].shape == (60, k_max)
-        assert (form[1].dtype.kind == "c") == (kind != "real")
-        count = np.count_nonzero(m, axis=1)
-        self.assert_matches(_gather_product(x, form, 0), m @ x, np.abs(m) @ np.abs(x), count, kind)
+        f = _factor(m)
+        assert f.left is not None and f.left[0].shape == (np.count_nonzero(m.any(axis=1)), k_max)
+        assert (f.left[1].dtype.kind == "c") == (kind != "real")
+        r = f.rows
+        count = np.count_nonzero(m, axis=1)[r]
+        self.assert_matches(f @ x[f.cols], (m @ x)[r], (np.abs(m) @ np.abs(x))[r], count, kind)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("k_max", [1, 2, 4])
-    def test_right_product(self, kind, k_max):
+    def test_right_product(self, kind, k_max, gather_all):
         g = rng(20 * k_max + len(kind))
         m = row_sparse(g, 50, GATHER_COST * k_max, k_max, kind).T
         x = other_factor(g, 24, m.shape[0], kind)
-        form = _gather_form(m.T, m.T != 0)
-        count = np.count_nonzero(m, axis=0)
-        got = _gather_product(x, form, -1)
-        self.assert_matches(got.T, (x @ m).T, (np.abs(x) @ np.abs(m)).T, count, kind)
+        f = _factor(m)
+        c = f.cols
+        count = np.count_nonzero(m, axis=0)[c]
+        got = x[:, f.rows] @ f
+        self.assert_matches(got.T, (x @ m)[:, c].T, (np.abs(x) @ np.abs(m))[:, c].T, count, kind)
 
     def test_real_factor_complex_entries(self):
         # the gathered rows of a real x take the complex type of the entries
         g = rng(6)
         m = permutation_sparse(g, GATHER_COST, "complex")
         x = other_factor(g, GATHER_COST, 9, "real")
-        got = _gather_product(x, _gather_form(m, m != 0), 0)
+        f = _factor(m)
+        assert f.block is None
+        got = f @ x
         assert got.dtype == complex
         assert (got + 0.0).tobytes() == (m @ x + 0.0).tobytes()
-        got = _gather_product(x.T, _gather_form(m.T, m.T != 0), -1)
-        assert (got + 0.0).tobytes() == (x.T @ m + 0.0).tobytes()
+        assert (x.T @ f + 0.0).tobytes() == (x.T @ m + 0.0).tobytes()
 
-    def test_vector_times_matrix(self):
+    def test_vector_times_matrix(self, gather_all):
         g = rng(3)
         m = row_sparse(g, 40, GATHER_COST, 1, "real-valued").T
         v = other_factor(g, 1, m.shape[0], "complex")[0]
-        got = _gather_product(v, _gather_form(m.T, m.T != 0), -1)
-        assert (got + 0.0).tobytes() == (v @ m + 0.0).tobytes()
+        f = _factor(m)
+        assert f.right is not None
+        assert (v[f.rows] @ f + 0.0).tobytes() == ((v @ m)[f.cols] + 0.0).tobytes()
 
     @pytest.mark.parametrize("kind", ["real", "real-valued"])
-    def test_row_sparse_factor(self, kind):
-        """_row_sparse takes every product, its absolute value and its row
-        weighing by gather, with the bits of the dense forms."""
+    def test_factor_products(self, kind):
+        """A _factor takes every product, its absolute value and its row
+        weighing (by a column, twice) by gather, with the bits of the dense
+        forms."""
         g = rng(len(kind))
         n = 2 * GATHER_COST
         m = permutation_sparse(g, n, kind)
-        rs = _row_sparse(m, m != 0)
-        assert isinstance(rs, _RowSparse) and rs.dense is None
-        assert rs.left is not None and rs.right is not None
+        f = _factor(m)
+        assert f.block is None and f.left is not None and f.right is not None
         x = other_factor(g, n, n, kind)
         first, then = g.random(n) + 0.5, g.random(n) + 0.5
         weighed = m * first[:, None] * then[:, None]
         for got, want in [
-            (rs @ x, m @ x),
-            (x @ rs, x @ m),
-            (abs(rs) @ np.abs(x), np.abs(m) @ np.abs(x)),
-            (np.abs(x) @ abs(rs), np.abs(x) @ np.abs(m)),
-            (rs.weigh_rows(first, then) @ x, weighed @ x),
-            (x @ rs.weigh_rows(first, then), x @ weighed),
+            (f @ x, m @ x),
+            (x @ f, x @ m),
+            (abs(f) @ np.abs(x), np.abs(m) @ np.abs(x)),
+            (np.abs(x) @ abs(f), np.abs(x) @ np.abs(m)),
+            (f * first[:, None] * then[:, None] @ x, weighed @ x),
+            (x @ (f * first[:, None] * then[:, None]), x @ weighed),
         ]:
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
     def test_blas_side_keeps_the_dense_matrix(self):
-        # one nonzero per row but two per column: m @ x by gather, x @ m by
-        # BLAS (its inner dimension n is below 2 * GATHER_COST)
+        # one nonzero per row, on every column, but two on most columns:
+        # m @ x by gather, x @ m by BLAS (its inner dimension n is below
+        # 2 * GATHER_COST), with the dense block, here m itself
         n = 2 * GATHER_COST - 2
         m = np.zeros((n, GATHER_COST), dtype=complex)
-        m[np.arange(n), np.arange(n) // 2] = 1.0 + np.arange(n)
-        rs = _row_sparse(m, m != 0)
-        assert rs.left is not None and rs.right is None and rs.dense is m
+        m[np.arange(n), np.arange(n) % GATHER_COST] = 1.0 + np.arange(n)
+        f = _factor(m)
+        assert f.left is not None and f.right is None
+        assert f.block.tobytes() == m.tobytes() and np.shares_memory(f.block, m)
         x = other_factor(rng(4), GATHER_COST, 5, "complex")
         y = other_factor(rng(5), 5, n, "complex")
-        assert (rs @ x + 0.0).tobytes() == (m @ x + 0.0).tobytes()
-        assert (y @ rs).tobytes() == (y @ m).tobytes()
+        assert (f @ x + 0.0).tobytes() == (m @ x + 0.0).tobytes()
+        assert (y @ f).tobytes() == (y @ m).tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_forms_built_on_first_use(self, kind, monkeypatch):
-        """A product builds the one form it needs, once, and a matrix mapped
-        from the factor maps that form; the column form, read from the
-        row-major nonzeros by one stable sort by column, is the row form of
-        m.T."""
+    def test_forms_built_on_first_use(self, kind):
+        """Both forms are built with the factor and kept by a factor mapped
+        from it; the column form, read from the row-major nonzeros by one
+        stable sort by column, is the row form of m.T."""
         g = rng(7 + len(kind))
         n = 2 * GATHER_COST
         m = permutation_sparse(g, n, kind) + permutation_sparse(g, n, kind)
-        built = []
-
-        def padded(*args):
-            built.append(args[3])
-            return _padded(*args)
-
-        monkeypatch.setattr(kernel, "_padded", padded)
-        rs = _row_sparse(m, m != 0)
-        assert built == []
+        f = _factor(m)
         x = other_factor(g, 3, n, kind)
-        assert_allclose(x @ rs, x @ m, rtol=0, atol=1e-14)
-        weighed = abs(rs).weigh_rows(g.random(n) + 0.5, g.random(n) + 0.5)
-        x @ weighed, x @ rs
-        assert built == [n]
-        assert_allclose(rs @ x.T, m @ x.T, rtol=0, atol=1e-14)
-        assert len(built) == 2
-        monkeypatch.undo()
-        for got, want in zip(rs.right, _gather_form(np.ascontiguousarray(m.T), m.T != 0)):
+        assert_allclose(x @ f, x @ m, rtol=0, atol=1e-14)
+        assert_allclose(f @ x.T, m @ x.T, rtol=0, atol=1e-14)
+        weighed = abs(f) * (g.random(n) + 0.5)[:, None]
+        assert weighed.left[0] is f.left[0] and weighed.right[0] is f.right[0]
+        for got, want in zip(f.right, _factor(np.ascontiguousarray(m.T)).left):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cost_rule(self, k):
-        """Gather exactly when k * GATHER_COST <= the inner dimension."""
+        """Gather exactly when k * GATHER_COST <= the inner dimension, the
+        side of the support block that the product sums over."""
         for inner in (k * GATHER_COST - 1, k * GATHER_COST):
-            m = np.zeros((4, inner), dtype=complex)
-            m[:, :k] = 1.0
-            assert (_gather_form(m, m != 0) is not None) == (inner >= k * GATHER_COST)
-        assert _gather_form(np.zeros((4, 4 * GATHER_COST)), np.zeros((4, 4 * GATHER_COST), bool)) is None
+            # k nonzeros in every row and every column, on a circulant pattern
+            m = np.zeros((inner, inner), dtype=complex)
+            i = np.arange(inner)
+            for j in range(k):
+                m[i, (i + j) % inner] = 1.0
+            f = _factor(m)
+            gathered = inner >= k * GATHER_COST
+            assert (f.left is not None, f.right is not None) == (gathered, gathered)
+            assert (f.block is None) == gathered
+        assert _factor(np.zeros((4, 4 * GATHER_COST))).left is None
 
     def test_grid_on_blas_and_16_cycle_gathered(self):
         """Every pairing matrix of the built-in grid stays on BLAS; that of an
         entangled 16-cycle is gathered on both sides, as is the diagonal
         coupling's at n = 12."""
-
-        def factor(p):
-            rows, cols = _support(p)
-            return _row_sparse(p[:, cols][rows], (p != 0)[:, cols][rows])
-
         for spec in standard_grid():
-            p = factor(scenario_build(spec).coupling.pairing())
-            assert isinstance(p, np.ndarray)
+            f = _factor(scenario_build(spec).coupling.pairing())
+            assert f.left is None and f.right is None
         g = np.linspace(-0.9, 0.8, 16)
         spec = make_spec(types=("entangled",), partition=((0,),), k=(0.4,), l=(0.4,),
                          g=tuple(g), h=tuple(g + 0.1), cycles=(16,), block_probs=(1.0,))
-        rs = factor(scenario_build(spec).coupling.pairing())
-        assert rs.left is not None and rs.right is not None
-        assert rs.left[0].shape == rs.right[0].shape == (256, 1)
+        f = _factor(scenario_build(spec).coupling.pairing())
+        assert f.left is not None and f.right is not None and f.block is None
+        assert f.left[0].shape == f.right[0].shape == (256, 1)
         state = new_faithful_state(np.arange(1, 13) / 78)
-        rs = factor(diagonal_coupling(state).pairing())
-        assert rs.left is not None and rs.right is not None
+        f = _factor(diagonal_coupling(state).pairing())
+        assert f.left is not None and f.right is not None
 
 
 class TestNullspace:

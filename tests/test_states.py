@@ -38,9 +38,33 @@ class TestFaithfulState:
         with pytest.raises(ValueError, match="not normalized"):
             new_faithful_state([0.7, 0.7])
 
+    @pytest.mark.parametrize("p", [[np.nan, 0.5], [0.5, np.nan], [np.nan, 1.0], [np.inf, 0.5],
+                                   [-np.inf, 1.0], [np.nan]])
+    def test_non_finite_rejected(self, p):
+        # a comparison with NaN is false, so no check may pass one through
+        with pytest.raises(ValueError, match="state not faithful|not normalized"):
+            new_faithful_state(p)
+
     def test_json_roundtrip(self):
         s = new_faithful_state([0.2, 0.8])
         assert state_from_json(s.to_json()).same_state(s)
+
+    @pytest.mark.parametrize("spectrum, message", [
+        ([np.nan, 0.5], r"spectrum\[0\] must be finite, got nan"),
+        ([0.5, np.inf], r"spectrum\[1\] must be finite, got inf"),
+        (["0.25", "0.75"], r"spectrum\[0\] must be a number"),
+        ([0.25, True], r"spectrum\[1\] must be a number"),
+        ([[0.25], [0.75]], r"spectrum\[0\] must be a number"),
+        ([10**400, 0.5], "malformed state object"),
+        (0.5, "malformed state object"),
+    ])
+    def test_json_spectrum_entries_are_finite_numbers(self, spectrum, message):
+        with pytest.raises(ValueError, match=message):
+            state_from_json({"dim": 2, "spectrum": spectrum})
+
+    def test_json_integer_entry(self):
+        # a JSON integer is a number
+        assert state_from_json({"dim": 1, "spectrum": [1]}).spectrum.tolist() == [1.0]
 
 
 class TestGnsVector:
