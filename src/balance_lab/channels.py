@@ -14,11 +14,13 @@ built by one core, ``dual``, exact for diagonal states:
   W = rho^1/2 (x) rho^1/2.  It is defined for state-preserving dynamics only,
   as judged by ``states.preserves_state``.  Its superoperator is the
   transposed view of W_out S W_in^-1, formed as one fresh array divided in
-  place: (S^T W_out) W_in^-1 made a second n^2 x n^2 temporary and took
-  three times as long at n = 16 (1.5 against 0.5 ms).  Each entry is
-  S[j, i] w_out[j] / w_in[i], multiplied and then divided as there, so
-  its bits are the same, and so is its layout (F-ordered for a C-ordered
-  S, and C-ordered for the dual of a dual);
+  place.  (S^T W_out) W_in^-1 makes a second n^2 x n^2 temporary; it took
+  three times as long at n = 16 (1.5 against 0.5 ms) only while freed
+  arrays went back to the system and were faulted in again, and takes as
+  long (0.55 against 0.53 ms) since they stay in the process (``kernel``).
+  Each entry is S[j, i] w_out[j] / w_in[i], multiplied and then divided as
+  there, so its bits are the same, and so is its layout (F-ordered for a
+  C-ordered S, and C-ordered for the dual of a dual);
 * the KMS-dual, the adjoint for the KMS pairing Tr(rho^1/2 a rho^1/2 b), is
   j o dual o j for the modular transposition j, X -> X^T.  On a
   superoperator that conjugation is an index permutation (``_kms_flip``,
@@ -322,8 +324,6 @@ class ReversingOperation:
             return v.reshape(n, n, n, -1).sum(axis=(1, 3))
 
         size = squared_norms(b.copy())
-        # reused for every j: fresh n^4 temporaries fault their pages in anew
-        prod, diff = np.empty_like(b), np.empty_like(b)
 
         def antimultiplicative(j: int) -> bool:
             """Theta(E_ij E_jk) = Theta(E_ik) against Theta(E_jk) Theta(E_ij)
@@ -333,7 +333,8 @@ class ReversingOperation:
             would hold n^5 entries."""
             left = a[j].reshape(n * n, n)
             right = a[:, j].transpose(1, 0, 2).reshape(n, n * n)
-            np.subtract(np.matmul(left, right, out=prod), b, out=diff)
+            prod = left @ right
+            diff = prod - b
             dist = np.sqrt(squared_norms(diff))
             scale = np.sqrt(np.maximum(size, squared_norms(prod)))
             return _max_relative_residual(dist, scale) <= tol

@@ -853,7 +853,12 @@ class TestCanonicalJson:
             data = matrix_to_json(view)["data"]
             entries = [[float(z.real), float(z.imag)] for z in view.reshape(-1)]
             assert dumps_canonical(data) == dumps_canonical_reference(entries)
-            assert np.array_equal(matrix_from_json(matrix_to_json(view)), view, equal_nan=True)
+            # the wire reads finite entries back, and rejects the NaN entry
+            if np.isfinite(view).all():
+                assert np.array_equal(matrix_from_json(matrix_to_json(view)), view)
+            else:
+                with pytest.raises(ValueError, match="must be finite"):
+                    matrix_from_json(matrix_to_json(view))
 
 
 class TestImport:
@@ -1080,3 +1085,34 @@ class TestMalformedState:
         report = json.loads(out)
         assert code == 2 and report["verdicts"] == {"valid": False}
         assert report["error"] == "state not faithful: spectrum has a non-positive entry"
+
+
+class TestNonFiniteMatrix:
+    """A NaN or infinite entry in a wire matrix is malformed input (exit 1),
+    named by its index in ``data``, wherever the matrix sits: a state's rho,
+    a coupling's kappa, a channel's superoperator."""
+
+    @staticmethod
+    def check(workdir, capsys, obj, index, *argv):
+        f = workdir / "in.json"
+        # json writes NaN and Infinity as Python's json reads them
+        f.write_text(json.dumps(obj), encoding="utf-8")
+        code, err = run_err(capsys, *argv, str(f))
+        assert code == 1
+        assert err.startswith("input error:")
+        assert f"malformed matrix object: data[{index}] must be finite" in err
+
+    def test_validate_rho(self, workdir, capsys):
+        rho = {"rows": 2, "cols": 2, "data": [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+        self.check(workdir, capsys, {"rho": rho}, 0, "validate")
+
+    def test_coupling_kappa(self, workdir, capsys):
+        obj = diagonal_coupling(new_faithful_state([0.25, 0.75])).to_json()
+        obj["kappa"]["data"][5] = [0.0, math.inf]
+        self.check(workdir, capsys, obj, 5, "validate")
+        self.check(workdir, capsys, obj, 5, "extract-channel")
+
+    def test_channel_superoperator(self, workdir, capsys):
+        obj = identity_channel(2).to_json()
+        obj["superoperator"]["data"][3] = [math.nan, 0.0]
+        self.check(workdir, capsys, obj, 3, "validate")
