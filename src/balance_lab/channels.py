@@ -14,10 +14,7 @@ built by one core, ``dual``, exact for diagonal states:
   W = rho^1/2 (x) rho^1/2.  It is defined for state-preserving dynamics only,
   as judged by ``states.preserves_state``.  Its superoperator is the
   transposed view of W_out S W_in^-1, formed as one fresh array divided in
-  place.  (S^T W_out) W_in^-1 makes a second n^2 x n^2 temporary; it took
-  three times as long at n = 16 (1.5 against 0.5 ms) only while freed
-  arrays went back to the system and were faulted in again, and takes as
-  long (0.55 against 0.53 ms) since they stay in the process (``kernel``).
+  place, one n^2 x n^2 temporary fewer than (S^T W_out) W_in^-1.
   Each entry is S[j, i] w_out[j] / w_in[i], multiplied and then divided as
   there, so its bits are the same, and so is its layout (F-ordered for a
   C-ordered S, and C-ordered for the dual of a dual);

@@ -78,7 +78,9 @@ Conventions used throughout the package:
   probes round), and the trim threshold alone freezes the dynamic mmap
   threshold below the arrays (88,100).  The cost is peak RSS, since the
   heap keeps its high-water mark: 1.4-2.4 MB, 1.8-3.0 % of the benchmark's
-  processes.  Other C libraries are left alone.
+  processes, measured at n <= 16 only; at n = 24 and 32 (5-17 MB arrays
+  in the heap, not mapped) it is unmeasured.  Other C libraries are left
+  alone; ``FREED_MEMORY_KEPT`` tells whether the policy was set.
 
 The JSON wire format for a matrix is
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with ``data`` a flat,
@@ -100,22 +102,23 @@ DEFAULT_TOL = 1e-9
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-def _keep_freed_memory() -> None:
+def _keep_freed_memory() -> bool:
     """Keep freed memory in the heap for reuse, on glibc only (see the module
-    docstring).  glibc is told by ``confstr``, which reads no file and starts
-    no process."""
+    docstring), and tell whether the policy was set.  glibc is told by
+    ``confstr``, which reads no file and starts no process."""
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
     except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        return
-    if libc.startswith("glibc"):
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+        return False
+    if not libc.startswith("glibc"):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    return True
 
 
-_keep_freed_memory()
+FREED_MEMORY_KEPT = _keep_freed_memory()
 
 
 def as_matrix(a) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Matrix kernel: products, traces, exponentials, kernels, predicates."""
 
-import os
 import resource
 
 import numpy as np
@@ -848,14 +847,7 @@ class TestVecJson:
             matrix_from_json({"rows": 2, "cols": 2, "data": data})
 
 
-def _glibc() -> bool:
-    try:
-        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
-    except (AttributeError, ValueError, OSError):
-        return False
-
-
-@pytest.mark.skipif(not _glibc(), reason="the allocation policy is set on glibc only")
+@pytest.mark.skipif(not kernel.FREED_MEMORY_KEPT, reason="the allocation policy is set on glibc only")
 class TestAllocationPolicy:
     def test_freed_arrays_stay_in_the_process(self):
         """Importing the package keeps freed arrays in the heap: allocating

@@ -1,11 +1,11 @@
 """Count the minor page faults and the wall time of a benchmark round, in-process.
 
-Builds the seeded ``grid`` or ``probes`` round of ``perfbench/workloads.py``
-(read as it is, unchanged), runs it once to warm up, then runs it
-``--rounds`` times more, reading ``resource.getrusage`` and
-``time.perf_counter`` around each op.  Run from the root of a checkout:
+Builds the ``grid`` or ``probes`` round of ``perfbench/workloads.py`` at
+seed 7 (read as it is, unchanged), runs it once to warm up, then runs it
+three times more, reading ``resource.getrusage`` and ``time.perf_counter``
+around each op.  Run from the root of a checkout:
 
-    python tools/fault_count.py probes [--seed 7] [--rounds 3] [--preload-scipy]
+    python tools/fault_count.py probes [--preload-scipy]
 
 It prints, per op kind, the minor faults per round and the median wall ms
 of one op, then the per-round totals: the mean faults and the median wall
@@ -28,6 +28,7 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+SEED, ROUNDS = 7, 3
 
 
 def _minflt() -> int:
@@ -58,24 +59,22 @@ def run(ops, rounds: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=("grid", "probes"))
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--preload-scipy", action="store_true")
     args = parser.parse_args(argv)
     if args.preload_scipy:
         import scipy.linalg  # noqa: F401
     import workloads
 
-    ops = workloads.build_round(args.workload, args.seed, "").ops
+    ops = workloads.build_round(args.workload, SEED, "").ops
     run(ops, 1)
-    faults, wall, totals, failed = run(ops, args.rounds)
+    faults, wall, totals, failed = run(ops, ROUNDS)
     print(f"{'op kind':28} {'faults/round':>12} {'median ms':>10}")
     for kind in sorted(faults):
-        per_round = sum(faults[kind]) / args.rounds
+        per_round = sum(faults[kind]) / ROUNDS
         print(f"{kind:28} {per_round:12.0f} {1e3 * statistics.median(wall[kind]):10.2f}")
-    mean_faults = sum(f for f, _ in totals) / args.rounds
+    mean_faults = sum(f for f, _ in totals) / ROUNDS
     median_ms = 1e3 * statistics.median(t for _, t in totals)
-    print(f"round ({args.workload}, seed {args.seed}, {len(ops)} ops, {args.rounds} rounds): "
+    print(f"round ({args.workload}, seed {SEED}, {len(ops)} ops, {ROUNDS} rounds): "
           f"{mean_faults:.0f} faults, {median_ms:.1f} ms")
     for reason in failed:
         print(f"FAILED {reason}")
