@@ -109,14 +109,11 @@ def is_balanced(
     scale = frob_norm(s_alpha) + frob_norm(s_beta)
     p = _factor(w.pairing())
     s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)
-    # a and b C-ordered, each copied once where it is a transposed view (the
-    # superoperator of a dual system): a gather would copy it on every call
-    a = np.ascontiguousarray(s_alpha[p.cols])
+    a = s_alpha[p.cols]
     norm = math.hypot(*map(frob_norm, p.regions(s_e @ a, s_beta[:, p.rows] @ s_e, np.subtract)))
     residual = relative_residual(norm, scale)
 
     b = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T[:, p.rows]
-    b = np.ascontiguousarray(b)
     defect = [np.abs(d) for d in p.regions(p @ a, b @ p, np.subtract)]
     size = p.regions(abs(p) @ np.abs(a), np.abs(b) @ abs(p), np.add)
     def_residual = float(np.max(list(map(_max_relative_residual, defect, size))))

@@ -28,9 +28,11 @@ built by one core, ``dual``, exact for diagonal states:
   ``change_frame(dual, conj(u), u*)``.  For plain transposition (u = 1) it is
   the dual itself.
 
-Kind enters in two places only: the preservation residual and the result
-constructor ``_like``.  The generator twins of the three duals call them,
-and ``change_frame`` is the one change of basis of dynamics.
+Kind enters in four places only: the preservation residual
+(``states.state_preservation_residual``), the result constructor ``_like``,
+the name in ``dual``'s error, and ``_fixed_point_operator`` (S - 1 for a
+channel, S for a generator).  The generator twins of the three duals call
+them, and ``change_frame`` is the one change of basis of dynamics.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .kernel import (
     Report,
     _close_each,
     _json_int,
-    _max_relative_residual,
     ad_superop,
     as_matrix,
     check_psd,
@@ -304,42 +305,30 @@ class ReversingOperation:
 
     def validate(self, tol: float = DEFAULT_TOL) -> bool:
         """Involution, antimultiplicativity on every pair (E_ij, E_jk) and
-        *-preservation, each matrix unit judged by :func:`close`."""
+        *-preservation, each matrix unit judged by :func:`close` through
+        :func:`kernel._close_each`."""
         n = self.dim
         s = self.superoperator
-        # a[i, j] = Theta(E_ij), unvectorized from column i + n*j of the superoperator
-        a = s.reshape(n, n, n, n).transpose(3, 2, 1, 0)
+        # a[i, j] = Theta(E_ij), unvectorized from column i + n*j of the
+        # superoperator, copied once so that every Theta(E_ij) is C-ordered:
+        # the stacked products below read strided views otherwise (12.0
+        # against 7.0 ms at n = 16 for plain transposition)
+        a = np.ascontiguousarray(s.reshape(n, n, n, n).transpose(3, 2, 1, 0))
         twice = (s @ s).reshape(n, n, n, n).transpose(3, 2, 1, 0)
-        # b[(k, r), (i, c)] = Theta(E_ik)[r, c], laid out as the products below
-        b = np.ascontiguousarray(a.transpose(1, 2, 0, 3)).reshape(n * n, n * n)
-
-        def squared_norms(x: np.ndarray) -> np.ndarray:
-            """||x[(k, :), (i, :)]||^2 for every (k, i), over the real and
-            imaginary parts of x as one real array, squared in place."""
-            v = x.view(float)
-            np.square(v, out=v)
-            return v.reshape(n, n, n, -1).sum(axis=(1, 3))
-
-        size = squared_norms(b.copy())
+        # the (k, i) stack of Theta(E_ik), against the products below
+        target = a.transpose(1, 0, 2, 3)
 
         def antimultiplicative(j: int) -> bool:
             """Theta(E_ij E_jk) = Theta(E_ik) against Theta(E_jk) Theta(E_ij)
-            for every (i, k), each judged as by :func:`close`, from one
-            n^2 x n by n x n^2 product whose entry ((k, r), (i, c)) is the
-            (r, c) entry of Theta(E_jk) Theta(E_ij): all n^3 pairs at once
-            would hold n^5 entries."""
-            left = a[j].reshape(n * n, n)
-            right = a[:, j].transpose(1, 0, 2).reshape(n, n * n)
-            prod = left @ right
-            diff = prod - b
-            dist = np.sqrt(squared_norms(diff))
-            scale = np.sqrt(np.maximum(size, squared_norms(prod)))
-            return _max_relative_residual(dist, scale) <= tol
+            for every (i, k), the products formed as one (k, i) stack: all
+            n^3 pairs at once would hold n^5 entries."""
+            return _close_each(a[j][:, None] @ a[:, j][None, :], target, tol)
 
         return (
             _close_each(twice, np.eye(n * n).reshape(n, n, n, n), tol)
             and all(map(antimultiplicative, range(n)))
-            and _close_each(a.transpose(1, 0, 2, 3), a.conj().transpose(0, 1, 3, 2), tol)
+            # Theta(E_ji) against Theta(E_ij)*
+            and _close_each(target, a.conj().transpose(0, 1, 3, 2), tol)
         )
 
 

@@ -14,8 +14,10 @@ or {"kraus": [...]}) or a semigroup generator ({"kraus": [...],
 "hamiltonian": <matrix>} or {"jumps": [...], "hamiltonian": <matrix>?}); the
 presence of a Hamiltonian (or the "jumps" key) marks a generator.
 
-Every file is read by :func:`load`, every system by :func:`resolve_systems`;
-each command returns (report, exit code) and :func:`main` prints the report.
+Every file is read by :func:`load`, every coupling that a command acts on
+also checked by :func:`load_coupling`, and every system built by
+:func:`resolve_systems`; each command returns (report, exit code) and
+:func:`main` prints the report.
 """
 
 from __future__ import annotations
@@ -146,6 +148,18 @@ def write_output(report: dict, path: str | None, obj) -> None:
         report["outputs"] = [path]
 
 
+def load_coupling(path: str, tol: float):
+    """Read the coupling in ``path`` (:func:`load`) and check that it is one:
+    a file that parses but fails a check of :func:`validate_coupling` is a
+    validation failure (exit 2) that names the file and the failed checks."""
+    w, dig = load(path, coupling_from_json)
+    cr = validate_coupling(w, tol)
+    if not cr.valid:
+        failed = [check for check in ("psd", "trace_ok", "marginals_ok") if not getattr(cr, check)]
+        raise ValueError(f"{path}: not a coupling: fails {', '.join(failed)}")
+    return w, dig
+
+
 def parse_state(obj):
     """State: {"dim", "spectrum"} or a general density matrix {"rho"}.
 
@@ -204,7 +218,7 @@ def resolve_systems(args):
             raise InputError("need --scenario or all of --dynamics-a/--dynamics-b/--coupling")
         dyn_a, d1 = load(args.dynamics_a, parse_dynamics)
         dyn_b, d2 = load(args.dynamics_b, parse_dynamics)
-        w, d3 = load(args.coupling, coupling_from_json)
+        w, d3 = load_coupling(args.coupling, args.tol)
         pairs, inputs = [(w.state_a, dyn_a), (w.state_b, dyn_b)], [d1, d2, d3]
     try:
         systems = [System(state=s, dynamics=dyn) for s, dyn in pairs]
@@ -349,8 +363,8 @@ def cmd_check_balance(args):
 
 
 def cmd_compose(args):
-    w1, d1 = load(args.first, coupling_from_json)
-    w2, d2 = load(args.second, coupling_from_json)
+    w1, d1 = load_coupling(args.first, args.tol)
+    w2, d2 = load_coupling(args.second, args.tol)
     report = base_report("compose", args, [d1, d2])
     try:
         composed = compose(w1, w2, tol=args.tol)
@@ -363,8 +377,8 @@ def cmd_compose(args):
 
 
 def cmd_check_orthogonal(args):
-    w1, d1 = load(args.first, coupling_from_json)
-    w2, d2 = load(args.second, coupling_from_json)
+    w1, d1 = load_coupling(args.first, args.tol)
+    w2, d2 = load_coupling(args.second, args.tol)
     report = base_report("check-orthogonal", args, [d1, d2])
     rep = is_orthogonal(w1, w2, args.tol)
     report["verdicts"] = {

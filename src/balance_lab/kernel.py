@@ -90,6 +90,7 @@ row-major list of length ``rows*cols``.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import os
 from dataclasses import fields
@@ -150,10 +151,13 @@ def unvec(v: np.ndarray, shape: tuple[int, int] | int) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """The Kronecker product of two matrices: the entry products a[i, j] b[k, l]
-    that ``np.kron`` forms, in one broadcast and without its wrapper."""
-    a, b = as_matrix(a), as_matrix(b)
+    that ``np.kron`` forms, in one broadcast and without its wrapper, as a
+    complex matrix.  A real operand is cast by the multiplication, as in
+    ``np.kron``: made complex first, it can turn the sign of a zero."""
+    a, b = np.asarray(a), np.asarray(b)
     (p, q), (r, s) = a.shape, b.shape
-    return (a.reshape(p, 1, q, 1) * b.reshape(1, r, 1, s)).reshape(p * r, q * s)
+    out = a.reshape(p, 1, q, 1) * b.reshape(1, r, 1, s)
+    return out.reshape(p * r, q * s).astype(complex, copy=False)
 
 
 def kraus_superop(ops, n: int, m: int) -> np.ndarray:
@@ -312,7 +316,9 @@ def _gather_product(x: np.ndarray, form: tuple[np.ndarray, np.ndarray], axis: in
     x @ m from the gather form of m.T (axis -1, gathering columns)."""
     idx, w = form
     # np.take copies an x that is not C-ordered, such as a dual's
-    # superoperator (channels.dual), on every pass: once is enough
+    # superoperator (channels.dual), on every pass: once is enough.  This is
+    # the one place that puts a gathered operand in C order; callers pass
+    # their operands as they are
     x = np.ascontiguousarray(x)
     dtype = np.result_type(x, w)
     out = None
@@ -618,7 +624,17 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
         data = obj["data"]
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+        if set(map(len, data)) - {2}:
+            i = next(i for i, entry in enumerate(data) if len(entry) != 2)
+            raise ValueError(f"data[{i}] must be a pair [re, im]")
+        # each part a JSON number, told by its type: float() and complex()
+        # would read True as 1.  The scans run in C, and building from the
+        # flat parts costs about what one complex() per entry did
+        parts = list(itertools.chain.from_iterable(data))
+        if not set(map(type, parts)) <= {int, float}:
+            i = next(i for i, v in enumerate(parts) if type(v) not in (int, float))
+            raise TypeError(f"data[{i // 2}] must be a number")
+        flat = np.fromiter(parts, dtype=float, count=len(parts)).view(complex)
         if rows < 1 or cols < 1:
             raise ValueError("matrix dims must be >= 1")
         if flat.size != rows * cols:
@@ -626,6 +642,6 @@ def matrix_from_json(obj) -> np.ndarray:
         finite = np.isfinite(flat)
         if not finite.all():
             raise ValueError(f"data[{int(np.argmin(finite))}] must be finite")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     return flat.reshape(rows, cols)

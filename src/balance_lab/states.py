@@ -81,7 +81,7 @@ def new_faithful_state(p) -> FaithfulState:
     if not np.all(p > 0.0):
         raise ValueError("state not faithful: spectrum has a non-positive entry")
     if not abs(p.sum() - 1.0) <= _NORMALIZATION_TOL:
-        raise ValueError(f"not normalized: spectrum sums to {p.sum()!r}")
+        raise ValueError(f"not normalized: spectrum sums to {float(p.sum())!r}")
     return FaithfulState(spectrum=p.copy())
 
 

@@ -246,6 +246,19 @@ class TestReversingOperation:
         assert th.validate()
         th.__dict__["superoperator"] = ad_superop(u) @ transpose_superop(n)
         assert not th.validate()
+        # a -> D a^T D^-1 with D = diag(2, ..., 1/2) is involutive and
+        # antimultiplicative, but not *-preserving: Theta(a*) = D conj(a) D^-1
+        # while Theta(a)* = D^-1 conj(a) D
+        d = np.diag(np.geomspace(2.0, 0.5, n))
+        s = np.kron(np.linalg.inv(d), d) @ transpose_superop(n)
+        theta = lambda a: (s @ vec(a)).reshape(n, n, order="F")  # noqa: E731
+        x, y = random_matrix(n, seed=1), random_matrix(n, seed=2)
+        assert_allclose(theta(theta(x)), x, atol=1e-12)
+        assert_allclose(theta(x @ y), theta(y) @ theta(x), atol=1e-12)
+        assert not np.allclose(theta(x.conj().T), theta(x).conj().T)
+        th = ReversingOperation(dim=n)
+        th.__dict__["superoperator"] = s
+        assert not th.validate()
 
 
 class TestThetaKmsDual:

@@ -1116,3 +1116,107 @@ class TestNonFiniteMatrix:
         obj = identity_channel(2).to_json()
         obj["superoperator"]["data"][3] = [math.nan, 0.0]
         self.check(workdir, capsys, obj, 3, "validate")
+
+
+class TestNotACoupling:
+    """A coupling file whose kappa parses but is no coupling is a validation
+    failure (exit 2) that names the file and the failed checks, in every
+    command that acts on the coupling.  The diagonal coupling of
+    p = (0.25, 0.75) with both coherences times -3 keeps the trace and the
+    marginals but is not PSD; minus the diagonal coupling fails the trace
+    and the marginals too.  Before the check, check-balance and convergence printed verdicts
+    on both, and compose and check-orthogonal blamed the composition."""
+
+    CASES = {"coherences-times-3": "fails psd", "negated": "fails psd, trace_ok, marginals_ok"}
+
+    @pytest.fixture
+    def files(self, workdir):
+        s = new_faithful_state([0.25, 0.75])
+        good = diagonal_coupling(s).to_json()
+        bad = {name: json.loads(json.dumps(good)) for name in self.CASES}
+        for k in (3, 12):
+            bad["coherences-times-3"]["kappa"]["data"][k][0] *= -3
+        bad["negated"]["kappa"]["data"] = [[-re, -im] for re, im in good["kappa"]["data"]]
+        # dephasing preserves every diagonal state
+        gen = {"jumps": [matrix_to_json(np.diag([1.0, 2.0]))]}
+        out = {name: write(workdir / f"{name}.json", obj) for name, obj in bad.items()}
+        out["good"] = write(workdir / "good.json", good)
+        out["gen"] = write(workdir / "gen.json", gen)
+        return out
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["check-balance", "convergence", "compose",
+                                         "check-orthogonal"])
+    def test_exit_2_names_the_file(self, workdir, capsys, files, case, command):
+        bad = files[case]
+        if command in ("compose", "check-orthogonal"):
+            argvs = [[command, bad, files["good"]], [command, files["good"], bad]]
+        else:
+            argvs = [[command, "--dynamics-a", files["gen"], "--dynamics-b", files["gen"],
+                      "--coupling", bad]]
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"validation failure: {bad}: not a coupling: {self.CASES[case]}\n"
+
+    @pytest.mark.parametrize("command", ["check-balance", "convergence", "compose",
+                                         "check-orthogonal"])
+    def test_valid_coupling_runs(self, workdir, capsys, files, command):
+        if command in ("compose", "check-orthogonal"):
+            argv = [command, files["good"], files["good"]]
+        else:
+            argv = [command, "--dynamics-a", files["gen"], "--dynamics-b", files["gen"],
+                    "--coupling", files["good"]]
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["command"] == command
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_validate_and_extract_keep_their_reports(self, workdir, capsys, files, case):
+        for command in ("validate", "extract-channel"):
+            code, out = run(capsys, command, files[case])
+            report = json.loads(out)
+            assert code == 2
+            assert report["verdicts"].get("valid", report["verdicts"].get("coupling_valid")) is False
+
+
+class TestBoolMatrixEntries:
+    """A JSON bool in a wire matrix is no number, though complex() reads
+    true as 1: it is malformed input (exit 1) that names the entry, wherever
+    the matrix sits.  Read as a number, a rho whose last entry is
+    [true, false] was a verdict: its spectrum summed to 1.25 (exit 2)."""
+
+    @staticmethod
+    def check(workdir, capsys, obj, index, *argv):
+        f = workdir / "in.json"
+        f.write_text(json.dumps(obj), encoding="utf-8")
+        code, err = run_err(capsys, *argv, str(f))
+        assert code == 1
+        assert err.startswith("input error:")
+        assert f"malformed matrix object: data[{index}] must be a number" in err
+
+    def test_validate_rho(self, workdir, capsys):
+        rho = {"rows": 2, "cols": 2, "data": [[0.25, 0.0], [0.0, 0.0], [0.0, 0.0], [True, False]]}
+        self.check(workdir, capsys, {"rho": rho}, 3, "validate")
+
+    def test_coupling_kappa(self, workdir, capsys):
+        obj = diagonal_coupling(new_faithful_state([0.25, 0.75])).to_json()
+        obj["kappa"]["data"][5] = [0.0, True]
+        self.check(workdir, capsys, obj, 5, "validate")
+        self.check(workdir, capsys, obj, 5, "extract-channel")
+
+    def test_channel_superoperator(self, workdir, capsys):
+        obj = identity_channel(2).to_json()
+        obj["superoperator"]["data"][0] = [True, 0.0]
+        self.check(workdir, capsys, obj, 0, "validate")
+
+    def test_kraus_list(self, workdir, capsys):
+        eye = matrix_to_json(np.eye(2))
+        eye["data"][2] = [False, 0.0]
+        self.check(workdir, capsys, {"kraus": [matrix_to_json(np.eye(2)), eye]}, 2, "validate")
+
+    def test_not_normalized_message_prints_a_plain_float(self, workdir, capsys):
+        f = write(workdir / "state.json", {"dim": 2, "spectrum": [0.5, 0.75]})
+        code, out = run(capsys, "validate", f)
+        assert code == 2
+        assert json.loads(out)["error"] == "not normalized: spectrum sums to 1.25"

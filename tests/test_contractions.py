@@ -622,7 +622,9 @@ def gather_cases():
     a balanced entangled single cycle (generators, and their channels at
     t = 1), and under the diagonal coupling a two-cycle system against
     itself, against its dual (the call of check_theta_sqdb) and against
-    the second system of its scenario (unbalanced); at n = 12 also two
+    the second system of its scenario (unbalanced), and its dual against
+    it (unbalanced; the dual's superoperator, a transposed view, is the
+    gathered operand of is_balanced's products); at n = 12 also two
     generators on a state with distinct eigenvalues, so that S_E's row
     weights differ from row to row."""
     cases = {}
@@ -641,6 +643,7 @@ def gather_cases():
         cases[f"{n}-diagonal"] = (sys, sys, diag, True)
         dual_sys = System(state=sys.state, dynamics=dual(sys.dynamics, sys.state, sys.state))
         cases[f"{n}-diagonal-dual"] = (sys, dual_sys, diag, False)
+        cases[f"{n}-dual-diagonal"] = (dual_sys, sys, diag, False)
         cases[f"{n}-diagonal-other"] = (sys, t.system_b, diag, False)
     diag = diagonal_coupling(new_faithful_state(rng(12).dirichlet(np.ones(12))))
     sys_a, sys_b = preserving_systems(diag, "generator", seed=12)
@@ -666,6 +669,13 @@ class TestGatherProducts:
         new, dense = is_balanced(sys_a, sys_b, w), is_balanced_dense(sys_a, sys_b, w)
         assert json.dumps(new.to_json()) == json.dumps(dense.to_json()), name
         assert new.balanced == balanced and new.method_agreement, name
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_dual_operand_is_a_transposed_view(self, n):
+        """The dual-first case hands is_balanced an F-ordered superoperator,
+        which only the gather puts in C order (kernel._gather_product)."""
+        s_alpha = GATHER[f"{n}-dual-diagonal"][0].dynamics.superoperator
+        assert s_alpha.flags.f_contiguous and not s_alpha.flags.c_contiguous
 
     def test_gathered_extraction_bits(self):
         """_weigh_rows weighs the gathered entries of P in the order in which

@@ -847,6 +847,31 @@ class TestVecJson:
             matrix_from_json({"rows": 2, "cols": 2, "data": data})
 
 
+    @pytest.mark.parametrize("entry, message", [
+        ([True, 0.0], r"data\[2\] must be a number"),
+        ([0.5, False], r"data\[2\] must be a number"),
+        (["0.5", 0.0], r"data\[2\] must be a number"),
+        ([None, 0.0], r"data\[2\] must be a number"),
+        ([[0.5], 0.0], r"data\[2\] must be a number"),
+        ([0.5], r"data\[2\] must be a pair \[re, im\]"),
+        ([0.5, 0.0, 0.0], r"data\[2\] must be a pair \[re, im\]"),
+        ([10**400, 0.0], "int too large to convert to float"),
+    ])
+    def test_json_not_a_number(self, entry, message):
+        data = [[0.5, 0.0]] * 4
+        data[2] = entry
+        with pytest.raises(ValueError, match=rf"malformed matrix object: {message}"):
+            matrix_from_json({"rows": 2, "cols": 2, "data": data})
+
+    def test_json_entries_read_as_complex(self):
+        """Each entry has the bits of complex(re, im): signed zeros, and
+        integers rounded as float() rounds them."""
+        data = [[-0.0, 0], [1, -0.0], [2**53 + 1, -(2**60) - 1], [0.1, -1e-320]]
+        want = np.array([complex(re, im) for re, im in data])
+        got = matrix_from_json({"rows": 2, "cols": 2, "data": data})
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.skipif(not kernel.FREED_MEMORY_KEPT, reason="the allocation policy is set on glibc only")
 class TestAllocationPolicy:
     def test_freed_arrays_stay_in_the_process(self):

@@ -104,6 +104,12 @@ class TestKron:
     @given(matrices(), matrices())
     @example(np.array([[-0.0]]), np.array([[2.0 + 0j]]))
     @example(np.array([[np.inf, -0.0]]), np.array([[0.0 - 0.0j], [-np.inf + 1j]]))
+    # a real factor against a complex one whose product underflows: made
+    # complex first, the real factor gave -0 where np.kron gives +0
+    @example(np.array([[-1.8027714184364592e-182]]),
+             np.array([[complex(1.4738325276227952e-165, -0.0)]]))
+    @example(np.array([[complex(1.4738325276227952e-165, -0.0)]]),
+             np.array([[-1.8027714184364592e-182]]))
     def test_np_kron_bits(self, a, b):
         if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
             # kernel matrices are complex: a real pair is compared as complex

@@ -1,0 +1,129 @@
+"""Hash the results of the benchmark's rounds, to show which report bytes moved.
+
+Builds, from ``perfbench/workloads.py`` (read as it is, unchanged), the
+``probes`` rounds at seeds 1 and 2, the ``grid`` round at seed 1 and the
+``cli_commands`` at seeds 1-3, runs them in-process and prints one digest
+per op kind and per command.  Run from the root of a checkout:
+
+    python tools/report_digest.py
+
+An op result is hashed by value: a float by ``float.hex``, an array by its
+dtype, shape and bytes, a dataclass by its fields in order, and lists,
+tuples and dicts entry by entry.  A command is run through ``cli.main``;
+its exit code, stdout, stderr and every file it writes are hashed, with the
+work directory masked, so two checkouts give the same digests exactly when
+their reports have the same bytes.  Diff the output of two checkouts: a line
+that differs names the op kind or the command whose result moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+PROBES_SEEDS, GRID_SEEDS, CLI_SEEDS = (1, 2), (1,), (1, 2, 3)
+WORK = "<work>"
+
+
+def _feed(h, x) -> None:
+    """Feed the value ``x`` to the hash ``h``, tagged by its type."""
+    if isinstance(x, (bool, np.bool_)):
+        h.update(b"b1" if x else b"b0")
+    elif isinstance(x, (int, np.integer)):
+        h.update(b"i%d;" % int(x))
+    elif isinstance(x, (float, np.floating)):
+        h.update(b"f" + float(x).hex().encode() + b";")
+    elif isinstance(x, (complex, np.complexfloating)):
+        h.update(b"c" + x.real.hex().encode() + b"," + x.imag.hex().encode() + b";")
+    elif x is None:
+        h.update(b"n")
+    elif isinstance(x, str):
+        h.update(b"s%d:" % len(x) + x.encode())
+    elif isinstance(x, np.ndarray):
+        h.update(f"a{x.dtype.str}{x.shape}:".encode() + np.ascontiguousarray(x).tobytes())
+    elif dataclasses.is_dataclass(x):
+        h.update(f"d{type(x).__name__}(".encode())
+        for f in dataclasses.fields(x):
+            h.update(f.name.encode() + b"=")
+            _feed(h, getattr(x, f.name))
+        h.update(b")")
+    elif isinstance(x, (list, tuple)):
+        h.update(b"l%d[" % len(x))
+        for v in x:
+            _feed(h, v)
+        h.update(b"]")
+    elif isinstance(x, dict):
+        h.update(b"m%d{" % len(x))
+        for k, v in x.items():
+            _feed(h, k)
+            _feed(h, v)
+        h.update(b"}")
+    else:
+        raise TypeError(f"cannot hash {type(x)!r}")
+
+
+def round_digests(workloads, name: str, seed: int) -> dict[str, str]:
+    """One digest per op kind of a round, over its ops' results in order."""
+    hashes = {}
+    for op in workloads.build_round(name, seed, "").ops:
+        _feed(hashes.setdefault(op.kind, hashlib.sha256()), op.run())
+    return {f"{name}/seed{seed} {kind}": h.hexdigest()[:16] for kind, h in hashes.items()}
+
+
+def _files(workdir: str) -> dict[str, bytes]:
+    return {str(p): p.read_bytes() for p in Path(workdir).rglob("*") if p.is_file()}
+
+
+def cli_digests(workloads, seed: int) -> dict[str, str]:
+    """One digest per command of ``cli_commands`` at ``seed``: its exit code,
+    stdout, stderr and the files it wrote or changed, the work directory
+    masked in all of them."""
+    cli = workloads.bl.cli
+    out = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        commands, _ = workloads.cli_commands(np.random.default_rng(seed), workdir)
+        mask = lambda b: b.replace(workdir.encode(), WORK.encode())  # noqa: E731
+        for i, (name, argv, _) in enumerate(commands):
+            before = _files(workdir)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(list(argv))
+            h = hashlib.sha256()
+            _feed(h, code)
+            _feed(h, mask(stdout.getvalue().encode()).decode())
+            _feed(h, mask(stderr.getvalue().encode()).decode())
+            for path, data in sorted(_files(workdir).items()):
+                if before.get(path) != data:
+                    _feed(h, path.replace(workdir, WORK))
+                    _feed(h, mask(data).decode())
+            out[f"cli/seed{seed} {i:02d} {name}"] = h.hexdigest()[:16]
+    return out
+
+
+def main() -> int:
+    import workloads
+
+    digests = {}
+    for seed in PROBES_SEEDS:
+        digests.update(round_digests(workloads, "probes", seed))
+    for seed in GRID_SEEDS:
+        digests.update(round_digests(workloads, "grid", seed))
+    for seed in CLI_SEEDS:
+        digests.update(cli_digests(workloads, seed))
+    for key, value in digests.items():
+        print(f"{key:44} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
