@@ -28,6 +28,14 @@ built by one core, ``dual``, exact for diagonal states:
   ``change_frame(dual, conj(u), u*)``.  For plain transposition (u = 1) it is
   the dual itself.
 
+A reversing operation has one judge, ``ReversingOperation.validate``, which
+the constructor applies to a given unitary.  It checks the relations
+Theta(g E_ij) = Theta(E_ij) Theta(g), Theta(Theta(g)) = g and
+Theta(g^T) = Theta(g)* on the clock D = diag(1, ..., n) and the cyclic shift
+C (C e_j = e_(j+1)), which generate M_n, each of the 2n^2 + 4 matrices by
+:func:`kernel.close`'s rule.  An error eps in one entry of the superoperator
+shows up scaled by up to about n, through the weights of Theta(D).
+
 Kind enters in four places only: the preservation residual
 (``states.state_preservation_residual``), the result constructor ``_like``,
 the name in ``dual``'s error, and ``_fixed_point_operator`` (S - 1 for a
@@ -259,7 +267,12 @@ def kms_dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAUL
 class ReversingOperation:
     """A linear *-antihomomorphism with square one: a -> u a^T u*.
 
-    ``unitary=None`` means plain transposition in the fixed basis.
+    ``unitary=None`` means plain transposition in the fixed basis.  A given
+    ``unitary`` is accepted exactly when :meth:`validate` passes, that is
+    when u is unitary with u conj(u) = +-1: an invertible u gives an
+    antimultiplicative map iff it is unitary, and then the square is
+    Ad_(u conj(u)), the identity iff u conj(u) is a scalar, which can only be
+    +1 or -1 (spin-flip time reversal, u = sigma_y, has -1).
     """
 
     dim: int
@@ -267,14 +280,12 @@ class ReversingOperation:
 
     def __post_init__(self):
         if self.unitary is not None:
-            u = as_matrix(self.unitary)
-            if u.shape != (self.dim, self.dim):
+            object.__setattr__(self, "unitary", as_matrix(self.unitary))
+            if self.unitary.shape != (self.dim, self.dim):
                 raise ValueError("reversing unitary has wrong shape")
-            if not close(u @ u.conj().T, np.eye(self.dim)):
-                raise ValueError("reversing operation requires a unitary")
-            if not close(u @ u.conj(), np.eye(self.dim)):
-                raise ValueError("reversing operation must square to the identity")
-            object.__setattr__(self, "unitary", u)
+            if not self.validate():
+                raise ValueError("reversing operation must be antimultiplicative and square to "
+                                 "the identity: u must be unitary with u conj(u) = +-1")
 
     def apply(self, a) -> np.ndarray:
         a = as_matrix(a)
@@ -284,10 +295,11 @@ class ReversingOperation:
 
     @cached_property
     def superoperator(self) -> np.ndarray:
-        t = transpose_superop(self.dim)
+        """Ad_u o j: column i + n*j is column j + n*i of Ad_u."""
+        n = self.dim
         if self.unitary is None:
-            return t
-        return ad_superop(self.unitary) @ t
+            return transpose_superop(n)
+        return ad_superop(self.unitary).reshape(n * n, n, n).transpose(0, 2, 1).reshape(n * n, -1)
 
     @property
     def frame(self) -> tuple:
@@ -304,31 +316,42 @@ class ReversingOperation:
         return close(self.apply(s.rho), s.rho, tol)
 
     def validate(self, tol: float = DEFAULT_TOL) -> bool:
-        """Involution, antimultiplicativity on every pair (E_ij, E_jk) and
-        *-preservation, each matrix unit judged by :func:`close` through
-        :func:`kernel._close_each`."""
-        n = self.dim
-        s = self.superoperator
-        # a[i, j] = Theta(E_ij), unvectorized from column i + n*j of the
-        # superoperator, copied once so that every Theta(E_ij) is C-ordered:
-        # the stacked products below read strided views otherwise (12.0
-        # against 7.0 ms at n = 16 for plain transposition)
-        a = np.ascontiguousarray(s.reshape(n, n, n, n).transpose(3, 2, 1, 0))
-        twice = (s @ s).reshape(n, n, n, n).transpose(3, 2, 1, 0)
-        # the (k, i) stack of Theta(E_ik), against the products below
-        target = a.transpose(1, 0, 2, 3)
+        """The three identities of the superoperator S, judged on the clock
+        D = diag(1, ..., n) and the cyclic shift C (C e_j = e_(j+1)), which
+        generate M_n as an algebra:
 
-        def antimultiplicative(j: int) -> bool:
-            """Theta(E_ij E_jk) = Theta(E_ik) against Theta(E_jk) Theta(E_ij)
-            for every (i, k), the products formed as one (k, i) stack: all
-            n^3 pairs at once would hold n^5 entries."""
-            return _close_each(a[j][:, None] @ a[:, j][None, :], target, tol)
+        * Theta(g E_ij) = Theta(E_ij) Theta(g) for g in {D, C} and every
+          matrix unit, where Theta(D E_ij) = (i+1) Theta(E_ij) and
+          Theta(C E_ij) = Theta(E_(i+1)j); by linearity Theta(g x) =
+          Theta(x) Theta(g) for every x, and so for every g in the algebra
+          that D and C generate, which is M_n;
+        * Theta(Theta(g)) = g: Theta o Theta is then multiplicative, so it
+          is the identity once it fixes the generators;
+        * Theta(g^T) = Theta(g)*: g^T = g* for the real D and C, and the
+          x with Theta(x*) = Theta(x)* form an algebra.
 
+        Each of the 2n^2 + 4 matrices is judged by :func:`close`'s rule
+        through :func:`kernel._close_each`, in O(n^5).  Judged per relation,
+        an error eps in an entry of S shows up scaled by up to about n,
+        through the weights of Theta(D).
+        """
+        n, s = self.dim, self.superoperator
+        # a matrix x is held as x^T, whose rows are vec(x): the rows of a stack
+        # of them times S^T are the vec(Theta(x)), so theta_t(y) = Theta(y^T)^T
+        theta_t = lambda y: (y.reshape(2, -1) @ s.T).reshape(2, n, n)  # noqa: E731
+        gens = np.stack([np.diag(np.arange(1.0, n + 1)), np.roll(np.eye(n), -1, axis=0)])  # D, C^T
+        images = theta_t(gens)  # Theta(D)^T, Theta(C)^T
+        # column i + n*j of S (1 (x) g) is vec(Theta(g E_ij)): the columns of S
+        # scaled by i + 1, and shifted from i + 1 to i; that of
+        # (Theta(g)^T (x) 1) S is vec(Theta(E_ij) Theta(g)), one product.  Each
+        # is read as the (g, i + n*j) stack of its columns' matrices transposed
+        columns = s.reshape(-1, n, n)
+        moved = np.stack([columns * np.arange(1.0, n + 1), np.roll(columns, -1, axis=2)])
+        each = lambda x: x.reshape(2, n, n, -1).transpose(0, 3, 1, 2)  # noqa: E731
         return (
-            _close_each(twice, np.eye(n * n).reshape(n, n, n, n), tol)
-            and all(map(antimultiplicative, range(n)))
-            # Theta(E_ji) against Theta(E_ij)*
-            and _close_each(target, a.conj().transpose(0, 1, 3, 2), tol)
+            _close_each(each(moved), each(images @ s.reshape(n, -1)), tol)
+            and _close_each(theta_t(images), gens, tol)
+            and _close_each(theta_t(gens.transpose(0, 2, 1)), images.conj().transpose(0, 2, 1), tol)
         )
 
 

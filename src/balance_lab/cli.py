@@ -401,6 +401,11 @@ def cmd_sqdb(args):
     if args.theta_unitary:
         th_unitary, dig = load(args.theta_unitary, matrix_from_json)
         inputs.append(dig)
+        # Theta(a) = u a^T u* in the eigenbasis of a rho state, as the
+        # dynamics are, has the unitary U* u conj(U); a wrong shape is left
+        # to the constructor's check
+        if unitary is not None and th_unitary.shape == unitary.shape:
+            th_unitary = unitary.conj().T @ th_unitary @ unitary.conj()
     rep = check_theta_sqdb(sys_x, ReversingOperation(dim=sys_x.dim, unitary=th_unitary), args.tol)
     report["verdicts"] = {
         "sqdb": rep.sqdb,

@@ -224,6 +224,25 @@ class TestReversingOperation:
         with pytest.raises(ValueError, match="square to the identity"):
             ReversingOperation(dim=3, unitary=q)
 
+    def test_rejects_non_unitary(self):
+        # 2 * 1 is involutive up to a scalar but not antimultiplicative
+        with pytest.raises(ValueError, match="square to the identity"):
+            ReversingOperation(dim=3, unitary=2.0 * np.eye(3))
+
+    def test_spin_flip_theta_kms_dual(self):
+        # sigma_y + sigma_y (u conj(u) = -1) constructs and fixes every
+        # p = (a, a, b, b); against the dense Theta o kms_dual o Theta
+        s = new_faithful_state([0.3, 0.3, 0.2, 0.2])
+        th = ReversingOperation(dim=4, unitary=np.kron(np.eye(2), [[0.0, -1j], [1j, 0.0]]))
+        assert th.compatible_with(s)
+        gen = preserving_generator(s, seed=4)
+        for dyn, got in (
+            (gen, theta_kms_dual_generator(gen, s, th)),
+            (semigroup(gen, 0.7), theta_kms_dual(semigroup(gen, 0.7), s, th)),
+        ):
+            assert_relative_close(got.superoperator, theta_kms_dual_oracle(dyn, s, th))
+            assert frob_distance(got.superoperator, dual(dyn, s, s).superoperator) > 1e-3
+
     def test_state_compatibility(self):
         th = ReversingOperation(dim=2)
         assert th.compatible_with(new_faithful_state([0.3, 0.7]))

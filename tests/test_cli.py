@@ -20,7 +20,13 @@ from balance_lab.couplings import (
     extract_channel,
     product_coupling,
 )
-from balance_lab.kernel import _invariant_blocks, ad_superop, matrix_from_json, matrix_to_json
+from balance_lab.kernel import (
+    _invariant_blocks,
+    ad_superop,
+    matrix_from_json,
+    matrix_to_json,
+    matrix_unit,
+)
 from balance_lab.lindblad import scenario_build, scenario_coupling, semigroup
 from balance_lab.states import canonicalize_density_matrix, new_faithful_state
 
@@ -244,6 +250,34 @@ class TestCanonicalization:
         assert rep["verdicts"]["witness_found"] is False
 
 
+    def test_sqdb_theta_unitary_in_rotated_frame(self, workdir, capsys):
+        # a detailed-balance generator of diag(p) and a diagonal-phase Theta,
+        # handed over as they are and rotated by q (rho' = q rho q*, jumps
+        # q v q*, u' = q u q^T): Theta must follow the dynamics into the
+        # eigenbasis of rho', and both frames give the same verdicts
+        q, p, rho = rotated_frame()
+        c = np.array([[0.0, 0.4, 0.7], [0.4, 0.0, 0.5], [0.7, 0.5, 0.0]])
+        jumps = [np.sqrt(c[i, j] * p[i]) * matrix_unit(3, i, j)
+                 for i in range(3) for j in range(3) if i != j]
+        u = np.diag(np.exp(1j * np.array([0.4, -1.1, 2.3])))
+        frames = (({"dim": 3, "spectrum": list(p)}, np.eye(3)), ({"rho": matrix_to_json(rho)}, q))
+        verdicts = []
+        for i, (state, w) in enumerate(frames):
+            dyn = {"jumps": [matrix_to_json(w @ v @ w.conj().T) for v in jumps]}
+            d = write(workdir / f"dyn{i}.json", dyn)
+            f = write(workdir / f"state{i}.json", state)
+            t = write(workdir / f"theta{i}.json", matrix_to_json(w @ u @ w.T))
+            code, out = run(capsys, "sqdb", "--dynamics", d, "--state", f, "--theta-unitary", t)
+            assert code == 0
+            verdicts.append(json.loads(out)["verdicts"])
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["sqdb"] is True
+        # a Theta of the wrong shape is still the constructor's validation failure
+        t = write(workdir / "theta-2.json", matrix_to_json(np.eye(2)))
+        code, err = run_err(capsys, "sqdb", "--dynamics", d, "--state", f, "--theta-unitary", t)
+        assert code == 2
+        assert "wrong shape" in err
+
     @pytest.mark.parametrize("rotated", ["both", "a", "b"])
     def test_coupling_from_channel_in_rotated_frame(self, workdir, capsys, rotated):
         # E = 0.6 id + 0.4 const preserves diag(p); handed over in the frames
@@ -420,6 +454,22 @@ class TestSqdbErgodicConvergence:
             assert code == expected
             if prefix is not None:
                 assert err.startswith(prefix)
+
+    def test_sqdb_spin_flip(self, workdir, capsys):
+        # the single 4-cycle state is maximally mixed, so sigma_y + sigma_y
+        # (u conj(u) = -1) fixes it; a generic unitary and 2 * 1 are no
+        # reversing operations
+        spec = make_spec(types=("entangled",), partition=((0,),), k=(0.5,), l=(0.5,),
+                         g=(0.0,) * 4, h=(0.0,) * 4, cycles=(4,), block_probs=(1.0,))
+        f = write(workdir / "spec.json", spec.to_json())
+        spin_flip = np.kron(np.eye(2), [[0.0, -1j], [1j, 0.0]])
+        generic, _ = np.linalg.qr(random_matrix(4, seed=9))
+        for i, (theta, expected) in enumerate(((spin_flip, 0), (generic, 2), (2.0 * np.eye(4), 2))):
+            t = write(workdir / f"theta{i}.json", matrix_to_json(theta))
+            code, out = run(capsys, "sqdb", "--scenario", f, "--theta-unitary", t)
+            assert code == expected
+            if expected == 0:
+                assert json.loads(out)["verdicts"]["methods_agree"] is True
 
     def test_ergodic_scenario(self, workdir, capsys):
         f = write(workdir / "spec.json", make_spec().to_json())

@@ -371,6 +371,83 @@ class TestReversingValidate:
         assert not th.validate()
 
 
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+
+
+class SuperoperatorTheta(ReversingOperation):
+    """A reversing operation whose apply reads the superoperator, so that
+    the loop reference (which calls apply) and validate judge the same map
+    after the cached superoperator is replaced."""
+
+    def apply(self, a):
+        return kernel.unvec(self.superoperator @ vec(a), self.dim)
+
+
+def perturbed_transposition(n: int, row: int, col: int, eps: float) -> SuperoperatorTheta:
+    th = SuperoperatorTheta(dim=n)
+    s = kernel.as_matrix(th.superoperator)
+    s[row, col] += eps
+    th.__dict__["superoperator"] = s
+    return th
+
+
+def symmetric_unitary(n: int, seed: int) -> np.ndarray:
+    """q q^T for a random unitary q: u conj(u) = 1, and no phase pattern."""
+    q, _ = np.linalg.qr(random_matrix(n, seed=seed))
+    return q @ q.T
+
+
+# spin-flip time reversal (u conj(u) = -1), alone and as a direct sum, and
+# symmetric unitaries with no structure, built into operations in the tests
+VALID_UNITARIES = {
+    "sigma-y": SIGMA_Y,
+    "sigma-y-sum": np.kron(np.eye(2), SIGMA_Y),
+    "symmetric-3": symmetric_unitary(3, seed=3),
+    "symmetric-6": symmetric_unitary(6, seed=6),
+}
+
+
+def judge_case(name: str) -> tuple[ReversingOperation, bool]:
+    if name in VALID_UNITARIES:
+        u = VALID_UNITARIES[name]
+        return ReversingOperation(dim=len(u), unitary=u), True
+    return reversing_cases()[name]
+
+
+def perturbation_sites(n: int, count: int = 6):
+    """Every entry of the superoperator for n <= 3, else ``count`` seeded
+    random (row, column) pairs."""
+    if n <= 3:
+        return list(itertools.product(range(n * n), repeat=2))
+    return [tuple(map(int, rc)) for rc in rng(n).integers(n * n, size=(count, 2))]
+
+
+class TestGeneratorJudge:
+    """validate judges the identities on the clock and shift matrices only;
+    the loop reference judges them on every pair of matrix units.  The two
+    verdicts must agree."""
+
+    @pytest.mark.parametrize("case", sorted(reversing_cases()) + sorted(VALID_UNITARIES))
+    def test_matches_loop(self, case):
+        th, expected = judge_case(case)
+        assert th.validate() is expected
+        assert reversing_validate_loop(th) is expected
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_rejects_entry_perturbations(self, n):
+        for row, col in perturbation_sites(n):
+            th = perturbed_transposition(n, row, col, 1e-6)
+            assert th.validate() is False, (row, col)
+            assert reversing_validate_loop(th) is False, (row, col)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_accepts_rounding_perturbations(self, n):
+        for row, col in perturbation_sites(n, count=2):
+            th = perturbed_transposition(n, row, col, 1e-13)
+            assert th.validate() is True, (row, col)
+            assert reversing_validate_loop(th) is True, (row, col)
+
+
 class TestKmsFlip:
     """kms_flip is the index permutation kappa -> flip(kappa)^T; its channel
     must be the KMS-dual, which the plain flip (the dual) is not."""

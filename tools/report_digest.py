@@ -3,7 +3,11 @@
 Builds, from ``perfbench/workloads.py`` (read as it is, unchanged), the
 ``probes`` rounds at seeds 1 and 2, the ``grid`` round at seed 1 and the
 ``cli_commands`` at seeds 1-3, runs them in-process and prints one digest
-per op kind and per command.  Run from the root of a checkout:
+per op kind and per command.  After the ``cli_commands`` of a seed it also
+runs ``sqdb --scenario <spec> --theta-unitary <phases>`` for each of their
+slots, with diagonal phases drawn from ``THETA_SEED`` and written next to
+the slot's files: no benchmark command builds a reversing operation from a
+unitary.  Run from the root of a checkout:
 
     python tools/report_digest.py
 
@@ -22,6 +26,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -32,6 +37,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 PROBES_SEEDS, GRID_SEEDS, CLI_SEEDS = (1, 2), (1,), (1, 2, 3)
+THETA_SEED = 21
 WORK = "<work>"
 
 
@@ -84,14 +90,32 @@ def _files(workdir: str) -> dict[str, bytes]:
     return {str(p): p.read_bytes() for p in Path(workdir).rglob("*") if p.is_file()}
 
 
+def theta_commands(workloads, workdir: str) -> list:
+    """``sqdb --scenario <spec> --theta-unitary <u>`` for each slot of
+    ``cli_commands`` written to ``workdir``, with u = diag(exp(i phi)) and
+    phi drawn from ``THETA_SEED``; the file of u is written here."""
+    rng = np.random.default_rng(THETA_SEED)
+    commands = []
+    for n, *_ in workloads.CLI_SLOTS:
+        d = os.path.join(workdir, f"n{n}")
+        u = np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, n)))
+        theta = os.path.join(d, "theta.json")
+        with open(theta, "w", encoding="utf-8") as fh:
+            json.dump(workloads.bl.matrix_to_json(u), fh)
+        argv = ["sqdb", "--scenario", os.path.join(d, "spec.json"), "--theta-unitary", theta]
+        commands.append(("sqdb-theta", argv, None))
+    return commands
+
+
 def cli_digests(workloads, seed: int) -> dict[str, str]:
-    """One digest per command of ``cli_commands`` at ``seed``: its exit code,
-    stdout, stderr and the files it wrote or changed, the work directory
-    masked in all of them."""
+    """One digest per command of ``cli_commands`` at ``seed``, and of
+    :func:`theta_commands` after them: its exit code, stdout, stderr and the
+    files it wrote or changed, the work directory masked in all of them."""
     cli = workloads.bl.cli
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         commands, _ = workloads.cli_commands(np.random.default_rng(seed), workdir)
+        commands += theta_commands(workloads, workdir)
         mask = lambda b: b.replace(workdir.encode(), WORK.encode())  # noqa: E731
         for i, (name, argv, _) in enumerate(commands):
             before = _files(workdir)
