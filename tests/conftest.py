@@ -800,6 +800,27 @@ def rescaled_triple(spec: ScenarioSpec, c: float):
     return systems[0], systems[1], triple.coupling
 
 
+def probe_like_triples():
+    """Triples with the cycle structures of the benchmark's probe slots: one
+    12-cycle, three 4-cycles, one 16-cycle and four 4-cycles, a generic
+    Hamiltonian on each."""
+    out = []
+    for cycles, types in (
+        ((12,), ("entangled",)),
+        ((4, 4, 4), ("entangled", "mixed", "product")),
+        ((16,), ("entangled",)),
+        ((4, 4, 4, 4), ("entangled", "mixed", "product", "entangled")),
+    ):
+        n, c = sum(cycles), len(cycles)
+        g = tuple(np.linspace(-0.6, 0.9, n))
+        spec = make_spec(
+            types=types, partition=tuple((i,) for i in range(c)), k=(0.4,) * c, l=(0.4,) * c,
+            g=g, h=g, cycles=cycles, block_probs=(1.0 / c,) * c,
+        )
+        out.append(scenario_build(spec))
+    return out
+
+
 @pytest.fixture(scope="session")
 def balanced_spec() -> ScenarioSpec:
     return make_spec()

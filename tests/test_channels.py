@@ -45,6 +45,7 @@ from conftest import (
     dual_reference,
     dual_superop_oracle,
     preserving_generator,
+    probe_like_triples,
     random_matrix,
     random_state_vector,
     state_preservation_residual_reference,
@@ -599,6 +600,19 @@ class TestDualLayout:
             th = phase_theta(s_in.dim, seed=3)
             want = change_frame(ref, *th.frame).superoperator
             assert theta_kms_dual(dyn, s_in, th).superoperator.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 1000.0])
+    def test_probe_semigroup_duals_keep_their_bits(self, t):
+        """The product by 1 / w_in has the bits of the reference's quotient
+        on the semigroup channels of the probe-like triples, and on the
+        duals of their duals."""
+        for triple in probe_like_triples():
+            for sys in (triple.system_a, triple.system_b):
+                s, sg = sys.state, semigroup(sys.dynamics, t)
+                got, ref = dual(sg, s, s), dual_reference(sg, s, s)
+                assert got.superoperator.tobytes() == ref.superoperator.tobytes()
+                twice = dual(got, s, s).superoperator
+                assert twice.tobytes() == dual_reference(ref, s, s).superoperator.tobytes()
 
     @pytest.mark.parametrize("case", sorted(layout_cases()))
     def test_preservation_residual_bits(self, case):

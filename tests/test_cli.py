@@ -12,6 +12,7 @@ import scipy.linalg
 
 import balance_lab.balance as balance
 import balance_lab.cli as cli
+import balance_lab.couplings as couplings
 import balance_lab.lindblad as lindblad
 from balance_lab.channels import constant_channel, identity_channel
 from balance_lab.cli import dumps_canonical, main
@@ -368,6 +369,29 @@ class TestBalanceCommands:
         rep = json.loads(out)
         assert rep["verdicts"]["balanced"] is True
         assert rep["sampled"][0]["balanced"] is True
+
+    @pytest.mark.parametrize("cycles", [(3, 4), (12,)])
+    def test_sampled_times_bytes_with_a_factor_per_read(self, workdir, capsys, monkeypatch, cycles):
+        """check-balance --sampled-times reads the coupling's factor once per
+        balance check, four times here, and scans it once; a factor scanned
+        anew at every read gives the same bytes (a 12-cycle's is gathered)."""
+        n, c = sum(cycles), len(cycles)
+        g = tuple(np.linspace(-0.7, 0.8, n))
+        spec = make_spec(types=("entangled",) * c, partition=tuple((i,) for i in range(c)),
+                         k=(0.35,) * c, l=(0.35,) * c, g=g, h=g, cycles=cycles,
+                         block_probs=(1.0 / c,) * c)
+        f = write(workdir / "spec.json", spec.to_json())
+        argv = ("check-balance", "--scenario", f, "--sampled-times", "0.1", "1", "5")
+        cached = run(capsys, *argv)
+        reads = []
+
+        def per_read(w):
+            reads.append(w)
+            return couplings._factor(w.pairing())
+
+        monkeypatch.setattr(couplings.Coupling, "factor", property(per_read))
+        assert run(capsys, *argv) == cached
+        assert cached[0] == 0 and len(reads) == 4
 
     def test_explicit_files(self, workdir, capsys):
         triple = scenario_build(make_spec())

@@ -771,7 +771,10 @@ class TestGatherProducts:
         sys_a, sys_b, w, _ = GATHER[f"{n}-cycle"]
         gathered = convergence_probe(sys_a, sys_b, w, (1.0, 30.0))
         monkeypatch.setattr(kernel, "GATHER_COST", 10**9)
-        dense = convergence_probe(sys_a, sys_b, w, (1.0, 30.0))
+        # a fresh coupling: w keeps the gathered factor it was read through
+        fresh = Coupling(kappa=w.kappa, state_a=w.state_a, state_b=w.state_b)
+        assert fresh.factor.left is None and fresh.factor.right is None
+        dense = convergence_probe(sys_a, sys_b, fresh, (1.0, 30.0))
         assert gathered.certified
         assert json.dumps(gathered.to_json()) == json.dumps(dense.to_json())
 

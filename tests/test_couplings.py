@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from balance_lab.balance import convergence_probe, is_balanced, sampled_balance
 from balance_lab.channels import (
     apply,
+    compose_channels,
     constant_channel,
     dual,
     identity_channel,
@@ -15,6 +17,9 @@ from balance_lab.channels import (
 )
 import balance_lab.couplings as couplings
 from balance_lab.couplings import (
+    Coupling,
+    _from_pairing,
+    _weigh_rows,
     compose,
     coupling_from_channel,
     coupling_from_json,
@@ -29,8 +34,14 @@ from balance_lab.couplings import (
     product_coupling,
     validate_coupling,
 )
-from balance_lab.kernel import frob_distance, kron, matrix_unit
-from balance_lab.lindblad import cycle_generator, scenario_coupling, semigroup
+from balance_lab.kernel import frob_distance, kron, matrix_unit, partial_trace
+from balance_lab.lindblad import (
+    cycle_generator,
+    scenario_build,
+    scenario_coupling,
+    semigroup,
+    standard_grid,
+)
 from balance_lab.states import new_faithful_state
 
 from conftest import (
@@ -41,6 +52,7 @@ from conftest import (
     extraction_is_valid,
     make_spec,
     preserving_generator,
+    probe_like_triples,
     random_matrix,
     random_state_vector,
     use_references,
@@ -275,6 +287,154 @@ class TestCompose:
         s3 = new_faithful_state([1 / 3] * 3)
         with pytest.raises(ValueError, match="not composable"):
             compose(product_coupling(s2, s2), product_coupling(s3, s3))
+
+
+def compose_dense(w, psi):
+    """compose with S_psi S_w as the dense product of the two extracted
+    channels: the reference for the product through psi's factor."""
+    e = compose_channels(extract_channel(psi), extract_channel(w))
+    return coupling_from_channel(e, w.state_a, psi.state_b)
+
+
+def composable_pairs(w):
+    """Pairs that compose along the middle states of a coupling w of one
+    state to itself: w with itself and with its flips, and the diagonal and
+    the product coupling on either side."""
+    s = w.state_a
+    d, prod = diagonal_coupling(s), product_coupling(s, s)
+    return [(w, w), (w, flip_coupling(w)), (w, kms_flip(w)), (w, d), (d, w), (w, prod), (prod, w)]
+
+
+def full_support_coupling(n, seed):
+    """coupling_from_channel of a random state-preserving u.c.p. channel with
+    no zero entry, on a state with distinct eigenvalues: the channel is
+    extracted from rho (x) rho plus a random Hermitian with zero marginals,
+    scaled to keep it positive.  Its pairing matrix has n^2 nonzeros in
+    every row, so its factor keeps both sides on BLAS."""
+    s = new_faithful_state(random_state_vector(n, seed=seed))
+    x = random_matrix(n * n, seed=seed)
+    x = x + x.conj().T
+    eye = np.eye(n) / n
+    delta = (x - kron(partial_trace(x, (n, n), "second"), eye)
+             - kron(eye, partial_trace(x, (n, n), "first")) + np.trace(x) * kron(eye, eye))
+    delta *= 0.5 * s.spectrum.min() ** 2 / np.linalg.norm(delta, 2)
+    ch = extract_channel(Coupling(kappa=kron(s.rho, s.rho) + delta, state_a=s, state_b=s))
+    assert validate_ucp(ch).ucp and np.count_nonzero(ch.superoperator) == n**4
+    return coupling_from_channel(ch, s, s)
+
+
+class TestGatheredComposition:
+    """compose forms S_psi S_w over the support of S_psi, psi's factor with
+    its rows weighed: a row of S_psi with at most two nonzeros gives the
+    bits of the dense product, any other row the dense product to 1e-15 of
+    |S_psi| |S_w|."""
+
+    @staticmethod
+    def assert_matches_dense(w, psi):
+        got, want = compose(w, psi).pairing(), compose_dense(w, psi).pairing()
+        s_psi, s_w = extract_channel(psi).superoperator, extract_channel(w).superoperator
+        exact = np.count_nonzero(s_psi, axis=1) <= 2
+        assert got[exact].tobytes() == want[exact].tobytes()
+        size = _weigh_rows(np.abs(s_psi) @ np.abs(s_w), psi.state_b.sqrt_spectrum)
+        assert np.all(np.abs(got - want)[~exact] <= 1e-15 * size[~exact])
+
+    def test_standard_grid(self):
+        for spec in standard_grid():
+            for w, psi in composable_pairs(scenario_build(spec).coupling):
+                self.assert_matches_dense(w, psi)
+
+    def test_probe_triples(self):
+        gathered = 0
+        for triple in probe_like_triples():
+            for w, psi in composable_pairs(triple.coupling):
+                self.assert_matches_dense(w, psi)
+                gathered += psi.factor.left is not None
+        # psi gathers unless it is the product coupling or a multi-cycle
+        # scenario coupling (k = 4 on its product blocks): 6 + 1 + 6 + 1
+        assert gathered == 14
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_full_support_on_blas(self, n):
+        w = full_support_coupling(n, seed=n)
+        f = w.factor
+        assert f.rows == f.cols == slice(None)
+        assert f.left is None and f.right is None and f.block is not None
+        for a, b in composable_pairs(w):
+            self.assert_matches_dense(a, b)
+
+    def test_orthogonality_reads_the_gathered_composition(self):
+        """is_orthogonal's residual is that of compose, also where psi's
+        factor gathers."""
+        for triple in probe_like_triples():
+            w = triple.coupling
+            for psi in (w, flip_coupling(w), diagonal_coupling(w.state_b)):
+                prod = kron(w.state_a.rho, psi.state_b.rho)
+                rep = is_orthogonal(w, psi)
+                assert rep.residual == frob_distance(compose(w, psi).kappa, prod)
+                assert rep.methods_agree
+
+
+class TestCouplingFactor:
+    """A coupling scans its pairing matrix into a kernel._Factor once, on
+    first use, and every later product reads that factor; a coupling derived
+    from it is a new coupling with a factor of its own."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = couplings._factor
+
+        def factor(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(couplings, "_factor", factor)
+        return calls
+
+    def test_built_once(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        t = probe_like_triples()[1]
+        a, b, w = t.system_a, t.system_b, t.coupling
+        assert calls == []
+        assert w.factor is w.factor and len(calls) == 1
+        is_balanced(a, b, w)
+        sampled_balance(a, b, w, (0.1, 1.0))
+        convergence_probe(a, b, w, (1.0,))
+        compose(w, w)
+        is_orthogonal(w, w)
+        # compose and is_orthogonal make new couplings; is_orthogonal reads
+        # the factor of psi = w and builds none for its composition's result
+        assert len(calls) == 1
+
+    def test_derived_couplings_do_not_share(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        w = probe_like_triples()[0].coupling
+        f = w.factor
+        others = [flip_coupling(w), kms_flip(w), _from_pairing(w.pairing(), w.state_a, w.state_b)]
+        for other in others:
+            assert other.factor is not f
+            assert other.factor is other.factor
+        assert len(calls) == 1 + len(others)
+        # the flip's factor is the factor of the flipped pairing, P^T
+        flip = others[0].factor
+        assert flip.left is not None and flip.left[0].tobytes() == f.right[0].tobytes()
+
+    def test_cached_factor_gives_the_fresh_report(self):
+        """is_balanced on a coupling whose factor is cached (and was read
+        before) has the bytes of is_balanced on a fresh coupling of the same
+        kappa."""
+        triples = [scenario_build(spec) for spec in standard_grid()[::5]] + probe_like_triples()
+        for t in triples:
+            a, b, w = t.system_a, t.system_b, t.coupling
+            first = is_balanced(a, b, w)
+            assert "factor" in vars(w)
+            again = is_balanced(a, b, w)
+            fresh = Coupling(kappa=w.kappa.copy(), state_a=w.state_a, state_b=w.state_b)
+            want = is_balanced(a, b, fresh)
+            for rep in (first, again):
+                assert json.dumps(rep.to_json()) == json.dumps(want.to_json())
+                assert rep.residual.hex() == want.residual.hex()
+                assert rep.definition_residual.hex() == want.definition_residual.hex()
 
 
 class TestOrthogonality:

@@ -50,6 +50,7 @@ from conftest import (
     make_spec,
     nullspace_dense,
     partial_trace_oracle,
+    probe_like_triples,
     random_matrix,
     random_psd,
     rng,
@@ -156,27 +157,6 @@ GRID_TRIPLES = [scenario_build(spec) for spec in standard_grid()]
 GRID_GENERATORS = [
     sys.dynamics.superoperator for t in GRID_TRIPLES for sys in (t.system_a, t.system_b)
 ]
-
-
-def probe_like_triples():
-    """Triples with the cycle structures of the benchmark's probe slots: one
-    12-cycle, three 4-cycles, one 16-cycle and four 4-cycles, a generic
-    Hamiltonian on each."""
-    out = []
-    for cycles, types in (
-        ((12,), ("entangled",)),
-        ((4, 4, 4), ("entangled", "mixed", "product")),
-        ((16,), ("entangled",)),
-        ((4, 4, 4, 4), ("entangled", "mixed", "product", "entangled")),
-    ):
-        n, c = sum(cycles), len(cycles)
-        g = tuple(np.linspace(-0.6, 0.9, n))
-        spec = make_spec(
-            types=types, partition=tuple((i,) for i in range(c)), k=(0.4,) * c, l=(0.4,) * c,
-            g=g, h=g, cycles=cycles, block_probs=(1.0 / c,) * c,
-        )
-        out.append(scenario_build(spec))
-    return out
 
 
 PROBE_TRIPLES = probe_like_triples()
