@@ -39,6 +39,7 @@ from .couplings import (
     coupling_from_channel,
     diagonal_coupling,
     extract_channel,
+    is_trivial,
     kms_flip,
     flip_coupling,
 )
@@ -49,7 +50,6 @@ from .kernel import (
     _relative_residuals,
     eigenvalues,
     frob_norm,
-    rank,
     relative_residual,
     vec,
 )
@@ -413,6 +413,12 @@ def convergence_probe(
     b in E_omega(matrix units) is reported per grid time and must drop below
     ``deviation_tol`` once t exceeds 50 / gap.  A certified probe whose grid
     ends before that threshold time evaluates it as one more grid time.
+
+    ``vacuous`` means omega = mu_A (x) mu_B, judged by
+    :func:`couplings.is_trivial`.  Since E_omega is unital and
+    mu_B o E_omega = mu_A, a scalar range can only be E_omega(a) = mu_A(a) 1,
+    which is the extracted channel of the product coupling; the transfer then
+    says nothing.
     """
     if sys_a.kind != "generator" or sys_b.kind != "generator":
         raise ValueError("convergence probe requires generator dynamics")
@@ -434,10 +440,7 @@ def convergence_probe(
         and gap is not None
         and relative_residual(gap, scale) > tol
     )
-
-    # the images of the matrix units are the columns of S_E
-    s_e = extract_channel(w).superoperator
-    vacuous = rank(s_e, tol) <= 1
+    vacuous = is_trivial(w, tol)
 
     threshold = 50.0 / gap if certified else None
     times = sorted(float(t) for t in t_grid)

@@ -9,8 +9,8 @@ Conventions used throughout the package:
   operands, homogeneous of degree one in the inputs of the residual (so
   verdicts survive a rescaling of time), never floored at 1 and never the
   norm of terms that can cancel exactly.  A cut over many values at once
-  (a rank, a numerical kernel, the zero eigenvalues of a generator, a
-  componentwise residual) uses the one array form of the same rule,
+  (a numerical kernel, the zero eigenvalues of a generator, a componentwise
+  residual) uses the one array form of the same rule,
   ``_relative_residuals``, with 0/0 = 0 and x/0 = inf as in the scalar.
 * Anything feeding a boolean verdict (eigenvalues, singular vectors) is made
   deterministic: eigenvalues sorted descending, eigenvector phases fixed so the
@@ -19,8 +19,8 @@ Conventions used throughout the package:
   time.  No tolerance enters the split, since dropping a small entry would
   drop a real coupling.  Eigen-type factorizations (a matrix exponential, a
   spectrum, the PSD check) use the symmetrized split: i and j share a block
-  when m[i, j] != 0 or m[j, i] != 0.  SVD-type factorizations (a numerical
-  kernel, a rank) use the bipartite split, which also fits a rectangular
+  when m[i, j] != 0 or m[j, i] != 0.  The SVD-type factorization (a
+  numerical kernel) uses the bipartite split, which also fits a rectangular
   matrix: row i and column j share a block when m[i, j] != 0.  Both
   splits label the components of their graph and hand the labels to one
   grouping, ``_group`` (the symmetrized split passes its labels as the
@@ -598,32 +598,16 @@ def deterministic_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return w[order], _fix_phases(v[:, order])
 
 
-def _svd_blocks(m: np.ndarray):
-    """np.linalg.svd one bipartite block at a time: per block shape, the
-    column indices of the blocks, their singular values and their right
-    singular vectors; and the largest singular value of the whole matrix
-    (0 for the zero matrix)."""
-    out = []
-    for row_idx, col_idx in _bipartite_blocks(m):
-        _, sv, vh = np.linalg.svd(_stacks(m, row_idx, col_idx))
-        out.append((col_idx, sv, vh))
-    top = max((float(sv.max()) for _, sv, _ in out if sv.size), default=0.0)
-    return out, top
-
-
-def rank(m, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank: the number of singular values > tol * the largest,
-    as ``np.linalg.matrix_rank(m, rtol=tol)``, taken one block at a time."""
-    blocks, top = _svd_blocks(as_matrix(m))
-    return sum(int(np.count_nonzero(_relative_residuals(sv, top) > tol)) for _, sv, _ in blocks)
-
-
 def nullspace(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical kernel: the right singular vectors
     whose singular values are not > tol * the largest (all of them for zero),
-    taken one block at a time and padded with zeros."""
+    taken one bipartite block at a time and padded with zeros."""
     m = as_matrix(m)
-    blocks, top = _svd_blocks(m)
+    blocks = []
+    for row_idx, col_idx in _bipartite_blocks(m):
+        _, sv, vh = np.linalg.svd(_stacks(m, row_idx, col_idx))
+        blocks.append((col_idx, sv, vh))
+    top = max((float(sv.max()) for _, sv, _ in blocks if sv.size), default=0.0)
     parts = []
     for col_idx, sv, vh in blocks:
         # singular values are descending, so a block's kernel is the rows of

@@ -348,13 +348,14 @@ class ScenarioTriple:
 
 
 def scenario_build(spec: ScenarioSpec) -> ScenarioTriple:
-    s = scenario_state(spec)
+    # the systems share the coupling's state, so one triple builds one state
+    w = scenario_coupling(spec)
     gen_a = cycle_generator(spec.cycle_lengths, spec.k, spec.g)
     gen_b = cycle_generator(spec.cycle_lengths, spec.l, spec.h)
     return ScenarioTriple(
-        system_a=System(state=s, dynamics=gen_a),
-        system_b=System(state=s, dynamics=gen_b),
-        coupling=scenario_coupling(spec),
+        system_a=System(state=w.state_a, dynamics=gen_a),
+        system_b=System(state=w.state_b, dynamics=gen_b),
+        coupling=w,
         spec=spec,
     )
 

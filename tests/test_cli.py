@@ -521,6 +521,29 @@ class TestSqdbErgodicConvergence:
         assert rep["verdicts"]["certified"] is True
         assert rep["verdicts"]["passed"] is True
 
+    def test_convergence_product_coupling_is_vacuous(self, workdir, capsys):
+        g = (0.05, 0.21, 0.47)
+        spec = make_spec(cycles=(3,), block_probs=(1.0,), partition=((0,),),
+                         types=("entangled",), k=(0.4,), l=(0.4,), g=g, h=g)
+        triple = scenario_build(spec)
+        files = []
+        for name, system in (("a.json", triple.system_a), ("b.json", triple.system_b)):
+            gen = system.dynamics
+            files.append(write(workdir / name, {
+                "kraus": [matrix_to_json(v) for v in gen.jumps],
+                "hamiltonian": matrix_to_json(gen.hamiltonian),
+            }))
+        s = triple.coupling.state_a
+        p = write(workdir / "product.json", product_coupling(s, s).to_json())
+        code, out = run(capsys, "convergence", "--dynamics-a", files[0], "--dynamics-b",
+                        files[1], "--coupling", p, "--times", "1.0")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["verdicts"] == {"certified": True, "vacuous": True, "passed": True}
+        assert rep["message"] == (
+            "hypothesis certified spectrally; extracted channel has scalar range, statement vacuous"
+        )
+
     def test_convergence_default_times_probe_once(self, workdir, capsys, monkeypatch):
         # the default grid (0.1, 1, 5) ends before the threshold time 50 / gap;
         # the probe adds that time itself, so nothing is computed twice

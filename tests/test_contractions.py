@@ -43,7 +43,7 @@ from balance_lab.couplings import (
     product_coupling,
     validate_coupling,
 )
-from balance_lab import kernel
+from balance_lab import balance, couplings, kernel
 from balance_lab.kernel import _factor, eigenvalues, matrix_unit, vec
 from balance_lab.lindblad import (
     scenario_build,
@@ -326,6 +326,35 @@ class TestConvergenceProbe:
         }
         assert {"vacuous", "certified-mixed-n7"} <= partial
         assert "certified" not in partial
+
+    @pytest.mark.parametrize("eps,vacuous", [(0.0, True), (1e-12, True), (1e-3, False)])
+    def test_vacuous_is_the_product_coupling(self, eps, vacuous):
+        """vacuous is couplings.is_trivial: a certified single cycle paired
+        with itself through (1 - eps) rho (x) rho + eps kappa_diag is vacuous
+        within tol of the product, as the loop's rank of the matrix-unit
+        images says."""
+        sys_a = single_cycle_triple().system_a
+        s = sys_a.state
+        kappa = (1 - eps) * product_coupling(s, s).kappa + eps * diagonal_coupling(s).kappa
+        args = (sys_a, sys_a, Coupling(kappa=kappa, state_a=s, state_b=s), (1.0, 1000.0))
+        rep, ref = convergence_probe(*args), convergence_probe_loop(*args)
+        assert rep.certified and rep.vacuous is vacuous
+        assert_json_match(rep.to_json(), ref.to_json())
+
+    @pytest.mark.parametrize("case", sorted(CONVERGENCE))
+    def test_no_extracted_channel(self, case, monkeypatch):
+        """The probe reads S_E from the coupling's factor and judges vacuity
+        on kappa: it never builds the dense extracted channel."""
+        triple, times = CONVERGENCE[case]
+        args = (triple.system_a, triple.system_b, triple.coupling, times)
+        want = json.dumps(convergence_probe(*args).to_json())
+
+        def refuse(w):
+            raise AssertionError("convergence_probe extracted the channel")
+
+        for module in (balance, couplings):
+            monkeypatch.setattr(module, "extract_channel", refuse)
+        assert json.dumps(convergence_probe(*args).to_json()) == want
 
 
 def swapped(th: ReversingOperation, unitary) -> ReversingOperation:

@@ -30,7 +30,6 @@ from balance_lab.kernel import (
     matrix_unit,
     nullspace,
     partial_trace,
-    rank,
     relative_residual,
     deterministic_eigh,
     vec,
@@ -592,8 +591,8 @@ def assert_same_psd(m, tol=1e-9):
 
 
 class TestBlockwiseFactorizations:
-    """nullspace and rank work one block of the bipartite exact-zero pattern
-    at a time, check_psd one block of the symmetrized one, each cut against
+    """nullspace works one block of the bipartite exact-zero pattern at a
+    time, check_psd one block of the symmetrized one, each cut against
     the whole matrix's scale; a single block is the dense call, bit for
     bit.  The references are the dense factorizations they replaced."""
 
@@ -605,7 +604,7 @@ class TestBlockwiseFactorizations:
         got, ref = nullspace(m), nullspace_dense(m)
         assert len(got) == len(ref) >= 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
-        assert rank(m) == np.linalg.matrix_rank(m, rtol=1e-9)
+        assert len(got) == m.shape[1] - np.linalg.matrix_rank(m, rtol=1e-9)
 
     def test_single_block_psd_is_the_dense_call(self):
         for h in (random_psd(12, seed=61), random_psd(12, seed=61) - 5.0 * np.eye(12)):
@@ -632,17 +631,17 @@ class TestBlockwiseFactorizations:
     def test_rank_matches_matrix_rank(self):
         assert EXTRACTED[-1].shape == (9, 4)
         for s_e in EXTRACTED:
-            assert rank(s_e) == np.linalg.matrix_rank(s_e, rtol=1e-9)
-        assert rank(EXTRACTED[-1]) == 2  # E(E_ij) = 0 off the diagonal
-        assert rank(np.zeros((2, 3))) == rank(np.zeros((3, 2))) == 0
+            assert len(nullspace(s_e)) == s_e.shape[1] - np.linalg.matrix_rank(s_e, rtol=1e-9)
+        assert len(nullspace(EXTRACTED[-1])) == 4 - 2  # E(E_ij) = 0 off the diagonal
+        for m in (np.zeros((2, 3)), np.zeros((3, 2))):
+            assert len(nullspace(m)) == m.shape[1] - np.linalg.matrix_rank(m, rtol=1e-9) == m.shape[1]
 
     def test_cut_is_global(self):
         # a block of size 1e-12 is numerically zero next to one of size 1:
         # judged by its own scale, it would count as full rank and negative
         big, small = random_matrix(3, 4, seed=62), random_matrix(2, 2, seed=63)
         m = scipy.linalg.block_diag(big, 1e-12 * small)
-        assert rank(m) == np.linalg.matrix_rank(m, rtol=1e-9) == 3
-        assert len(nullspace(m)) == 3
+        assert len(nullspace(m)) == m.shape[1] - np.linalg.matrix_rank(m, rtol=1e-9) == 6 - 3
         assert_same_kernel(m)
         h = scipy.linalg.block_diag(random_psd(3, seed=64), -1e-12 * random_psd(2, seed=65))
         assert check_psd(h)[0] and check_psd_dense(h)[0]
@@ -654,7 +653,7 @@ class TestBlockwiseFactorizations:
         assert {(r.shape[1], c.shape[1]) for r, c in _bipartite_blocks(m)} == {
             (0, 1), (1, 0), (1, 1)
         }
-        assert rank(m) == 2
+        assert len(nullspace(m)) == m.shape[1] - np.linalg.matrix_rank(m, rtol=1e-9) == 4 - 2
         assert_same_kernel(m)
         assert [np.flatnonzero(v).tolist() for v in nullspace(m)] == [[0], [2]]
 
@@ -680,7 +679,7 @@ class TestBlockwiseFactorizations:
             i, j = i + r, j + c
         m = m[g.permutation(rows)][:, g.permutation(cols)]
         expected = sum(k for _, _, k in shapes)
-        assert rank(m) == np.linalg.matrix_rank(m, rtol=1e-9) == expected
+        assert len(nullspace(m)) == m.shape[1] - np.linalg.matrix_rank(m, rtol=1e-9)
         assert len(nullspace(m)) == cols - expected
         assert_same_kernel(m)
 
@@ -703,7 +702,8 @@ class TestBlockwiseFactorizations:
         for m in KERNEL_OPERATORS[::8]:
             assert len(nullspace(c * m)) == len(nullspace(m))
         for s_e in EXTRACTED:
-            assert rank(c * s_e) == rank(s_e)
+            assert len(nullspace(c * s_e)) == len(nullspace(s_e)) == \
+                s_e.shape[1] - np.linalg.matrix_rank(s_e, rtol=1e-9)
         for m in PSD_INPUTS[::8]:
             assert check_psd(c * m)[0] and not check_psd(c * below_psd(m))[0]
 

@@ -7,7 +7,9 @@ per op kind and per command.  After the ``cli_commands`` of a seed it also
 runs ``sqdb --scenario <spec> --theta-unitary <phases>`` for each of their
 slots, with diagonal phases drawn from ``THETA_SEED`` and written next to
 the slot's files: no benchmark command builds a reversing operation from a
-unitary.  Run from the root of a checkout:
+unitary.  Then it runs ``convergence`` on each slot's two generators,
+written as files, paired through the product coupling: no benchmark command
+reaches the vacuous branch.  Run from the root of a checkout:
 
     python tools/report_digest.py
 
@@ -107,15 +109,43 @@ def theta_commands(workloads, workdir: str) -> list:
     return commands
 
 
+def product_commands(workloads, workdir: str) -> list:
+    """``convergence --dynamics-a <a> --dynamics-b <b> --coupling <product>``
+    for each slot of ``cli_commands`` written to ``workdir``: the generators
+    of the slot's scenario and its product coupling, whose files are written
+    here."""
+    bl = workloads.bl
+    commands = []
+    for n, *_ in workloads.CLI_SLOTS:
+        d = os.path.join(workdir, f"n{n}")
+        with open(os.path.join(d, "spec.json"), encoding="utf-8") as fh:
+            triple = bl.lindblad.scenario_build(bl.lindblad.scenario_from_json(json.load(fh)))
+        s = triple.coupling.state_a
+        files = {"product.json": bl.couplings.product_coupling(s, s).to_json()}
+        for x, system in (("a", triple.system_a), ("b", triple.system_b)):
+            gen = system.dynamics
+            files[f"gen_{x}.json"] = {"kraus": [bl.matrix_to_json(v) for v in gen.jumps],
+                                      "hamiltonian": bl.matrix_to_json(gen.hamiltonian)}
+        for name, obj in files.items():
+            with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        f = lambda name: os.path.join(d, name)  # noqa: E731
+        argv = ["convergence", "--dynamics-a", f("gen_a.json"), "--dynamics-b", f("gen_b.json"),
+                "--coupling", f("product.json"), "--times", *map(str, workloads.CONVERGENCE_TIMES)]
+        commands.append(("convergence-product", argv, None))
+    return commands
+
+
 def cli_digests(workloads, seed: int) -> dict[str, str]:
     """One digest per command of ``cli_commands`` at ``seed``, and of
-    :func:`theta_commands` after them: its exit code, stdout, stderr and the
-    files it wrote or changed, the work directory masked in all of them."""
+    :func:`theta_commands` and :func:`product_commands` after them: its exit
+    code, stdout, stderr and the files it wrote or changed, the work
+    directory masked in all of them."""
     cli = workloads.bl.cli
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         commands, _ = workloads.cli_commands(np.random.default_rng(seed), workdir)
-        commands += theta_commands(workloads, workdir)
+        commands += theta_commands(workloads, workdir) + product_commands(workloads, workdir)
         mask = lambda b: b.replace(workdir.encode(), WORK.encode())  # noqa: E731
         for i, (name, argv, _) in enumerate(commands):
             before = _files(workdir)
