@@ -39,7 +39,7 @@ from .couplings import (
     coupling_from_channel,
     diagonal_coupling,
     extract_channel,
-    is_trivial,
+    has_scalar_range,
     kms_flip,
     flip_coupling,
 )
@@ -414,11 +414,12 @@ def convergence_probe(
     ``deviation_tol`` once t exceeds 50 / gap.  A certified probe whose grid
     ends before that threshold time evaluates it as one more grid time.
 
-    ``vacuous`` means omega = mu_A (x) mu_B, judged by
-    :func:`couplings.is_trivial`.  Since E_omega is unital and
-    mu_B o E_omega = mu_A, a scalar range can only be E_omega(a) = mu_A(a) 1,
-    which is the extracted channel of the product coupling; the transfer then
-    says nothing.
+    ``vacuous`` means that E_omega has scalar range, and the transfer then
+    says nothing.  Since E_omega is unital and mu_B o E_omega = mu_A, a
+    scalar range can only be E_omega(a) = mu_A(a) 1, the extracted channel
+    of omega = mu_A (x) mu_B, so it is judged by
+    :func:`couplings.has_scalar_range`: S_E against the product's S at the
+    scale of S_E, where the rank of S_E is also cut.
     """
     if sys_a.kind != "generator" or sys_b.kind != "generator":
         raise ValueError("convergence probe requires generator dynamics")
@@ -440,7 +441,7 @@ def convergence_probe(
         and gap is not None
         and relative_residual(gap, scale) > tol
     )
-    vacuous = is_trivial(w, tol)
+    vacuous = has_scalar_range(w, tol)
 
     threshold = 50.0 / gap if certified else None
     times = sorted(float(t) for t in t_grid)

@@ -27,6 +27,9 @@ four-index layout; in terms of P:
   X -> X^T; its channel is the KMS-dual of E (:func:`kms_flip`).
 
 Composition and orthogonality are routed through the channel bijection.
+Whether omega is the product coupling is asked at two scales: at kappa's
+(:func:`is_trivial`, for a composition) and at that of S_E
+(:func:`has_scalar_range`, for the convergence probe's vacuity).
 
 P is zero outside the rows and columns that the coupling touches, and has
 few nonzeros in a row on every scenario coupling (one on entangled and mixed
@@ -256,6 +259,21 @@ def _compose(w: Coupling, psi: Coupling, e_w: QuantumChannel, tol: float) -> Cou
 
 def is_trivial(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
     return close(w.kappa, kron(w.state_a.rho, w.state_b.rho), tol)
+
+
+def has_scalar_range(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
+    """E_omega(a) = mu_A(a) 1, the extracted channel of the product coupling,
+    judged at the scale of S_E: :func:`is_trivial` with kappa's second
+    factor weighed by rho_B^-1/2 on both sides.  The entries of
+    (1 (x) rho_B^-1/2) kappa (1 (x) rho_B^-1/2) are those of S_E, and the
+    entries of rho_A (x) 1 those of the product coupling's S, each in kappa's
+    layout, which moves entries and keeps Frobenius norms.  :func:`is_trivial`
+    weighs row (k, l) of S_E by r_k r_l, so a block of weight p counts about
+    p times less there, and on a state with p_min = 1e-12 it calls a
+    coupling the product that maps a block's projector to its own unit."""
+    n, m = w.dims
+    r = np.tile(w.state_b.inv_sqrt_spectrum, n)
+    return close(w.kappa * np.outer(r, r), kron(w.state_a.rho, np.eye(m)), tol)
 
 
 @dataclass(frozen=True, eq=False)

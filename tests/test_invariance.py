@@ -17,6 +17,7 @@ import pytest
 
 from balance_lab.balance import (
     check_theta_sqdb,
+    convergence_probe,
     disjointness_probe,
     dual_order_check,
     is_balanced,
@@ -29,6 +30,7 @@ from balance_lab.couplings import (
     Coupling,
     diagonal_coupling,
     extract_channel,
+    is_trivial,
     product_coupling,
     validate_coupling,
 )
@@ -43,7 +45,7 @@ from balance_lab.lindblad import (
 )
 from balance_lab.states import System, new_faithful_state
 
-from conftest import assert_relative_close, make_spec, rescaled_triple
+from conftest import assert_relative_close, convergence_probe_loop, make_spec, rescaled_triple
 
 GRID = standard_grid()
 SCALES = (1e8, 1.0, 1e-3, 1e-9, 1e-12)
@@ -254,6 +256,31 @@ class TestPminSweep:
                 disagree.append(i)
         assert wrong == []
         assert disagree == []
+
+    @pytest.mark.parametrize("e", [10, 11, 12])
+    def test_convergence_vacuity_at_pmin(self, e):
+        """The probe's vacuity is the loop's rank rule on the scenario
+        coupling and on the product coupling of each balanced block layout
+        (vacuity reads the coupling alone).  The sweep reaches couplings
+        that is_trivial, which reads kappa at kappa's scale, calls the
+        product while the loop does not."""
+        q = 10.0**-e
+        layouts, kappa_scale_wrong = set(), 0
+        for spec in GRID:
+            spec = dataclasses.replace(spec, block_probs=(3 * q, 1 - 3 * q))
+            layout = (spec.partition, spec.block_types)
+            if layout in layouts or not scenario_predict(spec):
+                continue
+            layouts.add(layout)
+            triple = scenario_build(spec)
+            w = triple.coupling
+            for x in (w, product_coupling(w.state_a, w.state_b)):
+                args = (triple.system_a, triple.system_b, x, (1.0,))
+                want = convergence_probe_loop(*args).vacuous
+                assert convergence_probe(*args).vacuous == want
+                kappa_scale_wrong += is_trivial(x) != want
+        assert len(layouts) == 12
+        assert kappa_scale_wrong > 0
 
 
 def diagonal_phases(n: int, seed: int) -> np.ndarray:
