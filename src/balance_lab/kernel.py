@@ -529,10 +529,15 @@ def _max_relative_residual(residual: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(_relative_residuals(residual, scale), initial=0.0))
 
 
+def _distance_and_scale(a, b) -> tuple[float, float]:
+    """||a - b||_F and the scale :func:`close` cuts it at, max(||a||_F, ||b||_F):
+    for a caller that cuts a second residual at the same scale."""
+    return frob_distance(a, b), max(frob_norm(a), frob_norm(b))
+
+
 def close(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Frobenius closeness relative to max(||a||, ||b||)."""
-    scale = max(frob_norm(a), frob_norm(b))
-    return relative_residual(frob_distance(a, b), scale) <= tol
+    return relative_residual(*_distance_and_scale(a, b)) <= tol
 
 
 def _frob_norms(x: np.ndarray) -> np.ndarray:

@@ -316,6 +316,8 @@ def is_orthogonal_loop(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> 
     prod = np.kron(w.state_a.rho, psi.state_b.rho)
     residual = frob_distance(composed.kappa, prod)
     direct = close(composed.kappa, prod, tol)
+    # the cross-Gram is cut at the composition's scale, as the residual is
+    scale = max(frob_norm(composed.kappa), frob_norm(prod))
 
     mid = w.state_b
     n_a, m = w.dims
@@ -340,8 +342,7 @@ def is_orthogonal_loop(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> 
         [[np.trace(rho @ x.conj().T @ y) for y in right] for x in left]
     )
     gram_norm = float(np.linalg.norm(gram))
-    bound = frob_norm(e_w.superoperator) * frob_norm(e_psi_dual.superoperator)
-    hilbert = relative_residual(gram_norm, bound) <= tol
+    hilbert = relative_residual(gram_norm, scale) <= tol
     return OrthogonalityReport(
         orthogonal=bool(direct),
         residual=float(residual),

@@ -1,5 +1,6 @@
 """Command line: exit codes, report determinism, file round trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -38,6 +39,8 @@ from conftest import (
     random_matrix,
     taylor_exp_oracle,
 )
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.fixture
@@ -449,6 +452,43 @@ class TestBalanceCommands:
         code, out = run(capsys, "compose", a, b)
         assert code == 2
         assert "not composable" in json.loads(out)["error"]
+
+
+class TestOrthogonalityCommands:
+    """``compose``'s trivial verdict and both methods of ``check-orthogonal``
+    are one rule, cut at the composition's scale: on grid spec 12 at
+    block_probs (3e-9, 1 - 3e-9) with its flip, whose relative residuals
+    (1.3e-8) lie above tol but below the Cauchy-Schwarz bound's cut, and on
+    the n = 12 slot pair of the benchmark's command files."""
+
+    def skewed_pair(self, workdir):
+        spec = dataclasses.replace(lindblad.standard_grid()[12], block_probs=(3e-9, 1 - 3e-9))
+        w = scenario_coupling(spec)
+        return (
+            write(workdir / "w.json", w.to_json()),
+            write(workdir / "flip.json", couplings.flip_coupling(w).to_json()),
+        )
+
+    def slot_pair(self, workdir, monkeypatch):
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import workloads
+
+        workloads.cli_commands(np.random.default_rng(1), str(workdir), with_grid=False)
+        return str(workdir / "n12" / "w.json"), str(workdir / "n12" / "psi.json")
+
+    @pytest.mark.parametrize("pair", ["skewed", "slot"])
+    def test_compose_trivial_is_both_methods(self, workdir, capsys, monkeypatch, pair):
+        if pair == "skewed":
+            first, second = self.skewed_pair(workdir)
+        else:
+            first, second = self.slot_pair(workdir, monkeypatch)
+        code, out = run(capsys, "compose", first, second)
+        assert code == 0
+        trivial = json.loads(out)["verdicts"]["trivial"]
+        code, out = run(capsys, "check-orthogonal", first, second)
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts["orthogonal"] == verdicts["hilbert_criterion"] == trivial
 
 
 class TestSqdbErgodicConvergence:

@@ -34,6 +34,7 @@ from balance_lab.channels import (
 from balance_lab.couplings import (
     Coupling,
     _weigh_rows,
+    compose,
     coupling_from_channel,
     diagonal_coupling,
     extract_channel,
@@ -143,6 +144,14 @@ def kraus_coupling(n: int, state_b, seed: int) -> Coupling:
     return coupling_from_channel(channel, state_a, state_b)
 
 
+def product_mixture(w: Coupling, eps: float) -> Coupling:
+    """(1 - eps) times the product coupling of w's states plus eps times w;
+    its extracted channel is (1 - eps) S_0 + eps E_w."""
+    prod = product_coupling(w.state_a, w.state_b)
+    kappa = (1 - eps) * prod.kappa + eps * w.kappa
+    return Coupling(kappa=kappa, state_a=w.state_a, state_b=w.state_b)
+
+
 P2 = new_faithful_state([0.3, 0.7])
 P3 = new_faithful_state([0.2, 0.3, 0.5])
 P4 = new_faithful_state([0.1, 0.2, 0.3, 0.4])
@@ -183,6 +192,38 @@ class TestIsOrthogonal:
         for case in ("2-3-4-classical-classical", "2-3-4-kraus", "4-3-2-kraus"):
             assert not is_orthogonal(*ORTHOGONALITY[case]).orthogonal
         assert is_orthogonal(*ORTHOGONALITY["2-3-4-kraus-product"]).orthogonal
+
+    @pytest.mark.parametrize("p_min", [1e-1, 1e-3, 1e-6, 1e-9])
+    def test_near_cut_window(self, p_min):
+        """On generic couplings the two methods may disagree only where both
+        relative residuals, at the composition's scale, lie within a factor
+        10 of tol: mixtures (1 - eps) S_0 + eps E of the constant channel and
+        a random 2 -> 3 Kraus channel, on either side of the composition, for
+        eps = 1e-6 ... 1e-12, reach both verdicts and that window."""
+        mid = new_faithful_state([p_min, 0.4, 0.6 - p_min])
+        tol = kernel.DEFAULT_TOL
+        outside, in_window, verdicts = [], 0, set()
+        for seed in range(12):
+            left = kraus_coupling(2, mid, seed=seed)
+            right = kraus_coupling(2, mid, seed=seed + 100)
+            for k in range(6, 13):
+                eps = 10.0**-k
+                for w, psi in (
+                    (product_mixture(left, eps), flip_coupling(right)),
+                    (left, flip_coupling(product_mixture(right, eps))),
+                ):
+                    rep = is_orthogonal(w, psi)
+                    prod = np.kron(w.state_a.rho, psi.state_b.rho)
+                    scale = max(kernel.frob_norm(compose(w, psi).kappa), kernel.frob_norm(prod))
+                    near = all(
+                        tol / 10 <= r / scale <= 10 * tol for r in (rep.residual, rep.cross_gram_norm)
+                    )
+                    in_window += near
+                    verdicts.add(rep.orthogonal)
+                    if not rep.methods_agree and not near:
+                        outside.append((seed, k, rep.to_json()))
+        assert outside == []
+        assert in_window > 0 and verdicts == {True, False}
 
 
 def disjointness_cases():

@@ -28,8 +28,12 @@ from balance_lab.balance import (
 from balance_lab.channels import ReversingOperation, change_frame, dual, validate_ucp
 from balance_lab.couplings import (
     Coupling,
+    compose,
     diagonal_coupling,
     extract_channel,
+    flip_coupling,
+    has_scalar_range,
+    is_orthogonal,
     is_trivial,
     product_coupling,
     validate_coupling,
@@ -38,6 +42,7 @@ from balance_lab.lindblad import (
     ScenarioSpec,
     build_generator,
     scenario_build,
+    scenario_coupling,
     scenario_predict,
     scenario_state,
     semigroup,
@@ -281,6 +286,30 @@ class TestPminSweep:
                 kappa_scale_wrong += is_trivial(x) != want
         assert len(layouts) == 12
         assert kappa_scale_wrong > 0
+
+    @pytest.mark.parametrize("e", range(2, 13))
+    def test_orthogonality_at_pmin(self, e):
+        """Both orthogonality methods cut at the composition's scale, so they
+        agree at every q, and the direct one is is_trivial of the composition.
+        That is a judgement at kappa's scale: from q = 1e-10 on, the sweep
+        reaches compositions whose channel has_scalar_range judges otherwise."""
+        q = 10.0**-e
+        disagree, trivial_wrong, channel_scale_differs = [], [], 0
+        for i, spec in enumerate(GRID):
+            spec = dataclasses.replace(spec, block_probs=(3 * q, 1 - 3 * q))
+            w = scenario_coupling(spec)
+            for psi in (diagonal_coupling(w.state_b), w, flip_coupling(w)):
+                rep = is_orthogonal(w, psi)
+                composed = compose(w, psi)
+                if not rep.methods_agree:
+                    disagree.append(i)
+                if rep.orthogonal != is_trivial(composed):
+                    trivial_wrong.append(i)
+                channel_scale_differs += has_scalar_range(composed) != rep.hilbert_criterion
+        assert disagree == []
+        assert trivial_wrong == []
+        if e >= 10:
+            assert channel_scale_differs > 0
 
 
 def diagonal_phases(n: int, seed: int) -> np.ndarray:

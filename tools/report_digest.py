@@ -9,7 +9,10 @@ slots, with diagonal phases drawn from ``THETA_SEED`` and written next to
 the slot's files: no benchmark command builds a reversing operation from a
 unitary.  Then it runs ``convergence`` on each slot's two generators,
 written as files, paired through the product coupling: no benchmark command
-reaches the vacuous branch.  Run from the root of a checkout:
+reaches the vacuous branch.  Last it runs ``compose`` and
+``check-orthogonal`` on a skewed grid coupling and its flip: no benchmark
+composition lies near the orthogonality cut.  Run from the root of a
+checkout:
 
     python tools/report_digest.py
 
@@ -136,9 +139,29 @@ def product_commands(workloads, workdir: str) -> list:
     return commands
 
 
+def skewed_commands(workloads, workdir: str) -> list:
+    """``compose`` and ``check-orthogonal`` on the coupling of
+    ``standard_grid()[12]`` at block_probs (3e-9, 1 - 3e-9) and its flip,
+    whose files are written to ``workdir``: both relative residuals of the
+    composition are 1.3e-8, above tol but below the Cauchy-Schwarz bound's
+    cut, so the two orthogonality methods part if they are cut at two
+    scales."""
+    bl = workloads.bl
+    spec = dataclasses.replace(bl.lindblad.standard_grid()[12], block_probs=(3e-9, 1 - 3e-9))
+    w = bl.lindblad.scenario_coupling(spec)
+    paths = []
+    for name, x in (("skewed_w.json", w), ("skewed_flip.json", bl.couplings.flip_coupling(w))):
+        paths.append(os.path.join(workdir, name))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            json.dump(x.to_json(), fh)
+    return [("compose-skewed", ["compose", *paths], None),
+            ("check-orthogonal-skewed", ["check-orthogonal", *paths], None)]
+
+
 def cli_digests(workloads, seed: int) -> dict[str, str]:
     """One digest per command of ``cli_commands`` at ``seed``, and of
-    :func:`theta_commands` and :func:`product_commands` after them: its exit
+    :func:`theta_commands`, :func:`product_commands` and
+    :func:`skewed_commands` after them: its exit
     code, stdout, stderr and the files it wrote or changed, the work
     directory masked in all of them."""
     cli = workloads.bl.cli
@@ -146,6 +169,7 @@ def cli_digests(workloads, seed: int) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as workdir:
         commands, _ = workloads.cli_commands(np.random.default_rng(seed), workdir)
         commands += theta_commands(workloads, workdir) + product_commands(workloads, workdir)
+        commands += skewed_commands(workloads, workdir)
         mask = lambda b: b.replace(workdir.encode(), WORK.encode())  # noqa: E731
         for i, (name, argv, _) in enumerate(commands):
             before = _files(workdir)
