@@ -367,7 +367,7 @@ def cmd_compose(args):
     w2, d2 = load_coupling(args.second, args.tol)
     report = base_report("compose", args, [d1, d2])
     try:
-        composed = compose(w1, w2, tol=args.tol)
+        composed = compose(w1, w2)
     except ValueError as exc:
         report["error"] = str(exc)
         return report, 2

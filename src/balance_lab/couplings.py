@@ -26,9 +26,12 @@ four-index layout; in terms of P:
 * the KMS flip is P -> j o P^T o j for the modular transposition j,
   X -> X^T; its channel is the KMS-dual of E (:func:`kms_flip`).
 
-Composition and orthogonality are routed through the channel bijection.
-Whether omega is the product coupling is asked at two scales, each with an
-independent check at the same scale:
+Couplings compose along a common middle state as pairing matrices, in one
+product: P_{w o psi} = P_psi S_w, with S_w the extracted channel of w, so that
+E_{w o psi} = E_psi o E_w (:func:`compose`).  A composition of couplings is a
+coupling, so the product is not judged again.  Whether omega is the product
+coupling is asked at two scales, each with an independent check at the same
+scale:
 
 * for a composition, at kappa's (:func:`is_trivial`): is the composed state
   on A (x) C the product state?  A block of weight p moves every
@@ -46,8 +49,8 @@ blocks).  So a coupling carries P as a ``kernel._Factor``,
 ``Coupling.factor``: built once, on first use, and read by every product
 with P or with a row-weighed P (S_E, by :func:`_weigh_rows`) after that, by
 ``balance.is_balanced`` and ``balance.convergence_probe``, and by
-:func:`compose` and :func:`is_orthogonal`, which form S_psi S_w over the
-support of S_psi alone.  A coupling derived from another (a flip, a KMS
+:func:`compose` and :func:`is_orthogonal`, which form P_psi S_w over the
+support of P_psi alone.  A coupling derived from another (a flip, a KMS
 flip, a composition) is a new coupling with a factor of its own.
 """
 
@@ -246,24 +249,27 @@ def kms_flip(w: Coupling) -> Coupling:
     return _from_pairing(_kms_flip(w.pairing().T), w.state_b, w.state_a)
 
 
-def compose(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Coupling:
-    """Composition along a common middle state; E_{w o psi} = E_psi o E_w."""
-    return _compose(w, psi, extract_channel(w), tol)
+def compose(w: Coupling, psi: Coupling) -> Coupling:
+    """Composition along a common middle state, one product of pairing
+    matrices: P_{w o psi} = P_psi S_w, so E_{w o psi} = E_psi o E_w.
+
+    The result is not judged again: a composition of couplings is a
+    coupling."""
+    return _compose(w, psi, extract_channel(w).superoperator)
 
 
-def _compose(w: Coupling, psi: Coupling, e_w: QuantumChannel, tol: float) -> Coupling:
-    """:func:`compose` from the extracted channel of ``w``: S_psi S_w over the
-    support of S_psi, psi's factor with its rows weighed, scattered into the
-    zero rows.  Where S_psi has one nonzero in a row that row has the bits
-    of the dense product; elsewhere it differs from it by rounding only (a
-    shorter inner dimension for BLAS, or the gather's own sum)."""
+def _compose(w: Coupling, psi: Coupling, s_w: np.ndarray) -> Coupling:
+    """:func:`compose` from S_w, the extracted channel of ``w``: P_psi S_w
+    through psi's factor, over the support of P_psi, scattered into the zero
+    rows.  Where P_psi has one nonzero in a row that row has the bits of the
+    dense product; elsewhere it differs from it by rounding only (a shorter
+    inner dimension for BLAS, or the gather's own sum)."""
     if not w.state_b.same_state(psi.state_a):
         raise ValueError("couplings not composable: middle states differ")
-    f = _weigh_rows(psi.factor, psi.state_b.inv_sqrt_spectrum)
-    s = np.zeros((f.shape[0], e_w.superoperator.shape[1]), dtype=complex)
-    s[f.rows] = f @ e_w.superoperator[f.cols]
-    composed = QuantumChannel(dim_in=e_w.dim_in, dim_out=psi.state_b.dim, superoperator=s)
-    return coupling_from_channel(composed, w.state_a, psi.state_b, tol=tol)
+    f = psi.factor
+    p = np.zeros((f.shape[0], s_w.shape[1]), dtype=complex)
+    p[f.rows] = f @ s_w[f.cols]
+    return _from_pairing(p, w.state_a, psi.state_b)
 
 
 def is_trivial(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
@@ -314,7 +320,7 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
     """
     # each channel is extracted once, for the composition and the criterion
     e_w, e_psi = extract_channel(w), extract_channel(psi)
-    composed = _compose(w, psi, e_w, tol)
+    composed = _compose(w, psi, e_w.superoperator)
     residual, scale = _distance_and_scale(composed.kappa, kron(w.state_a.rho, psi.state_b.rho))
     direct = relative_residual(residual, scale) <= tol
 

@@ -9,6 +9,7 @@ path.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ def is_orthogonal_loop(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> 
     """is_orthogonal with the cross-Gram summed matrix unit by matrix unit:
     Tr(rho x* y) for every pair of centered images; the reference for the
     weighted product of superoperators."""
-    composed = compose(w, psi, tol=tol)
+    composed = compose(w, psi)
     prod = np.kron(w.state_a.rho, psi.state_b.rho)
     residual = frob_distance(composed.kappa, prod)
     direct = close(composed.kappa, prod, tol)
@@ -438,6 +439,52 @@ def scenario_coupling_kron(spec: ScenarioSpec) -> np.ndarray:
             d = sum(p[q] * matrix_unit(n, q, q) for q in indices) / np.sqrt(mass)
             kappa += np.kron(d, d)
     return kappa
+
+
+def scenario_compose_oracle(spec_w: ScenarioSpec, spec_psi: ScenarioSpec, *more: ScenarioSpec):
+    """The composition w o psi (o ...) of scenario couplings of one state,
+    in exact arithmetic: (kept, t, residual2, scale2).
+
+    Each scenario coupling's channel is a mu-preserving conditional
+    expectation, block by block: an entangled block keeps each E_ij with i
+    and j in it, a mixed block keeps its diagonal units, a product block Y
+    maps E_ii to (p_i / p(Y)) P_Y, and cross-block units go to 0.  So the
+    composed channel E = ... o E_psi o E_w keeps an off-diagonal E_ij iff
+    every coupling puts i and j in one entangled block (the pairs (i, j) of
+    ``kept``), and maps E_ii to sum_k t[k][i] E_kk, with t = ... T_psi T_w
+    (``fractions.Fraction`` entries: the state's float spectrum is taken as
+    it is, exactly; each row sums to 1).  The composed kappa has
+    sqrt(p_i p_j) at ((j, j), (i, i)) for (i, j) in ``kept``, p_k t[k][i]
+    at ((i, k), (i, k)), and zero elsewhere.  ``residual2`` is
+    ||kappa - rho (x) rho||_F^2 and ``scale2`` is
+    max(||kappa||_F, ||rho (x) rho||_F)^2, both exact."""
+    specs = (spec_w, spec_psi, *more)
+    cycles, probs = spec_w.cycle_lengths, spec_w.block_probs
+    assert all(x.cycle_lengths == cycles and x.block_probs == probs for x in specs)
+    p = [Fraction(x) for x in scenario_state(spec_w).spectrum]
+    n = len(p)
+    kept = {(i, j) for i in range(n) for j in range(n) if i != j}
+    t = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+    for spec in specs:
+        step = [[Fraction(0)] * n for _ in range(n)]
+        entangled = set()
+        for indices, btype in zip(spec.block_indices(), spec.block_types):
+            if btype == "product":
+                mass = sum(p[i] for i in indices)
+                for k in indices:
+                    for i in indices:
+                        step[k][i] = p[i] / mass
+            else:
+                for i in indices:
+                    step[i][i] = Fraction(1)
+            if btype == "entangled":
+                entangled |= {(i, j) for i in indices for j in indices if i != j}
+        kept &= entangled
+        t = [[sum(step[k][j] * t[j][i] for j in range(n)) for i in range(n)] for k in range(n)]
+    off = sum(p[i] * p[j] for i, j in kept)
+    residual2 = off + sum((p[k] * t[k][i] - p[i] * p[k]) ** 2 for i in range(n) for k in range(n))
+    norm2 = off + sum((p[k] * t[k][i]) ** 2 for i in range(n) for k in range(n))
+    return kept, t, residual2, max(norm2, sum(x * x for x in p) ** 2)
 
 
 def balance_sub_residuals_kron(spec: ScenarioSpec) -> tuple[float, float]:

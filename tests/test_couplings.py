@@ -1,6 +1,9 @@
 """Couplings: evaluation, extraction, the channel bijection, flips, composition."""
 
+import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ import balance_lab.couplings as couplings
 from balance_lab.couplings import (
     Coupling,
     _from_pairing,
-    _weigh_rows,
     compose,
     coupling_from_channel,
     coupling_from_json,
@@ -34,11 +36,14 @@ from balance_lab.couplings import (
     product_coupling,
     validate_coupling,
 )
-from balance_lab.kernel import frob_distance, kron, matrix_unit, partial_trace
+import balance_lab.channels as channels
+import balance_lab.kernel as kernel
+from balance_lab.kernel import DEFAULT_TOL, frob_distance, kron, matrix_unit, partial_trace
 from balance_lab.lindblad import (
     cycle_generator,
     scenario_build,
     scenario_coupling,
+    scenario_state,
     semigroup,
     standard_grid,
 )
@@ -55,6 +60,7 @@ from conftest import (
     probe_like_triples,
     random_matrix,
     random_state_vector,
+    scenario_compose_oracle,
     use_references,
 )
 
@@ -290,8 +296,9 @@ class TestCompose:
 
 
 def compose_dense(w, psi):
-    """compose with S_psi S_w as the dense product of the two extracted
-    channels: the reference for the product through psi's factor."""
+    """The composition by the channel route: the dense product S_psi S_w of
+    the two extracted channels, weighed back into a coupling by
+    coupling_from_channel."""
     e = compose_channels(extract_channel(psi), extract_channel(w))
     return coupling_from_channel(e, w.state_a, psi.state_b)
 
@@ -324,19 +331,24 @@ def full_support_coupling(n, seed):
 
 
 class TestGatheredComposition:
-    """compose forms S_psi S_w over the support of S_psi, psi's factor with
-    its rows weighed: a row of S_psi with at most two nonzeros gives the
-    bits of the dense product, any other row the dense product to 1e-15 of
-    |S_psi| |S_w|."""
+    """compose forms P_psi S_w over the support of P_psi, through psi's
+    factor: a row of P_psi with at most two nonzeros gives the bits of the
+    dense product, any other row the dense product to 1e-15 of
+    |P_psi| |S_w|.  The channel route, S_psi S_w weighed back by
+    r_k r_l, is the same product with its diagonal scalings reassociated:
+    it agrees to a few roundings of |P_psi| |S_w| (7.8e-16 of it at most on
+    these pairs)."""
 
     @staticmethod
     def assert_matches_dense(w, psi):
-        got, want = compose(w, psi).pairing(), compose_dense(w, psi).pairing()
-        s_psi, s_w = extract_channel(psi).superoperator, extract_channel(w).superoperator
-        exact = np.count_nonzero(s_psi, axis=1) <= 2
+        p_psi, s_w = psi.pairing(), extract_channel(w).superoperator
+        got, want = compose(w, psi).pairing(), p_psi @ s_w
+        exact = np.count_nonzero(p_psi, axis=1) <= 2
         assert got[exact].tobytes() == want[exact].tobytes()
-        size = _weigh_rows(np.abs(s_psi) @ np.abs(s_w), psi.state_b.sqrt_spectrum)
+        size = np.abs(p_psi) @ np.abs(s_w)
         assert np.all(np.abs(got - want)[~exact] <= 1e-15 * size[~exact])
+        route = compose_dense(w, psi).pairing()
+        assert np.all(np.abs(got - route) <= 2e-15 * size)
 
     def test_standard_grid(self):
         for spec in standard_grid():
@@ -374,6 +386,114 @@ class TestGatheredComposition:
                 assert rep.methods_agree
 
 
+def oracle_kappa(spec, kept, t):
+    """The composed kappa that scenario_compose_oracle describes, in floats:
+    sqrt(p_i p_j) at ((j, j), (i, i)) for (i, j) in kept and p_k t[k][i] at
+    ((i, k), (i, k)), each within an ulp."""
+    p = [Fraction(x) for x in scenario_state(spec).spectrum]
+    n = len(p)
+    kappa = np.zeros((n * n, n * n))
+    for i in range(n):
+        for k in range(n):
+            kappa[i * n + k, i * n + k] = p[k] * t[k][i]
+    for i, j in kept:
+        kappa[j * n + j, i * n + i] = math.sqrt(p[i] * p[j])
+    return kappa
+
+
+def chain_specs(block_probs):
+    """w product on the cycles {0, 1}{2} and psi product on {0}{1, 2}, of
+    cycles (3, 3, 3)."""
+    kw = dict(types=("product", "product"), k=(0.3,) * 3, l=(0.3,) * 3, g=(0.0,) * 9,
+              h=(0.0,) * 9, cycles=(3, 3, 3), block_probs=block_probs)
+    return make_spec(partition=((0, 1), (2,)), **kw), make_spec(partition=((0,), (1, 2)), **kw)
+
+
+class TestComposeOracle:
+    """compose, is_orthogonal and is_trivial against the exact composition
+    of scenario couplings (conftest.scenario_compose_oracle)."""
+
+    TOL2 = Fraction(DEFAULT_TOL) ** 2
+
+    @pytest.mark.parametrize("e", range(2, 13))
+    def test_grid_layouts_at_pmin(self, e):
+        """All 12 x 12 block layouts of standard_grid() at block_probs
+        (3q, 1 - 3q), the p_min sweep of TestPminSweep: every kappa entry
+        within 2e-15 max|kappa| of the oracle, and the three verdicts the
+        exact one wherever the exact relative residual is outside
+        [tol/10, 10 tol]."""
+        q = 10.0**-e
+        specs = [dataclasses.replace(s, block_probs=(3 * q, 1 - 3 * q))
+                 for s in standard_grid()[::6]]
+        assert len({(s.partition, s.block_types) for s in specs}) == 12
+        pool = [scenario_coupling(s) for s in specs]
+        judged = {True: 0, False: 0}
+        for spec_w, w in zip(specs, pool):
+            for spec_psi, psi in zip(specs, pool):
+                kept, t, residual2, scale2 = scenario_compose_oracle(spec_w, spec_psi)
+                composed = compose(w, psi)
+                err = np.abs(composed.kappa - oracle_kappa(spec_w, kept, t)).max()
+                assert err <= 2e-15 * np.abs(composed.kappa).max()
+                rel2 = residual2 / scale2
+                if self.TOL2 / 100 <= rel2 <= 100 * self.TOL2:
+                    continue
+                exact = rel2 <= self.TOL2
+                rep = is_orthogonal(w, psi)
+                assert rep.orthogonal == rep.hilbert_criterion == is_trivial(composed) == exact
+                judged[exact] += 1
+        # every q judges both verdicts, and at least 87 of the 144 compositions
+        assert judged[True] >= 23 and judged[False] >= 64
+
+    def test_criterion_07_composition(self):
+        """Criterion 07's construction, w entangled on the first cycle and
+        product on the second and psi the reverse, composes to the
+        blockwise-averaging coupling: no off-diagonal unit is kept, T
+        averages each cycle, and kappa is the scenario coupling that is
+        product on both cycles.  Its exact residual, 0.144375, is
+        is_orthogonal's."""
+        spec_w = make_spec(types=("entangled", "product"))
+        spec_psi = make_spec(types=("product", "entangled"))
+        kept, t, residual2, scale2 = scenario_compose_oracle(spec_w, spec_psi)
+        cycle = [0, 0, 0, 1, 1, 1, 1]
+        assert kept == set()
+        assert t == [[Fraction(1, (3, 4)[cycle[i]]) if cycle[i] == cycle[k] else 0
+                      for i in range(7)] for k in range(7)]
+        w, psi = scenario_coupling(spec_w), scenario_coupling(spec_psi)
+        composed = compose(w, psi)
+        averaging = scenario_coupling(make_spec(types=("product", "product"))).kappa
+        assert np.abs(composed.kappa - averaging).max() <= 2e-15 * np.abs(averaging).max()
+        rep = is_orthogonal(w, psi)
+        assert f"{math.sqrt(residual2):.6g}" == f"{rep.residual:.6g}" == "0.144375"
+        assert not rep.orthogonal and not rep.hilbert_criterion
+
+    @pytest.mark.parametrize("block_probs, step", [
+        ((1 / 3, 1 / 3, 1 / 3), 30),
+        ((1e-2, 0.495, 0.495), 9),
+    ])
+    def test_alternating_chain(self, block_probs, step):
+        """w o psi o w o ..., step k composing k + 1 couplings: alternating
+        conditional expectations, whose composition tends to the product
+        coupling.  Both methods flip to orthogonal at the step where the
+        exact relative residual first falls to tol, and read it to 4 digits
+        there and the step before."""
+        spec_w, spec_psi = chain_specs(block_probs)
+        w, psi = scenario_coupling(spec_w), scenario_coupling(spec_psi)
+        chain, specs = w, [spec_w]
+        for k in range(1, step + 1):
+            nxt, spec = (psi, spec_psi) if k % 2 else (w, spec_w)
+            rep = is_orthogonal(chain, nxt)
+            chain = compose(chain, nxt)
+            specs.append(spec)
+            _, _, residual2, scale2 = scenario_compose_oracle(*specs)
+            exact = residual2 / scale2 <= self.TOL2
+            assert rep.orthogonal == rep.hilbert_criterion == exact == (k == step)
+            if k >= step - 1:
+                rel = math.sqrt(residual2 / scale2)
+                scale = math.sqrt(scale2)
+                assert rep.residual / scale == pytest.approx(rel, rel=1e-4)
+                assert rep.cross_gram_norm / scale == pytest.approx(rel, rel=1e-4)
+
+
 class TestCouplingFactor:
     """A coupling scans its pairing matrix into a kernel._Factor once, on
     first use, and every later product reads that factor; a coupling derived
@@ -405,6 +525,32 @@ class TestCouplingFactor:
         # compose and is_orthogonal make new couplings; is_orthogonal reads
         # the factor of psi = w and builds none for its composition's result
         assert len(calls) == 1
+
+    def test_composition_is_not_judged_again(self, monkeypatch):
+        """compose and is_orthogonal reach neither validate_coupling nor a
+        PSD check: a composition of couplings is a coupling.
+        coupling_from_channel still judges what it builds (and rejects a map
+        that is not u.c.p., test_rejects_non_ucp)."""
+        calls = []
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return counted
+
+        for module, name in ((couplings, "validate_coupling"), (kernel, "check_psd"),
+                             (channels, "check_psd")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for t in probe_like_triples():
+            w = t.coupling
+            for psi in (w, flip_coupling(w), diagonal_coupling(w.state_b)):
+                compose(w, psi)
+                is_orthogonal(w, psi)
+        assert calls == []
+        coupling_from_channel(extract_channel(w), w.state_a, w.state_b)
+        assert calls == ["validate_coupling", "check_psd"]
 
     def test_derived_couplings_do_not_share(self, monkeypatch):
         calls = self.counted(monkeypatch)

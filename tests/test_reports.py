@@ -1,9 +1,13 @@
 """Every verdict report serializes by one rule: its fields in declaration
 order, leaving out fields declared repr=False.  The JSON strings below were
 written by the hand-made to_json methods that rule replaced, one per report
-type and branch, and must stay byte for byte.  One value was re-pinned since,
-with the change that moved it: ucp's choi_min_eig, rounding noise that went
-from -2.45e-16 to -1.15e-18 when the PSD spectrum became block-wise."""
+type and branch, and must stay byte for byte.  Two values were re-pinned
+since, each with the change that moved it: ucp's choi_min_eig, rounding noise
+that went from -2.45e-16 to -1.15e-18 when the PSD spectrum became
+block-wise; and orthogonal's residual, rounding noise that went from
+1.14e-16 to 0.0, its exact value (the diagonal coupling composed with the
+product coupling is the product coupling), when a composition became the one
+product P_psi S_w of pairing matrices instead of a channel weighed back."""
 
 import dataclasses
 import json
@@ -150,7 +154,7 @@ PINNED = {
         ', "marginal_b_distance": 0.07905694150420944, "valid": false, "tol": 1e-09}'
     ),
     'orthogonal': (
-        '{"orthogonal": true, "residual": 1.1443916996305594e-16, "hilbert_criterion": true'
+        '{"orthogonal": true, "residual": 0.0, "hilbert_criterion": true'
         ', "cross_gram_norm": 5.887846720064156e-17, "methods_agree": true, "tol": 1e-09}'
     ),
     'balanced': (
