@@ -36,8 +36,9 @@ scale:
 * for a composition, at kappa's (:func:`is_trivial`): is the composed state
   on A (x) C the product state?  A block of weight p moves every
   expectation omega(a (x) c) by at most about p, and counts that much.
-  :func:`is_orthogonal` checks it by the Hilbert criterion, its cross-Gram
-  norm cut at the same scale;
+  :func:`is_orthogonal` checks it by the Hilbert criterion too, whose
+  cross-Gram is the same product with S_w weighed for the middle GNS inner
+  product instead of the pairing, its norm cut at the same scale;
 * for the convergence probe's vacuity, at that of S_E
   (:func:`has_scalar_range`): is the map E the constant a -> mu_A(a) 1?
   Every block of the channel counts whatever its weight.  The loop's rank
@@ -49,9 +50,10 @@ blocks).  So a coupling carries P as a ``kernel._Factor``,
 ``Coupling.factor``: built once, on first use, and read by every product
 with P or with a row-weighed P (S_E, by :func:`_weigh_rows`) after that, by
 ``balance.is_balanced`` and ``balance.convergence_probe``, and by
-:func:`compose` and :func:`is_orthogonal`, which form P_psi S_w over the
-support of P_psi alone.  A coupling derived from another (a flip, a KMS
-flip, a composition) is a new coupling with a factor of its own.
+:func:`compose` and :func:`is_orthogonal`, which form P_psi S_w (and, for the
+cross-Gram, P_psi with a reweighed S_w) over the support of P_psi alone.  A
+coupling derived from another (a flip, a KMS flip, a composition) is a new
+coupling with a factor of its own.
 """
 
 from __future__ import annotations
@@ -61,12 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    _kms_flip,
-    constant_channel,
-    dual,
-)
+from .channels import QuantumChannel, _kms_flip
 from .kernel import (
     DEFAULT_TOL,
     Report,
@@ -305,34 +302,37 @@ def is_orthogonal(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> Ortho
     """Two composable couplings are orthogonal when their composition is the product.
 
     Checked two ways: directly on the composed density matrix, and through the
-    Hilbert-space criterion that the centered ranges of E_w and of the dual of
-    E_psi are orthogonal in the middle GNS space (cross-Gram matrix norm).
-    Both are cut at one scale, the composition's: the residual
-    ||kappa - rho_A (x) rho_C||_F and the cross-Gram norm are each divided by
-    max(||kappa||_F, ||rho_A (x) rho_C||_F), the pair that :func:`is_trivial`
-    cuts, so ``orthogonal`` is ``is_trivial(compose(w, psi))``.  The two
-    residuals are close: within 0.1 % of each other on every grid scenario
-    coupling composed with its diagonal coupling, itself or its flip.  The
-    Cauchy-Schwarz bound ||S_w||_F ||S_psi'||_F is 7 to 51 times that scale
-    there (n = 7): cut at it, the criterion would give a composition whose
-    relative residual lies between tol and that factor times tol a second
-    verdict.
+    Hilbert-space criterion that the centered ranges of E_w and of the dual
+    E_psi' of E_psi are orthogonal in the middle GNS space.  The cross-Gram
+    G[ij, kl] = Tr(rho_B x_ij* y_kl) of x_ij = E_w(E_ij) - mu_A(E_ij) 1 and
+    y_kl = E_psi'(E_kl) - mu_C(E_kl) 1 is the composition again, with S_w
+    weighed for the GNS inner product instead of the pairing:
+
+        G^T = P_psi Lambda conj(S_w) - P_0,  Lambda[k + m*l] = r_l / r_k,
+
+    r = sqrt(p_B) and P_0 the pairing matrix of rho_A (x) rho_C.  Two facts
+    collapse the centering to that one rank-one term: mu_B o E_w = mu_A (w's
+    marginal on A is rho_A) and E_psi(1) = 1 (psi's marginal on C is rho_C),
+    the latter making mu_B o E_psi' = mu_C.  So both norms are Frobenius
+    distances of a product through psi's factor from rho_A (x) rho_C, in
+    kappa's layout, and both are cut at the composition's scale, the pair
+    that :func:`is_trivial` cuts: ``orthogonal`` is
+    ``is_trivial(compose(w, psi))``.
+
+    The two numbers can differ only where Lambda != 1 on a column of P_psi
+    (the middle state varies on a pair that psi keeps) or where S_w is
+    complex.  Where neither holds, as on every coupling of the benchmark's
+    scenarios (single-cycle blocks, real channels), they are the same
+    floats.
     """
-    # each channel is extracted once, for the composition and the criterion
-    e_w, e_psi = extract_channel(w), extract_channel(psi)
-    composed = _compose(w, psi, e_w.superoperator)
-    residual, scale = _distance_and_scale(composed.kappa, kron(w.state_a.rho, psi.state_b.rho))
+    s_w = extract_channel(w).superoperator
+    product = kron(w.state_a.rho, psi.state_b.rho)
+    residual, scale = _distance_and_scale(_compose(w, psi, s_w).kappa, product)
     direct = relative_residual(residual, scale) <= tol
 
-    m = w.state_b.dim
-    e_psi_dual = dual(e_psi, psi.state_a, psi.state_b, tol=tol)
-    # centered families: column (i, j) is vec(E(E_ij) - mu(E_ij) 1)
-    x = e_w.superoperator - constant_channel(w.state_a, m).superoperator
-    y = e_psi_dual.superoperator - constant_channel(psi.state_b, m).superoperator
-    # Tr(rho x* y) weights the entry vec index k + m*l by p_l of the middle state
-    weights = np.kron(w.state_b.spectrum, np.ones(m))
-    gram = x.conj().T @ (weights[:, None] * y)
-    gram_norm = float(np.linalg.norm(gram))
+    # Lambda[k + m*l] = r_l / r_k
+    lam = np.outer(w.state_b.sqrt_spectrum, w.state_b.inv_sqrt_spectrum).ravel()
+    gram_norm = frob_distance(_compose(w, psi, lam[:, None] * s_w.conj()).kappa, product)
     hilbert = relative_residual(gram_norm, scale) <= tol
     return OrthogonalityReport(
         orthogonal=bool(direct),

@@ -243,8 +243,7 @@ def semigroup_reference(gen, t: float) -> np.ndarray:
 def use_references(monkeypatch) -> None:
     """Route every dual and every preservation residual of the package
     through dual_reference and state_preservation_residual_reference."""
-    for module in (balance_lab.balance, balance_lab.channels, balance_lab.couplings,
-                   balance_lab.lindblad):
+    for module in (balance_lab.balance, balance_lab.channels, balance_lab.lindblad):
         monkeypatch.setattr(module, "dual", dual_reference)
     monkeypatch.setattr(balance_lab.states, "state_preservation_residual",
                         state_preservation_residual_reference)

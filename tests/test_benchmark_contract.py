@@ -48,28 +48,30 @@ def assert_nullspaces_under_fixed_point_space(tracing, ops, certified):
     assert results[1].certified is certified
     spans = tracer.spans
     nulls = [s for s in spans if s[tracing.NAME] == "kernel.nullspace"]
-    assert len(nulls) == 2
+    assert len(nulls) == 1
     for s in nulls:
         assert spans[s[tracing.PARENT]][tracing.NAME] == "channels.fixed_point_space"
     probes = [i for i, s in enumerate(spans) if s[tracing.NAME] == "balance.convergence_probe"]
     fixed = [s for s in spans if s[tracing.NAME] == "channels.fixed_point_space"
              and s[tracing.PARENT] in probes]
-    assert len(probes) == len(fixed) == 1
+    assert len(probes) == 1 and fixed == []
 
 
 def test_nullspace_spans_sit_under_fixed_point_space(perfbench):
     """The per-layer series kernel.nullspace counts the kernels of the
-    fixed-point space: every nullspace span of the ergodicity and
-    convergence probes is a child of a channels.fixed_point_space span,
-    one of them under the (uncertified) convergence probe."""
+    fixed-point space: the one nullspace span of the ergodicity and
+    convergence probes is a child of the ergodicity probe's
+    channels.fixed_point_space span.  The (uncertified) convergence probe
+    certifies by its zero-eigenvalue count alone and computes no
+    fixed-point space."""
     tracing, workloads = perfbench
     assert_nullspaces_under_fixed_point_space(tracing, workloads.warmup_ops("probes", 1), False)
 
 
-def test_certified_probe_keeps_its_fixed_point_space(perfbench):
+def test_certified_probe_needs_no_fixed_point_space(perfbench):
     """As above on a single cycle with a generic Hamiltonian, which is
-    ergodic: a certified convergence probe computes the fixed-point space
-    too."""
+    ergodic: a certified convergence probe computes no fixed-point space
+    either."""
     tracing, workloads = perfbench
     slot = (7, (7,), ("entangled",), ("mixed",))
     ops = workloads.probes_round(1, slots=(slot,)).ops

@@ -55,13 +55,13 @@ from conftest import (
     coupling_from_channel_oracle,
     extract_channel_oracle,
     extraction_is_valid,
+    is_orthogonal_loop,
     make_spec,
     preserving_generator,
     probe_like_triples,
     random_matrix,
     random_state_vector,
     scenario_compose_oracle,
-    use_references,
 )
 
 
@@ -401,6 +401,17 @@ def oracle_kappa(spec, kept, t):
     return kappa
 
 
+def oracle_gram2(spec, kept, residual2):
+    """The exact squared cross-Gram norm of the composition that
+    scenario_compose_oracle describes.  The Gram is the composition with S_w
+    weighed by r_l / r_k on the middle unit E_kl, r = sqrt(p): that takes a
+    kept entry sqrt(p_i p_j) to p_j or p_i and leaves the diagonal as it is,
+    so each ordered kept pair (i, j) adds p_j^2 - p_i p_j to the squared
+    residual."""
+    p = [Fraction(x) for x in scenario_state(spec).spectrum]
+    return residual2 + sum(p[j] ** 2 - p[i] * p[j] for i, j in kept)
+
+
 def chain_specs(block_probs):
     """w product on the cycles {0, 1}{2} and psi product on {0}{1, 2}, of
     cycles (3, 3, 3)."""
@@ -419,30 +430,42 @@ class TestComposeOracle:
     def test_grid_layouts_at_pmin(self, e):
         """All 12 x 12 block layouts of standard_grid() at block_probs
         (3q, 1 - 3q), the p_min sweep of TestPminSweep: every kappa entry
-        within 2e-15 max|kappa| of the oracle, and the three verdicts the
-        exact one wherever the exact relative residual is outside
-        [tol/10, 10 tol]."""
+        within 2e-15 max|kappa| of the oracle, the cross-Gram norm within
+        2e-15 of the scale of the exact one (oracle_gram2), and the three
+        verdicts the exact one wherever the exact relative residual is
+        outside [tol/10, 10 tol].  The cross-Gram norm is not the residual
+        on exactly one composition: the layout whose one entangled block
+        keeps pairs across both cycles, of unequal weights, with itself."""
         q = 10.0**-e
         specs = [dataclasses.replace(s, block_probs=(3 * q, 1 - 3 * q))
                  for s in standard_grid()[::6]]
         assert len({(s.partition, s.block_types) for s in specs}) == 12
         pool = [scenario_coupling(s) for s in specs]
         judged = {True: 0, False: 0}
+        differ = []
         for spec_w, w in zip(specs, pool):
             for spec_psi, psi in zip(specs, pool):
                 kept, t, residual2, scale2 = scenario_compose_oracle(spec_w, spec_psi)
                 composed = compose(w, psi)
                 err = np.abs(composed.kappa - oracle_kappa(spec_w, kept, t)).max()
                 assert err <= 2e-15 * np.abs(composed.kappa).max()
+                rep = is_orthogonal(w, psi)
+                gram2 = oracle_gram2(spec_w, kept, residual2)
+                assert abs(rep.cross_gram_norm - math.sqrt(gram2)) <= 2e-15 * math.sqrt(scale2)
+                if gram2 != residual2:
+                    differ.append((spec_w, spec_psi, rep))
                 rel2 = residual2 / scale2
                 if self.TOL2 / 100 <= rel2 <= 100 * self.TOL2:
                     continue
                 exact = rel2 <= self.TOL2
-                rep = is_orthogonal(w, psi)
                 assert rep.orthogonal == rep.hilbert_criterion == is_trivial(composed) == exact
                 judged[exact] += 1
         # every q judges both verdicts, and at least 87 of the 144 compositions
         assert judged[True] >= 23 and judged[False] >= 64
+        [(spec_w, spec_psi, rep)] = differ
+        assert spec_w is spec_psi
+        assert (spec_w.partition, spec_w.block_types) == (((0, 1),), ("entangled",))
+        assert rep.cross_gram_norm - rep.residual >= 0.02
 
     def test_criterion_07_composition(self):
         """Criterion 07's construction, w entangled on the first cycle and
@@ -603,30 +626,34 @@ class TestOrthogonality:
                 assert is_orthogonal(w, psi).methods_agree
 
     def test_report_bits_and_one_extraction_each(self, monkeypatch):
-        """is_orthogonal extracts each coupling once, for the composition and
-        for the criterion: the composition is compose's, and the report is
-        that of the reference duals and residuals."""
+        """is_orthogonal extracts w's channel once for each pair, for both
+        of its products, and reaches neither a dual nor a constant channel:
+        its residual is compose's, and its cross-Gram norm that of the Gram
+        summed matrix unit by matrix unit (conftest.is_orthogonal_loop),
+        within rounding, with the same verdicts."""
         s = new_faithful_state([0.31, 0.07, 0.22, 0.15, 0.25])
         ch = semigroup(preserving_generator(s, seed=9), 0.5)
         generic = [diagonal_coupling(s), coupling_from_channel(ch, s, s)]
         pool = scenario_pool()[:3]
         pairs = [(w, psi) for w in pool for psi in pool]
         pairs += [(w, psi) for w in generic for psi in generic]
-        new = [is_orthogonal(w, psi) for w, psi in pairs]
-        for (w, psi), rep in zip(pairs, new):
-            prod = kron(w.state_a.rho, psi.state_b.rho)
-            assert rep.residual == frob_distance(compose(w, psi).kappa, prod)
-        use_references(monkeypatch)
+        loops = [is_orthogonal_loop(w, psi) for w, psi in pairs]
         calls = []
 
         def counted(w):
             calls.append(w)
             return extract_channel(w)
 
+        assert not hasattr(couplings, "dual") and not hasattr(couplings, "constant_channel")
         monkeypatch.setattr(couplings, "extract_channel", counted)
-        old = [is_orthogonal(w, psi) for w, psi in pairs]
-        assert [json.dumps(r.to_json()) for r in old] == [json.dumps(r.to_json()) for r in new]
-        assert len(calls) == 2 * len(pairs)
+        reps = [is_orthogonal(w, psi) for w, psi in pairs]
+        assert [id(w) for w in calls] == [id(w) for w, _ in pairs]
+        for (w, psi), rep, loop in zip(pairs, reps, loops):
+            prod = kron(w.state_a.rho, psi.state_b.rho)
+            assert rep.residual == frob_distance(compose(w, psi).kappa, prod)
+            assert rep.cross_gram_norm == pytest.approx(loop.cross_gram_norm, rel=1e-14, abs=1e-15)
+            assert (rep.orthogonal, rep.hilbert_criterion, rep.methods_agree) == (
+                loop.orthogonal, loop.hilbert_criterion, loop.methods_agree)
 
     def test_trivial_cases(self):
         assert not is_trivial(diagonal_coupling(qubit()))

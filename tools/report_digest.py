@@ -9,10 +9,13 @@ slots, with diagonal phases drawn from ``THETA_SEED`` and written next to
 the slot's files: no benchmark command builds a reversing operation from a
 unitary.  Then it runs ``convergence`` on each slot's two generators,
 written as files, paired through the product coupling: no benchmark command
-reaches the vacuous branch.  Last it runs ``compose`` and
+reaches the vacuous branch.  Then it runs ``compose`` and
 ``check-orthogonal`` on a skewed grid coupling and its flip: no benchmark
-composition lies near the orthogonality cut.  Run from the root of a
-checkout:
+composition lies near the orthogonality cut.  Last it runs
+``check-orthogonal`` on a grid coupling that keeps pairs across two blocks
+of unequal weight, composed with itself: no benchmark composition weighs
+its middle state unevenly on a kept pair, where the cross-Gram norm differs
+from the residual.  Run from the root of a checkout:
 
     python tools/report_digest.py
 
@@ -158,10 +161,24 @@ def skewed_commands(workloads, workdir: str) -> list:
             ("check-orthogonal-skewed", ["check-orthogonal", *paths], None)]
 
 
+def nontracial_commands(workloads, workdir: str) -> list:
+    """``check-orthogonal`` on the coupling of ``standard_grid()[54]``, one
+    entangled block over both cycles, at block_probs (3e-2, 1 - 3e-2),
+    composed with itself; its file is written to ``workdir``.  The kept
+    pairs across the two cycles join states of weights 1e-2 and 0.2425, so
+    the cross-Gram norm (1.26) is not the residual (0.97)."""
+    bl = workloads.bl
+    spec = dataclasses.replace(bl.lindblad.standard_grid()[54], block_probs=(3e-2, 1 - 3e-2))
+    path = os.path.join(workdir, "nontracial_w.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(bl.lindblad.scenario_coupling(spec).to_json(), fh)
+    return [("check-orthogonal-nontracial", ["check-orthogonal", path, path], None)]
+
+
 def cli_digests(workloads, seed: int) -> dict[str, str]:
     """One digest per command of ``cli_commands`` at ``seed``, and of
-    :func:`theta_commands`, :func:`product_commands` and
-    :func:`skewed_commands` after them: its exit
+    :func:`theta_commands`, :func:`product_commands`,
+    :func:`skewed_commands` and :func:`nontracial_commands` after them: its exit
     code, stdout, stderr and the files it wrote or changed, the work
     directory masked in all of them."""
     cli = workloads.bl.cli
@@ -169,7 +186,7 @@ def cli_digests(workloads, seed: int) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as workdir:
         commands, _ = workloads.cli_commands(np.random.default_rng(seed), workdir)
         commands += theta_commands(workloads, workdir) + product_commands(workloads, workdir)
-        commands += skewed_commands(workloads, workdir)
+        commands += skewed_commands(workloads, workdir) + nontracial_commands(workloads, workdir)
         mask = lambda b: b.replace(workdir.encode(), WORK.encode())  # noqa: E731
         for i, (name, argv, _) in enumerate(commands):
             before = _files(workdir)
