@@ -3,10 +3,18 @@
 Two systems (A, alpha, mu) and (B, beta, nu) are in balance with respect to a
 coupling omega when omega(alpha(a) (x) c) = omega(a (x) beta'(c)) for all a
 and all commutant observables c, equivalently when the extracted channel
-intertwines the dynamics: E_omega o alpha = beta o E_omega.  Both
-formulations are evaluated here and must agree; for semigroups the check runs
-at generator level, which is equivalent to checking every time by the power
-series of e^{tK}.
+intertwines the dynamics: E_omega o alpha = beta o E_omega.  On the pairing
+matrix the two formulations are one defect, D = S_E S_alpha - S_beta S_E,
+up to the KMS weights W = diag(r_k r_l), r = sqrt(p_B), on its rows: P = W S_E
+and S_beta'^T = W S_beta W^-1, so P S_alpha - S_beta'^T P = W D.  So D is
+formed once and cut two ways, in Frobenius norm and componentwise, where W
+cancels entry by entry (:func:`is_balanced`); the two cuts must agree.  The
+checks of balance that do not share D are the arithmetic prediction of a
+scenario (``lindblad.scenario_predict``), the sub-residuals of the balance
+equations on kappa (``lindblad.balance_sub_residuals``), and, in the tests,
+the definition contracted from kappa and the dual beta'.  For semigroups the
+check runs at generator level, which is equivalent to checking every time by
+the power series of e^{tK}.
 
 Also provided: KMS-symmetry, standard detailed balance with respect to a
 reversing operation (as a direct comparison and via balance with the
@@ -78,53 +86,61 @@ def _check_triple(sys_a: System, sys_b: System, w: Coupling):
 def is_balanced(
     sys_a: System, sys_b: System, w: Coupling, tol: float = DEFAULT_TOL
 ) -> BalanceReport:
-    """Channel-level intertwining check plus the direct pairing check.
+    """Both definitions of balance, as two cuts of one defect.
 
-    The intertwining residual is ||S_E S_alpha - S_beta S_E||_F relative to
-    ||S_alpha||_F + ||S_beta||_F.  The definition residual checks
-    omega o (alpha (x) 1) = omega o (1 (x) beta') as P S_alpha = S_beta'^T P
-    on the pairing matrix P of the coupling, componentwise relative: the
-    largest entry of |P S_alpha - S_beta'^T P| over
-    |P| |S_alpha| + |S_beta'^T| |P| (Oettli-Prager), with 0/0 = 0, so that
-    it does not grow with the KMS weights that the dual beta' divides by.
-    For generator dynamics both checks run on the generators, which is
-    equivalent to all times at once.
+    The intertwining E o alpha = beta o E is the defect
+    D = S_E S_alpha - S_beta S_E of the extracted channel.  The definition
+    omega o (alpha (x) 1) = omega o (1 (x) beta') is P S_alpha = S_beta'^T P on
+    the pairing matrix P of the coupling, and that is the same defect: with
+    W = diag(r_k r_l), r = sqrt(p_B), P = W S_E and S_beta'^T = W S_beta W^-1,
+    so P S_alpha - S_beta'^T P = W D, and its Oettli-Prager size
+    |P| |S_alpha| + |S_beta'^T| |P| is W (|S_E| |S_alpha| + |S_beta| |S_E|).
+    So D is formed once and cut two ways:
 
-    P and S_E are zero outside the rows and columns that the coupling
-    touches, so both are read as one ``kernel._Factor`` of that support,
-    the one the coupling carries (``Coupling.factor``): every product is
-    taken over the support block alone, by row gather where the kernel's
-    cost rule allows and by BLAS elsewhere, and S_E is P's factor with its
-    rows weighed by ``couplings._weigh_rows``, so it has S_E's bits.  The
-    products that read one operand are taken together
-    (``_Factor.products``), so a gather copies it to C order once.  Each
-    residual is read on the two regions where it can be nonzero
+    * ``residual``, ||D||_F relative to ||S_alpha||_F + ||S_beta||_F;
+    * ``definition_residual``, componentwise relative (Oettli-Prager): the
+      largest entry of |D| over |S_E| |S_alpha| + |S_beta| |S_E|, with
+      0/0 = 0.  The KMS weights W cancel entry by entry, so it does not grow
+      with the 1/sqrt(p) that the dual beta' divides by, and no dual is
+      formed.
+
+    ``method_agreement`` says that the two cuts give one verdict.  For
+    generator dynamics D is taken on the generators, which is equivalent
+    to all times at once.  The checks of balance that do not share this
+    defect are the arithmetic prediction of a scenario
+    (``lindblad.scenario_predict``), the sub-residuals of the balance
+    equations on kappa (``lindblad.balance_sub_residuals``), and, in the
+    tests, the definition contracted from kappa and the dual beta'.
+
+    S_E is zero outside the rows and columns that the coupling touches, so
+    it is read as the coupling's ``kernel._Factor`` (``Coupling.factor``)
+    with its rows weighed by ``couplings._weigh_rows``, which has S_E's
+    bits: every product is taken over the support block alone, by row
+    gather where the kernel's cost rule allows and by BLAS elsewhere.  The
+    two products that read one operand are taken together
+    (``_Factor.products``), so a gather copies it to C order once.  D and
+    its size are each read on the two regions where they can be nonzero
     (``_Factor.regions``): the support rows (both terms on the support
     columns, the first alone on the others) and the other rows on the
-    support columns (the second alone).  The Frobenius norm is the
-    hypot of the regions' norms, the componentwise maximum the larger of
-    their maxima, and 0/0 = 0 elsewhere.
+    support columns (the second alone).  The Frobenius norm is the hypot of
+    the regions' norms, the componentwise maximum the larger of their
+    maxima, and 0/0 = 0 elsewhere.
     """
     _check_triple(sys_a, sys_b, w)
     s_alpha = sys_a.dynamics.superoperator
     s_beta = sys_b.dynamics.superoperator
     scale = frob_norm(s_alpha) + frob_norm(s_beta)
-    p = w.factor
-    s_e = _weigh_rows(p, w.state_b.inv_sqrt_spectrum)
-    pa, ea, size_a = p.products(s_alpha[p.cols], 0, s_e)
-    norm = math.hypot(*map(frob_norm, p.regions(ea, s_beta[:, p.rows] @ s_e, np.subtract)))
-    residual = relative_residual(norm, scale)
+    s_e = _weigh_rows(w.factor, w.state_b.inv_sqrt_spectrum)
+    ea, size_a = s_e.products(s_alpha[s_e.cols], 0)
+    be, size_b = s_e.products(s_beta[:, s_e.rows], -1)
+    defect = s_e.regions(ea, be, np.subtract)
     # each n^2 x n^2 product is released once read: the high-water mark of
     # this call is close to the peak memory of a process of heavy probes
-    del ea
-
-    b = dual(sys_b.dynamics, sys_b.state, sys_b.state, tol).superoperator.T[:, p.rows]
-    bp, size_b = p.products(b, -1)
-    del b
-    defect = [np.abs(d) for d in p.regions(pa, bp, np.subtract)]
-    del pa, bp
-    size = p.regions(size_a, size_b, np.add)
-    def_residual = float(np.max(list(map(_max_relative_residual, defect, size))))
+    del ea, be
+    residual = relative_residual(math.hypot(*map(frob_norm, defect)), scale)
+    size = s_e.regions(size_a, size_b, np.add)
+    del size_a, size_b
+    def_residual = float(max(map(_max_relative_residual, map(np.abs, defect), size)))
 
     balanced = residual <= tol
     agree = balanced == (def_residual <= tol)

@@ -48,10 +48,11 @@ P is zero outside the rows and columns that the coupling touches, and has
 few nonzeros in a row on every scenario coupling (one on entangled and mixed
 blocks).  So a coupling carries P as a ``kernel._Factor``,
 ``Coupling.factor``: built once, on first use, and read by every product
-with P or with a row-weighed P (S_E, by :func:`_weigh_rows`) after that, by
-``balance.is_balanced`` and ``balance.convergence_probe``, and by
-:func:`compose` and :func:`is_orthogonal`, which form P_psi S_w (and, for the
-cross-Gram, P_psi with a reweighed S_w) over the support of P_psi alone.  A
+with it after that.  ``balance.is_balanced`` and ``balance.convergence_probe``
+read it with its rows weighed into S_E (:func:`_weigh_rows`), and
+:func:`compose` and :func:`is_orthogonal` read P_psi itself, forming P_psi S_w
+(and, for the cross-Gram, P_psi with a reweighed S_w) over the support of
+P_psi alone.  A
 coupling derived from another (a flip, a KMS flip, a composition) is a new
 coupling with a factor of its own.
 """

@@ -40,10 +40,10 @@ Conventions used throughout the package:
   built by ``_factor`` from one scan of its pattern).  The pairing matrix
   of a coupling is scanned once: its factor is built on first use and
   travels with the coupling (``couplings.Coupling.factor``), for every
-  balance check, composition and convergence probe that reads it, and a
-  row-weighed copy of it (``_Factor.__mul__``) keeps its index arrays.  A
-  product with it
-  is taken over its support block alone: m @ x is nonzero only on the
+  composition that reads it, and for every balance check and convergence
+  probe, which read it with its rows weighed into the extracted channel's
+  S_E (``_Factor.__mul__``, a copy that keeps its index arrays).  A
+  product with it is taken over its support block alone: m @ x is nonzero only on the
   support rows of m and reads only the rows of x on its support columns,
   and x @ m alike.  A matrix whose support is everything selects it
   through ``slice(None)``.  On a side with k nonzeros at most in a row of
@@ -376,21 +376,15 @@ class _Factor:
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
         return self._times(x, -1)[0]
 
-    def products(self, x: np.ndarray, axis: int, *weighed: "_Factor") -> list[np.ndarray]:
-        """Every product of one operand x that an Oettli-Prager residual
-        reads: m @ x, then f @ x for each factor f of this support in
-        ``weighed``, then |m| @ |x| (for axis -1: x @ m, x @ f and
-        |x| @ |m|).  All of them read the C-ordered copy that the first
-        gathered product made (the factors of one support gather on the same
-        sides), where each product alone would copy x again: 12 of the 18
-        gathered products of a dual order check on a 16-cycle read a dual's
+    def products(self, x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """The two products of one operand x that an Oettli-Prager residual
+        reads: m @ x and |m| @ |x| (for axis -1: x @ m and |x| @ |m|).  The
+        second reads the C-ordered copy that the first made where it
+        gathers, where it alone would copy x again: 8 of the 12 gathered
+        products of a dual order check on a 16-cycle read a dual's
         F-ordered superoperator."""
-        out = []
-        for f in (self, *weighed):
-            y, x = f._times(x, axis)
-            out.append(y)
-        out.append(abs(self)._times(np.abs(x), axis)[0])
-        return out
+        y, x = self._times(x, axis)
+        return y, abs(self)._times(np.abs(x), axis)[0]
 
     def _map(self, dense, left, right) -> "_Factor":
         """The factor of the same support with the block and the weights w of

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import balance_lab.balance as balance
+import balance_lab.channels as channels
 from balance_lab.balance import (
     check_theta_sqdb,
     convergence_probe,
@@ -30,7 +31,13 @@ from balance_lab.channels import (
 from balance_lab.cli import dumps_canonical
 from balance_lab.couplings import diagonal_coupling, product_coupling
 from balance_lab.kernel import frob_distance
-from balance_lab.lindblad import LindbladGenerator, cycle_generator, scenario_build, semigroup
+from balance_lab.lindblad import (
+    LindbladGenerator,
+    cycle_generator,
+    scenario_build,
+    semigroup,
+    standard_grid,
+)
 from balance_lab.states import System, new_faithful_state
 
 from conftest import (
@@ -105,6 +112,30 @@ class TestIsBalanced:
         triple2 = scenario_systems(k=(0.3, 0.6), l=(0.4, 0.6))
         rep2 = is_balanced(triple2.system_a, triple2.system_b, d)
         assert not rep2.balanced
+
+    def test_calls_no_dual(self, monkeypatch):
+        """Both residuals are cuts of S_E S_alpha - S_beta S_E, so no dual is
+        formed: not on the grid triples, nor on a pair of semigroup
+        channels, where a tol far below rounding gives the same residuals
+        (a dual would judge the state preservation at that tol)."""
+        reports = [is_balanced(t.system_a, t.system_b, t.coupling)
+                   for t in map(scenario_build, standard_grid())]
+        t = scenario_build(make_spec(types=("entangled", "mixed")))
+        a, b = (System(state=s.state, dynamics=semigroup(s.dynamics, 0.7))
+                for s in (t.system_a, t.system_b))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("is_balanced called dual")
+
+        monkeypatch.setattr(balance, "dual", refused)
+        monkeypatch.setattr(channels, "dual", refused)
+        again = [is_balanced(t.system_a, t.system_b, t.coupling)
+                 for t in map(scenario_build, standard_grid())]
+        assert [r.to_json() for r in again] == [r.to_json() for r in reports]
+        rep = is_balanced(a, b, t.coupling)
+        tight = is_balanced(a, b, t.coupling, tol=1e-30)
+        assert rep.balanced and rep.method_agreement
+        assert (tight.residual, tight.definition_residual) == (rep.residual, rep.definition_residual)
 
 
 class TestThetaSqdb:
@@ -209,9 +240,9 @@ class TestDualOrder:
         assert rep.consistent
 
     def test_kms_duals_are_flips_of_the_duals(self, monkeypatch):
-        """The KMS-duals are the KMS flips of the two duals just made: five
-        duals a call (two, and one in each is_balanced), no kms_dual, and
-        the report of the reference duals and residuals."""
+        """The KMS-duals are the KMS flips of the two duals just made: two
+        duals a call (is_balanced forms none), no kms_dual, and the report
+        of the reference duals and residuals."""
         diag = diagonal_coupling(new_faithful_state([0.31, 0.07, 0.22, 0.15, 0.25]))
         generic = [System(state=diag.state_a, dynamics=preserving_generator(diag.state_a, seed))
                    for seed in (5, 6)]
@@ -235,7 +266,7 @@ class TestDualOrder:
         monkeypatch.setattr(balance, "dual", counted)
         monkeypatch.setattr(balance, "kms_dual", refused)
         assert [json.dumps(dual_order_check(*case).to_json()) for case in cases] == new
-        assert len(calls) == 5 * len(cases)
+        assert len(calls) == 2 * len(cases)
 
     def test_dual_systems_preserve_state(self):
         sys_a = scenario_systems(g=(0.2,) * 3 + (0.0,) * 4).system_a

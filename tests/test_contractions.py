@@ -622,9 +622,43 @@ class TestPairing:
                 wrong.append((i, got, expected))
         assert wrong == []
 
+    @pytest.mark.parametrize("kind", ["generator", "channel"])
+    def test_generic_definition_residual_is_componentwise(self, kind):
+        """The same reference, built from the dual beta', on generic
+        systems: every pairing and rectangular coupling, direct sums, the
+        product coupling of each (balanced) and, on one state, a system
+        against itself through the diagonal coupling (balanced).  Equal
+        verdicts, and the residual within 1e-12 relative of the reference
+        when unbalanced, below 1e-13 with it when balanced."""
+        wrong, balanced = [], 0
+        for name, sys_a, sys_b, w in generic_balance_cases(kind):
+            s_alpha = sys_a.dynamics.superoperator
+            s_b = sys_b.state
+            s_beta_dual = dual(sys_b.dynamics, s_b, s_b).superoperator
+            lhs, rhs = definition_contractions(w.kappa, w.dims, s_alpha, s_beta_dual)
+            size = sum(
+                definition_contractions(np.abs(w.kappa), w.dims, np.abs(s_alpha), np.abs(s_beta_dual))
+            )
+            defect = np.abs(lhs - rhs)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = float(np.max(np.where(defect == 0.0, 0.0, defect / size)))
+            rep = is_balanced(sys_a, sys_b, w)
+            got = rep.definition_residual
+            if rep.balanced != (expected <= rep.tol):
+                ok = False
+            elif rep.balanced:
+                balanced += 1
+                ok = got <= 1e-13 and expected <= 1e-13
+            else:
+                ok = got == pytest.approx(expected, rel=1e-12)
+            if not ok:
+                wrong.append((name, got, expected))
+        assert wrong == []
+        assert balanced > 0
+
 
 # ---------------------------------------------------------------------------
-# is_balanced over the support of P against the six dense products
+# is_balanced over the support of S_E against the four dense products
 
 
 def preserving_systems(w: Coupling, kind: str, seed: int) -> tuple[System, System]:
@@ -694,9 +728,26 @@ def rectangular_couplings():
 RECTANGULAR = rectangular_couplings()
 
 
+def generic_balance_cases(kind: str):
+    """(name, sys_a, sys_b, w) on generic systems (preserving_systems):
+    every coupling of PAIRING and RECTANGULAR, direct sums, and the product
+    coupling of each, which balances any two systems; and for a coupling of
+    one state, the first system against itself through the diagonal
+    coupling, which is balanced too."""
+    couplings = {**PAIRING, **RECTANGULAR}
+    for n, m, count, seed in itertools.product((2, 3, 5), (2, 4), (1, 2), (0, 1)):
+        couplings[f"sum-{n}-{m}-{count}-{seed}"] = direct_sum_coupling(n, m, count, seed)
+    for seed, (name, w) in enumerate(sorted(couplings.items())):
+        sys_a, sys_b = preserving_systems(w, kind, seed)
+        yield name, sys_a, sys_b, w
+        yield f"{name}-product", sys_a, sys_b, product_coupling(w.state_a, w.state_b)
+        if w.state_a.same_state(w.state_b):
+            yield f"{name}-diagonal", sys_a, sys_a, diagonal_coupling(w.state_a)
+
+
 class TestSupportProducts:
-    """is_balanced multiplies only over the rows and columns of P that hold
-    a nonzero (kernel._factor); conftest.is_balanced_dense is the six dense
+    """is_balanced multiplies only over the rows and columns of S_E that hold
+    a nonzero (kernel._factor); conftest.is_balanced_dense is the four dense
     products it replaced."""
 
     def test_full_support_gives_the_dense_bits(self):
@@ -809,7 +860,7 @@ GATHER = gather_cases()
 class TestGatherProducts:
     """At n >= 12 the cost rule gathers the products of a single-cycle or a
     diagonal pairing matrix (kernel._factor); the report keeps the bits
-    of the six dense products (conftest.is_balanced_dense)."""
+    of the four dense products (conftest.is_balanced_dense)."""
 
     @pytest.mark.parametrize("name", sorted(GATHER))
     def test_report_bits(self, name):

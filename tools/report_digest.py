@@ -26,6 +26,12 @@ its exit code, stdout, stderr and every file it writes are hashed, with the
 work directory masked, so two checkouts give the same digests exactly when
 their reports have the same bytes.  Diff the output of two checkouts: a line
 that differs names the op kind or the command whose result moved.
+
+The tool runs BLAS on one thread: it sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before numpy is imported,
+whatever they were.  The rounding of a product depends on how many threads
+split it, so without this 32 of 184 lines differed between one and two
+threads on unchanged code.
 """
 
 from __future__ import annotations
@@ -40,7 +46,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# before numpy loads its BLAS, which reads them once (see the docstring)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
