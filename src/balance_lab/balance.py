@@ -17,11 +17,15 @@ check runs at generator level, which is equivalent to checking every time by
 the power series of e^{tK}.
 
 Also provided: KMS-symmetry, standard detailed balance with respect to a
-reversing operation (as a direct comparison and via balance with the
-Theta-KMS-dual system), order-reversal under duals, ergodicity as
-one-dimensionality of the fixed-point space, the constructive disjointness
-witness from the fixed-point algebra, and a spectral convergence-transfer
-probe.
+reversing operation (one distance S_Theta' - S, cut directly and at the
+scale of balance with the Theta-KMS-dual through the diagonal coupling,
+whose extracted channel is the identity), order-reversal under duals,
+ergodicity as one-dimensionality of the fixed-point space, the
+constructive disjointness witness read off the fixed-point basis that
+ergodicity computed, and a spectral convergence-transfer probe.  The
+second number of sqdb and of the witness shares its numerics with the
+first; their independent checks are the tests' ``theta_kms_dual_oracle``
+and ``disjointness_probe_loop``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .couplings import (
     Coupling,
     _weigh_rows,
     coupling_from_channel,
-    diagonal_coupling,
     extract_channel,
     has_scalar_range,
     kms_flip,
@@ -188,16 +191,27 @@ def check_theta_sqdb(
 ) -> SqdbReport:
     """Standard quantum detailed balance with respect to a reversing operation.
 
-    Direct test: the Theta-KMS-dual dynamics equals the dynamics.  Independent
-    test: the system and its Theta-KMS-dual system are in balance with respect
-    to the diagonal coupling.  The two must agree.
+    Direct test (``sqdb``, ``residual``): the Theta-KMS-dual dynamics equals
+    the dynamics, ||S_Theta' - S||_F relative to ||S||_F.  ``via_balance``
+    reads the same difference as balance of the system with its
+    Theta-KMS-dual through the diagonal coupling: that coupling's extracted
+    channel is the identity, so the balance defect S_E S - S_Theta' S_E of
+    :func:`is_balanced` is S - S_Theta', cut at the balance scale
+    ||S||_F + ||S_Theta'||_F.  The two verdicts share the difference and
+    differ in the scale alone, so ``methods_agree`` says that the distance
+    does not fall between the two cuts.  The independent check of the dual
+    is the tests' ``theta_kms_dual_oracle`` (Theta's superoperator times the
+    KMS-dual, with no change of frame).  No system is built from the dual:
+    the Theta-KMS-dual of state-preserving dynamics is unital (it
+    annihilates 1, for a generator), so dynamics that are not cannot equal
+    it and are not sqdb.
     """
     s = sys.dynamics.superoperator
-    dual_sys = System(state=sys.state, dynamics=theta_kms_dual(sys.dynamics, sys.state, th, tol))
-    residual = relative_residual(frob_norm(dual_sys.dynamics.superoperator - s), frob_norm(s))
+    s_theta = theta_kms_dual(sys.dynamics, sys.state, th, tol).superoperator
+    distance = frob_norm(s_theta - s)
+    residual = relative_residual(distance, frob_norm(s))
     sqdb = residual <= tol
-
-    via = is_balanced(sys, dual_sys, diagonal_coupling(sys.state), tol).balanced
+    via = relative_residual(distance, frob_norm(s) + frob_norm(s_theta)) <= tol
     return SqdbReport(
         sqdb=bool(sqdb),
         residual=float(residual),
@@ -345,6 +359,29 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
     *-algebra, an identity system is placed on it with the restricted state,
     and the restriction of the diagonal coupling is verified to give a
     non-trivial balanced coupling.  For an ergodic system no witness exists.
+
+    Both numbers are read off the orthonormal basis B of the fixed-point
+    space that the ergodicity verdict computed, one row vec(f) per basis
+    element f:
+
+    * ``balance_residual`` is ||(S - 1) B^T||_2 for a channel and
+      ||L B^T||_2 for a generator, cut at the scale of the dynamics.  The
+      definition of balance pairs each f with beta'(c) - c through the KMS
+      weights W = diag(r_k r_l), r = sqrt(p), and that pairing matrix is
+      ((S - 1) B^T)^T W: it is the defect whose kernel gave B, without the
+      weights, so it shares the kernel's numerics and is zero in exact
+      arithmetic.  No dual is formed;
+    * ``nontriviality_gap`` is ||B - mu(f) vec(1)^T||_2, the distance of
+      the restricted diagonal coupling's channel from the product's, cut
+      against ||B||_2 = 1: the scale of S_E, at which every block counts
+      whatever its weight, as for the vacuity of ``convergence_probe``.
+      By interlacing it is at least 1 whenever the space has dimension 2
+      or more.
+
+    Another orthonormal basis multiplies B on the left by a unitary, which
+    leaves both spectral norms as they are.  The independent check is the
+    tests' ``disjointness_probe_loop``, which pairs each f with the images
+    of the matrix units under the dual beta'.
     """
     basis = fixed_point_space(sys.dynamics, tol)
     dim = len(basis)
@@ -362,27 +399,18 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
     if worst > tol:
         raise ValueError(f"fixed-point set not an algebra numerically (defect {worst:.3e})")
 
-    state = sys.state
-    r = state.sqrt_spectrum
-    beta_dual = dual(sys.dynamics, state, state, tol)
-    # row f of pairing is vec(rho^1/2 f rho^1/2), the form b -> Tr(rho^1/2 f rho^1/2 b^T)
-    # on vec(b); the witness residual is its value on beta'(E_ij) - E_ij
-    # (channel) or L'(E_ij), the gap its distance from mu(f) mu(E_ij).  Both
-    # are spectral norms of matrices with one row per f, linear in f: another
-    # orthonormal basis multiplies them on the left by a unitary, which
-    # leaves the norms as they are
-    pairing = (r[:, None] * stack * r[None, :]).transpose(0, 2, 1).reshape(dim, n * n)
-    balance_res = float(np.linalg.norm(pairing @ _fixed_point_operator(beta_dual), 2))
-    mu_f = np.sum(state.spectrum * np.diagonal(stack, axis1=1, axis2=2), axis=1)
-    gap = float(np.linalg.norm(pairing - np.outer(mu_f, vec(state.rho)), 2))
-    balanced = relative_residual(balance_res, frob_norm(beta_dual.superoperator)) <= tol
-    found = balanced and gap > tol
+    b = stack.transpose(0, 2, 1).reshape(dim, n * n)
+    balance_res = float(np.linalg.norm(_fixed_point_operator(sys.dynamics) @ b.T, 2))
+    mu_f = np.sum(sys.state.spectrum * np.diagonal(stack, axis1=1, axis2=2), axis=1)
+    gap = float(np.linalg.norm(b - np.outer(mu_f, vec(np.eye(n))), 2))
+    balanced = relative_residual(balance_res, sys.dynamics.scale) <= tol
+    found = balanced and relative_residual(gap, 1.0) > tol
     return DisjointnessReport(
         ergodic=False,
         fixed_space_dim=dim,
         witness_found=bool(found),
-        balance_residual=float(balance_res),
-        nontriviality_gap=float(gap),
+        balance_residual=balance_res,
+        nontriviality_gap=gap,
         witness_basis=basis,
         message="identity system on the fixed-point algebra balances the dynamics "
         "through the restricted diagonal coupling",

@@ -63,9 +63,12 @@ class FaithfulState:
         return complex(np.sum(self.spectrum * np.diag(a)))
 
     def same_state(self, other: "FaithfulState", tol: float = DEFAULT_TOL) -> bool:
-        return self.dim == other.dim and bool(
-            np.max(np.abs(self.spectrum - other.spectrum)) <= tol
-        )
+        """Each eigenvalue within tol of the larger of the pair, relative to
+        it: |p_i - q_i| <= tol max(p_i, q_i).  An absolute cut would call
+        (0.5, 0.5 - 1e-12, 1e-12) and (0.5, 0.5 - 2e-12, 2e-12) one state,
+        whose smallest eigenvalues differ by a factor 2."""
+        p, q = self.spectrum, other.spectrum
+        return self.dim == other.dim and bool(np.all(np.abs(p - q) <= tol * np.maximum(p, q)))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "spectrum": [float(p) for p in self.spectrum]}

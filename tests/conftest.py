@@ -31,6 +31,7 @@ from balance_lab.channels import (
     QuantumChannel,
     _like,
     apply,
+    channel_from_kraus,
     constant_channel,
     dual,
     fixed_point_space,
@@ -42,6 +43,7 @@ from balance_lab.couplings import (
     OrthogonalityReport,
     _weigh_rows,
     compose,
+    coupling_from_channel,
     extract_channel,
 )
 from balance_lab.kernel import (
@@ -67,7 +69,13 @@ from balance_lab.lindblad import (
     scenario_state,
     semigroup,
 )
-from balance_lab.states import FaithfulState, System, kms_pairing, preserves_state
+from balance_lab.states import (
+    FaithfulState,
+    System,
+    kms_pairing,
+    new_faithful_state,
+    preserves_state,
+)
 
 
 # a generic Hamiltonian diagonal (and set of phases) on seven levels
@@ -249,6 +257,26 @@ def use_references(monkeypatch) -> None:
                         state_preservation_residual_reference)
 
 
+def kraus_coupling(n: int, state_b, seed: int) -> Coupling:
+    """The coupling of a random u.c.p. channel M_n -> M_m (three Kraus
+    operators) onto (M_m, state_b), from the state it pulls state_b back to.
+
+    For a unital T with T^dagger(rho_B) = U diag(s) U*, the channel
+    a -> T(U a U*) carries diag(s) to rho_B.  Its images mix the matrix
+    units and both states are non-degenerate, so nothing in the cross-Gram
+    is symmetric by accident.
+    """
+    m = state_b.dim
+    g = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(g.normal(size=(3 * n, m)) + 1j * g.normal(size=(3 * n, m)))
+    kraus = q.reshape(3, n, m)  # sum_j V_j* V_j = 1_m
+    pulled = sum(v @ state_b.rho @ v.conj().T for v in kraus)
+    s, u = np.linalg.eigh(pulled)
+    state_a = new_faithful_state(s / s.sum())
+    channel = channel_from_kraus([u.conj().T @ v for v in kraus])
+    return coupling_from_channel(channel, state_a, state_b)
+
+
 def preserving_generator(state: FaithfulState, seed: int) -> LindbladGenerator:
     """A generator that preserves a diagonal state: jumps |i><j| at rates
     c_ij p_i with c symmetric (detailed balance), a diagonal Hamiltonian and
@@ -355,7 +383,11 @@ def is_orthogonal_loop(w: Coupling, psi: Coupling, tol: float = DEFAULT_TOL) -> 
 
 def disjointness_probe_loop(sys, tol: float = DEFAULT_TOL) -> DisjointnessReport:
     """disjointness_probe with the closure defect taken product by product and
-    the witness pairings kms_pairing by kms_pairing over the matrix units."""
+    the witness entries kms_pairing by kms_pairing over the matrix units: the
+    pairing of f with beta'(E_ij), or L'(E_ij), through the dual is
+    r_i r_j times entry (i, j) of beta(f), or L(f), r = sqrt(p), so each
+    pairing divided by r_i r_j is an entry of the probe's (S - 1) B^T, or
+    L B^T, and of its B - mu(f) vec(1)^T."""
     basis = fixed_point_space(sys.dynamics, tol)
     dim = len(basis)
     if dim <= 1:
@@ -385,24 +417,26 @@ def disjointness_probe_loop(sys, tol: float = DEFAULT_TOL) -> DisjointnessReport
 
     state = sys.state
     n = state.dim
+    r = state.sqrt_spectrum
     beta_dual = dual(sys.dynamics, state, state, tol)
-    units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+    units = [(i, j, matrix_unit(n, i, j)) for i in range(n) for j in range(n)]
     # one row per basis element f, one column per matrix unit c; the reported
     # numbers are the spectral norms of the two matrices
     defects = np.zeros((dim, n * n), dtype=complex)
     gaps = np.zeros((dim, n * n), dtype=complex)
     for a, f in enumerate(basis):
         mu_f = state.expectation(f)
-        for b, c in enumerate(units):
+        for b, (i, j, c) in enumerate(units):
             img = (beta_dual.superoperator @ vec(c)).reshape((n, n), order="F")
             defects[a, b] = kms_pairing(state, f, img)
             if sys.kind == "channel":
                 defects[a, b] -= kms_pairing(state, f, c)
-            gaps[a, b] = kms_pairing(state, f, c) - mu_f * state.expectation(c)
+            defects[a, b] /= r[i] * r[j]
+            gaps[a, b] = kms_pairing(state, f, c) / (r[i] * r[j]) - mu_f * np.trace(c)
     balance_res = float(np.linalg.svd(defects, compute_uv=False)[0])
     gap = float(np.linalg.svd(gaps, compute_uv=False)[0])
-    balanced = relative_residual(balance_res, frob_norm(beta_dual.superoperator)) <= tol
-    found = balanced and gap > tol
+    balanced = relative_residual(balance_res, sys.dynamics.scale) <= tol
+    found = balanced and relative_residual(gap, 1.0) > tol
     return DisjointnessReport(
         ergodic=False,
         fixed_space_dim=dim,

@@ -160,6 +160,34 @@ class TestThetaSqdb:
         rep = check_theta_sqdb(triple.system_b, ReversingOperation(dim=7))
         assert rep.sqdb and rep.methods_agree
 
+    def test_no_dual_system_and_no_balance_call(self, monkeypatch):
+        """via_balance is read off the direct difference S_Theta' - S: the
+        reports are those of a run that builds no System, no diagonal
+        coupling and calls no is_balanced."""
+        systems = [scenario_systems(k=(l, l), l=(l, l)).system_b for l in (0.3, 0.5)]
+        systems.append(System(state=systems[0].state, dynamics=semigroup(systems[0].dynamics, 1.0)))
+        th = ReversingOperation(dim=7)
+        reports = [check_theta_sqdb(sys, th).to_json() for sys in systems]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("check_theta_sqdb formed a second system")
+
+        for name in ("System", "diagonal_coupling", "is_balanced"):
+            monkeypatch.setattr(balance, name, refused, raising=False)
+        assert [check_theta_sqdb(sys, th).to_json() for sys in systems] == reports
+
+    def test_non_unital_channel_is_not_sqdb(self):
+        """a -> Tr(rho a) c with Tr(rho c) = 1 and c != 1 preserves the
+        state but is not unital, so it is not its own dual, whose state
+        preservation would need it unital."""
+        s = new_faithful_state([0.25, 0.75])
+        c = np.diag([2.0, 2.0 / 3.0]) + 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        ch = channels.QuantumChannel(
+            dim_in=2, dim_out=2, superoperator=np.outer(c.T.reshape(-1), s.rho.T.reshape(-1))
+        )
+        rep = check_theta_sqdb(System(state=s, dynamics=ch), ReversingOperation(dim=2))
+        assert (rep.sqdb, rep.via_balance, rep.methods_agree) == (False, False, True)
+
 
 class TestKmsSymmetry:
     def test_identity(self):
@@ -331,6 +359,22 @@ class TestDisjointnessProbe:
         assert rep.fixed_space_dim == 4
         assert rep.witness_found
 
+    def test_forms_no_dual(self, monkeypatch):
+        """The witness is read off the fixed-point basis: the reports are
+        those of a run in which dual refuses to be called."""
+        triple = scenario_systems(h=(0.1, 0.25, 0.47, 0.0, 0.33, 0.71, 0.9))
+        chan = System(state=triple.system_b.state, dynamics=semigroup(triple.system_b.dynamics, 1.0))
+        systems = [triple.system_a, triple.system_b, chan]
+        reports = [disjointness_probe(sys).to_json() for sys in systems]
+        assert all(r["witness_found"] for r in reports)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("disjointness_probe called dual")
+
+        monkeypatch.setattr(balance, "dual", refused)
+        monkeypatch.setattr(channels, "dual", refused)
+        assert [disjointness_probe(sys).to_json() for sys in systems] == reports
+
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
     g = np.random.default_rng(seed)
@@ -340,10 +384,11 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
 
 class TestWitnessNormsAreBasisFree:
     """nontriviality_gap and balance_residual are spectral norms of matrices
-    with one row per fixed-point basis element, linear in it: recomputed on
-    the basis mixed by a random unitary, they agree to 1e-13 relative to
-    the scale of each (the gap itself; ||beta'||_F, the scale the balance
-    verdict divides by, for the residual, which is rounding noise)."""
+    with one row or column per fixed-point basis element, linear in it:
+    recomputed on the basis mixed by a random unitary, they agree to 1e-13
+    relative to the scale of each (the gap itself; the scale of the
+    dynamics, which the balance verdict divides by, for the residual, which
+    is rounding noise)."""
 
     SYSTEMS = {
         "two-cycle-generator": lambda: scenario_build(
@@ -371,7 +416,7 @@ class TestWitnessNormsAreBasisFree:
         again = disjointness_probe(sys)
         assert again.witness_found == rep.witness_found
         assert abs(again.nontriviality_gap - rep.nontriviality_gap) <= 1e-13 * rep.nontriviality_gap
-        scale = np.linalg.norm(dual(sys.dynamics, sys.state, sys.state).superoperator)
+        scale = sys.dynamics.scale
         assert abs(again.balance_residual - rep.balance_residual) <= 1e-13 * scale
 
 

@@ -15,7 +15,7 @@ import balance_lab.balance as balance
 import balance_lab.cli as cli
 import balance_lab.couplings as couplings
 import balance_lab.lindblad as lindblad
-from balance_lab.channels import constant_channel, identity_channel
+from balance_lab.channels import QuantumChannel, constant_channel, identity_channel
 from balance_lab.cli import dumps_canonical, main
 from balance_lab.couplings import (
     diagonal_coupling,
@@ -445,13 +445,18 @@ class TestBalanceCommands:
         assert rep["verdicts"]["methods_agree"] is True
 
     def test_compose_middle_mismatch(self, workdir, capsys):
-        s2 = new_faithful_state([0.5, 0.5])
-        s3 = new_faithful_state([0.2, 0.3, 0.5])
-        a = write(workdir / "a.json", product_coupling(s2, s2).to_json())
-        b = write(workdir / "b.json", product_coupling(s3, s3).to_json())
-        code, out = run(capsys, "compose", a, b)
-        assert code == 2
-        assert "not composable" in json.loads(out)["error"]
+        cases = [
+            ([0.5, 0.5], [0.2, 0.3, 0.5]),
+            # within 1e-12 entry by entry, a factor 2 apart at p_min
+            ([0.5, 0.5 - 1e-12, 1e-12], [0.5, 0.5 - 2e-12, 2e-12]),
+        ]
+        for i, (left, right) in enumerate(cases):
+            sl, sr = new_faithful_state(left), new_faithful_state(right)
+            a = write(workdir / f"a{i}.json", product_coupling(sl, sl).to_json())
+            b = write(workdir / f"b{i}.json", product_coupling(sr, sr).to_json())
+            code, out = run(capsys, "compose", a, b)
+            assert code == 2
+            assert "not composable" in json.loads(out)["error"]
 
 
 class TestOrthogonalityCommands:
@@ -501,6 +506,20 @@ class TestSqdbErgodicConvergence:
             rep = json.loads(out)
             assert rep["verdicts"]["sqdb"] is expected
             assert rep["verdicts"]["methods_agree"] is True
+
+    def test_sqdb_non_unital_channel(self, workdir, capsys):
+        # a -> Tr(rho a) c with Tr(rho c) = 1 preserves the state but is not
+        # unital, so it is not its own dual: a verdict, not a failure
+        p = [0.25, 0.75]
+        c = np.diag([2.0, 2.0 / 3.0])
+        ch = QuantumChannel(dim_in=2, dim_out=2,
+                            superoperator=np.outer(c.T.reshape(-1), np.diag(p).T.reshape(-1)))
+        d = write(workdir / "channel.json", ch.to_json())
+        f = write(workdir / "state.json", {"dim": 2, "spectrum": p})
+        code, out = run(capsys, "sqdb", "--dynamics", d, "--state", f)
+        assert code == 0
+        assert json.loads(out)["verdicts"] == {"sqdb": False, "via_balance": False,
+                                               "methods_agree": True}
 
     def test_sqdb_theta_unitary_exit_codes(self, workdir, capsys):
         spec = make_spec(k=(0.5, 0.5), l=(0.5, 0.5))

@@ -26,7 +26,6 @@ from balance_lab.balance import (
 from balance_lab.channels import (
     ReversingOperation,
     _kms_flip,
-    channel_from_kraus,
     dual,
     identity_channel,
     kms_dual,
@@ -63,6 +62,7 @@ from conftest import (
     disjointness_probe_loop,
     is_balanced_dense,
     is_orthogonal_loop,
+    kraus_coupling,
     make_spec,
     preserving_generator,
     random_matrix,
@@ -122,26 +122,6 @@ def classical_coupling(sa, sb) -> Coupling:
         else:
             k += 1
     return Coupling(kappa=np.diag(joint.reshape(-1)).astype(complex), state_a=sa, state_b=sb)
-
-
-def kraus_coupling(n: int, state_b, seed: int) -> Coupling:
-    """The coupling of a random u.c.p. channel M_n -> M_m (three Kraus
-    operators) onto (M_m, state_b), from the state it pulls state_b back to.
-
-    For a unital T with T^dagger(rho_B) = U diag(s) U*, the channel
-    a -> T(U a U*) carries diag(s) to rho_B.  Its images mix the matrix
-    units and both states are non-degenerate, so nothing in the cross-Gram
-    is symmetric by accident.
-    """
-    m = state_b.dim
-    g = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(g.normal(size=(3 * n, m)) + 1j * g.normal(size=(3 * n, m)))
-    kraus = q.reshape(3, n, m)  # sum_j V_j* V_j = 1_m
-    pulled = sum(v @ state_b.rho @ v.conj().T for v in kraus)
-    s, u = np.linalg.eigh(pulled)
-    state_a = new_faithful_state(s / s.sum())
-    channel = channel_from_kraus([u.conj().T @ v for v in kraus])
-    return coupling_from_channel(channel, state_a, state_b)
 
 
 def product_mixture(w: Coupling, eps: float) -> Coupling:
@@ -823,8 +803,9 @@ def gather_cases():
     """Triples at n = 12 and 16 whose pairing matrix the cost rule gathers:
     a balanced entangled single cycle (generators, and their channels at
     t = 1), and under the diagonal coupling a two-cycle system against
-    itself, against its dual (the call of check_theta_sqdb) and against
-    the second system of its scenario (unbalanced), and its dual against
+    itself, against its dual (balance with the KMS-dual, of which standard
+    detailed balance is the special case) and against the second system of
+    its scenario (unbalanced), and its dual against
     it (unbalanced; the dual's superoperator, a transposed view, is the
     gathered operand of is_balanced's products); at n = 12 also two
     generators on a state with distinct eigenvalues, so that S_E's row

@@ -56,6 +56,7 @@ from conftest import (
     extract_channel_oracle,
     extraction_is_valid,
     is_orthogonal_loop,
+    kraus_coupling,
     make_spec,
     preserving_generator,
     probe_like_triples,
@@ -248,6 +249,14 @@ class TestKmsFlip:
             assert frob_distance(back.kappa, w.kappa) <= 1e-10
 
 
+def composition_pool():
+    """The scenario couplings of every block layout of standard_grid() and
+    the diagonal coupling, all of one state: 13 couplings that compose in
+    any order."""
+    pool = [scenario_coupling(s) for s in standard_grid()[::6]]
+    return pool + [diagonal_coupling(pool[0].state_a)]
+
+
 class TestCompose:
     def test_diagonal_neutral(self):
         pool = scenario_pool()
@@ -282,17 +291,34 @@ class TestCompose:
             assert lhs == pytest.approx(evaluate(w, a, apply(e_psi_dual, c)), abs=1e-11)
 
     def test_associativity(self):
-        pool = scenario_pool()
-        w, psi, phi = pool[0], pool[1], pool[2]
-        lhs = compose(compose(w, psi), phi)
-        rhs = compose(w, compose(psi, phi))
-        assert frob_distance(lhs.kappa, rhs.kappa) <= 1e-10
+        pool = composition_pool()
+        worst = max(
+            np.abs(compose(compose(w, psi), phi).kappa - compose(w, compose(psi, phi)).kappa).max()
+            for w in pool for psi in pool for phi in pool
+        )
+        assert worst <= 1e-15
+
+    def test_flip_reverses_order(self):
+        """flip(w o psi) = flip(psi) o flip(w): the dual of E_psi o E_w is
+        E_w' o E_psi'."""
+        pool = composition_pool()
+        worst = max(
+            np.abs(flip_coupling(compose(w, psi)).kappa
+                   - compose(flip_coupling(psi), flip_coupling(w)).kappa).max()
+            for w in pool for psi in pool
+        )
+        assert worst <= 1e-15
 
     def test_middle_mismatch(self):
-        s2 = qubit()
-        s3 = new_faithful_state([1 / 3] * 3)
-        with pytest.raises(ValueError, match="not composable"):
-            compose(product_coupling(s2, s2), product_coupling(s3, s3))
+        cases = [
+            (qubit().spectrum, [1 / 3] * 3),
+            # within 1e-12 entry by entry, a factor 2 apart at p_min
+            ([0.5, 0.5 - 1e-12, 1e-12], [0.5, 0.5 - 2e-12, 2e-12]),
+        ]
+        for left, right in cases:
+            sl, sr = new_faithful_state(left), new_faithful_state(right)
+            with pytest.raises(ValueError, match="not composable"):
+                compose(product_coupling(sl, sl), product_coupling(sr, sr))
 
 
 def compose_dense(w, psi):
@@ -364,6 +390,17 @@ class TestGatheredComposition:
         # psi gathers unless it is the product coupling or a multi-cycle
         # scenario coupling (k = 4 on its product blocks): 6 + 1 + 6 + 1
         assert gathered == 14
+
+    @pytest.mark.parametrize("n, m, k", [(2, 3, 4), (4, 3, 2), (5, 5, 5), (3, 6, 2)])
+    def test_kraus_compositions(self, n, m, k):
+        """Couplings of random Kraus channels M_n -> M_m and M_k -> M_m, the
+        second flipped, on a middle state with distinct eigenvalues: rows
+        with many complex nonzeros, and n, m, k all different."""
+        mid = new_faithful_state(random_state_vector(m, seed=m))
+        for seed in range(3):
+            w = kraus_coupling(n, mid, seed=seed)
+            psi = flip_coupling(kraus_coupling(k, mid, seed=seed + 10))
+            self.assert_matches_dense(w, psi)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_full_support_on_blas(self, n):

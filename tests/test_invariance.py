@@ -29,6 +29,7 @@ from balance_lab.channels import ReversingOperation, change_frame, dual, validat
 from balance_lab.couplings import (
     Coupling,
     compose,
+    coupling_from_channel,
     diagonal_coupling,
     extract_channel,
     flip_coupling,
@@ -262,6 +263,22 @@ class TestPminSweep:
         assert wrong == []
         assert disagree == []
 
+    @pytest.mark.parametrize("e", range(2, 13))
+    def test_witness_at_pmin(self, e):
+        """The two-cycle system whose fixed algebra is the two block
+        projections, as a generator and at t = 1: the witness is found at
+        every q, since its gap is read at the scale of the fixed-point basis,
+        where the 3-cycle's projection counts whatever its weight."""
+        q = 10.0**-e
+        spec = make_spec(l=(0.3, 0.6), h=(0.1, 0.25, 0.47, 0.0, 0.33, 0.71, 0.9),
+                         block_probs=(3 * q, 1 - 3 * q))
+        sys = scenario_build(spec).system_b
+        chan = System(state=sys.state, dynamics=semigroup(sys.dynamics, 1.0))
+        for x in (sys, chan):
+            rep = disjointness_probe(x)
+            assert rep.fixed_space_dim == 2
+            assert rep.witness_found == (not rep.ergodic)
+
     @pytest.mark.parametrize("e", [10, 11, 12])
     def test_convergence_vacuity_at_pmin(self, e):
         """The probe's vacuity is the loop's rank rule on the scenario
@@ -316,11 +333,30 @@ def diagonal_phases(n: int, seed: int) -> np.ndarray:
     return np.diag(np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2 * np.pi, n)))
 
 
+def cycle_unitary(spec: ScenarioSpec, seed: int) -> np.ndarray:
+    """A random unitary on each cycle of a scenario, as one block-diagonal
+    matrix: it commutes with the scenario state, which is constant on each
+    cycle."""
+    g = np.random.default_rng(seed)
+    n = sum(spec.cycle_lengths)
+    u = np.zeros((n, n), dtype=complex)
+    start = 0
+    for r in spec.cycle_lengths:
+        q, t = np.linalg.qr(g.normal(size=(r, r)) + 1j * g.normal(size=(r, r)))
+        u[start : start + r, start : start + r] = q * (np.diag(t) / np.abs(np.diag(t)))
+        start += r
+    return u
+
+
 class TestFrameCovariance:
-    """The dual commutes with a change of frame by unitaries that fix the
-    state: dual(change_frame(dyn, v, v)) = change_frame(dual(dyn), v*, v*)
-    for diagonal phases v, on both generators of every grid spec and on their
-    channels at t = 1."""
+    """Verdicts are covariant under a change of frame by unitaries that fix
+    the state.  The dual commutes with it:
+    dual(change_frame(dyn, v, v)) = change_frame(dual(dyn), v*, v*) for
+    diagonal phases v, on both generators of every grid spec and on their
+    channels at t = 1.  And balance survives it: with Ad_u o . o Ad_u*
+    applied to both dynamics and to the extracted channel, for a random
+    unitary u on each cycle, every grid triple keeps its predicted verdict,
+    since E o alpha - beta o E is conjugated as a whole."""
 
     @pytest.mark.parametrize("index", range(len(GRID)))
     def test_dual_of_rotated_dynamics(self, index):
@@ -333,3 +369,19 @@ class TestFrameCovariance:
                 rhs = change_frame(dual(dyn, s, s), v.conj().T, v.conj().T)
                 assert lhs.kind == rhs.kind == dyn.kind
                 assert_relative_close(lhs.superoperator, rhs.superoperator)
+
+    @pytest.mark.parametrize("index", range(len(GRID)))
+    def test_balance_of_rotated_triple(self, index):
+        spec = GRID[index]
+        triple = scenario_build(spec)
+        s = triple.system_a.state
+        u = cycle_unitary(spec, seed=index)
+        assert np.allclose(u @ s.rho, s.rho @ u, rtol=0, atol=1e-15)
+
+        def rotate(dyn):
+            # Ad_u o dyn o Ad_u*
+            return change_frame(dyn, u.conj().T, u.conj().T)
+
+        a, b = (System(state=s, dynamics=rotate(x.dynamics)) for x in (triple.system_a, triple.system_b))
+        w = coupling_from_channel(rotate(extract_channel(triple.coupling)), s, s)
+        assert is_balanced(a, b, w).balanced == scenario_predict(spec)

@@ -1,7 +1,7 @@
 """Every verdict report serializes by one rule: its fields in declaration
 order, leaving out fields declared repr=False.  The JSON strings below were
 written by the hand-made to_json methods that rule replaced, one per report
-type and branch, and must stay byte for byte.  Four values were re-pinned
+type and branch, and must stay byte for byte.  Five values were re-pinned
 since, each with the change that moved it: ucp's choi_min_eig, rounding noise
 that went from -2.45e-16 to -1.15e-18 when the PSD spectrum became
 block-wise; orthogonal's residual, rounding noise that went from 1.14e-16 to
@@ -15,7 +15,12 @@ that same product with S_w weighed for the GNS inner product instead of a
 dense Gram of the two centered families; and balanced's definition_residual,
 rounding noise that went from 7.71e-17 to 2.78e-17 when it became the
 componentwise cut of the intertwining defect S_E S_alpha - S_beta S_E
-instead of P S_alpha - S_beta'^T P with the dual beta' formed."""
+instead of P S_alpha - S_beta'^T P with the dual beta' formed; and the
+witness's nontriviality_gap, which went from sqrt(3)/4 to sqrt(5)/2 (both
+to an ulp) when it became ||B - mu(f) vec(1)^T||_2 on the fixed-point basis
+B, a definition change: the old matrix was this one times the KMS weights
+diag(r_k r_l) on the right, r = sqrt(p), which weighed each matrix unit by
+its state's mass."""
 
 import dataclasses
 import json
@@ -127,7 +132,7 @@ PINNED = {
     ),
     'disjointness_witness': (
         '{"ergodic": false, "fixed_space_dim": 4, "witness_found": true'
-        ', "balance_residual": 0.0, "nontriviality_gap": 0.4330127018922193'
+        ', "balance_residual": 0.0, "nontriviality_gap": 1.1180339887498951'
         ', "message": "identity system on the fixed-point algebra balances the dynamics through the restricted diagonal coupling"}'
     ),
     'convergence_certified': (
