@@ -176,7 +176,8 @@ def kraus_superop(ops, n: int, m: int) -> np.ndarray:
     a -> v* a v has superoperator kron(v^T, conj(v)^T): column i + n j is
     vec(v* E_ij v), whose (k, l) entry is v[i, k]^* v[j, l].  This is the one
     place that states the convention; Ad_u (:func:`ad_superop`) is the case
-    v = u*.
+    v = u*.  ``lindblad.cycle_generator`` writes the same entries by index
+    for its weighted cyclic shifts, which have one nonzero per column.
     """
     return sum((kron(v.T, v.conj().T) for v in ops), np.zeros((m * m, n * n), dtype=complex))
 

@@ -15,7 +15,14 @@ with the normalization R_k* R_k + R_{1-k} R_{1-k}* = 1, giving the generator
 
     K(a) = R_k* a R_k + R_{1-k} a R_{1-k}* - a + i [g, a],
 
-whose dual with respect to the block-constant state swaps k for 1-k.  A
+whose dual with respect to the block-constant state swaps k for 1-k.  Its
+superoperator has 3 n^2 nonzeros of n^4, and :func:`cycle_generator` writes
+them by index from the cycle-successor permutation succ: s_p s_q at
+(p n + q, succ[p] n + succ[q]) for s = sqrt(k), t_p t_q at the transposed
+positions for t = sqrt(1 - k), and -(acc_p + acc_q) / 2 + i (g_q - g_p) on
+the diagonal, acc = s^2 + t^2.  These are the bits that
+:func:`build_generator` forms from the Kronecker products of the jumps
+(R_k, R_{1-k}*), signed zeros included.  A
 scenario pairs two such systems with a block coupling built per partition
 block from one of three kinds: an entangled pure state on the block, the
 matching classical mixture, or the blockwise product state.  Balance of the
@@ -169,40 +176,85 @@ def theta_kms_dual_generator(
     return theta_kms_dual(gen, s, th, tol)
 
 
-def cycle_shift(cycle_lengths, weights) -> np.ndarray:
-    """Block-diagonal weighted cyclic shift, block j = sqrt(w_j) O_{r_j}."""
-    cycle_lengths = [int(r) for r in cycle_lengths]
-    weights = np.asarray(weights, dtype=float)
-    if len(cycle_lengths) != weights.shape[0]:
-        raise ValueError("one weight per cycle required")
-    for r in cycle_lengths:
+def _cycle_successor(cycle_lengths) -> np.ndarray:
+    """The cycle-successor permutation: succ[i] is the index after i on its
+    cycle, so the shift O of each cycle maps e_i to e_succ[i]."""
+    lengths = [int(r) for r in cycle_lengths]
+    for r in lengths:
         if r < 3:
             raise ValueError(f"cycle too short: length {r} < 3")
-    n = sum(cycle_lengths)
+    ends = np.cumsum(lengths, dtype=int)
+    succ = np.arange(1, sum(lengths) + 1)
+    succ[ends - 1] = ends - lengths
+    return succ
+
+
+def _shift(succ: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The weighted shift with roots[i] at (succ[i], i)."""
+    n = succ.size
     out = np.zeros((n, n), dtype=complex)
-    off = 0
-    for r, w in zip(cycle_lengths, weights):
-        for i in range(r):
-            out[off + (i + 1) % r, off + i] = np.sqrt(w)
-        off += r
+    out[succ, np.arange(n)] = roots
     return out
 
 
+def _roots(cycle_lengths, weights) -> np.ndarray:
+    """sqrt(w_j) on each basis index of cycle j."""
+    if len(cycle_lengths) != weights.shape[0]:
+        raise ValueError("one weight per cycle required")
+    return np.sqrt(np.repeat(weights, [int(r) for r in cycle_lengths]))
+
+
+def cycle_shift(cycle_lengths, weights) -> np.ndarray:
+    """Block-diagonal weighted cyclic shift, block j = sqrt(w_j) O_{r_j}."""
+    weights = np.asarray(weights, dtype=float)
+    # a comparison with NaN is false, so ask each weight to be inside
+    if not np.all((weights >= 0.0) & (weights < math.inf)):
+        raise ValueError("shift weights must be finite and non-negative")
+    return _shift(_cycle_successor(cycle_lengths), _roots(cycle_lengths, weights))
+
+
 def cycle_generator(cycle_lengths, weights, ham_diag=None) -> LindbladGenerator:
-    """K(a) = R_k* a R_k + R_{1-k} a R_{1-k}* - a + i[diag(g), a]."""
+    """K(a) = R_k* a R_k + R_{1-k} a R_{1-k}* - a + i[diag(g), a], written by
+    index from the cycle-successor permutation succ.
+
+    Under the column stacking of :func:`kernel.kraus_superop`, with k_p the
+    weight of the cycle of p, s = sqrt(k), t = sqrt(1 - k) and
+    acc = s^2 + t^2 (R_k* R_k + R_{1-k} R_{1-k}*, summed in that order),
+    the superoperator holds
+
+        s_p s_q                             at (p n + q, succ[p] n + succ[q]),
+        t_p t_q                             at (succ[p] n + succ[q], p n + q),
+        -(0.5 (acc_p + acc_q)) + i (g_q - g_p)  at (p n + q, p n + q),
+
+    and +0 everywhere else: the 3 n^2 nonzeros of
+    :func:`build_generator` on the jumps (R_k, R_{1-k}*), to the bit,
+    signed zeros included.  A cycle has length >= 3, so the three patterns
+    never meet."""
     weights = np.asarray(weights, dtype=float)
     # a comparison with NaN is false, so ask each weight to be inside
     if not np.all((weights > 0.0) & (weights < 1.0)):
         raise ValueError("shift weights must lie strictly between 0 and 1")
-    r_k = cycle_shift(cycle_lengths, weights)
-    r_1k = cycle_shift(cycle_lengths, 1.0 - weights)
-    n = r_k.shape[0]
-    ham = None
-    if ham_diag is not None:
-        ham = np.diag(np.asarray(ham_diag, dtype=float)).astype(complex)
-        if ham.shape != (n, n):
+    succ = _cycle_successor(cycle_lengths)
+    s, t = _roots(cycle_lengths, weights), _roots(cycle_lengths, 1.0 - weights)
+    n = succ.size
+    if ham_diag is None:
+        g = np.zeros(n)
+    else:
+        g = np.asarray(ham_diag, dtype=float)
+        if g.shape != (n,):
             raise ValueError("hamiltonian diagonal has wrong length")
-    return build_generator((r_k, r_1k.conj().T), ham)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("hamiltonian diagonal must be finite")
+    acc = s * s + t * t
+    # p n + q for p, q in row-major order, and its image under succ (x) succ
+    here = np.arange(n * n)
+    there = (succ[:, None] * n + succ).ravel()
+    sup = np.zeros((n * n, n * n), dtype=complex)
+    sup[here, there] = np.outer(s, s).ravel()
+    sup[there, here] = np.outer(t, t).ravel()
+    sup[here, here] = (-(0.5 * (acc[:, None] + acc)) + 1j * (g - g[:, None])).ravel()
+    jumps = (_shift(succ, s), _shift(succ, t).conj().T)
+    return LindbladGenerator(dim=n, superoperator=sup, jumps=jumps, hamiltonian=np.diag(g).astype(complex))
 
 
 VALID_BLOCK_TYPES = ("entangled", "mixed", "product")
@@ -419,24 +471,31 @@ def balance_sub_residuals(spec: ScenarioSpec) -> tuple[float, float]:
     n = spec.dim
     kappa = scenario_coupling(spec).kappa
 
-    def sandwich(x: np.ndarray, factor: int) -> np.ndarray:
-        """(x on one tensor factor) kappa (its adjoint) for x with one nonzero
-        per row: every entry of the two n^2 x n^2 matmuls was a sum with one
-        nonzero term, so it is kappa gathered at the nonzeros' columns, times
-        their weights in the matmuls' order."""
-        col = np.argmax(x != 0, axis=1)
-        w = x[np.arange(n), col]
+    def sandwich(col: np.ndarray, w: np.ndarray, factor: int) -> np.ndarray:
+        """(x on one tensor factor) kappa (its adjoint) for the x whose row i
+        holds its one nonzero w[i] at column col[i]: every entry of the two
+        n^2 x n^2 matmuls was a sum with one nonzero term, so it is kappa
+        gathered at the nonzeros' columns, times their weights in the
+        matmuls' order."""
         # index i n + k of C^n (x) C^n: x acts on i (factor 0) or on k (factor 1)
         rows = np.arange(n * n).reshape(n, n).take(col, factor).ravel()
         w = np.repeat(w, n) if factor == 0 else np.tile(w, n)
         return w[:, None] * kappa.take(rows, 0).take(rows, 1) * w.conj()
 
+    # R_w has sqrt(w) at (succ[i], i), so its row i is read at pred[i];
+    # R_w* has the conjugate at (i, succ[i])
+    succ = _cycle_successor(spec.cycle_lengths)
+    pred = np.argsort(succ)
+
+    def root(w) -> np.ndarray:
+        return _roots(spec.cycle_lengths, w).astype(complex)
+
     k, l = np.asarray(spec.k), np.asarray(spec.l)
     jump = (
-        sandwich(cycle_shift(spec.cycle_lengths, k), 0)
-        + sandwich(cycle_shift(spec.cycle_lengths, 1.0 - k).conj().T, 0)
-        - sandwich(cycle_shift(spec.cycle_lengths, 1.0 - l), 1)
-        - sandwich(cycle_shift(spec.cycle_lengths, l).conj().T, 1)
+        sandwich(pred, root(k), 0)
+        + sandwich(succ, root(1.0 - k).conj(), 0)
+        - sandwich(pred, root(1.0 - l), 1)
+        - sandwich(succ, root(l).conj(), 1)
     )
     # diag(g) (x) 1 and 1 (x) diag(h) on kappa's rows and columns
     g = np.repeat(np.asarray(spec.g), n)

@@ -1,7 +1,9 @@
 """The one Kronecker product: ``kernel.kron`` forms the entry products of
 ``np.kron`` by one broadcast, so every superoperator built through it keeps
 the bits of its ``np.kron`` form in conftest (compared by ``tobytes``, signed
-zeros included)."""
+zeros included).  The scenario generators form no Kronecker product at all:
+``lindblad.cycle_generator`` writes its 3 n^2 nonzeros by index, and still
+keeps the bits of the Kronecker form of ``build_generator`` on its jumps."""
 
 import os
 
@@ -13,9 +15,12 @@ from hypothesis import strategies as st
 from balance_lab.channels import ReversingOperation, channel_from_kraus
 from balance_lab.couplings import product_coupling
 from balance_lab.kernel import ad_superop, kron
+from balance_lab import lindblad
 from balance_lab.lindblad import (
     VALID_BLOCK_TYPES,
     build_generator,
+    cycle_generator,
+    cycle_shift,
     scenario_build,
     standard_grid,
 )
@@ -170,6 +175,82 @@ class TestBuildGenerator:
     def test_jumps_only(self, n):
         jumps = [random_matrix(n, seed=30 + n), random_matrix(n, seed=40 + n)]
         assert same_bits(build_generator(jumps).superoperator, build_generator_kron(jumps))
+
+
+def cycle_shift_loop(cycle_lengths, weights) -> np.ndarray:
+    """The weighted cyclic shift written entry by entry."""
+    n = sum(cycle_lengths)
+    out = np.zeros((n, n), dtype=complex)
+    off = 0
+    for r, w in zip(cycle_lengths, weights):
+        for i in range(r):
+            out[off + (i + 1) % r, off + i] = np.sqrt(w)
+        off += r
+    return out
+
+
+# inside (0, 1), with draws within 1e-12 of either end
+SHIFT_WEIGHTS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e-12, exclude_min=True),
+    st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+)
+# mixed signs, with both signed zeros
+HAM_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def cycle_layouts(draw):
+    cycles = draw(st.lists(st.integers(3, 9), min_size=1, max_size=4))
+    weights = draw(st.lists(SHIFT_WEIGHTS, min_size=len(cycles), max_size=len(cycles)))
+    n = sum(cycles)
+    ham = draw(st.none() | st.lists(HAM_ENTRIES, min_size=n, max_size=n))
+    return tuple(cycles), weights, ham
+
+
+class TestCycleGeneratorByIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(cycle_layouts())
+    @example(((3,), [1e-13], [-0.0, 0.0, -0.0]))
+    @example(((9, 9, 9, 9), [0.5, 1.0 - 1e-13, 1e-13, 0.3], None))
+    def test_kron_bits(self, layout):
+        cycles, weights, ham = layout
+        gen = cycle_generator(cycles, weights, ham)
+        w = np.asarray(weights)
+        jumps = (cycle_shift_loop(cycles, w), cycle_shift_loop(cycles, 1.0 - w).conj().T)
+        n = sum(cycles)
+        h = np.zeros((n, n), dtype=complex) if ham is None else np.diag(np.asarray(ham, dtype=float)).astype(complex)
+        assert same_bits(gen.superoperator, build_generator_kron(jumps, h))
+        assert len(gen.jumps) == 2
+        assert all(same_bits(a, b) for a, b in zip(gen.jumps, jumps))
+        assert same_bits(gen.hamiltonian, h)
+        assert gen.scale == build_generator(jumps, h).scale
+        assert same_bits(cycle_shift(cycles, w), jumps[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(3, 9), min_size=1, max_size=4).flatmap(
+        lambda cycles: st.tuples(st.just(cycles), st.lists(
+            st.floats(0.0, 1e6), min_size=len(cycles), max_size=len(cycles)))))
+    def test_cycle_shift_loop(self, layout):
+        cycles, weights = layout
+        assert same_bits(cycle_shift(cycles, weights), cycle_shift_loop(cycles, weights))
+
+    def test_forms_no_kron(self, workloads, monkeypatch):
+        """The scenario triples of the built-in grid and the probe layouts
+        are those of a run in which lindblad's Kronecker product and Kraus
+        superoperator refuse to be called."""
+        specs = standard_grid() + probe_specs(workloads)
+        assert len(specs) == 72 + 4
+        expected = [gen.superoperator for gen in scenario_generators(specs)]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("scenario_build formed a Kronecker product")
+
+        monkeypatch.setattr(lindblad, "kron", refused)
+        monkeypatch.setattr(lindblad, "kraus_superop", refused)
+        got = [gen.superoperator for gen in scenario_generators(specs)]
+        assert len(got) == len(expected)
+        assert all(same_bits(a, b) for a, b in zip(got, expected))
 
 
 class TestChannelFromKraus:

@@ -426,3 +426,13 @@ class TestNonFiniteParameters:
     def test_cycle_generator(self, weights):
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
             cycle_generator((3, 4), weights)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_cycle_generator_hamiltonian(self, entry):
+        with pytest.raises(ValueError, match="^hamiltonian diagonal must be finite$"):
+            cycle_generator((3, 4), (0.3, 0.6), (0.1, 0.2, entry, 0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5), (0.5, -1e-300)])
+    def test_cycle_shift(self, weights):
+        with pytest.raises(ValueError, match="^shift weights must be finite and non-negative$"):
+            cycle_shift((3, 4), weights)

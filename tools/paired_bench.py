@@ -19,7 +19,10 @@ The output has the layout of ``BENCH_22.json``: per workload the seeds, the
 side that ran first in each pair, per side the median and quartiles
 (``statistics.quantiles``, n = 4, exclusive) of each end-to-end metric that
 ``BENCHMARK.json`` names, over all runs, with the runs themselves, and per
-metric the pairs the change won (ties count for neither).  With ``--out``,
+metric the pairs the change won (ties count for neither).  Each metric also
+gets the verdict that :func:`verdict` reads off the runs against its bound
+in ``BENCHMARK.json``, and every run that was not correct or failed an op
+is flagged; both are printed to stderr as well.  With ``--out``,
 an existing file keeps its other workloads, so one file collects several
 invocations; without it the JSON goes to stdout.  Run one invocation at a
 time, with nothing else loading the machine.
@@ -62,8 +65,12 @@ def run_once(root: str, workload: str, seed: int) -> dict:
     }
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else tuple(values * 3)
+
+
 def spread(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, _, q3 = quartiles(values)
     return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
             "q3": round(q3, 4), "values": [round(v, 4) for v in values]}
 
@@ -82,6 +89,57 @@ def side(runs: list[dict], metrics: list[str]) -> dict:
         for r in runs
     ]
     return out
+
+
+def verdict(parent: list[float], change: list[float], wins: int, higher: bool, bound: float) -> str:
+    """The reading of one metric over the pairs, as the benchmark's gate reads it.
+
+    ``gain``: the change won at least 9 of 10 pairs and its median beats the
+    parent's by more than the parent's q3 - q1.  ``unresolved``: the parent's
+    q3 - q1 is wider than ``bound`` (relative to its median) and the two
+    sides' runs interleave, so no bound can be read off them.  ``no_worse``:
+    the change's median is within ``bound`` of the parent's, relative to it.
+    ``worse``: none of these."""
+    q1, median, q3 = quartiles(parent)
+    better_by = statistics.median(change) - median
+    if not higher:
+        better_by = -better_by
+    if 10 * wins >= 9 * len(parent) and better_by > q3 - q1:
+        return "gain"
+    separate = max(change) < min(parent) or min(change) > max(parent)
+    if q3 - q1 > bound * abs(median) and not separate:
+        return "unresolved"
+    if -better_by <= bound * abs(median):
+        return "no_worse"
+    return "worse"
+
+
+def tabulate(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> dict:
+    """Both sides' spreads, the pairs the change won and the verdict of each
+    end-to-end metric (``BENCHMARK.json`` entries: name, better, bound), and
+    a flag for every run that was not correct or failed an op.  ``parent``
+    and ``change`` are run dicts of :func:`run_once`, pair i at index i."""
+    metrics = [m["name"] for m in end_to_end]
+    wins, verdicts = {}, {}
+    for m in end_to_end:
+        name, higher = m["name"], m["better"] == "higher"
+        xs = [r["metrics"][name] for r in parent]
+        ys = [r["metrics"][name] for r in change]
+        wins[name] = sum((y > x) if higher else (y < x) for x, y in zip(xs, ys))
+        verdicts[name] = verdict(xs, ys, wins[name], higher, m["bound"])
+    flags = [
+        f"{label} seed {r['seed']}: correct {r['correct']}, failed {r['failed']}"
+        for label, runs in (("parent", parent), ("change", change))
+        for r in runs
+        if not r["correct"] or r["failed"] > 0
+    ]
+    return {
+        "parent": side(parent, metrics),
+        "change": side(change, metrics),
+        "pair_wins": wins,
+        "verdicts": verdicts,
+        "flags": flags,
+    }
 
 
 def git_head(root: str) -> str:
@@ -103,8 +161,6 @@ def main(argv=None) -> int:
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
-    metrics = [m["name"] for m in end_to_end]
-    higher = {m["name"]: m["better"] == "higher" for m in end_to_end}
 
     roots = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
@@ -121,19 +177,11 @@ def main(argv=None) -> int:
         seeds.append(seed)
         first.append(order[0])
 
-    wins = {}
-    for name in metrics:
-        wins[name] = 0
-        for a, b in zip(runs["parent"], runs["change"]):
-            x, y = a["metrics"][name], b["metrics"][name]
-            wins[name] += (y > x) if higher[name] else (y < x)
-    table = {
-        "seeds": seeds,
-        "first_in_pair": first,
-        "parent": side(runs["parent"], metrics),
-        "change": side(runs["change"], metrics),
-        "pair_wins": wins,
-    }
+    table = {"seeds": seeds, "first_in_pair": first, **tabulate(runs["parent"], runs["change"], end_to_end)}
+    for name, verdict in table["verdicts"].items():
+        print(f"{args.workload} {name}: {verdict}", file=sys.stderr)
+    for flag in table["flags"]:
+        print(f"{args.workload} FLAG {flag}", file=sys.stderr)
 
     doc = {}
     if args.out and os.path.exists(args.out):
@@ -146,7 +194,10 @@ def main(argv=None) -> int:
                      "with one seed, the parent first in even pairs and the change first in "
                      "odd ones; median and quartiles (statistics.quantiles, n=4, exclusive) "
                      "over the runs of each side; pair_wins counts the pairs in which the "
-                     "change's value is better (ties count for neither).")
+                     "change's value is better (ties count for neither); verdicts reads each "
+                     "metric as gain, no_worse, unresolved or worse against its "
+                     "BENCHMARK.json bound (tools/paired_bench.py verdict); flags names every "
+                     "run that was not correct or failed an op.")
     doc["parent_commit"] = git_head(args.parent)
     doc["change_commit"] = git_head(args.change)
     doc["provenance"] = runs["change"][0]["provenance"]
