@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from balance_lab import lindblad
 from balance_lab.channels import ReversingOperation, channel_from_kraus
 from balance_lab.couplings import product_coupling
 from balance_lab.kernel import ad_superop, kron
-from balance_lab import lindblad
 from balance_lab.lindblad import (
     VALID_BLOCK_TYPES,
     build_generator,
@@ -218,14 +218,13 @@ class TestCycleGeneratorByIndex:
         gen = cycle_generator(cycles, weights, ham)
         w = np.asarray(weights)
         jumps = (cycle_shift_loop(cycles, w), cycle_shift_loop(cycles, 1.0 - w).conj().T)
-        n = sum(cycles)
-        h = np.zeros((n, n), dtype=complex) if ham is None else np.diag(np.asarray(ham, dtype=float)).astype(complex)
+        g = np.zeros(sum(cycles)) if ham is None else np.asarray(ham, dtype=float)
+        h = np.diag(g).astype(complex)
         assert same_bits(gen.superoperator, build_generator_kron(jumps, h))
         assert len(gen.jumps) == 2
         assert all(same_bits(a, b) for a, b in zip(gen.jumps, jumps))
         assert same_bits(gen.hamiltonian, h)
         assert gen.scale == build_generator(jumps, h).scale
-        assert same_bits(cycle_shift(cycles, w), jumps[0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(3, 9), min_size=1, max_size=4).flatmap(

@@ -178,8 +178,8 @@ def main(argv=None) -> int:
         first.append(order[0])
 
     table = {"seeds": seeds, "first_in_pair": first, **tabulate(runs["parent"], runs["change"], end_to_end)}
-    for name, verdict in table["verdicts"].items():
-        print(f"{args.workload} {name}: {verdict}", file=sys.stderr)
+    for name, reading in table["verdicts"].items():
+        print(f"{args.workload} {name}: {reading}", file=sys.stderr)
     for flag in table["flags"]:
         print(f"{args.workload} FLAG {flag}", file=sys.stderr)
 
