@@ -12,10 +12,13 @@ Everything here reads kappa through one realignment, the pairing matrix
 an m^2 x n^2 matrix indexed like a superoperator M_n -> M_m (column
 stacking), so that omega(a (x) c) = vec(c)^T P vec(a) (:func:`evaluate`).
 ``Coupling.pairing`` and its inverse ``_from_pairing`` hold the
-realignment.  Four other places index kappa's rows as (row A) m + (row B)
-directly: ``lindblad.scenario_coupling`` writes it block by block,
-``lindblad.balance_sub_residuals`` gathers it at the nonzeros of the jumps,
-:func:`has_scalar_range` weighs its second factor, and
+realignment.  Three other places index kappa's rows as (row A) m + (row B)
+directly: ``lindblad._coupling_entries`` lists a scenario kappa's nonzeros
+as (x, y, x', y', v) at (x n + y, x' n + y'), which
+``lindblad.scenario_coupling`` scatters into kappa and
+``lindblad.balance_sub_residuals`` moves by the shifts on one tensor
+factor, keeping the bits of the dense products;
+:func:`has_scalar_range` weighs its second factor; and
 ``states.gns_vector`` puts sqrt(p_i) at i n + i, the vector whose outer
 product is the diagonal coupling.  In terms of P:
 

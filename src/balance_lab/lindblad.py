@@ -368,26 +368,47 @@ def scenario_state(spec: ScenarioSpec) -> FaithfulState:
     return new_faithful_state(p)
 
 
-def scenario_coupling(spec: ScenarioSpec) -> Coupling:
-    """kappa = sum over blocks of an entangled, mixed or product block state."""
-    s = scenario_state(spec)
-    p, n = s.spectrum, s.dim
-    kappa = np.zeros((n * n, n * n), dtype=complex)
-    # the blocks sit on disjoint index sets, so each entry is written once;
-    # e_q (x) e_r has index q n + r
+def _coupling_entries(spec: ScenarioSpec, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """kappa's nonzeros as (x, y, x2, y2, v), kappa[x n + y, x2 n + y2] = v,
+    for the spectrum p of :func:`scenario_state`, one segment per block
+    with indices q:
+
+        entangled  (q_i, q_i, q_j, q_j), sqrt(p_i) sqrt(p_j),
+        mixed      (q_i, q_i, q_i, q_i), p_i,
+        product    (q_i, q_j, q_i, q_j), d_i d_j,  d = p_q / sqrt(p(q)),
+
+    every pair (i, j) in row-major order.  The blocks sit on disjoint index
+    sets, so no position repeats, and no value is zero unless a product of
+    two weights underflows.  The complex quotient and the sum in index
+    order round as the Kronecker form (diag(p_q) / sqrt(mass)) (x) itself
+    did, so a scatter of the entries into zeros is kappa to the bit."""
+    parts = []
     for indices, btype in zip(spec.block_indices(), spec.block_types):
         q = np.asarray(indices, dtype=int)
+        if btype == "mixed":
+            parts.append((q, q, q, q, p[q]))
+            continue
+        # a = q_i and b = q_j over the pairs (i, j) in row-major order
+        a = q.repeat(q.size)
+        b = a.reshape(q.size, q.size).T.ravel()
         if btype == "entangled":
             r = np.sqrt(p[q])
-            kappa[np.ix_(q * (n + 1), q * (n + 1))] = np.outer(r, r)
-        elif btype == "mixed":
-            kappa[q * (n + 1), q * (n + 1)] = p[q]
+            parts.append((a, a, b, b, np.outer(r, r).ravel()))
         else:
-            # the complex quotient and the sum in index order round as the
-            # Kronecker form (diag(p_q) / sqrt(mass)) (x) itself did
             d = p[q].astype(complex) / np.sqrt(sum(p[i] for i in indices))
-            qr = (q[:, None] * n + q[None, :]).ravel()
-            kappa[qr, qr] = np.outer(d, d).ravel()
+            parts.append((a, b, a, b, np.outer(d, d).ravel()))
+    x, y, x2, y2, v = (np.concatenate(c) for c in zip(*parts))
+    return x, y, x2, y2, v.astype(complex, copy=False)
+
+
+def scenario_coupling(spec: ScenarioSpec) -> Coupling:
+    """kappa = sum over blocks of an entangled, mixed or product block state,
+    scattered from its nonzeros (:func:`_coupling_entries`)."""
+    s = scenario_state(spec)
+    n = s.dim
+    x, y, x2, y2, v = _coupling_entries(spec, s.spectrum)
+    kappa = np.zeros((n * n, n * n), dtype=complex)
+    kappa[x * n + y, x2 * n + y2] = v
     return Coupling(kappa=kappa, state_a=s, state_b=s)
 
 
@@ -467,23 +488,30 @@ def standard_grid() -> list[ScenarioSpec]:
 
 def balance_sub_residuals(spec: ScenarioSpec) -> tuple[float, float]:
     """Split the generator-level balance defect of a real kappa into the
-    shift part and the Hamiltonian-commutator part; both vanish iff balanced."""
+    shift part and the Hamiltonian-commutator part; both vanish iff balanced.
+
+    The shift part is ||J||_F for
+
+        J = A1 kappa A1* + A2* kappa A2 - B1 kappa B1* - B2* kappa B2,
+
+    A1 = R_k (x) 1, A2 = R_{1-k} (x) 1, B1 = 1 (x) R_{1-l}, B2 = 1 (x) R_l,
+    and the commutator part is ||[g (x) 1 - 1 (x) h, kappa]||_F.  Both are
+    read off kappa's nonzeros (x, y, x2, y2, v) of :func:`_coupling_entries`,
+    with no dense kappa.  R_w has sqrt(w) at (succ[i], i), so each sandwich
+    is kappa's nonzeros moved by succ or its inverse pred on one tensor
+    factor: A1 moves (x, y) to (succ x, y) with value
+    rk[succ x] v conj(rk[succ x2]), rk = sqrt(k) per basis index, A2* moves
+    it to (pred x, y), and B1 and B2* do the same on y.  The commutator sits
+    at kappa's own nonzeros, (g_x v - v g_x2) - (h_y v - v h_y2).
+
+    Each part is summed into a zero n^2 x n^2 array, the four sandwiches in
+    the order of J.  Every term is zero off the positions written, so the
+    array holds the values of the dense products (up to the sign of a zero),
+    and ``frob_norm`` sums their squares in the same memory order: the two
+    numbers keep the bits of the Kronecker form,
+    ``conftest.balance_sub_residuals_kron`` in the tests."""
     n = spec.dim
-    kappa = scenario_coupling(spec).kappa
-
-    def sandwich(col: np.ndarray, w: np.ndarray, factor: int) -> np.ndarray:
-        """(x on one tensor factor) kappa (its adjoint) for the x whose row i
-        holds its one nonzero w[i] at column col[i]: every entry of the two
-        n^2 x n^2 matmuls was a sum with one nonzero term, so it is kappa
-        gathered at the nonzeros' columns, times their weights in the
-        matmuls' order."""
-        # index i n + k of C^n (x) C^n: x acts on i (factor 0) or on k (factor 1)
-        rows = np.arange(n * n).reshape(n, n).take(col, factor).ravel()
-        w = np.repeat(w, n) if factor == 0 else np.tile(w, n)
-        return w[:, None] * kappa.take(rows, 0).take(rows, 1) * w.conj()
-
-    # R_w has sqrt(w) at (succ[i], i), so its row i is read at pred[i];
-    # R_w* has the conjugate at (i, succ[i])
+    x, y, x2, y2, v = _coupling_entries(spec, scenario_state(spec).spectrum)
     succ = _cycle_successor(spec.cycle_lengths)
     pred = np.argsort(succ)
 
@@ -491,16 +519,23 @@ def balance_sub_residuals(spec: ScenarioSpec) -> tuple[float, float]:
         return _roots(spec.cycle_lengths, w).astype(complex)
 
     k, l = np.asarray(spec.k), np.asarray(spec.l)
-    jump = (
-        sandwich(pred, root(k), 0)
-        + sandwich(succ, root(1.0 - k).conj(), 0)
-        - sandwich(pred, root(1.0 - l), 1)
-        - sandwich(succ, root(l).conj(), 1)
+    # (move, weights, tensor factor): the moved index i weighs w[i] on the
+    # left and conj(w[i]) on the right
+    terms = (
+        (succ, root(k), 0),
+        (pred, root(1.0 - k).conj(), 0),
+        (succ, root(1.0 - l), 1),
+        (pred, root(l).conj(), 1),
     )
-    # diag(g) (x) 1 and 1 (x) diag(h) on kappa's rows and columns
-    g = np.repeat(np.asarray(spec.g), n)
-    h = np.tile(np.asarray(spec.h), n)
-    comm = (g[:, None] * kappa - kappa * g) - (h[:, None] * kappa - kappa * h)
-    # the norm sums in memory order: both arrays are row-major, as the
-    # n^2 x n^2 matmuls were
+    jump = np.zeros((n * n, n * n), dtype=complex)
+    for move, w, factor in terms:
+        if factor == 0:
+            i, i2 = move[x], move[x2]
+            jump[i * n + y, i2 * n + y2] += w[i] * v * w[i2].conj()
+        else:
+            i, i2 = move[y], move[y2]
+            jump[x * n + i, x2 * n + i2] -= w[i] * v * w[i2].conj()
+    g, h = np.asarray(spec.g), np.asarray(spec.h)
+    comm = np.zeros((n * n, n * n), dtype=complex)
+    comm[x * n + y, x2 * n + y2] = (g[x] * v - v * g[x2]) - (h[y] * v - v * h[y2])
     return frob_norm(jump), frob_norm(comm)

@@ -245,9 +245,10 @@ class TestPsdBoundary:
 
 class TestPminSweep:
     # block_probs (3q, 1 - 3q) put p_min = q on the 3-cycle.  The verdicts hold
-    # at every q, and so does method agreement: the definition residual goes
-    # through a dual that divides by the KMS weights sqrt(p), and is judged
-    # componentwise against the same weights.
+    # at every q, and so does method agreement: the definition residual is
+    # the componentwise cut of the one defect D = S_E S_alpha - S_beta S_E,
+    # in which the KMS weights sqrt(p) cancel entry by entry, so no dual
+    # divides by them.
     @pytest.mark.parametrize("e", range(2, 13))
     def test_verdicts_at_pmin(self, e):
         q = 10.0**-e

@@ -1,6 +1,7 @@
 """Generators, cyclic shifts, duals with jump form, the scenario family."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from balance_lab import kernel
 from balance_lab.kernel import _invariant_blocks, frob_distance, matrix_unit, vec
 from balance_lab.lindblad import (
     VALID_BLOCK_TYPES,
+    _coupling_entries,
     balance_sub_residuals,
     build_generator,
     cycle_generator,
@@ -346,18 +348,41 @@ class TestSubResiduals:
         assert jump <= 1e-12 and comm > 1e-6
 
 
-def random_block_spec(seed, cycles, partition, types):
-    """Random weights, shift weights and Hamiltonians on a fixed layout; l and
-    h agree with k and g at about half the entries, so both verdicts occur."""
+# layouts whose first coupling block spans several cycles
+MULTI_CYCLE_LAYOUTS = (
+    ((3, 4, 5), ((0, 2), (1,))),
+    ((4, 3, 5, 4), ((1, 3), (0, 2))),
+    ((6, 6, 6, 6), ((0, 1, 2), (3,))),
+)
+
+
+def random_layout_spec(seed, cycles, partition=None, types=None):
+    """A seeded spec on a layout, one block per cycle unless ``partition`` is
+    given, of random types unless ``types`` is.  Each block is drawn to meet
+    both balance conditions (l = k on its cycles, g - h constant on its
+    indices), to break only the shift weights, or to break only the
+    Hamiltonian, at odds 3 : 1 : 1; so balanced and unbalanced specs both
+    occur, and so do Hamiltonian breaks on a mixed or product block, which
+    leave it balanced."""
     g = np.random.default_rng(seed)
     nc, n = len(cycles), sum(cycles)
+    partition = tuple((c,) for c in range(nc)) if partition is None else partition
+    if types is None:
+        types = tuple(g.choice(VALID_BLOCK_TYPES, len(partition)))
     bp = g.random(nc) + 0.1
-    k = g.uniform(0.05, 0.95, nc)
-    l = np.where(g.random(nc) < 0.5, k, g.uniform(0.05, 0.95, nc))
-    gh = g.normal(size=n)
-    h = np.where(g.random(n) < 0.5, gh, g.normal(size=n))
+    k, l = g.uniform(0.05, 0.95, nc), g.uniform(0.05, 0.95, nc)
+    gh, h = g.normal(size=n), g.normal(size=n)
+    ends = np.cumsum(cycles)
+    for blk in partition:
+        cyc = list(blk)
+        idx = [q for c in blk for q in range(ends[c] - cycles[c], ends[c])]
+        kind = g.choice(("both", "both", "both", "shift", "hamiltonian"))
+        if kind != "shift":
+            l[cyc] = k[cyc]
+        if kind != "hamiltonian":
+            h[idx] = gh[idx] + g.normal()
     return make_spec(
-        cycles=cycles,
+        cycles=tuple(cycles),
         block_probs=tuple(bp / bp.sum()),
         partition=partition,
         types=types,
@@ -368,18 +393,52 @@ def random_block_spec(seed, cycles, partition, types):
     )
 
 
-# layouts whose first coupling block spans several cycles
-MULTI_CYCLE_LAYOUTS = (
-    ((3, 4, 5), ((0, 2), (1,))),
-    ((4, 3, 5, 4), ((1, 3), (0, 2))),
-    ((6, 6, 6, 6), ((0, 1, 2), (3,))),
-)
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    return workloads
+
+
+def layout_specs(workloads):
+    """Four seeded specs on each layout of the grid workload's GRID_CYCLES,
+    and a balanced and an unbalanced one on an 18-cycle and on a 24-cycle,
+    drawn as the grid workload draws them."""
+    specs = [
+        random_layout_spec(100 * n + seed, cycles)
+        for n, cycles in workloads.GRID_CYCLES.items()
+        for seed in range(4)
+    ]
+    g = np.random.default_rng(31)
+    for cycles in ((18,), (24,)):
+        specs += [workloads._balanced_spec(g, cycles, ("entangled",)),
+                  workloads._unbalanced_spec(g, cycles, ("entangled",))]
+    return specs
+
+
+def multi_cycle_specs(layout: int, btype: str):
+    """Two seeded specs on a MULTI_CYCLE_LAYOUTS layout, its first block of
+    type ``btype`` and its second of each other type."""
+    cycles, partition = MULTI_CYCLE_LAYOUTS[layout]
+    others = [t for t in VALID_BLOCK_TYPES if t != btype]
+    return [random_layout_spec(10 * layout + seed, cycles, partition, (btype, other))
+            for seed, other in enumerate(others)]
+
+
+def all_multi_cycle_specs():
+    return [spec for layout in range(len(MULTI_CYCLE_LAYOUTS)) for btype in VALID_BLOCK_TYPES
+            for spec in multi_cycle_specs(layout, btype)]
 
 
 class TestScenarioByIndex:
-    """scenario_coupling writes kappa by index and balance_sub_residuals acts
-    on one tensor factor at a time; both keep the bits of the Kronecker forms
-    in conftest, signed zeros included."""
+    """scenario_coupling scatters kappa's nonzeros (_coupling_entries) and
+    balance_sub_residuals moves them by the shifts on one tensor factor;
+    both keep the bits of the Kronecker forms in conftest, signed zeros
+    included."""
 
     @staticmethod
     def assert_same_bits(spec):
@@ -393,11 +452,38 @@ class TestScenarioByIndex:
     @pytest.mark.parametrize("layout", range(len(MULTI_CYCLE_LAYOUTS)))
     @pytest.mark.parametrize("btype", VALID_BLOCK_TYPES)
     def test_multi_cycle_blocks(self, layout, btype):
-        cycles, partition = MULTI_CYCLE_LAYOUTS[layout]
-        others = [t for t in VALID_BLOCK_TYPES if t != btype]
-        for seed, other in enumerate(others):
-            spec = random_block_spec(10 * layout + seed, cycles, partition, (btype, other))
+        for spec in multi_cycle_specs(layout, btype):
             self.assert_same_bits(spec)
+
+    def test_random_layouts(self, workloads):
+        for spec in layout_specs(workloads):
+            self.assert_same_bits(spec)
+
+    def test_entries_are_the_nonzeros(self, workloads):
+        """No position repeats and no value is zero, and their scatter is the
+        Kronecker kappa: so the entries are exactly kappa's nonzeros, and a
+        reader of them misses no entry."""
+        for spec in standard_grid() + layout_specs(workloads) + all_multi_cycle_specs():
+            n = spec.dim
+            x, y, x2, y2, v = _coupling_entries(spec, scenario_state(spec).spectrum)
+            rows, cols = x * n + y, x2 * n + y2
+            assert np.unique(rows * n * n + cols).size == v.size
+            assert np.all(v != 0)
+            kappa = np.zeros((n * n, n * n), dtype=complex)
+            kappa[rows, cols] = v
+            expected = scenario_coupling_kron(spec)
+            assert kappa.tobytes() == expected.tobytes()
+            assert np.count_nonzero(expected) == v.size
+
+    def test_residuals_vanish_iff_predicted(self, workloads):
+        """The arithmetic oracle: both sub-residuals are at most 1e-9 exactly
+        when scenario_predict calls the spec balanced."""
+        verdicts = []
+        for spec in standard_grid() + layout_specs(workloads) + all_multi_cycle_specs():
+            predicted = scenario_predict(spec)
+            assert (max(balance_sub_residuals(spec)) <= 1e-9) == predicted, spec
+            verdicts.append(predicted)
+        assert set(verdicts) == {True, False}
 
 
 class TestStandardGrid:

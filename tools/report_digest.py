@@ -15,7 +15,10 @@ composition lies near the orthogonality cut.  Last it runs
 ``check-orthogonal`` on a grid coupling that keeps pairs across two blocks
 of unequal weight, composed with itself: no benchmark composition weighs
 its middle state unevenly on a kept pair, where the cross-Gram norm differs
-from the residual.  Run from the root of a checkout:
+from the residual.  Then it runs ``scenario run`` on one spec per layout
+of ``MULTI_CYCLE_LAYOUTS``, whose first coupling block spans several
+cycles: the grid round reaches such blocks only at n = 7.  Run from the
+root of a checkout:
 
     python tools/report_digest.py
 
@@ -56,6 +59,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 PROBES_SEEDS, GRID_SEEDS, CLI_SEEDS = (1, 2), (1,), (1, 2, 3)
 THETA_SEED = 21
+MULTI_CYCLE_SEED = 22
+# (cycles, partition), as in tests/test_lindblad.py: n = 12, 16 and 24
+MULTI_CYCLE_LAYOUTS = (
+    ((3, 4, 5), ((0, 2), (1,))),
+    ((4, 3, 5, 4), ((1, 3), (0, 2))),
+    ((6, 6, 6, 6), ((0, 1, 2), (3,))),
+)
 WORK = "<work>"
 
 
@@ -185,10 +195,36 @@ def nontracial_commands(workloads, workdir: str) -> list:
     return [("check-orthogonal-nontracial", ["check-orthogonal", path, path], None)]
 
 
+def multi_cycle_commands(workloads, workdir: str) -> list:
+    """``scenario run`` on one spec per layout of ``MULTI_CYCLE_LAYOUTS``,
+    whose files are written to ``workdir``.  Layout i has first block type
+    ``VALID_BLOCK_TYPES[i]`` and second ``VALID_BLOCK_TYPES[i + 1]``; its
+    parameters are ``workloads._balanced_spec``'s, drawn from
+    ``MULTI_CYCLE_SEED`` with each cycle typed as its block, so an
+    entangled block over several cycles has g - h constant per cycle
+    only."""
+    lindblad = workloads.bl.lindblad
+    types = lindblad.VALID_BLOCK_TYPES
+    rng = np.random.default_rng(MULTI_CYCLE_SEED)
+    commands = []
+    for i, (cycles, partition) in enumerate(MULTI_CYCLE_LAYOUTS):
+        block_types = (types[i], types[(i + 1) % len(types)])
+        per_cycle = [block_types[b] for c in range(len(cycles))
+                     for b, blk in enumerate(partition) if c in blk]
+        spec = dataclasses.replace(workloads._balanced_spec(rng, cycles, per_cycle),
+                                   partition=partition, block_types=block_types)
+        path = os.path.join(workdir, f"multi{sum(cycles)}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec.to_json(), fh)
+        commands.append(("scenario-run-multi", ["scenario", "run", path], None))
+    return commands
+
+
 def cli_digests(workloads, seed: int) -> dict[str, str]:
     """One digest per command of ``cli_commands`` at ``seed``, and of
     :func:`theta_commands`, :func:`product_commands`,
-    :func:`skewed_commands` and :func:`nontracial_commands` after them: its exit
+    :func:`skewed_commands`, :func:`nontracial_commands` and
+    :func:`multi_cycle_commands` after them: its exit
     code, stdout, stderr and the files it wrote or changed, the work
     directory masked in all of them."""
     cli = workloads.bl.cli
@@ -197,6 +233,7 @@ def cli_digests(workloads, seed: int) -> dict[str, str]:
         commands, _ = workloads.cli_commands(np.random.default_rng(seed), workdir)
         commands += theta_commands(workloads, workdir) + product_commands(workloads, workdir)
         commands += skewed_commands(workloads, workdir) + nontracial_commands(workloads, workdir)
+        commands += multi_cycle_commands(workloads, workdir)
         mask = lambda b: b.replace(workdir.encode(), WORK.encode())  # noqa: E731
         for i, (name, argv, _) in enumerate(commands):
             before = _files(workdir)
