@@ -535,25 +535,6 @@ def close(a, b, tol: float = DEFAULT_TOL) -> bool:
     return relative_residual(*_distance_and_scale(a, b)) <= tol
 
 
-def _frob_norms(x: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of every matrix (the last two axes) of a real or
-    complex stack, as the square root of its sum of squares by ``einsum``,
-    over the real part and, for a complex stack, the imaginary part.  On
-    the transposed stacks of ``ReversingOperation.validate`` that takes
-    0.078 against 0.16 ms for ``np.linalg.norm(x, axis=(-2, -1))`` (real,
-    n = 16), 1.1 against 4.5 ms (real, n = 32) and 11 against 18 ms (complex,
-    n = 32); one einsum over the real view of a complex stack (an axis of
-    length 2 last) took 20 ms there."""
-    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    return np.sqrt(sum(np.einsum("...ij,...ij->...", p, p) for p in parts))
-
-
-def _close_each(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """:func:`close` on every matrix (the last two axes) of two broadcast stacks."""
-    scale = np.maximum(_frob_norms(a), _frob_norms(b))
-    return _max_relative_residual(_frob_norms(a - b), scale) <= tol
-
-
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
     return m.shape[0] == m.shape[1] and close(m, m.conj().T, tol)

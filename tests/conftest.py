@@ -35,7 +35,6 @@ from balance_lab.channels import (
     constant_channel,
     dual,
     fixed_point_space,
-    transpose_superop,
     validate_ucp,
 )
 from balance_lab.couplings import (
@@ -50,6 +49,7 @@ from balance_lab.kernel import (
     DEFAULT_TOL,
     _components,
     _max_relative_residual,
+    ad_superop,
     close,
     eigenvalues,
     frob_distance,
@@ -685,10 +685,26 @@ def assert_relative_close(got: np.ndarray, expected: np.ndarray, rtol: float = 1
     assert frob_distance(got, expected) <= rtol * frob_norm(expected)
 
 
+def transpose_superop(n: int) -> np.ndarray:
+    """Superoperator of X -> X^T (the commutation matrix)."""
+    return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.reshape(-1)]
+
+
+def theta_superop(th) -> np.ndarray:
+    """Superoperator of the reversing operation a -> u a^T u*, Ad_u o j:
+    column i + n*j is column j + n*i of Ad_u (the commutation matrix for
+    plain transposition)."""
+    n = th.dim
+    if th.unitary is None:
+        return transpose_superop(n)
+    return ad_superop(th.unitary).reshape(n * n, n, n).transpose(0, 2, 1).reshape(n * n, -1)
+
+
 def theta_conjugate_oracle(th, superoperator: np.ndarray) -> np.ndarray:
     """Theta o S o Theta as the dense product with the superoperator of Theta:
     the reference for the frame form Ad_u o (j o S o j) o Ad_conj(u)."""
-    return th.superoperator @ superoperator @ th.superoperator
+    t = theta_superop(th)
+    return t @ superoperator @ t
 
 
 def theta_kms_dual_oracle(dyn, s: FaithfulState, th) -> np.ndarray:
@@ -698,8 +714,18 @@ def theta_kms_dual_oracle(dyn, s: FaithfulState, th) -> np.ndarray:
     return theta_conjugate_oracle(th, t @ dual(dyn, s, s).superoperator @ t)
 
 
+def swapped(th, unitary):
+    """th with its unitary replaced after construction, bypassing the check
+    of the constructor."""
+    object.__setattr__(th, "unitary", np.asarray(unitary, dtype=complex))
+    return th
+
+
 def reversing_validate_loop(th, tol: float = DEFAULT_TOL) -> bool:
-    """ReversingOperation.validate by n^5 calls to th.apply on matrix units."""
+    """The identities of a reversing operation (involutive,
+    antimultiplicative, *-preserving) by n^5 calls to th.apply on matrix
+    units: the reference of ReversingOperation.validate, which judges the
+    unitary instead."""
     n = th.dim
     for i in range(n):
         for j in range(n):

@@ -1,6 +1,7 @@
 """Channels: application, u.c.p. validation, the three duals, fixed points."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from balance_lab.channels import (
     identity_channel,
     kms_dual,
     theta_kms_dual,
-    transpose_superop,
     validate_ucp,
 )
 import balance_lab.balance as balance
@@ -48,9 +48,12 @@ from conftest import (
     probe_like_triples,
     random_matrix,
     random_state_vector,
+    reversing_validate_loop,
     state_preservation_residual_reference,
+    swapped,
     theta_conjugate_oracle,
     theta_kms_dual_oracle,
+    transpose_superop,
 )
 
 
@@ -250,35 +253,67 @@ class TestReversingOperation:
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_validate_rejects_mutated_superoperators(self, n):
-        """validate reads the cached superoperator: each mutant fails the
-        one property it lacks, and the unmutated operations pass."""
-        # the identity map is involutive and *-preserving, but multiplicative
-        th = ReversingOperation(dim=n)
-        assert th.validate()
-        th.__dict__["superoperator"] = np.eye(n * n)
-        assert not th.validate()
-        # Ad_u o transpose with u conj(u) != 1 is antimultiplicative and
+        """validate judges the unitary: each mutant that a unitary can
+        express, set after construction, fails, and the unmutated operations
+        pass.  (Ad_u o j is antimultiplicative for every unitary u, so no
+        reversing operation holds a multiplicative map such as the
+        identity.)"""
+        assert ReversingOperation(dim=n).validate()
+        # Ad_u o transpose with u conj(u) != +-1 is antimultiplicative and
         # *-preserving, but not involutive
         u = np.eye(n, dtype=complex)
         u[:2, :2] = [[0.0, 1.0], [1j, 0.0]]
         assert not np.allclose(u @ u.conj(), np.eye(n))
         th = phase_theta(n)
         assert th.validate()
-        th.__dict__["superoperator"] = ad_superop(u) @ transpose_superop(n)
-        assert not th.validate()
-        # a -> D a^T D^-1 with D = diag(2, ..., 1/2) is involutive and
-        # antimultiplicative, but not *-preserving: Theta(a*) = D conj(a) D^-1
-        # while Theta(a)* = D^-1 conj(a) D
-        d = np.diag(np.geomspace(2.0, 0.5, n))
-        s = np.kron(np.linalg.inv(d), d) @ transpose_superop(n)
-        theta = lambda a: (s @ vec(a)).reshape(n, n, order="F")  # noqa: E731
+        assert not swapped(th, u).validate()
+        # a -> D a^T D with D = diag(2, ..., 1/2), not unitary, is
+        # *-preserving, but neither antimultiplicative nor involutive
+        th = swapped(ReversingOperation(dim=n), np.diag(np.geomspace(2.0, 0.5, n)))
         x, y = random_matrix(n, seed=1), random_matrix(n, seed=2)
-        assert_allclose(theta(theta(x)), x, atol=1e-12)
-        assert_allclose(theta(x @ y), theta(y) @ theta(x), atol=1e-12)
-        assert not np.allclose(theta(x.conj().T), theta(x).conj().T)
-        th = ReversingOperation(dim=n)
-        th.__dict__["superoperator"] = s
+        assert_allclose(th.apply(x.conj().T), th.apply(x).conj().T, atol=1e-12)
+        assert not np.allclose(th.apply(x @ y), th.apply(y) @ th.apply(x))
+        assert not np.allclose(th.apply(th.apply(x)), x)
         assert not th.validate()
+        assert not reversing_validate_loop(th)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_unitary(self, bad):
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(ValueError, match="square to the identity"):
+            ReversingOperation(dim=3, unitary=u)
+
+    @pytest.mark.parametrize("u", [
+        np.kron(np.eye(2), [[0.0, -1j], [1j, 0.0]]),
+        np.diag(np.exp(1j * np.array([0.4, -1.1, 2.5, 0.2]))),
+    ], ids=["sigma-y-sum", "phases-4"])
+    def test_global_phase_keeps_theta_kms_dual(self, u):
+        """Ad_(e^(i phi) u) = Ad_u: a global phase of the unitary leaves the
+        Theta-KMS-dual as it is, to rounding."""
+        s = new_faithful_state([0.3, 0.3, 0.2, 0.2])
+        gen = preserving_generator(s, seed=4)
+        ch = semigroup(gen, 0.7)
+        th = ReversingOperation(dim=4, unitary=u)
+        for phi in (0.7, -2.1, np.pi):
+            turned = ReversingOperation(dim=4, unitary=np.exp(1j * phi) * u)
+            for got, want in (
+                (theta_kms_dual_generator(gen, s, turned), theta_kms_dual_generator(gen, s, th)),
+                (theta_kms_dual(ch, s, turned), theta_kms_dual(ch, s, th)),
+            ):
+                assert frob_distance(got.superoperator, want.superoperator) <= 1e-12
+
+    def test_construction_allocates_no_superoperator(self):
+        """Building a Theta with a phase unitary at n = 48 stays under 1 MB
+        of allocation: its n^2 x n^2 superoperator alone would be 85 MB."""
+        u = np.diag(np.exp(1j * np.linspace(-3.0, 3.0, 48)))
+        tracemalloc.start()
+        try:
+            ReversingOperation(dim=48, unitary=u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestThetaKmsDual:

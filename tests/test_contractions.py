@@ -1,11 +1,12 @@
 """The probes as superoperator contractions against their matrix-unit loops.
 
-is_orthogonal, disjointness_probe, convergence_probe and
-ReversingOperation.validate read the images of the matrix units from the
-superoperators they already hold, and the definition of balance is read from
-the pairing matrix of the coupling.  The loops and four-index contractions
-they replaced are kept in conftest as references; verdicts must be equal and
-residuals equal to rounding.
+is_orthogonal, disjointness_probe and convergence_probe read the images of
+the matrix units from the superoperators they already hold, and the
+definition of balance is read from the pairing matrix of the coupling.  The
+loops and four-index contractions they replaced are kept in conftest as
+references; verdicts must be equal and residuals equal to rounding.
+ReversingOperation.validate judges its unitary, against the loop over matrix
+units of the identities that the unitary stands for.
 """
 
 import dataclasses
@@ -72,6 +73,7 @@ from conftest import (
     rng,
     spanning_density_matrices_loop,
     spectral_certificate_loop,
+    swapped,
 )
 
 RTOL, ATOL = 1e-12, 1e-15
@@ -382,13 +384,6 @@ class TestConvergenceProbe:
         assert json.dumps(convergence_probe(*args).to_json()) == want
 
 
-def swapped(th: ReversingOperation, unitary) -> ReversingOperation:
-    """th with its unitary replaced after construction, bypassing the checks
-    of the constructor (before the superoperator is first read)."""
-    object.__setattr__(th, "unitary", np.asarray(unitary, dtype=complex))
-    return th
-
-
 def reversing_cases():
     return {
         "transpose-3": (ReversingOperation(dim=3), True),
@@ -428,23 +423,6 @@ class TestReversingValidate:
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 
-class SuperoperatorTheta(ReversingOperation):
-    """A reversing operation whose apply reads the superoperator, so that
-    the loop reference (which calls apply) and validate judge the same map
-    after the cached superoperator is replaced."""
-
-    def apply(self, a):
-        return kernel.unvec(self.superoperator @ vec(a), self.dim)
-
-
-def perturbed_transposition(n: int, row: int, col: int, eps: float) -> SuperoperatorTheta:
-    th = SuperoperatorTheta(dim=n)
-    s = kernel.as_matrix(th.superoperator)
-    s[row, col] += eps
-    th.__dict__["superoperator"] = s
-    return th
-
-
 def symmetric_unitary(n: int, seed: int) -> np.ndarray:
     """q q^T for a random unitary q: u conj(u) = 1, and no phase pattern."""
     q, _ = np.linalg.qr(random_matrix(n, seed=seed))
@@ -469,17 +447,29 @@ def judge_case(name: str) -> tuple[ReversingOperation, bool]:
 
 
 def perturbation_sites(n: int, count: int = 6):
-    """Every entry of the superoperator for n <= 3, else ``count`` seeded
+    """Every entry of an n x n unitary for n <= 3, else ``count`` seeded
     random (row, column) pairs."""
     if n <= 3:
-        return list(itertools.product(range(n * n), repeat=2))
-    return [tuple(map(int, rc)) for rc in rng(n).integers(n * n, size=(count, 2))]
+        return list(itertools.product(range(n), repeat=2))
+    return [tuple(map(int, rc)) for rc in rng(n).integers(n, size=(count, 2))]
+
+
+def perturbed_unitaries(n: int, eps: float, count: int):
+    """(site, operation) for one entry of u moved by eps, at each site of
+    :func:`perturbation_sites`, for plain transposition (u = 1) and for
+    diagonal phases, set after construction."""
+    phases = np.exp(1j * rng(n + 100).uniform(0.0, 2 * np.pi, n))
+    for u in (np.eye(n, dtype=complex), np.diag(phases)):
+        for row, col in perturbation_sites(n, count):
+            v = u.copy()
+            v[row, col] += eps
+            yield (row, col), swapped(ReversingOperation(dim=n), v)
 
 
 class TestGeneratorJudge:
-    """validate judges the identities on the clock and shift matrices only;
-    the loop reference judges them on every pair of matrix units.  The two
-    verdicts must agree."""
+    """validate judges the unitary, u* u = 1 and u conj(u) = +-1 entry by
+    entry; the loop reference judges the identities of Theta on every pair
+    of matrix units.  The two verdicts must agree."""
 
     @pytest.mark.parametrize("case", sorted(reversing_cases()) + sorted(VALID_UNITARIES))
     def test_matches_loop(self, case):
@@ -487,19 +477,25 @@ class TestGeneratorJudge:
         assert th.validate() is expected
         assert reversing_validate_loop(th) is expected
 
+    @pytest.mark.parametrize("case", sorted(reversing_cases()) + sorted(VALID_UNITARIES))
+    def test_global_phase_keeps_verdict(self, case):
+        """u and e^(i phi) u give one Theta, and one verdict."""
+        th, expected = judge_case(case)
+        u = np.eye(th.dim) if th.unitary is None else th.unitary
+        for phi in (0.3, -1.9, np.pi):
+            assert swapped(ReversingOperation(dim=th.dim), np.exp(1j * phi) * u).validate() is expected
+
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_rejects_entry_perturbations(self, n):
-        for row, col in perturbation_sites(n):
-            th = perturbed_transposition(n, row, col, 1e-6)
-            assert th.validate() is False, (row, col)
-            assert reversing_validate_loop(th) is False, (row, col)
+        for site, th in perturbed_unitaries(n, 1e-6, count=6):
+            assert th.validate() is False, site
+            assert reversing_validate_loop(th) is False, site
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_accepts_rounding_perturbations(self, n):
-        for row, col in perturbation_sites(n, count=2):
-            th = perturbed_transposition(n, row, col, 1e-13)
-            assert th.validate() is True, (row, col)
-            assert reversing_validate_loop(th) is True, (row, col)
+        for site, th in perturbed_unitaries(n, 1e-13, count=2):
+            assert th.validate() is True, site
+            assert reversing_validate_loop(th) is True, site
 
 
 class TestKmsFlip:

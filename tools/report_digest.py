@@ -9,13 +9,14 @@ slots, with diagonal phases drawn from ``THETA_SEED`` and written next to
 the slot's files: no benchmark command builds a reversing operation from a
 unitary.  Then it runs ``convergence`` on each slot's two generators,
 written as files, paired through the product coupling: no benchmark command
-reaches the vacuous branch.  Then it runs ``compose`` and
-``check-orthogonal`` on a skewed grid coupling and its flip: no benchmark
-composition lies near the orthogonality cut.  Last it runs
+reaches the vacuous branch.  Last, once and not per seed, since their
+files are built from fixed specs, it runs three more families.  It runs
+``compose`` and ``check-orthogonal`` on a skewed grid coupling and its
+flip: no benchmark composition lies near the orthogonality cut.  It runs
 ``check-orthogonal`` on a grid coupling that keeps pairs across two blocks
 of unequal weight, composed with itself: no benchmark composition weighs
 its middle state unevenly on a kept pair, where the cross-Gram norm differs
-from the residual.  Then it runs ``scenario run`` on one spec per layout
+from the residual.  And it runs ``scenario run`` on one spec per layout
 of ``MULTI_CYCLE_LAYOUTS``, whose first coupling block spans several
 cycles: the grid round reaches such blocks only at n = 7.  Run from the
 root of a checkout:
@@ -220,36 +221,46 @@ def multi_cycle_commands(workloads, workdir: str) -> list:
     return commands
 
 
-def cli_digests(workloads, seed: int) -> dict[str, str]:
-    """One digest per command of ``cli_commands`` at ``seed``, and of
-    :func:`theta_commands`, :func:`product_commands`,
-    :func:`skewed_commands`, :func:`nontracial_commands` and
-    :func:`multi_cycle_commands` after them: its exit
-    code, stdout, stderr and the files it wrote or changed, the work
-    directory masked in all of them."""
-    cli = workloads.bl.cli
+def command_digests(cli, commands: list, workdir: str, prefix: str) -> dict[str, str]:
+    """One digest per command, run in order in ``workdir``: its exit code,
+    stdout, stderr and the files it wrote or changed, the work directory
+    masked in all of them."""
     out = {}
+    mask = lambda b: b.replace(workdir.encode(), WORK.encode())  # noqa: E731
+    for i, (name, argv, _) in enumerate(commands):
+        before = _files(workdir)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(list(argv))
+        h = hashlib.sha256()
+        _feed(h, code)
+        _feed(h, mask(stdout.getvalue().encode()).decode())
+        _feed(h, mask(stderr.getvalue().encode()).decode())
+        for path, data in sorted(_files(workdir).items()):
+            if before.get(path) != data:
+                _feed(h, path.replace(workdir, WORK))
+                _feed(h, mask(data).decode())
+        out[f"{prefix} {i:02d} {name}"] = h.hexdigest()[:16]
+    return out
+
+
+def cli_digests(workloads, seed: int) -> dict[str, str]:
+    """:func:`command_digests` of ``cli_commands`` at ``seed``, and of
+    :func:`theta_commands` and :func:`product_commands` after them."""
     with tempfile.TemporaryDirectory() as workdir:
         commands, _ = workloads.cli_commands(np.random.default_rng(seed), workdir)
         commands += theta_commands(workloads, workdir) + product_commands(workloads, workdir)
-        commands += skewed_commands(workloads, workdir) + nontracial_commands(workloads, workdir)
+        return command_digests(workloads.bl.cli, commands, workdir, f"cli/seed{seed}")
+
+
+def fixed_digests(workloads) -> dict[str, str]:
+    """:func:`command_digests` of :func:`skewed_commands`,
+    :func:`nontracial_commands` and :func:`multi_cycle_commands`, whose
+    files do not depend on a seed."""
+    with tempfile.TemporaryDirectory() as workdir:
+        commands = skewed_commands(workloads, workdir) + nontracial_commands(workloads, workdir)
         commands += multi_cycle_commands(workloads, workdir)
-        mask = lambda b: b.replace(workdir.encode(), WORK.encode())  # noqa: E731
-        for i, (name, argv, _) in enumerate(commands):
-            before = _files(workdir)
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(list(argv))
-            h = hashlib.sha256()
-            _feed(h, code)
-            _feed(h, mask(stdout.getvalue().encode()).decode())
-            _feed(h, mask(stderr.getvalue().encode()).decode())
-            for path, data in sorted(_files(workdir).items()):
-                if before.get(path) != data:
-                    _feed(h, path.replace(workdir, WORK))
-                    _feed(h, mask(data).decode())
-            out[f"cli/seed{seed} {i:02d} {name}"] = h.hexdigest()[:16]
-    return out
+        return command_digests(workloads.bl.cli, commands, workdir, "cli/fixed")
 
 
 def main() -> int:
@@ -262,6 +273,7 @@ def main() -> int:
         digests.update(round_digests(workloads, "grid", seed))
     for seed in CLI_SEEDS:
         digests.update(cli_digests(workloads, seed))
+    digests.update(fixed_digests(workloads))
     for key, value in digests.items():
         print(f"{key:44} {value}")
     return 0
