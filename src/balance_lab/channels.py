@@ -240,8 +240,8 @@ def dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TO
 
 def _kms_flip(superoperator: np.ndarray) -> np.ndarray:
     """j o S o j for the modular transposition j: X -> X^T, as an index
-    permutation; equal to T_m @ S @ T_n for the commutation matrices T
-    (``transpose_superop`` of the tests' conftest).
+    permutation; equal to T_m @ S @ T_n for the commutation matrices T_n,
+    the superoperators of X -> X^T on M_n.
     The flip of a transposed view, as a dual's superoperator is, is the
     transposed flip of the C-ordered array behind it: one copy where the
     reshape of the view would take two."""
