@@ -417,14 +417,20 @@ def disjointness_probe(sys: System, tol: float = DEFAULT_TOL) -> DisjointnessRep
     )
 
 
-def _spanning_density_matrices(m: int) -> np.ndarray:
-    """Rank-one density matrices lambda spanning the full matrix algebra, as
-    the m^2 x m^2 matrix of rows vec(lambda^T), so that row . vec(b) = Tr(lambda b)."""
-    eye = np.eye(m, dtype=complex)
+def _spanning_traces(x: np.ndarray, m: int) -> np.ndarray:
+    """Tr(lambda b) for each column vec(b) of the m^2 x k matrix x, one row
+    per rank-one density matrix lambda of a set spanning the full matrix
+    algebra: lambda = E_ii for each i, then for each pair i < j the
+    projections onto (e_i + e_j)/sqrt2 and (e_i + i e_j)/sqrt2.  With
+    x_ij = x[i + m j] = b_ij, their traces are x_ii, then
+    (x_ii + x_jj + x_ij + x_ji)/2 and (x_ii + x_jj + i x_ij - i x_ji)/2:
+    at most four rows of x each, read by index."""
+    d = np.arange(m) * (m + 1)
     i, j = np.triu_indices(m, 1)
-    pairs = np.stack([eye[i] + eye[j], eye[i] + 1j * eye[j]], axis=1) / np.sqrt(2)
-    v = np.concatenate([eye, pairs.reshape(-1, m)])
-    return (v[:, :, None] * v.conj()[:, None, :]).reshape(m * m, m * m)
+    both = x[d[i]] + x[d[j]]
+    x_ij, x_ji = x[i + m * j], x[j + m * i]
+    pairs = np.stack([both + (x_ij + x_ji), both + 1j * (x_ij - x_ji)], axis=1)
+    return np.concatenate([x[d], 0.5 * pairs.reshape(-1, x.shape[1])])
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -495,11 +501,11 @@ def convergence_probe(
     # allows: S_E as the coupling's factor with its rows weighed, which has
     # the bits of the factor of S_E itself
     s_e = _weigh_rows(w.factor, w.state_b.inv_sqrt_spectrum)
-    states = _spanning_density_matrices(w.state_b.dim)
     targets = vec(sys_b.state.rho)[s_e.rows] @ s_e
     deviations = []
     for t in times:
-        evolved = states @ (semigroup(sys_b.dynamics, t).superoperator[:, s_e.rows] @ s_e)
+        images = semigroup(sys_b.dynamics, t).superoperator[:, s_e.rows] @ s_e
+        evolved = _spanning_traces(images, w.state_b.dim)
         deviations.append((t, float(np.max(np.abs(evolved - targets), initial=0.0))))
 
     passed, message = None, "spectral condition fails; convergence transfer inapplicable"

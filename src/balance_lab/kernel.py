@@ -19,14 +19,16 @@ Conventions used throughout the package:
   time.  No tolerance enters the split, since dropping a small entry would
   drop a real coupling.  Eigen-type factorizations (a matrix exponential, a
   spectrum, the PSD check) use the symmetrized split: i and j share a block
-  when m[i, j] != 0 or m[j, i] != 0.  The SVD-type factorization (a
-  numerical kernel) uses the bipartite split, which also fits a rectangular
-  matrix: row i and column j share a block when m[i, j] != 0.  Both
-  splits label the components of their graph and hand the labels to one
-  grouping, ``_group`` (the symmetrized split passes its labels as the
-  rows and as the columns).  Each
-  verdict is still cut against the whole matrix's scale (its largest
-  singular value or |eigenvalue|), never a block's.  A matrix with a single
+  when m[i, j] != 0 or m[j, i] != 0.  The PSD check also reads its
+  Hermitian residual ||m - m*||_F and that residual's scale ||m||_F over
+  the split, since m and m* are both zero outside it.  The SVD-type
+  factorization (a numerical kernel) uses the bipartite split, which also
+  fits a rectangular matrix: row i and column j share a block when
+  m[i, j] != 0.  Both splits label the components of their graph and hand
+  the labels to one grouping, ``_group`` (the symmetrized split passes its
+  labels as the rows and as the columns).  Each verdict is still cut
+  against the whole matrix's scale (its largest singular value or
+  |eigenvalue|), never a block's.  A matrix with a single
   block, such as any dense generator, is a stack of one slice, which scipy
   and numpy treat exactly as the matrix itself, so its result is
   bit-identical to the dense call.  The split scans the pattern once per
@@ -468,20 +470,14 @@ def mat_exp(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     return out
 
 
-def _spectrum(m: np.ndarray, solver, blocks: list[np.ndarray] | None = None) -> np.ndarray:
-    """``solver`` (np.linalg.eigvals or eigvalsh) on every invariant block of
-    m, the eigenvalues concatenated, in no particular order."""
-    blocks = _invariant_blocks(m) if blocks is None else blocks
-    stacks = (_stacks(m, idx, idx) for idx in blocks)
-    return np.concatenate([solver(block).ravel() for block in stacks])
-
-
 def eigenvalues(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     """All eigenvalues with multiplicity, in no particular order, taken one
     invariant block at a time as in :func:`mat_exp`.  ``blocks`` is
     ``_invariant_blocks(m)`` for a caller that holds it, or any split into
     unions of its blocks."""
-    return _spectrum(as_matrix(m), np.linalg.eigvals, blocks)
+    m = as_matrix(m)
+    blocks = _invariant_blocks(m) if blocks is None else blocks
+    return np.concatenate([np.linalg.eigvals(_stacks(m, idx, idx)).ravel() for idx in blocks])
 
 
 def frob_norm(a) -> float:
@@ -542,13 +538,26 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 def check_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """:func:`is_psd`, and the minimal eigenvalue it judged (-inf when m is
-    not Hermitian within tol)."""
+    not Hermitian within tol, or has an entry that is not finite).
+
+    All of it is read off the blocks of the symmetrized exact-zero split, so
+    it costs their entries, not n^2: m and m* are both zero outside the
+    blocks, so the Hermitian residual ||m - m*||_F and its scale ||m||_F are
+    the roots of the sums of the blocks' squares, and the spectrum is that of
+    the symmetrized blocks (m_B + m_B*)/2.  The gate asks for the inside, so
+    that a NaN residual (from a NaN entry, or from inf - inf at an infinite
+    one) fails it before any eigensolver sees the matrix."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("a PSD check requires a square matrix")
-    if not is_hermitian(m, tol):
+    stacks = [_stacks(m, idx, idx) for idx in _invariant_blocks(m)]
+    adjoints = [s.conj().swapaxes(1, 2) for s in stacks]
+    residual = math.hypot(*(np.linalg.norm(s - a) for s, a in zip(stacks, adjoints)))
+    if not relative_residual(residual, math.hypot(*map(np.linalg.norm, stacks))) <= tol:
         return False, -math.inf
-    evals = _spectrum((m + m.conj().T) / 2.0, np.linalg.eigvalsh)
+    evals = np.concatenate(
+        [np.linalg.eigvalsh((s + a) / 2.0).ravel() for s, a in zip(stacks, adjoints)]
+    )
     low, scale = float(np.min(evals)), float(np.max(np.abs(evals)))
     return relative_residual(max(-low, 0.0), scale) <= tol, low
 

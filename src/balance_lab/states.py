@@ -111,6 +111,10 @@ def canonicalize_density_matrix(rho, tol: float = DEFAULT_TOL):
     already diagonal keeps its supplied order (degenerate blocks included) and
     gets unitary None; otherwise eigenvalues are sorted descending with fixed
     eigenvector phases, so the frame change is deterministic.
+
+    A smallest eigenvalue <= tol is not faithful.  That cut is absolute,
+    and rightly: its scale is Tr rho = 1, which :func:`new_faithful_state`
+    holds the eigenvalues to within ``_NORMALIZATION_TOL``.
     """
     rho = as_matrix(rho)
     n = rho.shape[0]

@@ -586,6 +586,17 @@ def spanning_density_matrices_loop(m: int) -> list[np.ndarray]:
     return [np.outer(v, v.conj()) for v in vecs]
 
 
+def spanning_density_matrices_dense(m: int) -> np.ndarray:
+    """The states of spanning_density_matrices_loop as the m^2 x m^2 matrix
+    of rows vec(lambda^T), so that row . vec(b) = Tr(lambda b): the dense
+    product that balance._spanning_traces replaced."""
+    eye = np.eye(m, dtype=complex)
+    i, j = np.triu_indices(m, 1)
+    pairs = np.stack([eye[i] + eye[j], eye[i] + 1j * eye[j]], axis=1) / np.sqrt(2)
+    v = np.concatenate([eye, pairs.reshape(-1, m)])
+    return (v[:, :, None] * v.conj()[:, None, :]).reshape(m * m, m * m)
+
+
 def spectral_certificate_loop(gen, eigvals, tol: float = DEFAULT_TOL):
     """(gap, number of zero eigenvalues, certified) of a generator, decided
     as convergence_probe decides them, from the spectrum eigvals(S)."""

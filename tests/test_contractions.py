@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balance_lab.balance import (
-    _spanning_density_matrices,
+    _spanning_traces,
     convergence_probe,
     disjointness_probe,
     is_balanced,
@@ -71,6 +71,7 @@ from conftest import (
     rescaled_triple,
     reversing_validate_loop,
     rng,
+    spanning_density_matrices_dense,
     spanning_density_matrices_loop,
     spectral_certificate_loop,
     swapped,
@@ -290,11 +291,20 @@ CONVERGENCE = {
 
 
 class TestConvergenceProbe:
-    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 16])
     def test_spanning_rows_pair_by_trace(self, m):
-        b = random_matrix(m, seed=m)
-        expected = [np.trace(lam @ b) for lam in spanning_density_matrices_loop(m)]
-        np.testing.assert_allclose(_spanning_density_matrices(m) @ vec(b), expected, rtol=RTOL)
+        # the traces read off the rows of vec(b), column by column, against
+        # np.trace of each state, and against the dense product they
+        # replaced; for one column and for several
+        states = spanning_density_matrices_loop(m)
+        for k in (1, 4):
+            bs = [random_matrix(m, seed=100 * m + c) for c in range(k)]
+            x = np.stack([vec(b) for b in bs], axis=1)
+            got = _spanning_traces(x, m)
+            assert got.shape == (m * m, k)
+            np.testing.assert_allclose(got, [[np.trace(lam @ b) for b in bs] for lam in states],
+                                       rtol=RTOL)
+            np.testing.assert_allclose(got, spanning_density_matrices_dense(m) @ x, rtol=RTOL)
 
     @pytest.mark.parametrize("case", sorted(CONVERGENCE))
     def test_matches_loop(self, case):

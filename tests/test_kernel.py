@@ -707,6 +707,76 @@ class TestBlockwiseFactorizations:
         for m in PSD_INPUTS[::8]:
             assert check_psd(c * m)[0] and not check_psd(c * below_psd(m))[0]
 
+    @staticmethod
+    def split_psd():
+        """A Hermitian PSD matrix of three blocks (3, 4 and 2), permuted."""
+        h = scipy.linalg.block_diag(random_psd(3, seed=66), random_psd(4, seed=67),
+                                    random_psd(2, seed=68))
+        p = rng(69).permutation(len(h))
+        return h[p][:, p], p
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", ["off-diagonal", "diagonal"])
+    def test_non_finite_fails_closed(self, value, where, monkeypatch):
+        # a NaN residual, from a NaN entry or from inf - inf, fails the
+        # Hermitian gate: no eigensolver sees the matrix
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh reached")
+
+        dense = random_psd(6, seed=71)
+        split, p = self.split_psd()
+        # a pair of entries inside the second block of the split
+        i, j = np.flatnonzero((p >= 3) & (p < 7))[:2]
+        inputs = []
+        for m, (a, b) in ((dense, (1, 4)), (split, (i, j))):
+            for mirrored in (False, True):
+                m = m.copy()
+                if where == "diagonal":
+                    m[a, a] = value
+                else:
+                    m[a, b] = value
+                    if mirrored:
+                        m[b, a] = np.conj(value)
+                inputs.append(m)
+        # the entry stays inside its block: the split is still three blocks
+        assert sorted(idx.shape[1] for idx in _invariant_blocks(inputs[-1])) == [2, 3, 4]
+        for m in inputs:
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+                assert check_psd(m) == check_psd_dense(m) == (False, -np.inf)
+
+    def test_zero_and_negative_scalar(self):
+        for m in (np.zeros((5, 5)), np.zeros((1, 1))):
+            assert check_psd(m) == check_psd_dense(m) == (True, 0.0)
+        assert check_psd(np.array([[-1.0]])) == check_psd_dense(np.array([[-1.0]])) == (False, -1.0)
+        assert check_psd(np.array([[2.0]])) == check_psd_dense(np.array([[2.0]])) == (True, 2.0)
+
+    @pytest.mark.parametrize("planted", [0.5, 2.0, 10.0])
+    def test_anti_hermitian_perturbation(self, planted):
+        # ||m - m*||_F = planted * tol * ||m||_F, over the blocks of the
+        # split alone, decides the gate as the dense residual does
+        tol = 1e-9
+        h, p = self.split_psd()
+        a = np.zeros_like(h)
+        for lo, hi in ((0, 3), (3, 7), (7, 9)):
+            x = random_matrix(hi - lo, seed=72 + lo)
+            a[lo:hi, lo:hi] = x - x.conj().T
+        a = a[p][:, p]
+        assert len(_invariant_blocks(h + a)) == 3
+        # m - m* = 2 eps a, and ||m||^2 = ||h||^2 + eps^2 ||a||^2
+        # (a Hermitian and an anti-Hermitian matrix are orthogonal)
+        r = planted * tol
+        eps = r * np.linalg.norm(h) / np.sqrt(4 * np.linalg.norm(a) ** 2 - r**2 * np.linalg.norm(a) ** 2)
+        m = h + eps * a
+        ratio = np.linalg.norm(m - m.conj().T) / np.linalg.norm(m)
+        assert ratio == pytest.approx(r, rel=1e-6)
+        if planted < 1:
+            assert check_psd(m, tol)[0]
+            assert_same_psd(m, tol)
+        else:
+            assert check_psd(m, tol) == check_psd_dense(m, tol) == (False, -np.inf)
+
 
 class TestFixPhases:
     """The vectorized phase fix equals the column loop it replaced, bit for

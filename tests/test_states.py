@@ -168,6 +168,21 @@ class TestCanonicalizeDensityMatrix:
         with pytest.raises(ValueError, match="not faithful"):
             canonicalize_density_matrix(rho)
 
+    @pytest.mark.parametrize("factor, faithful", [(0.5, False), (2.0, True)])
+    def test_faithfulness_cut_is_absolute_at_unit_trace(self, factor, faithful):
+        # the smallest eigenvalue is cut at tol itself: its scale is Tr rho = 1
+        tol = 1e-9
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        low = factor * tol
+        rho = q @ np.diag([0.6, 0.4 - low, low]) @ q.conj().T
+        if faithful:
+            state, _ = canonicalize_density_matrix(rho, tol)
+            assert_allclose(state.spectrum[-1], low, rtol=1e-6)
+        else:
+            with pytest.raises(ValueError, match="not faithful"):
+                canonicalize_density_matrix(rho, tol)
+
 
 class TestSystem:
     def test_identity_system(self):

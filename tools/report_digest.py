@@ -10,7 +10,7 @@ the slot's files: no benchmark command builds a reversing operation from a
 unitary.  Then it runs ``convergence`` on each slot's two generators,
 written as files, paired through the product coupling: no benchmark command
 reaches the vacuous branch.  Last, once and not per seed, since their
-files are built from fixed specs, it runs three more families.  It runs
+files are built from fixed specs, it runs four more families.  It runs
 ``compose`` and ``check-orthogonal`` on a skewed grid coupling and its
 flip: no benchmark composition lies near the orthogonality cut.  It runs
 ``check-orthogonal`` on a grid coupling that keeps pairs across two blocks
@@ -18,8 +18,11 @@ of unequal weight, composed with itself: no benchmark composition weighs
 its middle state unevenly on a kept pair, where the cross-Gram norm differs
 from the residual.  And it runs ``scenario run`` on one spec per layout
 of ``MULTI_CYCLE_LAYOUTS``, whose first coupling block spans several
-cycles: the grid round reaches such blocks only at n = 7.  Run from the
-root of a checkout:
+cycles: the grid round reaches such blocks only at n = 7.  And it runs
+``validate`` on a coupling with a negative eigenvalue, on a non-Hermitian
+kappa and on a channel whose Choi matrix is not PSD, and
+``coupling-from-channel`` on that channel: no benchmark command reaches a
+rejection of the PSD check.  Run from the root of a checkout:
 
     python tools/report_digest.py
 
@@ -221,6 +224,43 @@ def multi_cycle_commands(workloads, workdir: str) -> list:
     return commands
 
 
+def psd_rejection_commands(workloads, workdir: str) -> list:
+    """``validate`` and ``coupling-from-channel`` on inputs that the PSD
+    check rejects, built from the coupling w of ``standard_grid()[12]`` and
+    written to ``workdir``: kappa + 0.5 (X + X*) with X = E_03 (x) E_03,
+    which has zero marginals and a negative eigenvalue; kappa + 1e-3 i
+    (X + X*), which is not Hermitian; and the channel T o E_w, with T the
+    transposition, which is unital and preserves the state but is not
+    completely positive, since w is entangled on its first block."""
+    bl = workloads.bl
+    w = bl.lindblad.scenario_coupling(bl.lindblad.standard_grid()[12])
+    n, m = w.dims
+    x = np.kron(bl.kernel.matrix_unit(n, 0, 3), bl.kernel.matrix_unit(m, 0, 3))
+    e = bl.couplings.extract_channel(w)
+    i, j = np.divmod(np.arange(n * n), n)
+    t = np.zeros((n * n, n * n))
+    t[j + n * i, i + n * j] = 1.0
+    channel = {"dim_in": e.dim_in, "dim_out": e.dim_out,
+               "superoperator": bl.matrix_to_json(t @ e.superoperator)}
+    files = {
+        "negative_w.json": dataclasses.replace(w, kappa=w.kappa + 0.5 * (x + x.T)).to_json(),
+        "skew_w.json": dataclasses.replace(w, kappa=w.kappa + 1e-3j * (x + x.T)).to_json(),
+        "transposed_e.json": channel,
+        "state_a.json": w.state_a.to_json(),
+        "state_b.json": w.state_b.to_json(),
+    }
+    path = lambda name: os.path.join(workdir, name)  # noqa: E731
+    for name, obj in files.items():
+        with open(path(name), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    return [("validate-negative", ["validate", path("negative_w.json")], None),
+            ("validate-non-hermitian", ["validate", path("skew_w.json")], None),
+            ("validate-not-cp", ["validate", path("transposed_e.json")], None),
+            ("coupling-from-channel-not-cp",
+             ["coupling-from-channel", path("transposed_e.json"), "--state-a", path("state_a.json"),
+              "--state-b", path("state_b.json")], None)]
+
+
 def command_digests(cli, commands: list, workdir: str, prefix: str) -> dict[str, str]:
     """One digest per command, run in order in ``workdir``: its exit code,
     stdout, stderr and the files it wrote or changed, the work directory
@@ -255,11 +295,11 @@ def cli_digests(workloads, seed: int) -> dict[str, str]:
 
 def fixed_digests(workloads) -> dict[str, str]:
     """:func:`command_digests` of :func:`skewed_commands`,
-    :func:`nontracial_commands` and :func:`multi_cycle_commands`, whose
-    files do not depend on a seed."""
+    :func:`nontracial_commands`, :func:`multi_cycle_commands` and
+    :func:`psd_rejection_commands`, whose files do not depend on a seed."""
     with tempfile.TemporaryDirectory() as workdir:
         commands = skewed_commands(workloads, workdir) + nontracial_commands(workloads, workdir)
-        commands += multi_cycle_commands(workloads, workdir)
+        commands += multi_cycle_commands(workloads, workdir) + psd_rejection_commands(workloads, workdir)
         return command_digests(workloads.bl.cli, commands, workdir, "cli/fixed")
 
 
