@@ -592,9 +592,10 @@ def assert_same_psd(m, tol=1e-9):
 
 class TestBlockwiseFactorizations:
     """nullspace works one block of the bipartite exact-zero pattern at a
-    time, check_psd one block of the symmetrized one, each cut against
-    the whole matrix's scale; a single block is the dense call, bit for
-    bit.  The references are the dense factorizations they replaced."""
+    time, check_psd one block of the symmetrized one (its Hermitian gate
+    too), each cut against the whole matrix's scale; a single block is the
+    dense call, bit for bit.  The references are the dense factorizations
+    they replaced."""
 
     @pytest.mark.parametrize("shape", [(12, 12), (7, 11), (11, 7)])
     def test_single_block_is_the_dense_call(self, shape):
@@ -730,15 +731,15 @@ class TestBlockwiseFactorizations:
         i, j = np.flatnonzero((p >= 3) & (p < 7))[:2]
         inputs = []
         for m, (a, b) in ((dense, (1, 4)), (split, (i, j))):
-            for mirrored in (False, True):
-                m = m.copy()
-                if where == "diagonal":
-                    m[a, a] = value
-                else:
-                    m[a, b] = value
-                    if mirrored:
-                        m[b, a] = np.conj(value)
-                inputs.append(m)
+            if where == "diagonal":
+                inputs.append(m.copy())
+                inputs[-1][a, a] = value
+                continue
+            for mirrored in (False, True):  # alone, and with its adjoint entry
+                inputs.append(m.copy())
+                inputs[-1][a, b] = value
+                if mirrored:
+                    inputs[-1][b, a] = np.conj(value)
         # the entry stays inside its block: the split is still three blocks
         assert sorted(idx.shape[1] for idx in _invariant_blocks(inputs[-1])) == [2, 3, 4]
         for m in inputs:
