@@ -768,7 +768,7 @@ class TestBlockwiseFactorizations:
         # m - m* = 2 eps a, and ||m||^2 = ||h||^2 + eps^2 ||a||^2
         # (a Hermitian and an anti-Hermitian matrix are orthogonal)
         r = planted * tol
-        eps = r * np.linalg.norm(h) / np.sqrt(4 * np.linalg.norm(a) ** 2 - r**2 * np.linalg.norm(a) ** 2)
+        eps = r * np.linalg.norm(h) / (np.linalg.norm(a) * np.sqrt(4 - r**2))
         m = h + eps * a
         ratio = np.linalg.norm(m - m.conj().T) / np.linalg.norm(m)
         assert ratio == pytest.approx(r, rel=1e-6)
