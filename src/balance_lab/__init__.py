@@ -43,13 +43,11 @@ from .couplings import (
     coupling_from_channel,
     coupling_from_json,
     diagonal_coupling,
-    evaluate,
     extract_channel,
     flip_coupling,
     is_orthogonal,
     is_trivial,
     kms_flip,
-    new_coupling,
     product_coupling,
     validate_coupling,
 )

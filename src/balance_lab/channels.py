@@ -342,10 +342,15 @@ def _fixed_point_operator(dyn) -> np.ndarray:
 
 
 def fixed_point_space(dyn, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of {b : beta(b) = b} resp. ker L."""
+    """Orthonormal (Hilbert-Schmidt) basis of {b : beta(b) = b} resp. ker L,
+    taken one block of the exact-zero split at a time (``kernel.nullspace``).
+    A generator hands over the split it holds
+    (``LindbladGenerator.invariant_blocks``), so L is not scanned again; the
+    split of S - 1 is scanned per call."""
     if dyn.dim_in != dyn.dim_out:
         raise ValueError("fixed points require an endomorphic map")
-    return [unvec(v, dyn.dim_in) for v in nullspace(_fixed_point_operator(dyn), tol)]
+    blocks = dyn.invariant_blocks if dyn.kind == "generator" else None
+    return [unvec(v, dyn.dim_in) for v in nullspace(_fixed_point_operator(dyn), tol, blocks)]
 
 
 def channel_from_json(obj) -> QuantumChannel:

@@ -1,4 +1,4 @@
-"""Couplings of two faithful states as bipartite density matrices.
+"""Couplings of two faithful states: density matrices on C^n (x) C^m.
 
 A coupling of (M_n, p_A) and (M_m, p_B) is a density matrix kappa on
 C^n (x) C^m whose partial traces are diag(p_A) and diag(p_B).  The commutant
@@ -10,7 +10,7 @@ Everything here reads kappa through one realignment, the pairing matrix
     P[k + m*l, i + n*j] = omega(E_ij (x) E_kl),
 
 an m^2 x n^2 matrix indexed like a superoperator M_n -> M_m (column
-stacking), so that omega(a (x) c) = vec(c)^T P vec(a) (:func:`evaluate`).
+stacking), so that omega(a (x) c) = vec(c)^T P vec(a).
 ``Coupling.pairing`` and its inverse ``_from_pairing`` hold the
 realignment.  Three other places index kappa's rows as (row A) m + (row B)
 directly: ``lindblad._coupling_entries`` lists a scenario kappa's nonzeros
@@ -88,7 +88,6 @@ from .kernel import (
     matrix_to_json,
     partial_trace,
     relative_residual,
-    vec,
 )
 from .states import FaithfulState, gns_vector, state_from_json
 
@@ -179,25 +178,6 @@ def validate_coupling(w: Coupling, tol: float = DEFAULT_TOL) -> CouplingReport:
         marginal_b_distance=frob_distance(partial_trace(w.kappa, (n, m), "first"), w.state_b.rho),
         tol=tol,
     )
-
-
-def new_coupling(
-    kappa, state_a: FaithfulState, state_b: FaithfulState, tol: float = DEFAULT_TOL
-) -> Coupling:
-    w = Coupling(kappa=kappa, state_a=state_a, state_b=state_b)
-    report = validate_coupling(w, tol)
-    if not report.valid:
-        raise ValueError(f"not a coupling: {report.to_json()}")
-    return w
-
-
-def evaluate(w: Coupling, a, c) -> complex:
-    """omega(a (x) c) = Tr(kappa (a (x) c)) = vec(c)^T P vec(a)."""
-    n, m = w.dims
-    a, c = as_matrix(a), as_matrix(c)
-    if a.shape != (n, n) or c.shape != (m, m):
-        raise ValueError("operand dimensions do not match the coupling")
-    return complex(vec(c) @ w.pairing() @ vec(a))
 
 
 def diagonal_coupling(s: FaithfulState) -> Coupling:

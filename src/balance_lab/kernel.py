@@ -16,27 +16,26 @@ Conventions used throughout the package:
   deterministic: eigenvalues sorted descending, eigenvector phases fixed so the
   largest-magnitude entry is real and positive.
 * Every factorization is taken one block of the exact nonzero pattern at a
-  time.  No tolerance enters the split, since dropping a small entry would
-  drop a real coupling.  Eigen-type factorizations (a matrix exponential, a
-  spectrum, the PSD check) use the symmetrized split: i and j share a block
-  when m[i, j] != 0 or m[j, i] != 0.  The PSD check also reads its
-  Hermitian residual ||m - m*||_F and that residual's scale ||m||_F over
-  the split, since m and m* are both zero outside it.  The SVD-type
-  factorization (a numerical kernel) uses the bipartite split, which also
-  fits a rectangular matrix: row i and column j share a block when
-  m[i, j] != 0.  Both splits label the components of their graph and hand
-  the labels to one grouping, ``_group`` (the symmetrized split passes its
-  labels as the rows and as the columns).  Each verdict is still cut
-  against the whole matrix's scale (its largest singular value or
-  |eigenvalue|), never a block's.  A matrix with a single
-  block, such as any dense generator, is a stack of one slice, which scipy
-  and numpy treat exactly as the matrix itself, so its result is
-  bit-identical to the dense call.  The split scans the pattern once per
-  call (``_nonzeros``), except where it travels with the matrix: a
+  time, and there is one split (``_invariant_blocks``), symmetrized: i and
+  j share a block when m[i, j] != 0 or m[j, i] != 0.  No tolerance enters
+  it, since dropping a small entry would drop a real coupling.  The same
+  permutation of rows and columns makes m block-diagonal with square
+  blocks, so a matrix exponential, a spectrum, the PSD check and a
+  numerical kernel are each the blocks' together.  The PSD check also
+  reads its Hermitian residual ||m - m*||_F and that residual's scale
+  ||m||_F over the split, since m and m* are both zero outside it.  A
+  numerical kernel of a matrix that is not square is one block.  Each
+  verdict is still cut against the whole matrix's scale (its largest
+  singular value or |eigenvalue|), never a block's.  A matrix with a
+  single block, such as any dense generator, is a stack of one slice,
+  which scipy and numpy treat exactly as the matrix itself, so its result
+  is bit-identical to the dense call.  The split scans the pattern once
+  per call (``_nonzeros``), except where it travels with the matrix: a
   generator holds the split of its superoperator
   (``lindblad.LindbladGenerator.invariant_blocks``, scanned on first use),
-  and ``lindblad.semigroup`` hands it to ``mat_exp`` for every t, since the
-  pattern of t L is that of L or, where entries underflow, part of it.
+  ``lindblad.semigroup`` hands it to ``mat_exp`` for every t, since the
+  pattern of t L is that of L or, where entries underflow, part of it,
+  and ``channels.fixed_point_space`` hands it to ``nullspace``.
 * A matrix that is zero outside a few rows and columns, and has few
   nonzeros in a row or a column, is a factor of products (``_Factor``,
   built by ``_factor`` from one scan of its pattern).  The pairing matrix
@@ -235,61 +234,27 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return label
 
 
-def _group(row_label: np.ndarray, col_label: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The grouping behind both exact-zero splits: row i lies in the block
-    labelled row_label[i], column j in the one labelled col_label[j].  Per
-    block shape, ascending by rows and then by columns, a (count, rows) and
-    a (count, cols) array of indices: one block per row, in the order of
-    the labels, its indices ascending."""
-    k = 1 + int(max(row_label.max(initial=0), col_label.max(initial=0)))
-    c = col_label.size
-    # one key per block shape, ordered by the number of rows first; 0 for
-    # labels no row or column carries
-    key = np.bincount(row_label, minlength=k) * (c + 1) + np.bincount(col_label, minlength=k)
-    row_order = np.lexsort((row_label, key[row_label]))
-    col_order = np.lexsort((col_label, key[col_label]))
-    groups, row_start, col_start = [], 0, 0
-    for shape, count in zip(*np.unique(key[key > 0], return_counts=True)):
-        nr, nc = divmod(int(shape), c + 1)
-        groups.append((
-            row_order[row_start : row_start + nr * count].reshape(count, nr),
-            col_order[col_start : col_start + nc * count].reshape(count, nc),
-        ))
-        row_start += nr * count
-        col_start += nc * count
-    return groups
-
-
 def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     """The connected components of the exact nonzero pattern of a square
     matrix, symmetrized (i ~ j when m[i, j] != 0 or m[j, i] != 0), grouped by
-    size: one (count, size) array of indices per size, ascending in each row.
+    size: one (count, size) array of indices per size, sizes ascending, the
+    components of one size in the order of their labels, the indices of
+    each ascending.
 
     A permutation that lists the components one after another makes m
-    block-diagonal, so a function of m that is analytic, or its spectrum,
-    can be taken block by block."""
+    block-diagonal with square blocks, so a function of m that is analytic,
+    its spectrum or its kernel can be taken block by block."""
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     label = _components(n, *_nonzeros(m != 0))
-    return [rows for rows, _ in _group(label, label)]
-
-
-def _bipartite_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The connected components of the exact nonzero pattern of an r x c
-    matrix as a bipartite graph (row i ~ column j when m[i, j] != 0), grouped
-    by shape: per shape, a (count, rows) and a (count, cols) array of
-    indices, ascending in each row.  A zero row or a zero column is a
-    component of its own, of shape (1, 0) or (0, 1).
-
-    Permuting the rows and the columns to list the components one after
-    another makes m block-diagonal with these (possibly rectangular) blocks,
-    so its singular values are those of the blocks together, and its right
-    singular vectors those of the blocks, padded with zeros."""
-    r, c = m.shape
-    rows, cols = _nonzeros(m != 0)
-    label = _components(r + c, rows, r + cols)
-    return _group(label[:r], label[r:])
+    size = np.bincount(label, minlength=n)
+    order = np.lexsort((label, size[label]))
+    groups, start = [], 0
+    for k, count in zip(*np.unique(size[size > 0], return_counts=True)):
+        groups.append(order[start : start + k * count].reshape(count, k))
+        start += k * count
+    return groups
 
 
 # The cost rule of a product with a sparse factor: by row gather when
@@ -588,18 +553,27 @@ def deterministic_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return w[order], _fix_phases(v[:, order])
 
 
-def nullspace(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def nullspace(
+    m, tol: float = DEFAULT_TOL, blocks: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Orthonormal basis of the numerical kernel: the right singular vectors
     whose singular values are not > tol * the largest (all of them for zero),
-    taken one bipartite block at a time and padded with zeros."""
+    taken one invariant block at a time as in :func:`mat_exp` and padded
+    with zeros.  The permutation that makes a square m block-diagonal acts
+    on its rows and its columns alike, so the kernel is the direct sum of
+    the blocks' kernels.  A matrix that is not square is one block, the
+    dense SVD.  For a square m, ``blocks`` is ``_invariant_blocks(m)`` for a
+    caller that holds it, or any split into unions of its blocks."""
     m = as_matrix(m)
-    blocks = []
-    for row_idx, col_idx in _bipartite_blocks(m):
-        _, sv, vh = np.linalg.svd(_stacks(m, row_idx, col_idx))
-        blocks.append((col_idx, sv, vh))
-    top = max((float(sv.max()) for _, sv, _ in blocks if sv.size), default=0.0)
+    r, c = m.shape
+    if r != c:
+        pairs = [(np.arange(r)[None], np.arange(c)[None])]
+    else:
+        pairs = [(idx, idx) for idx in (_invariant_blocks(m) if blocks is None else blocks)]
+    factored = [(cols, *np.linalg.svd(_stacks(m, rows, cols))[1:]) for rows, cols in pairs]
+    top = max((float(sv.max()) for _, sv, _ in factored if sv.size), default=0.0)
     parts = []
-    for col_idx, sv, vh in blocks:
+    for col_idx, sv, vh in factored:
         # singular values are descending, so a block's kernel is the rows of
         # vh from its rank on (with the c - r extra rows of a wide block)
         block_rank = np.count_nonzero(_relative_residuals(sv, top) > tol, axis=1)

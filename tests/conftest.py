@@ -44,12 +44,14 @@ from balance_lab.couplings import (
     compose,
     coupling_from_channel,
     extract_channel,
+    validate_coupling,
 )
 from balance_lab.kernel import (
     DEFAULT_TOL,
     _components,
     _max_relative_residual,
     ad_superop,
+    as_matrix,
     close,
     eigenvalues,
     frob_distance,
@@ -115,6 +117,25 @@ def channel_from_function(f, dim_in: int, dim_out: int) -> QuantumChannel:
         for i in range(dim_in):
             s[:, i + dim_in * j] = vec(f(matrix_unit(dim_in, i, j)))
     return QuantumChannel(dim_in=dim_in, dim_out=dim_out, superoperator=s)
+
+
+def new_coupling(kappa, state_a: FaithfulState, state_b: FaithfulState,
+                 tol: float = DEFAULT_TOL) -> Coupling:
+    """The coupling of kappa, validated (``couplings.validate_coupling``)."""
+    w = Coupling(kappa=kappa, state_a=state_a, state_b=state_b)
+    report = validate_coupling(w, tol)
+    if not report.valid:
+        raise ValueError(f"not a coupling: {report.to_json()}")
+    return w
+
+
+def evaluate(w: Coupling, a, c) -> complex:
+    """omega(a (x) c) = Tr(kappa (a (x) c)) = vec(c)^T P vec(a)."""
+    n, m = w.dims
+    a, c = as_matrix(a), as_matrix(c)
+    if a.shape != (n, n) or c.shape != (m, m):
+        raise ValueError("operand dimensions do not match the coupling")
+    return complex(vec(c) @ w.pairing() @ vec(a))
 
 
 def extraction_is_valid(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
@@ -755,8 +776,7 @@ def reversing_validate_loop(th, tol: float = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 # dense factorization references: kernel.nullspace, kernel.check_psd and
 # kernel._fix_phases as they were before the block-wise split and the
-# vectorized phase fix; and the two exact-zero splits as they were before
-# they shared one grouping
+# vectorized phase fix; and the exact-zero split with its own grouping
 
 
 def fix_phases_loop(v: np.ndarray) -> np.ndarray:
@@ -800,30 +820,6 @@ def invariant_blocks_reference(m: np.ndarray) -> list[np.ndarray]:
     for size, count in zip(*np.unique(counts, return_counts=True)):
         groups.append(order[start : start + size * count].reshape(count, size))
         start += size * count
-    return groups
-
-
-def bipartite_blocks_reference(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """kernel._bipartite_blocks with its own grouping: a bincount key per
-    block shape, a lexsort of the rows and of the columns by (key,
-    component), one pair of slices per key."""
-    r, c = m.shape
-    rows, cols = np.nonzero(m)
-    labels, comp = np.unique(_components(r + c, rows, r + cols), return_inverse=True)
-    row_comp, col_comp = comp[:r], comp[r:]
-    k = labels.size
-    key = np.bincount(row_comp, minlength=k) * (c + 1) + np.bincount(col_comp, minlength=k)
-    row_order = np.lexsort((row_comp, key[row_comp]))
-    col_order = np.lexsort((col_comp, key[col_comp]))
-    groups, row_start, col_start = [], 0, 0
-    for k, count in zip(*np.unique(key, return_counts=True)):
-        nr, nc = divmod(int(k), c + 1)
-        groups.append((
-            row_order[row_start : row_start + nr * count].reshape(count, nr),
-            col_order[col_start : col_start + nc * count].reshape(count, nc),
-        ))
-        row_start += nr * count
-        col_start += nc * count
     return groups
 
 

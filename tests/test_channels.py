@@ -25,9 +25,11 @@ from balance_lab.channels import (
     validate_ucp,
 )
 import balance_lab.balance as balance
+import balance_lab.kernel as kernel
+import balance_lab.lindblad as lindblad
 from balance_lab.balance import kms_symmetry_flip_check
-from balance_lab.couplings import coupling_from_channel, extract_channel, new_coupling
-from balance_lab.kernel import ad_superop, frob_distance, matrix_unit, vec
+from balance_lab.couplings import coupling_from_channel, extract_channel
+from balance_lab.kernel import ad_superop, frob_distance, matrix_unit, nullspace, vec
 from balance_lab.lindblad import (
     build_generator,
     cycle_generator,
@@ -44,6 +46,7 @@ from conftest import (
     channel_from_function,
     dual_reference,
     dual_superop_oracle,
+    new_coupling,
     preserving_generator,
     probe_like_triples,
     random_matrix,
@@ -394,6 +397,23 @@ class TestFixedPoints:
         for p in (p1, p2):
             coeffs = flat.conj() @ vec(p)
             assert np.linalg.norm(vec(p) - flat.T @ coeffs) <= 1e-9
+
+    def test_generator_split_is_not_scanned_again(self, monkeypatch):
+        gens = [sys.dynamics for t in probe_like_triples() for sys in (t.system_a, t.system_b)]
+        gens.append(cycle_generator((3, 4), [0.3, 0.6]))
+        refs = [nullspace(gen.superoperator) for gen in gens]
+        for gen in gens:
+            gen.invariant_blocks  # the one scan, held by the generator
+
+        def no_scan(m):
+            raise AssertionError("the held split was scanned again")
+
+        monkeypatch.setattr(kernel, "_invariant_blocks", no_scan)
+        monkeypatch.setattr(lindblad, "_invariant_blocks", no_scan)
+        for gen, ref in zip(gens, refs):
+            got = fixed_point_space(gen)
+            assert len(got) == len(ref) >= 1
+            assert all(vec(b).tobytes() == v.tobytes() for b, v in zip(got, ref))
 
 
 class TestDualCore:

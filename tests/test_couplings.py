@@ -26,13 +26,11 @@ from balance_lab.couplings import (
     coupling_from_channel,
     coupling_from_json,
     diagonal_coupling,
-    evaluate,
     extract_channel,
     flip_coupling,
     is_orthogonal,
     is_trivial,
     kms_flip,
-    new_coupling,
     product_coupling,
     validate_coupling,
 )
@@ -53,11 +51,13 @@ from conftest import (
     channel_from_function,
     coupling_from_channel_loop,
     coupling_from_channel_oracle,
+    evaluate,
     extract_channel_oracle,
     extraction_is_valid,
     is_orthogonal_loop,
     kraus_coupling,
     make_spec,
+    new_coupling,
     preserving_generator,
     probe_like_triples,
     random_matrix,

@@ -13,7 +13,6 @@ from balance_lab import kernel
 from balance_lab.couplings import Coupling, diagonal_coupling, extract_channel
 from balance_lab.kernel import (
     GATHER_COST,
-    _bipartite_blocks,
     _factor,
     _fix_phases,
     _invariant_blocks,
@@ -40,7 +39,6 @@ from balance_lab.states import new_faithful_state
 
 from conftest import (
     assert_same_spectrum,
-    bipartite_blocks_reference,
     check_psd_dense,
     fix_phases_loop,
     invariant_blocks_reference,
@@ -217,26 +215,20 @@ class TestInvariantBlocks:
             assert_same_spectrum(eigenvalues(s), np.linalg.eigvals(s), 1e-12)
 
 
-def assert_same_groups(got, ref):
-    """Equal index arrays, shapes and dtypes, in the same group order."""
-    assert len(got) == len(ref)
-    for x, y in zip(got, ref):
-        for a, b in zip(*((x, y) if isinstance(x, tuple) else ((x,), (y,)))):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(a, b)
-
-
-def assert_both_splits_match(m):
-    assert_same_groups(_bipartite_blocks(m), bipartite_blocks_reference(m))
+def assert_split_matches(m):
+    """The split of m's leading square part has the reference's index
+    arrays, shapes and dtypes, in the same group order."""
     n = min(m.shape)
-    square = m[:n, :n]
-    assert_same_groups(_invariant_blocks(square), invariant_blocks_reference(square))
+    got, ref = _invariant_blocks(m[:n, :n]), invariant_blocks_reference(m[:n, :n])
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 class TestOneGrouping:
-    """Both exact-zero splits read one grouping of component labels, and
-    give the index arrays, in the group order, of the two groupings it
-    replaced."""
+    """The exact-zero split groups its component labels by size, and gives
+    the index arrays, in the group order, of the grouping it replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -256,8 +248,8 @@ class TestOneGrouping:
         if blank:
             m[g.integers(rows)] = 0.0
             m[:, g.integers(cols)] = 0.0
-        assert_both_splits_match(m)
-        assert_both_splits_match(m.T)
+        assert_split_matches(m)
+        assert_split_matches(m.T)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -273,15 +265,15 @@ class TestOneGrouping:
         for r, c in shapes:
             m[i : i + r, j : j + c] = g.normal(size=(r, c))
             i, j = i + r, j + c
-        assert_both_splits_match(m[g.permutation(rows)][:, g.permutation(cols)])
+        assert_split_matches(m[g.permutation(rows)][:, g.permutation(cols)])
         sizes = [r for r, _ in shapes if r]
         h = scipy.linalg.block_diag(*(g.normal(size=(r, r)) for r in sizes))
         p = g.permutation(len(h))
-        assert_both_splits_match(h[p][:, p])
+        assert_split_matches(h[p][:, p])
 
     def test_grid_generators(self):
         for s in GRID_GENERATORS:
-            assert_both_splits_match(s)
+            assert_split_matches(s)
 
 
 class TestSupport:
@@ -591,17 +583,17 @@ def assert_same_psd(m, tol=1e-9):
 
 
 class TestBlockwiseFactorizations:
-    """nullspace works one block of the bipartite exact-zero pattern at a
-    time, check_psd one block of the symmetrized one (its Hermitian gate
-    too), each cut against the whole matrix's scale; a single block is the
-    dense call, bit for bit.  The references are the dense factorizations
-    they replaced."""
+    """nullspace and check_psd (its Hermitian gate too) work one block of
+    the symmetrized exact-zero pattern at a time, each cut against the whole
+    matrix's scale; a single block, and any matrix that is not square, is
+    the dense call, bit for bit.  The references are the dense
+    factorizations they replaced."""
 
-    @pytest.mark.parametrize("shape", [(12, 12), (7, 11), (11, 7)])
+    @pytest.mark.parametrize("shape", [(12, 12), (7, 11), (11, 7), (9, 4), (3, 4)])
     def test_single_block_is_the_dense_call(self, shape):
         m = random_matrix(*shape, seed=60)
         m[:, 0] = m[:, 1]  # rank-deficient, and still one block
-        assert len(_bipartite_blocks(m)) == 1
+        assert shape[0] != shape[1] or len(_invariant_blocks(m)) == 1
         got, ref = nullspace(m), nullspace_dense(m)
         assert len(got) == len(ref) >= 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
@@ -614,14 +606,21 @@ class TestBlockwiseFactorizations:
 
     def test_probe_inputs_split(self):
         # otherwise the comparisons below would only see the dense path
-        for m in KERNEL_OPERATORS + EXTRACTED:
-            assert sum(rows.shape[0] for rows, _ in _bipartite_blocks(m)) > 1
-        for m in PSD_INPUTS:
+        square = [s_e for s_e in EXTRACTED if s_e.shape[0] == s_e.shape[1]]
+        assert len(square) == len(EXTRACTED) - 1
+        for m in KERNEL_OPERATORS + square + PSD_INPUTS:
             assert sum(idx.shape[0] for idx in _invariant_blocks(m)) > 1
 
     def test_kernels_match_dense(self):
         for m in KERNEL_OPERATORS:
             assert_same_kernel(m)
+
+    def test_held_split_changes_no_bit(self):
+        for m in KERNEL_OPERATORS[::4]:
+            blocks = [idx.copy() for idx in _invariant_blocks(m)]
+            got, ref = nullspace(m, blocks=blocks), nullspace(m)
+            assert len(got) == len(ref) >= 1
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
 
     def test_psd_matches_dense(self):
         for m in PSD_INPUTS:
@@ -649,12 +648,12 @@ class TestBlockwiseFactorizations:
         assert_same_psd(h)
 
     def test_zero_rows_and_columns(self):
-        m = np.zeros((3, 4), dtype=complex)
-        m[0, 1], m[2, 3] = 2.0, 1.0
-        assert {(r.shape[1], c.shape[1]) for r, c in _bipartite_blocks(m)} == {
-            (0, 1), (1, 0), (1, 1)
-        }
-        assert len(nullspace(m)) == m.shape[1] - np.linalg.matrix_rank(m, rtol=1e-9) == 4 - 2
+        # index 4 is isolated; the zero columns 0 and 2 each share a block
+        # with the one nonzero column of their row
+        m = np.zeros((5, 5), dtype=complex)
+        m[0, 1], m[2, 3], m[4, 4] = 2.0, 1.0, 3.0
+        assert [idx.tolist() for idx in _invariant_blocks(m)] == [[[4]], [[0, 1], [2, 3]]]
+        assert len(nullspace(m)) == m.shape[1] - np.linalg.matrix_rank(m, rtol=1e-9) == 5 - 3
         assert_same_kernel(m)
         assert [np.flatnonzero(v).tolist() for v in nullspace(m)] == [[0], [2]]
 
@@ -684,9 +683,24 @@ class TestBlockwiseFactorizations:
         assert len(nullspace(m)) == cols - expected
         assert_same_kernel(m)
 
+        # a square one, one permutation on its rows and its columns: a block
+        # of rank k > 0 is dense, and one of rank 0 is r isolated indices
+        square = [(r, min(k, r)) for r, _, k in shapes if r]
+        assume(square)
+        q = scipy.linalg.block_diag(*(
+            (g.normal(size=(r, k)) + 1j * g.normal(size=(r, k)))
+            @ (g.normal(size=(k, r)) + 1j * g.normal(size=(k, r)))
+            for r, k in square
+        ))
+        p = g.permutation(len(q))
+        q = q[p][:, p]
+        assert sum(idx.shape[0] for idx in _invariant_blocks(q)) == \
+            sum(1 if k else r for r, k in square)
+        assert len(nullspace(q)) == len(q) - sum(k for _, k in square)
+        assert_same_kernel(q)
+
         # a Hermitian one, rank-deficient blocks and one of them negative
-        sizes = [r for r, _, _ in shapes if r]
-        assume(sizes)
+        sizes = [r for r, _ in square]
         h = np.zeros((sum(sizes),) * 2, dtype=complex)
         i = 0
         for r in sizes:

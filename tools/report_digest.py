@@ -22,7 +22,10 @@ cycles: the grid round reaches such blocks only at n = 7.  And it runs
 ``validate`` on a coupling with a negative eigenvalue, on a non-Hermitian
 kappa and on a channel whose Choi matrix is not PSD, and
 ``coupling-from-channel`` on that channel: no benchmark command reaches a
-rejection of the PSD check.  Run from the root of a checkout:
+rejection of the PSD check.  And it runs ``ergodic`` on three channels (the
+identity, a dephasing channel and e^L of a grid generator): no benchmark
+command takes the fixed points of a channel.  Run from the root of a
+checkout:
 
     python tools/report_digest.py
 
@@ -261,6 +264,35 @@ def psd_rejection_commands(workloads, workdir: str) -> list:
               "--state-b", path("state_b.json")], None)]
 
 
+def channel_ergodic_commands(workloads, workdir: str) -> list:
+    """``ergodic --dynamics <channel> --state <state>`` on three channels,
+    whose files are written to ``workdir``: the identity channel at n = 3,
+    where S - 1 = 0; the dephasing channel a -> 0.4 a + 0.6 diag(a) at n = 3,
+    on the state (0.2, 0.3, 0.5); and e^L of the generator of
+    ``standard_grid()[0]``, on its state, whose fixed space has dimension
+    7.  No benchmark command takes the fixed points of a channel, the kernel
+    of S - 1, which can hold exact zeros on its diagonal."""
+    bl = workloads.bl
+    sys_a = bl.lindblad.scenario_build(bl.lindblad.standard_grid()[0]).system_a
+    i, j = np.divmod(np.arange(9), 3)
+    p = bl.new_faithful_state([0.2, 0.3, 0.5])
+    superoperators = {
+        "identity": (np.eye(9), p),
+        "dephasing": (np.diag(np.where(i == j, 1.0, 0.4)), p),
+        "semigroup": (bl.semigroup(sys_a.dynamics, 1.0).superoperator, sys_a.state),
+    }
+    commands = []
+    for name, (s, state) in superoperators.items():
+        channel = {"dim_in": state.dim, "dim_out": state.dim, "superoperator": bl.matrix_to_json(s)}
+        paths = [os.path.join(workdir, f"{name}_{kind}.json") for kind in ("channel", "state")]
+        for path, obj in zip(paths, (channel, state.to_json())):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        argv = ["ergodic", "--dynamics", paths[0], "--state", paths[1]]
+        commands.append((f"ergodic-{name}-channel", argv, None))
+    return commands
+
+
 def command_digests(cli, commands: list, workdir: str, prefix: str) -> dict[str, str]:
     """One digest per command, run in order in ``workdir``: its exit code,
     stdout, stderr and the files it wrote or changed, the work directory
@@ -296,10 +328,12 @@ def cli_digests(workloads, seed: int) -> dict[str, str]:
 def fixed_digests(workloads) -> dict[str, str]:
     """:func:`command_digests` of :func:`skewed_commands`,
     :func:`nontracial_commands`, :func:`multi_cycle_commands` and
-    :func:`psd_rejection_commands`, whose files do not depend on a seed."""
+    :func:`psd_rejection_commands` and :func:`channel_ergodic_commands`,
+    whose files do not depend on a seed."""
     with tempfile.TemporaryDirectory() as workdir:
         commands = skewed_commands(workloads, workdir) + nontracial_commands(workloads, workdir)
         commands += multi_cycle_commands(workloads, workdir) + psd_rejection_commands(workloads, workdir)
+        commands += channel_ergodic_commands(workloads, workdir)
         return command_digests(workloads.bl.cli, commands, workdir, "cli/fixed")
 
 
