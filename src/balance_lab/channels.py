@@ -42,8 +42,10 @@ Theta is formed.
 
 Kind enters in four places only: the preservation residual
 (``states.state_preservation_residual``), the result constructor ``_like``,
-the name in ``dual``'s error, and ``_fixed_point_operator`` (S - 1 for a
-channel, S for a generator).  The generator twins of the three duals call
+the name in ``dual``'s error, and the fixed points: ``_fixed_point_operator``
+(S - 1 for a channel, S for a generator) and the split that
+``fixed_point_space`` hands to ``nullspace`` (held by a generator, scanned
+for a channel).  The generator twins of the three duals call
 them, and ``change_frame`` is the one change of basis of dynamics.
 """
 
