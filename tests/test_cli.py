@@ -1018,18 +1018,18 @@ class TestCanonicalJson:
 
 
 class TestImport:
-    """The CLI loads scipy only when a command exponentiates a generator."""
+    """Neither the CLI nor the matrix exponential loads scipy."""
 
     SCRIPT = (
         "import json, sys\n"
         "import balance_lab.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "from balance_lab.kernel import mat_exp, matrix_from_json, matrix_to_json\n"
         "x = mat_exp(matrix_from_json(json.load(sys.stdin)))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(json.dumps({'loaded': loaded, 'exp': matrix_to_json(x)}))\n"
     )
 
-    def test_cli_import_leaves_scipy_unloaded_until_mat_exp(self):
+    def test_cli_import_and_mat_exp_leave_scipy_unloaded(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         m = 0.7 * random_matrix(6, seed=5)
@@ -1046,6 +1046,23 @@ class TestImport:
         y = taylor_exp_oracle(m)
         x = matrix_from_json(out["exp"])
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    # runs the CLI with every import of scipy failing
+    BLOCKED = "import sys\nsys.modules['scipy'] = None\nimport balance_lab.cli\nsys.exit(balance_lab.cli.main(sys.argv[1:]))\n"
+
+    def test_exponentiating_commands_run_without_scipy(self, workdir, capsys):
+        f = write(workdir / "spec.json", make_spec().to_json())
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in (
+            ("convergence", "--scenario", f, "--times", "1", "1000"),
+            ("check-balance", "--scenario", f, "--sampled-times", "0.1", "1", "5"),
+        ):
+            code, text = run(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-c", self.BLOCKED, *argv], capture_output=True, text=True, env=env
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, text, "")
 
 
 def assert_leaves_close(x, y):

@@ -34,7 +34,7 @@ from balance_lab.kernel import (
     vec,
     unvec,
 )
-from balance_lab.lindblad import cycle_generator, scenario_build, standard_grid
+from balance_lab.lindblad import build_generator, cycle_generator, scenario_build, standard_grid
 from balance_lab.states import new_faithful_state
 
 from conftest import (
@@ -149,6 +149,118 @@ class TestMatExp:
         assert frob_distance(mat_exp(m) @ mat_exp(-m), np.eye(5)) <= 1e-9
 
 
+def block_diagonal_stack(blocks):
+    """The block-diagonal matrix of equal-sized blocks, the index of each
+    block, and the split that hands mat_exp all of them as one stack."""
+    k = blocks[0].shape[0]
+    m = np.zeros((k * len(blocks),) * 2, dtype=complex)
+    idx = [np.arange(i * k, (i + 1) * k) for i in range(len(blocks))]
+    for ix, b in zip(idx, blocks):
+        m[np.ix_(ix, ix)] = b
+    return m, idx, [np.stack(idx)]
+
+
+def scaled_to_norm(a, norm):
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+class TestPadeStacks:
+    """mat_exp takes each stack of equal-sized blocks in one batched pass of
+    scaling, the [13/13] Pade approximant and squaring, each slice with its
+    own scaling from its own 1-norm."""
+
+    NORMS = (1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3)
+
+    def test_each_slice_has_the_bits_of_its_own_call(self):
+        # mixed norms, so that the slices take different numbers of squarings
+        blocks = [scaled_to_norm(random_matrix(5, seed=60 + i), x) for i, x in enumerate(self.NORMS)]
+        blocks += [np.diag(random_matrix(5, 1, seed=70)[:, 0]), np.zeros((5, 5), dtype=complex)]
+        m, idx, split = block_diagonal_stack(blocks)
+        x = mat_exp(m, split)
+        for ix, b in zip(idx, blocks):
+            assert mat_exp(b).tobytes() == x[np.ix_(ix, ix)].tobytes()
+        # and in any order of the stack
+        order = np.random.default_rng(71).permutation(len(blocks))
+        m2, idx2, split2 = block_diagonal_stack([blocks[i] for i in order])
+        x2 = mat_exp(m2, split2)
+        for ix, i in zip(idx2, order):
+            assert x2[np.ix_(ix, ix)].tobytes() == x[np.ix_(idx[i], idx[i])].tobytes()
+
+    def test_random_generators_match_scipy_and_taylor(self):
+        # dense 9 x 9 generators at n = 3; e^L is a channel, so its size stays
+        # near 1 at every scale.  The Taylor oracle's own error passes 1e-13
+        # above a 1-norm of about 10 (scipy and it part by up to 7e-13 at
+        # 1e3 on such generators), so it is compared up to there.
+        for seed in range(4):
+            gens = []
+            for i, norm in enumerate(self.NORMS):
+                g = rng(100 * seed + i)
+                jumps = [random_matrix(3, seed=1000 * seed + 10 * i + j) for j in range(2)]
+                h = g.normal(size=(3, 3))
+                gens.append(scaled_to_norm(build_generator(jumps, h + h.T).superoperator, norm))
+            m, idx, split = block_diagonal_stack(gens)
+            x = mat_exp(m, split)
+            for ix, a, norm in zip(idx, gens, self.NORMS):
+                refs = [scipy.linalg.expm(a)] + ([taylor_exp_oracle(a)] if norm <= 10 else [])
+                for ref in refs:
+                    assert frob_distance(x[np.ix_(ix, ix)], ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_random_dense_matches_scipy_and_taylor(self):
+        for seed in range(4):
+            blocks = [scaled_to_norm(random_matrix(6, seed=200 + 10 * seed + i), x)
+                      for i, x in enumerate(self.NORMS[:4])]
+            m, idx, split = block_diagonal_stack(blocks)
+            x = mat_exp(m, split)
+            for ix, a in zip(idx, blocks):
+                for ref in (scipy.linalg.expm(a), taylor_exp_oracle(a)):
+                    assert frob_distance(x[np.ix_(ix, ix)], ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.5j, -30.0, 2.0])
+    def test_jordan_block(self, lam):
+        # far from normal: lam 1 + N with N nilpotent, 1 on the first and
+        # 0.3 on the second superdiagonal
+        k = 8
+        a = lam * np.eye(k) + np.eye(k, k=1) + 0.3 * np.eye(k, k=2)
+        x = mat_exp(a)
+        for ref in (scipy.linalg.expm(a), taylor_exp_oracle(a)):
+            assert frob_distance(x, ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(1, 2), (3, 3)])
+    def test_non_finite_slice_is_nan(self, monkeypatch, value, entry):
+        a = random_matrix(4, seed=80)
+        bad = a.copy()
+        bad[entry] = value
+        m, idx, split = block_diagonal_stack([a, bad])
+        seen = []
+        pade = kernel._pade13
+        monkeypatch.setattr(kernel, "_pade13", lambda a, norm: seen.append(a) or pade(a, norm))
+        x = mat_exp(m, split)
+        # as scipy gives it; the slice never reaches the Pade pass, so no
+        # squaring count is read off it
+        assert np.isnan(scipy.linalg.expm(bad)).all()
+        assert np.isnan(x[np.ix_(idx[1], idx[1])]).all()
+        assert x[np.ix_(idx[0], idx[0])].tobytes() == mat_exp(a).tobytes()
+        assert all(np.isfinite(s).all() for s in seen)
+
+    def test_non_finite_diagonal_slice_is_its_exponential(self):
+        d = np.array([np.inf, -np.inf, np.nan, 0.5])
+        assert np.array_equal(mat_exp(np.diag(d)), scipy.linalg.expm(np.diag(d)), equal_nan=True)
+
+    def test_huge_norms(self, monkeypatch):
+        a = random_matrix(4, seed=81)
+        # a 1-norm of 1e300 takes about 1000 squarings, which overflow to NaN
+        # as scipy's do
+        huge = scaled_to_norm(a, 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(scipy.linalg.expm(huge)).all()
+            assert np.isnan(mat_exp(huge)).all()
+        # a 1-norm that overflows with finite entries is NaN, with no pass
+        monkeypatch.setattr(kernel, "_pade13", None)
+        with np.errstate(over="ignore"):
+            assert np.isnan(mat_exp(np.full((3, 3), 1e308 + 0j))).all()
+
+
 GRID_TRIPLES = [scenario_build(spec) for spec in standard_grid()]
 # the superoperators of both generators of every standard_grid scenario
 GRID_GENERATORS = [
@@ -172,7 +284,10 @@ class TestInvariantBlocks:
     def test_dense_matrix_is_the_single_dense_call(self):
         m = random_matrix(12, seed=21)
         assert len(_invariant_blocks(m)) == 1
-        assert np.array_equal(mat_exp(m), scipy.linalg.expm(m))
+        x = mat_exp(m)
+        assert np.array_equal(x, kernel._exp_stack(m[None])[0])
+        for ref in (scipy.linalg.expm(m), taylor_exp_oracle(m)):
+            assert frob_distance(x, ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.array_equal(eigenvalues(m), np.linalg.eigvals(m))
 
     def test_grid_generators_split(self):

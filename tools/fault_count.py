@@ -5,14 +5,12 @@ seed 7 (read as it is, unchanged), runs it once to warm up, then runs it
 three times more, reading ``resource.getrusage`` and ``time.perf_counter``
 around each op.  Run from the root of a checkout:
 
-    python tools/fault_count.py probes [--preload-scipy]
+    python tools/fault_count.py probes
 
 It prints, per op kind, the minor faults per round and the median wall ms
 of one op, then the per-round totals: the mean faults and the median wall
-ms of a round.  ``--preload-scipy`` imports ``scipy.linalg`` before the
-round is built, as a process that has run a ``mat_exp`` has; the grid round
-alone never loads it.  Set ``OPENBLAS_NUM_THREADS=1`` to match the
-benchmark.  Op results are checked as the benchmark checks them, outside
+ms of a round.  Set ``OPENBLAS_NUM_THREADS=1`` to match the benchmark.
+Op results are checked as the benchmark checks them, outside
 the counted region, and failures are reported.
 """
 
@@ -59,10 +57,7 @@ def run(ops, rounds: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=("grid", "probes"))
-    parser.add_argument("--preload-scipy", action="store_true")
     args = parser.parse_args(argv)
-    if args.preload_scipy:
-        import scipy.linalg  # noqa: F401
     import workloads
 
     ops = workloads.build_round(args.workload, SEED, "").ops

@@ -10,7 +10,7 @@ the slot's files: no benchmark command builds a reversing operation from a
 unitary.  Then it runs ``convergence`` on each slot's two generators,
 written as files, paired through the product coupling: no benchmark command
 reaches the vacuous branch.  Last, once and not per seed, since their
-files are built from fixed specs, it runs four more families.  It runs
+files are built from fixed specs, it runs six more families.  It runs
 ``compose`` and ``check-orthogonal`` on a skewed grid coupling and its
 flip: no benchmark composition lies near the orthogonality cut.  It runs
 ``check-orthogonal`` on a grid coupling that keeps pairs across two blocks
@@ -24,8 +24,11 @@ kappa and on a channel whose Choi matrix is not PSD, and
 ``coupling-from-channel`` on that channel: no benchmark command reaches a
 rejection of the PSD check.  And it runs ``ergodic`` on three channels (the
 identity, a dephasing channel and e^L of a grid generator): no benchmark
-command takes the fixed points of a channel.  Run from the root of a
-checkout:
+command takes the fixed points of a channel.  And it runs
+``check-balance --sampled-times`` and ``convergence`` on the generators of a
+one-cycle spec conjugated by a unitary, through the product coupling: each
+is one dense block, and no benchmark command exponentiates such a block.
+Run from the root of a checkout:
 
     python tools/report_digest.py
 
@@ -67,6 +70,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 PROBES_SEEDS, GRID_SEEDS, CLI_SEEDS = (1, 2), (1,), (1, 2, 3)
 THETA_SEED = 21
 MULTI_CYCLE_SEED = 22
+ROTATED_SEED = 23
 # (cycles, partition), as in tests/test_lindblad.py: n = 12, 16 and 24
 MULTI_CYCLE_LAYOUTS = (
     ((3, 4, 5), ((0, 2), (1,))),
@@ -293,6 +297,39 @@ def channel_ergodic_commands(workloads, workdir: str) -> list:
     return commands
 
 
+def rotated_commands(workloads, workdir: str) -> list:
+    """``check-balance --sampled-times`` and ``convergence`` on the two
+    generators of a spec of the first slot of ``CLI_SLOTS`` (one 7-cycle),
+    drawn from ``ROTATED_SEED`` as ``workloads._balanced_spec`` draws it and
+    conjugated by one unitary drawn after it, paired through the product
+    coupling of their state as in :func:`product_commands`; the files are
+    written to ``workdir``.  The state of one cycle is maximally mixed, so
+    both rotated generators keep it, and each is one dense 49 x 49 block: no
+    benchmark command exponentiates a single dense block."""
+    bl = workloads.bl
+    rng = np.random.default_rng(ROTATED_SEED)
+    n, cycles, types, _ = workloads.CLI_SLOTS[0]
+    triple = bl.lindblad.scenario_build(workloads._balanced_spec(rng, cycles, types))
+    u = workloads._random_unitary(rng, n)
+    rotate = lambda v: bl.matrix_to_json(u @ v @ u.conj().T)  # noqa: E731
+    s = triple.coupling.state_a
+    files = {"rotated_product.json": bl.couplings.product_coupling(s, s).to_json()}
+    for x, system in (("a", triple.system_a), ("b", triple.system_b)):
+        gen = system.dynamics
+        files[f"rotated_gen_{x}.json"] = {"kraus": [rotate(v) for v in gen.jumps],
+                                          "hamiltonian": rotate(gen.hamiltonian)}
+    for name, obj in files.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    f = lambda name: os.path.join(workdir, name)  # noqa: E731
+    inputs = ["--dynamics-a", f("rotated_gen_a.json"), "--dynamics-b", f("rotated_gen_b.json"),
+              "--coupling", f("rotated_product.json")]
+    return [("check-balance-rotated",
+             ["check-balance", *inputs, "--sampled-times", *map(str, workloads.SAMPLED_TIMES)], None),
+            ("convergence-rotated",
+             ["convergence", *inputs, "--times", *map(str, workloads.CONVERGENCE_TIMES)], None)]
+
+
 def command_digests(cli, commands: list, workdir: str, prefix: str) -> dict[str, str]:
     """One digest per command, run in order in ``workdir``: its exit code,
     stdout, stderr and the files it wrote or changed, the work directory
@@ -328,12 +365,12 @@ def cli_digests(workloads, seed: int) -> dict[str, str]:
 def fixed_digests(workloads) -> dict[str, str]:
     """:func:`command_digests` of :func:`skewed_commands`,
     :func:`nontracial_commands`, :func:`multi_cycle_commands` and
-    :func:`psd_rejection_commands` and :func:`channel_ergodic_commands`,
-    whose files do not depend on a seed."""
+    :func:`psd_rejection_commands`, :func:`channel_ergodic_commands` and
+    :func:`rotated_commands`, whose files do not depend on a seed."""
     with tempfile.TemporaryDirectory() as workdir:
         commands = skewed_commands(workloads, workdir) + nontracial_commands(workloads, workdir)
         commands += multi_cycle_commands(workloads, workdir) + psd_rejection_commands(workloads, workdir)
-        commands += channel_ergodic_commands(workloads, workdir)
+        commands += channel_ergodic_commands(workloads, workdir) + rotated_commands(workloads, workdir)
         return command_digests(workloads.bl.cli, commands, workdir, "cli/fixed")
 
 
