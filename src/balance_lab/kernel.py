@@ -440,7 +440,8 @@ def _pade13(a: np.ndarray, norm: np.ndarray) -> np.ndarray:
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+    u = a @ (u + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     # r = (v - u)^-1 (v + u), written as 1 + 2 (v - u)^-1 u
     x = eye + 2.0 * np.linalg.solve(v - u, u)
@@ -448,8 +449,9 @@ def _pade13(a: np.ndarray, norm: np.ndarray) -> np.ndarray:
         if i < s.min():
             x = x @ x
         else:
-            y = x[s > i]
-            x[s > i] = y @ y
+            sq = s > i
+            y = x[sq]
+            x[sq] = y @ y
     return x
 
 

@@ -1048,7 +1048,12 @@ class TestImport:
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
     # runs the CLI with every import of scipy failing
-    BLOCKED = "import sys\nsys.modules['scipy'] = None\nimport balance_lab.cli\nsys.exit(balance_lab.cli.main(sys.argv[1:]))\n"
+    BLOCKED = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import balance_lab.cli\n"
+        "sys.exit(balance_lab.cli.main(sys.argv[1:]))\n"
+    )
 
     def test_exponentiating_commands_run_without_scipy(self, workdir, capsys):
         f = write(workdir / "spec.json", make_spec().to_json())

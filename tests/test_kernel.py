@@ -173,7 +173,8 @@ class TestPadeStacks:
 
     def test_each_slice_has_the_bits_of_its_own_call(self):
         # mixed norms, so that the slices take different numbers of squarings
-        blocks = [scaled_to_norm(random_matrix(5, seed=60 + i), x) for i, x in enumerate(self.NORMS)]
+        blocks = [scaled_to_norm(random_matrix(5, seed=60 + i), x)
+                  for i, x in enumerate(self.NORMS)]
         blocks += [np.diag(random_matrix(5, 1, seed=70)[:, 0]), np.zeros((5, 5), dtype=complex)]
         m, idx, split = block_diagonal_stack(blocks)
         x = mat_exp(m, split)

@@ -324,10 +324,10 @@ def rotated_commands(workloads, workdir: str) -> list:
     f = lambda name: os.path.join(workdir, name)  # noqa: E731
     inputs = ["--dynamics-a", f("rotated_gen_a.json"), "--dynamics-b", f("rotated_gen_b.json"),
               "--coupling", f("rotated_product.json")]
-    return [("check-balance-rotated",
-             ["check-balance", *inputs, "--sampled-times", *map(str, workloads.SAMPLED_TIMES)], None),
-            ("convergence-rotated",
-             ["convergence", *inputs, "--times", *map(str, workloads.CONVERGENCE_TIMES)], None)]
+    sampled = map(str, workloads.SAMPLED_TIMES)
+    times = map(str, workloads.CONVERGENCE_TIMES)
+    return [("check-balance-rotated", ["check-balance", *inputs, "--sampled-times", *sampled], None),
+            ("convergence-rotated", ["convergence", *inputs, "--times", *times], None)]
 
 
 def command_digests(cli, commands: list, workdir: str, prefix: str) -> dict[str, str]:
@@ -370,7 +370,8 @@ def fixed_digests(workloads) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as workdir:
         commands = skewed_commands(workloads, workdir) + nontracial_commands(workloads, workdir)
         commands += multi_cycle_commands(workloads, workdir) + psd_rejection_commands(workloads, workdir)
-        commands += channel_ergodic_commands(workloads, workdir) + rotated_commands(workloads, workdir)
+        commands += channel_ergodic_commands(workloads, workdir)
+        commands += rotated_commands(workloads, workdir)
         return command_digests(workloads.bl.cli, commands, workdir, "cli/fixed")
 
 
