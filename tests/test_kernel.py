@@ -245,8 +245,10 @@ class TestPadeStacks:
         assert all(np.isfinite(s).all() for s in seen)
 
     def test_non_finite_diagonal_slice_is_its_exponential(self):
-        d = np.array([np.inf, -np.inf, np.nan, 0.5])
-        assert np.array_equal(mat_exp(np.diag(d)), scipy.linalg.expm(np.diag(d)), equal_nan=True)
+        d = np.diag([np.inf, -np.inf, np.nan, 0.5]).astype(complex)
+        # as four 1 x 1 blocks, scanned, and as one 4 x 4 slice
+        for blocks in (None, [np.arange(4)[None]]):
+            assert np.array_equal(mat_exp(d, blocks), scipy.linalg.expm(d), equal_nan=True)
 
     def test_huge_norms(self, monkeypatch):
         a = random_matrix(4, seed=81)
