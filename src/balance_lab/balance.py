@@ -57,6 +57,7 @@ from .couplings import (
 from .kernel import (
     DEFAULT_TOL,
     Report,
+    _defect_on_pattern,
     _max_relative_residual,
     _relative_residuals,
     eigenvalues,
@@ -118,32 +119,31 @@ def is_balanced(
     S_E is zero outside the rows and columns that the coupling touches, so
     it is read as the coupling's ``kernel._Factor`` (``Coupling.factor``)
     with its rows weighed by ``couplings._weigh_rows``, which has S_E's
-    bits: every product is taken over the support block alone, by row
-    gather where the kernel's cost rule allows and by BLAS elsewhere.  The
-    two products that read one operand are taken together
-    (``_Factor.products``), so a gather copies it to C order once.  D and
-    its size are each read on the two regions where they can be nonzero
-    (``_Factor.regions``): the support rows (both terms on the support
-    columns, the first alone on the others) and the other rows on the
-    support columns (the second alone).  The Frobenius norm is the hypot of
-    the regions' norms, the componentwise maximum the larger of their
-    maxima, and 0/0 = 0 elsewhere.
+    bits.  D and its size are formed on the union of the patterns of
+    S_E S_alpha and S_beta S_E (``kernel._defect_on_pattern``), from the
+    patterns that the dynamics hold (``pattern``): each nonzero of S_E meets
+    a row of S_alpha and a column of S_beta, and the terms are summed by
+    position.  ``residual`` is then ||D||_F over the Frobenius norms of the
+    two patterns' nonzeros, and the componentwise maximum is read on the
+    union, with 0/0 = 0 off it.  Where the kernel's cost rule finds the
+    terms too many (a dense pair) or the matrices too small for it
+    (n^2 < GATHER_COST), D is formed by the dense products through the
+    factor (:func:`_dense_defect`), with the bits it had before patterns.
+    The two ways sum the same terms in different orders, so their floats
+    differ by rounding only.
     """
     _check_triple(sys_a, sys_b, w)
-    s_alpha = sys_a.dynamics.superoperator
-    s_beta = sys_b.dynamics.superoperator
-    scale = frob_norm(s_alpha) + frob_norm(s_beta)
+    alpha, beta = sys_a.dynamics, sys_b.dynamics
     s_e = _weigh_rows(w.factor, w.state_b.inv_sqrt_spectrum)
-    ea, size_a = s_e.products(s_alpha[s_e.cols], 0)
-    be, size_b = s_e.products(s_beta[:, s_e.rows], -1)
-    defect = s_e.regions(ea, be, np.subtract)
-    # each n^2 x n^2 product is released once read: the high-water mark of
-    # this call is close to the peak memory of a process of heavy probes
-    del ea, be
-    residual = relative_residual(math.hypot(*map(frob_norm, defect)), scale)
-    size = s_e.regions(size_a, size_b, np.add)
-    del size_a, size_b
-    def_residual = float(max(map(_max_relative_residual, map(np.abs, defect), size)))
+    on_pattern = _defect_on_pattern(s_e, alpha, beta)
+    if on_pattern is not None:
+        magnitude, size = on_pattern
+        scale = frob_norm(alpha.pattern.form(0)[1]) + frob_norm(beta.pattern.form(0)[1])
+        residual = relative_residual(frob_norm(magnitude), scale)
+        def_residual = _max_relative_residual(magnitude, size)
+    else:
+        residual, def_residual = _dense_defect(s_e, sys_a.dynamics.superoperator,
+                                               sys_b.dynamics.superoperator)
 
     balanced = residual <= tol
     agree = balanced == (def_residual <= tol)
@@ -154,6 +154,31 @@ def is_balanced(
         method_agreement=bool(agree),
         tol=tol,
     )
+
+
+def _dense_defect(s_e, s_alpha: np.ndarray, s_beta: np.ndarray) -> tuple[float, float]:
+    """The two cuts of :func:`is_balanced` by the dense products with the
+    factor s_e: every product is taken over the support block alone, by row
+    gather where the kernel's cost rule allows and by BLAS elsewhere.  The
+    two products that read one operand are taken together
+    (``_Factor.products``), so a gather copies it to C order once.  D and
+    its size are each read on the two regions where they can be nonzero
+    (``_Factor.regions``): the support rows (both terms on the support
+    columns, the first alone on the others) and the other rows on the
+    support columns (the second alone).  The Frobenius norm is the hypot of
+    the regions' norms, the componentwise maximum the larger of their
+    maxima."""
+    scale = frob_norm(s_alpha) + frob_norm(s_beta)
+    ea, size_a = s_e.products(s_alpha[s_e.cols], 0)
+    be, size_b = s_e.products(s_beta[:, s_e.rows], -1)
+    defect = s_e.regions(ea, be, np.subtract)
+    # each n^2 x n^2 product is released once read: the high-water mark of
+    # this call is close to the peak memory of a process of heavy probes
+    del ea, be
+    residual = relative_residual(math.hypot(*map(frob_norm, defect)), scale)
+    size = s_e.regions(size_a, size_b, np.add)
+    del size_a, size_b
+    return residual, float(max(map(_max_relative_residual, map(np.abs, defect), size)))
 
 
 def sampled_balance(

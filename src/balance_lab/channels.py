@@ -60,7 +60,11 @@ import numpy as np
 from .kernel import (
     DEFAULT_TOL,
     Report,
+    _Factor,
+    _factor,
+    _held,
     _json_int,
+    _made,
     ad_superop,
     as_matrix,
     check_psd,
@@ -91,6 +95,13 @@ class QuantumChannel:
         if s.shape != expected:
             raise ValueError(f"superoperator shape {s.shape} != {expected}")
         object.__setattr__(self, "superoperator", s)
+
+    @cached_property
+    def pattern(self) -> _Factor:
+        """The exact nonzero pattern of the superoperator as a
+        ``kernel._Factor``: held from the maker where it knows it, scanned
+        once, on first use, otherwise."""
+        return _made(self, "pattern", lambda: _factor(self.superoperator))
 
     @property
     def kind(self) -> str:
@@ -189,19 +200,22 @@ def validate_ucp(ch: QuantumChannel, tol: float = DEFAULT_TOL) -> UcpReport:
 # the dual core
 
 
-def _like(dyn, superoperator: np.ndarray, growth: float = 1.0):
+def _like(dyn, superoperator: np.ndarray, growth: float = 1.0, pattern=None):
     """The result constructor: dynamics of the kind of ``dyn`` with the given
-    superoperator, on the dimensions that superoperator maps between.  A
-    generator keeps the scale of ``dyn`` times ``growth``, a bound on how
-    much the map that made the superoperator can grow its norm."""
+    superoperator, on the dimensions that superoperator maps between, and
+    the recipe of its pattern when it is given (``kernel._held``).  A generator keeps the scale of
+    ``dyn`` times ``growth``, a bound on how much the map that made the
+    superoperator can grow its norm."""
     if dyn.kind == "generator":
         dim = math.isqrt(superoperator.shape[0])
-        return type(dyn)(dim=dim, superoperator=superoperator, scale=dyn.scale * growth)
-    return QuantumChannel(
-        dim_in=math.isqrt(superoperator.shape[1]),
-        dim_out=math.isqrt(superoperator.shape[0]),
-        superoperator=superoperator,
-    )
+        out = type(dyn)(dim=dim, superoperator=superoperator, scale=dyn.scale * growth)
+    else:
+        out = QuantumChannel(
+            dim_in=math.isqrt(superoperator.shape[1]),
+            dim_out=math.isqrt(superoperator.shape[0]),
+            superoperator=superoperator,
+        )
+    return out if pattern is None else _held(out, pattern=pattern)
 
 
 def change_frame(dyn, u_in=None, u_out=None):
@@ -234,10 +248,12 @@ def dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TO
     w_in, w_out = s_in.kms_weights, s_out.kms_weights
     growth = float(w_out.max() / w_in.min())
     # W_out S W_in^-1 as one fresh array, returned as its transposed view
-    # (see the module docstring)
+    # (see the module docstring), and its pattern weighed with the same
+    # two roundings and transposed
+    inverse = 1.0 / w_in
     t = dyn.superoperator * w_out[:, None]
-    t *= (1.0 / w_in)[None, :]
-    return _like(dyn, t.T, growth)
+    t *= inverse[None, :]
+    return _like(dyn, t.T, growth, lambda: dyn.pattern.scaled(w_out, inverse, t).T)
 
 
 def _kms_flip(superoperator: np.ndarray) -> np.ndarray:
@@ -253,10 +269,19 @@ def _kms_flip(superoperator: np.ndarray) -> np.ndarray:
     return superoperator.reshape(m, m, n, n).transpose(1, 0, 3, 2).reshape(m * m, n * n)
 
 
+def _tensor_swap(n: int) -> np.ndarray:
+    """The permutation a + n b -> b + n a of the indices of vec on M_n, the
+    index map of the transposition X -> X^T."""
+    return np.arange(n * n).reshape(n, n).T.ravel()
+
+
 def _kms_conjugate(dyn):
     """j o dyn o j, as dynamics of the kind of ``dyn``: the KMS-dual of
-    dynamics whose dual is ``dyn``."""
-    return _like(dyn, _kms_flip(dyn.superoperator))
+    dynamics whose dual is ``dyn``.  Its pattern is that of ``dyn`` with
+    the indices permuted."""
+    s = _kms_flip(dyn.superoperator)
+    swap_out, swap_in = _tensor_swap(dyn.dim_out), _tensor_swap(dyn.dim_in)
+    return _like(dyn, s, pattern=lambda: dyn.pattern.permuted(swap_out, swap_in, s))
 
 
 def kms_dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TOL):

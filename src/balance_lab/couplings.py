@@ -12,13 +12,12 @@ Everything here reads kappa through one realignment, the pairing matrix
 an m^2 x n^2 matrix indexed like a superoperator M_n -> M_m (column
 stacking), so that omega(a (x) c) = vec(c)^T P vec(a).
 ``Coupling.pairing`` and its inverse ``_from_pairing`` hold the
-realignment.  Three other places index kappa's rows as (row A) m + (row B)
+realignment.  Two other places index kappa's rows as (row A) m + (row B)
 directly: ``lindblad._coupling_entries`` lists a scenario kappa's nonzeros
 as (x, y, x', y', v) at (x n + y, x' n + y'), which
 ``lindblad.scenario_coupling`` scatters into kappa and
 ``lindblad.balance_sub_residuals`` moves by the shifts on one tensor
-factor, keeping the bits of the dense products;
-:func:`has_scalar_range` weighs its second factor; and
+factor, keeping the bits of the dense products; and
 ``states.gns_vector`` puts sqrt(p_i) at i n + i, the vector whose outer
 product is the diagonal coupling.  In terms of P:
 
@@ -60,28 +59,33 @@ with it after that.  ``balance.is_balanced`` and ``balance.convergence_probe``
 read it with its rows weighed into S_E (:func:`_weigh_rows`), and
 :func:`compose` and :func:`is_orthogonal` read P_psi itself, forming P_psi S_w
 (and, for the cross-Gram, P_psi with a reweighed S_w) over the support of
-P_psi alone.  A
-coupling derived from another (a flip, a KMS flip, a composition) is a new
-coupling with a factor of its own.
+P_psi alone.  A flip and a KMS flip derive their factor from that of the
+coupling they flip, on first use, by transposing it and permuting its
+indices, with no scan; any other new coupling, a composition included,
+scans its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .channels import QuantumChannel, _kms_flip
+from .channels import QuantumChannel, _kms_flip, _tensor_swap
 from .kernel import (
     DEFAULT_TOL,
     Report,
     _distance_and_scale,
     _Factor,
     _factor,
+    _held,
+    _made,
     as_matrix,
     close,
     frob_distance,
+    frob_norm,
     is_psd,
     kron,
     matrix_from_json,
@@ -116,8 +120,10 @@ class Coupling:
 
     @cached_property
     def factor(self) -> _Factor:
-        """The pairing matrix as a ``kernel._Factor``, scanned once."""
-        return _factor(self.pairing())
+        """The pairing matrix as a ``kernel._Factor``: derived from the
+        factor of the coupling it was made from, for a flip and a KMS flip,
+        and scanned once, on first use, otherwise."""
+        return _made(self, "factor", lambda: _factor(self.pairing()))
 
     def to_json(self) -> dict:
         return {
@@ -225,14 +231,19 @@ def coupling_from_channel(
 
 
 def flip_coupling(w: Coupling) -> Coupling:
-    """Swap the tensor factors, P -> P^T; the extracted channel becomes the dual."""
-    return _from_pairing(w.pairing().T, w.state_b, w.state_a)
+    """Swap the tensor factors, P -> P^T; the extracted channel becomes the
+    dual.  Its factor is that of w transposed, with no scan."""
+    flip = _from_pairing(w.pairing().T, w.state_b, w.state_a)
+    return _held(flip, factor=lambda: w.factor.T)
 
 
 def kms_flip(w: Coupling) -> Coupling:
     """The coupling whose extracted channel is the KMS-dual of E_omega:
-    P -> j o P^T o j, an index permutation of kappa."""
-    return _from_pairing(_kms_flip(w.pairing().T), w.state_b, w.state_a)
+    P -> j o P^T o j, an index permutation of kappa.  Its factor is that of
+    w transposed and permuted alike, with no scan."""
+    n, m = w.dims
+    flip = _from_pairing(_kms_flip(w.pairing().T), w.state_b, w.state_a)
+    return _held(flip, factor=lambda: w.factor.T.permuted(_tensor_swap(n), _tensor_swap(m)))
 
 
 def compose(w: Coupling, psi: Coupling) -> Coupling:
@@ -271,10 +282,25 @@ def has_scalar_range(w: Coupling, tol: float = DEFAULT_TOL) -> bool:
     layout, which moves entries and keeps Frobenius norms.  :func:`is_trivial`
     weighs row (k, l) of S_E by r_k r_l, so a block of weight p counts about
     p times less there, and on a state with p_min = 1e-12 it calls a
-    coupling the product that maps a block's projector to its own unit."""
+    coupling the product that maps a block's projector to its own unit.
+
+    Both are read off their nonzeros, in the layout of S_E: those of S_E
+    from the coupling's factor with its rows weighed (:func:`_weigh_rows`),
+    and those of the product's S, p_A[i] at row k + m k and column
+    i + n i, the image of the diagonal of rho_A (x) 1.  Each position of
+    the second is matched or not, so no two sums are subtracted."""
     n, m = w.dims
-    r = np.tile(w.state_b.inv_sqrt_spectrum, n)
-    return close(w.kappa * np.outer(r, r), kron(w.state_a.rho, np.eye(m)), tol)
+    rows, cols, e = _weigh_rows(w.factor, w.state_b.inv_sqrt_spectrum).entries()
+    # the product's positions: rows k + m k and columns i + n i
+    on = (rows % (m + 1) == 0) & (cols % (n + 1) == 0)
+    k, i = rows[on] // (m + 1), cols[on] // (n + 1)
+    product = np.broadcast_to(w.state_a.spectrum, (m, n)).copy()
+    matched = e[on] - product[k, i]
+    scale = max(frob_norm(e), frob_norm(product))
+    product[k, i] = 0.0
+    # S_E - S off the product's positions, on them, and the product alone
+    residual = math.hypot(frob_norm(e[~on]), frob_norm(matched), frob_norm(product))
+    return relative_residual(residual, scale) <= tol
 
 
 @dataclass(frozen=True, eq=False)

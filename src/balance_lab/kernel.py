@@ -32,29 +32,48 @@ Conventions used throughout the package:
   ``mat_exp`` gives each slice the bits it gets alone, so its result is
   bit-identical to the dense call.  The split scans the pattern once
   per call (``_nonzeros``), except where it travels with the matrix: a
-  generator holds the split of its superoperator
-  (``lindblad.LindbladGenerator.invariant_blocks``, scanned on first use),
-  ``lindblad.semigroup`` hands it to ``mat_exp`` for every t, since the
-  pattern of t L is that of L or, where entries underflow, part of it,
-  and ``channels.fixed_point_space`` hands it to ``nullspace``.
-* A matrix that is zero outside a few rows and columns, and has few
-  nonzeros in a row or a column, is a factor of products (``_Factor``,
-  built by ``_factor`` from one scan of its pattern).  The pairing matrix
-  of a coupling is scanned once: its factor is built on first use and
-  travels with the coupling (``couplings.Coupling.factor``), for every
-  composition that reads it, and for every balance check and convergence
-  probe, which read it with its rows weighed into the extracted channel's
-  S_E (``_Factor.__mul__``, a copy that keeps its index arrays).  A
-  product with it is taken over its support block alone: m @ x is nonzero only on the
-  support rows of m and reads only the rows of x on its support columns,
-  and x @ m alike.  A matrix whose support is everything selects it
-  through ``slice(None)``.  On a side with k nonzeros at most in a row of
-  the block, the product is taken by row gather where that is cheaper:
-  m @ x is the k passes ``w[:, j, None] * x[idx[:, j]]`` over the gather
-  form (idx, w) of the block, and x @ m the same on its transpose,
-  gathering columns.  Both forms are built with the factor, from one list
-  of the block's nonzeros in row-major order; the dense block is kept only
-  for a side that stays on BLAS.
+  generator reads its split off its held pattern (below,
+  ``lindblad.LindbladGenerator.invariant_blocks``), ``lindblad.semigroup``
+  hands it to ``mat_exp`` for every t, since the pattern of t L is that
+  of L or, where entries underflow, part of it, and
+  ``channels.fixed_point_space`` hands it to ``nullspace``.
+* The exact nonzero pattern of a matrix has one sparse form, ``_Factor``:
+  its support rows and columns and the gather forms (idx, w) of its
+  support block and of the block's transpose, the row and the column
+  form, each padded to the most nonzeros in a row of it and built on
+  first use.  Every dynamics holds the pattern of its superoperator
+  (``pattern``), and every coupling that of its pairing matrix
+  (``couplings.Coupling.factor``), each made once:
+  - *given by its maker*, which knows it, with no scan:
+    ``lindblad.cycle_generator`` lists its 3 n^2 entries by index,
+    ``lindblad.semigroup`` reads e^{tL} off the blocks of the split it
+    exponentiated (``_listed``);
+  - *derived from the pattern it was made from*, with no scan:
+    ``channels.dual`` weighs its parent's two forms with the two
+    roundings of the dense dual and swaps them (``_Factor.scaled``,
+    ``_Factor.T``), ``channels._kms_conjugate`` permutes its parent's
+    nonzeros (``_Factor.permuted``), and ``couplings.flip_coupling`` and
+    ``couplings.kms_flip`` transpose, and permute, the factor of the
+    coupling they flip;
+  - *scanned once, on first use* (``_factor``), for everything else: a
+    generator from jumps or from a file, the result of a change of frame,
+    a coupling read or composed.
+  A maker leaves its pattern as a recipe (``_held``), which runs on first
+  use, so dynamics whose pattern is never read, as most semigroups of a
+  convergence probe, never pay for it.  Each is the factor that
+  ``_factor`` scans off the dense matrix, to the bit.  The dense
+  superoperators stay as they are: every dense computation reads them.
+* A product with a ``_Factor`` is taken over its support block alone:
+  m @ x is nonzero only on the support rows of m and reads only the rows
+  of x on its support columns, and x @ m alike.  A matrix whose support
+  is everything selects it through ``slice(None)``.  The balance checks
+  and the convergence probe read a coupling's factor with its rows
+  weighed into the extracted channel's S_E (``_Factor.__mul__``, a copy
+  that keeps its index arrays).  On a side with k nonzeros at most in a
+  row of the block, the product is taken by row gather where that is
+  cheaper: m @ x is the k passes ``w[:, j, None] * x[idx[:, j]]`` over
+  the row form, and x @ m the same on the column form, gathering
+  columns; the dense block is kept only for a side that stays on BLAS.
   That is O(k) passes over x where BLAS takes O(inner) steps, with inner
   the inner dimension of the product.  One cost rule picks the gather for
   each product: k * GATHER_COST <= inner, with the constant 128.  Measured
@@ -76,6 +95,27 @@ Conventions used throughout the package:
   in C order, and copies one that is not (``_gather_product``, the one
   place that does); the products that read one operand in one op are taken
   together (``_Factor.products``) from that one copy.
+* The balance defect X A - B X (``balance.is_balanced``: X = S_E, A and B
+  the two superoperators) is formed on the patterns
+  (``_defect_on_pattern``): each nonzero of X meets a row of A's row form
+  and a column of B's column form, and the terms are summed by position
+  after one sort, with the Oettli-Prager size |X| |A| + |B| |X| beside
+  them, so the defect costs its terms, not n^4.  The same GATHER_COST
+  rule decides: below it in an inner dimension (n^2 < 128, n <= 11) BLAS
+  wins and no pattern is read, so none is scanned; above it the terms,
+  the nonzeros of X times the widths of the two forms, must be fewer than
+  the entries of D, or the defect is left to the dense products through
+  the factor, with their bytes.  Measured in-process with one BLAS
+  thread, per call on held patterns: 1.44 -> 0.17 ms on the generators of
+  one 16-cycle, 0.62 -> 0.12 ms on four 4-cycles, 0.46 -> 0.13 ms on one
+  12-cycle and 0.22 -> 0.10 ms on three 4-cycles; e^{tK} and e^{tL} at
+  t = 1 of the 16-cycle, 16 nonzeros a row, 1.38 -> 0.47 ms.  On
+  generators built fresh and scanned in the call (the benchmark's grid):
+  0.24 ms either way on three 4-cycles, 0.48 -> 0.28 ms on one 12-cycle;
+  at n = 7 the pattern with its scans would take 0.16 ms against 0.10 ms,
+  which the inner-dimension cut leaves to BLAS.  The sums differ from the
+  dense products by rounding only; a random dense pair (n^6 terms) stays
+  dense.
 * Freed arrays stay in the process.  On glibc, importing this module sets
   the allocator's mmap threshold to 32 MiB (its maximum, above an n^2 x n^2
   complex array up to n = 32) and its trim threshold to 256 MiB, once, with
@@ -218,6 +258,21 @@ def _nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
+def _nonzero(m: np.ndarray) -> np.ndarray:
+    """m != 0.  A complex m with contiguous rows is read as pairs of
+    doubles, two bools per entry, and a pair read as one uint16 is nonzero
+    when either part is: 7.7 against 32.6 us for the complex comparison on
+    a 144 x 144 superoperator.  A -0.0 part is zero, a NaN part nonzero,
+    as in the comparison."""
+    if m.dtype != complex:
+        return m != 0
+    if m.flags.f_contiguous and not m.flags.c_contiguous:
+        return _nonzero(m.T).T
+    if not m.flags.c_contiguous:
+        return m != 0
+    return (m.view(np.float64) != 0).view(np.uint16) != 0
+
+
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A label per node of the graph on ``size`` nodes with an edge between
     a[k] and b[k]; two nodes share a label exactly when they are connected."""
@@ -235,12 +290,25 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return label
 
 
+def _blocks(size: int, r: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the graph on ``size`` nodes with an edge
+    between r[k] and c[k], grouped by size: one (count, size) array of
+    indices per size, sizes ascending, the components of one size in the
+    order of their labels, the indices of each ascending."""
+    label = _components(size, r, c)
+    count = np.bincount(label, minlength=size)
+    order = np.lexsort((label, count[label]))
+    groups, start = [], 0
+    for k, number in zip(*np.unique(count[count > 0], return_counts=True)):
+        groups.append(order[start : start + k * number].reshape(number, k))
+        start += k * number
+    return groups
+
+
 def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     """The connected components of the exact nonzero pattern of a square
     matrix, symmetrized (i ~ j when m[i, j] != 0 or m[j, i] != 0), grouped by
-    size: one (count, size) array of indices per size, sizes ascending, the
-    components of one size in the order of their labels, the indices of
-    each ascending.
+    size as :func:`_blocks` groups them, from one scan of m.
 
     A permutation that lists the components one after another makes m
     block-diagonal with square blocks, so a function of m that is analytic,
@@ -248,14 +316,7 @@ def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    label = _components(n, *_nonzeros(m != 0))
-    size = np.bincount(label, minlength=n)
-    order = np.lexsort((label, size[label]))
-    groups, start = [], 0
-    for k, count in zip(*np.unique(size[size > 0], return_counts=True)):
-        groups.append(order[start : start + k * count].reshape(count, k))
-        start += k * count
-    return groups
+    return _blocks(n, *_nonzeros(_nonzero(m)))
 
 
 # The cost rule of a product with a sparse factor: by row gather when
@@ -263,29 +324,23 @@ def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
 GATHER_COST = 128
 
 
-def _gather_k(mask: np.ndarray, axis: int) -> int:
-    """k, the most nonzeros in a row (axis 1) or in a column (axis 0) of the
-    mask, when the cost rule gathers the products over those rows or
-    columns, whose length is the inner dimension; 0 when it keeps them on
-    BLAS."""
-    inner = mask.shape[axis]
-    if inner < GATHER_COST:  # no k passes the rule; skip the scan
-        return 0
-    k = int(np.count_nonzero(mask, axis=axis).max(initial=0))
-    return k if 0 < k * GATHER_COST <= inner else 0
-
-
-def _padded(keys: np.ndarray, others: np.ndarray, entries: np.ndarray, size: int, k: int):
-    """The gather form (idx, w) of ``size`` rows from nonzeros sorted by
-    their row, ``keys``: per row, the ``others`` of its nonzeros and their
-    ``entries`` in the order given, both padded with zeros to k."""
-    count = np.bincount(keys, minlength=size)
-    # the slot of each nonzero in its row, counted from the row's first
-    slot = np.arange(keys.size) - np.repeat(np.cumsum(count) - count, count)
-    idx = np.zeros((size, k), dtype=np.intp)
-    w = np.zeros((size, k), dtype=entries.dtype)
-    idx[keys, slot], w[keys, slot] = others, entries
-    return idx, w
+def _padded(keys: np.ndarray, others: np.ndarray, entries: np.ndarray, count: np.ndarray):
+    """The gather form (idx, w) of the rows of a block from its nonzeros
+    sorted by their row, ``keys``, with ``count`` nonzeros in each row:
+    per row, the ``others`` of its nonzeros and their ``entries`` in the
+    order given, both padded with zeros to k, the most nonzeros in a
+    row."""
+    size, k = count.size, int(count.max(initial=0))
+    if keys.size == size * k:  # k in every row: no padding
+        return others.reshape(size, k), entries.reshape(size, k)
+    # the flat place of each nonzero: its row's first slot, plus its rank
+    # among the row's nonzeros
+    start = np.cumsum(count) - count
+    at = keys * k + np.arange(keys.size) - start[keys]
+    idx = np.zeros(size * k, dtype=np.intp)
+    w = np.zeros(size * k, dtype=entries.dtype)
+    idx[at], w[at] = others, entries
+    return idx.reshape(size, k), w.reshape(size, k)
 
 
 def _gather_product(x: np.ndarray, form: tuple[np.ndarray, np.ndarray], axis: int):
@@ -315,21 +370,61 @@ def _index(hit: np.ndarray) -> np.ndarray | slice:
     return slice(None) if hit.all() else np.flatnonzero(hit)
 
 
+def _span(index: np.ndarray | slice, size: int) -> np.ndarray:
+    """The indices that a support ``index`` of a side of length ``size``
+    stands for."""
+    return np.arange(size) if isinstance(index, slice) else index
+
+
 class _Factor:
-    """A matrix m, zero outside its support ``rows`` x ``cols``, as a factor
-    of products (made by :func:`_factor`).  Products take the support block
-    alone: ``f @ x`` is (m @ y)[rows] for x = y[cols], and ``x @ f`` is
-    (y @ m)[:, cols] for x = y[:, rows].  Each is taken by the gather form of
-    the block, ``left``, or of its transpose, ``right``, on a side the cost
-    rule gathers, and by BLAS with the dense ``block`` on a side it does not;
-    ``block`` is None when both sides gather."""
+    """A matrix m, zero outside its support ``rows`` x ``cols``, as its exact
+    nonzero pattern and a factor of products (made by :func:`_factor` from a
+    scan, or by :func:`_from_nonzeros` from a list of nonzeros).  ``forms``
+    holds the gather form (idx, w) of the support block and that of its
+    transpose, with idx relative to the block, each padded to its width k,
+    the most nonzeros in a row of it (``widths``).  A form is built on first
+    use: a maker may give a function of no arguments that builds it, with
+    the widths.  Products take the support block alone: ``f @ x`` is
+    (m @ y)[rows] for x = y[cols], and ``x @ f`` is (y @ m)[:, cols] for
+    x = y[:, rows].  Each is taken by the gather form, ``left`` or
+    ``right``, on a side the cost rule gathers, and by BLAS with the dense
+    ``block`` on a side it does not; ``block`` is None when both sides
+    gather.  The block is cut from ``dense``, any array holding m's entries
+    on the support, unless it is given."""
 
     # numpy defers ``x @ f``, with x an array, to ``f.__rmatmul__(x)``
     __array_ufunc__ = None
 
-    def __init__(self, shape, rows, cols, block, left, right):
-        self.shape, self.rows, self.cols = shape, rows, cols
-        self.block, self.left, self.right = block, left, right
+    def __init__(self, shape, rows, cols, forms, widths=None, dense=None, block=None):
+        self.shape, self.rows, self.cols, self._forms = shape, rows, cols, list(forms)
+        self.widths = widths or (forms[0][0].shape[1], forms[1][0].shape[1])
+        n_rows = shape[0] if isinstance(rows, slice) else rows.size
+        n_cols = shape[1] if isinstance(cols, slice) else cols.size
+        self.gathers = (0 < self.widths[0] * GATHER_COST <= n_cols,
+                        0 < self.widths[1] * GATHER_COST <= n_rows)
+        if all(self.gathers):
+            block = None
+        elif block is None:
+            block = dense[:, cols][rows]
+        self.block = block
+
+    def form(self, side: int) -> tuple[np.ndarray, np.ndarray]:
+        """The row form (side 0) or the column form (side 1), built once."""
+        if callable(self._forms[side]):
+            self._forms[side] = self._forms[side]()
+        return self._forms[side]
+
+    @property
+    def forms(self):
+        return self.form(0), self.form(1)
+
+    @property
+    def left(self):
+        return self.form(0) if self.gathers[0] else None
+
+    @property
+    def right(self):
+        return self.form(1) if self.gathers[1] else None
 
     def _times(self, x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
         """m @ x (axis 0) or x @ m (axis -1), and x as the product read it:
@@ -355,15 +450,19 @@ class _Factor:
         y, x = self._times(x, axis)
         return y, abs(self)._times(np.abs(x), axis)[0]
 
-    def _map(self, dense, left, right) -> "_Factor":
-        """The factor of the same support with the block and the weights w of
-        the two gather forms (idx, w) passed through the given functions."""
-        return _Factor(
-            self.shape, self.rows, self.cols,
-            None if self.block is None else dense(self.block),
-            None if self.left is None else (self.left[0], left(*self.left)),
-            None if self.right is None else (self.right[0], right(*self.right)),
-        )
+    def _mapped(self, side: int, weigh):
+        idx, w = self.form(side)
+        return idx, weigh(idx, w)
+
+    def _map(self, dense, row, col, block=None) -> "_Factor":
+        """The factor of the same support with the weights w of the two forms
+        (idx, w), as they are built, passed through the functions ``row``
+        and ``col``, and the block through ``dense``, or the given ``block``
+        where dense is None."""
+        if dense is not None:
+            block = None if self.block is None else dense(self.block)
+        forms = (lambda: self._mapped(0, row)), (lambda: self._mapped(1, col))
+        return _Factor(self.shape, self.rows, self.cols, forms, self.widths, block=block)
 
     def __abs__(self) -> "_Factor":
         return self._map(np.abs, lambda idx, w: np.abs(w), lambda idx, w: np.abs(w))
@@ -375,6 +474,46 @@ class _Factor:
         with the weighed dense matrix."""
         c = column[self.rows]
         return self._map(lambda b: b * c, lambda idx, w: w * c, lambda idx, w: w * c[idx, 0])
+
+    def scaled(self, a: np.ndarray, b: np.ndarray, dense: np.ndarray) -> "_Factor":
+        """The factor of ``dense``, m with entry (i, j) multiplied by a[i]
+        and then by b[j], as ``m * a[:, None] * b[None, :]`` rounds it; only
+        the forms are weighed, and the block is cut from ``dense``."""
+        a, b = a[self.rows], b[self.cols]
+        block = None if all(self.gathers) else dense[:, self.cols][self.rows]
+        return self._map(None, lambda idx, w: w * a[:, None] * b[idx],
+                         lambda idx, w: w * a[idx] * b[:, None], block)
+
+    @property
+    def T(self) -> "_Factor":
+        """The factor of m.T: the two forms swapped, the block transposed."""
+        block = None if self.block is None else self.block.T
+        forms = (lambda: self.form(1)), (lambda: self.form(0))
+        return _Factor(self.shape[::-1], self.cols, self.rows, forms, self.widths[::-1], block=block)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of m as (rows, columns, values) in m's own indices,
+        in row-major order, read off the row form: its padding is the
+        slots whose weight is zero."""
+        idx, w = self.form(0)
+        i, slot = _nonzeros(w != 0)
+        rows, cols = _span(self.rows, self.shape[0]), _span(self.cols, self.shape[1])
+        return rows[i], cols[idx[i, slot]], w[i, slot]
+
+    def permuted(self, row_map, col_map, dense: np.ndarray | None = None) -> "_Factor":
+        """The factor of m' with m'[row_map[i], col_map[j]] = m[i, j], for
+        two permutations: the nonzeros moved and put in row-major order
+        again, no scan.  The block is cut from ``dense`` when it is given,
+        and read off this factor's block otherwise."""
+        r, c, v = self.entries()
+        r, c = row_map[r], col_map[c]
+        order = np.lexsort((c, r))
+        block = None
+        if dense is None and self.block is not None:
+            to_r = np.argsort(row_map[_span(self.rows, self.shape[0])])
+            to_c = np.argsort(col_map[_span(self.cols, self.shape[1])])
+            block = self.block[to_r][:, to_c]
+        return _from_nonzeros(self.shape, r[order], c[order], v[order], dense, block)
 
     def regions(self, xa: np.ndarray, bx: np.ndarray, op) -> tuple[np.ndarray, np.ndarray]:
         """X A op B X (op np.subtract or np.add) for an X with this support,
@@ -389,28 +528,142 @@ class _Factor:
         return xa, bx[other]
 
 
+def _from_nonzeros(shape, r, c, v, dense=None, block=None) -> _Factor:
+    """The :class:`_Factor` of the matrix of ``shape`` whose nonzeros are
+    v at (r, c), listed in row-major order: its support rows and columns,
+    and, each on first use, the row form of the support block as the list
+    stands and the column form after one stable sort by column, which keeps
+    the rows ascending within each column.  ``dense`` or ``block`` give the
+    support block, as in :class:`_Factor`."""
+    counts = np.bincount(r, minlength=shape[0]), np.bincount(c, minlength=shape[1])
+    hits = [count > 0 for count in counts]
+    rows, cols = map(_index, hits)
+
+    def within():
+        """r, c and the counts within the support block."""
+        return [x if isinstance(index, slice) else (np.cumsum(hit) - 1)[x]
+                for x, hit, index in zip((r, c), hits, (rows, cols))] + [
+                count[hit] for count, hit in zip(counts, hits)]
+
+    def row_form():
+        r, c, count_r, _ = within()
+        return _padded(r, c, v, count_r)
+
+    def column_form():
+        r, c, _, count_c = within()
+        # numpy's stable sort of 16-bit keys is a radix sort, 2.5 times
+        # faster than its merge sort of 64-bit ones (4096 keys)
+        order = np.argsort(c.astype(np.uint16) if shape[1] <= 1 << 16 else c, kind="stable")
+        return _padded(c[order], r[order], v[order], count_c)
+
+    widths = tuple(int(count.max(initial=0)) for count in counts)
+    return _Factor(shape, rows, cols, (row_form, column_form), widths, dense, block)
+
+
 def _factor(m: np.ndarray) -> _Factor:
-    """m as a :class:`_Factor`, from one scan of m != 0: its support rows and
-    columns, the gather form of each side the cost rule gathers, and the
-    dense support block when a side stays on BLAS, so that such a product
-    runs exactly as the product with the block.  Both forms are read from
-    one list of the block's nonzeros in row-major order: the row form as it
-    stands, the column form after one stable sort by column, which keeps the
-    rows ascending within each column."""
-    mask = m != 0
-    rows, cols = _index(mask.any(axis=1)), _index(mask.any(axis=0))
-    block, mask = m[:, cols][rows], mask[:, cols][rows]
-    k_left, k_right = _gather_k(mask, 1), _gather_k(mask, 0)
-    left = right = None
-    if k_left or k_right:
-        r, c = _nonzeros(mask)
-        entries = block[r, c]
-        if k_left:
-            left = _padded(r, c, entries, block.shape[0], k_left)
-        if k_right:
-            order = np.argsort(c, kind="stable")
-            right = _padded(c[order], r[order], entries[order], block.shape[1], k_right)
-    return _Factor(m.shape, rows, cols, None if k_left and k_right else block, left, right)
+    """m as a :class:`_Factor`, from one scan of m != 0, with the dense
+    support block when a side stays on BLAS, so that such a product runs
+    exactly as the product with the block."""
+    r, c = _nonzeros(_nonzero(m))
+    return _from_nonzeros(m.shape, r, c, m[r, c], dense=m)
+
+
+def _listed(m: np.ndarray, cand: np.ndarray) -> _Factor:
+    """m as a :class:`_Factor` from the columns that can hold a nonzero of
+    each row, with no scan of m, for an m whose pattern is symmetric, as a
+    split into blocks makes it: cand[i] lists those of row i, and so the
+    rows of column i, ascending and padded at the end with -1.  Where every
+    row lists a column and no listed entry holds a zero, cand is the index
+    array of both forms, padding and all; otherwise the nonzeros are read
+    off the list in row-major order."""
+    listed = cand >= 0
+    at = np.where(listed, cand, 0)
+    rows = np.arange(m.shape[0])[:, None]
+    v = np.where(listed, m[rows, at], 0)
+    hit = v != 0
+    if listed[:, 0].all() and np.array_equal(hit, listed):
+        forms = (at, v), (at, np.where(listed, m[at, rows], 0))
+        return _Factor(m.shape, slice(None), slice(None), forms, dense=m)
+    r, slot = _nonzeros(hit)
+    return _from_nonzeros(m.shape, r, cand[r, slot], v[r, slot], dense=m)
+
+
+def _block_columns(blocks: list[np.ndarray], size: int) -> np.ndarray:
+    """The columns of each row of a matrix of ``size`` rows that is zero
+    outside the blocks of a split, as :func:`_listed` takes them: those of
+    the row's block, ascending as the split lists them."""
+    cand = np.full((size, max(idx.shape[1] for idx in blocks)), -1)
+    for idx in blocks:
+        cand[idx.ravel(), : idx.shape[1]] = np.repeat(idx, idx.shape[1], axis=0)
+    return cand
+
+
+def _held(obj, **recipes):
+    """``obj`` with a recipe left by its maker for each named cached
+    property: a function of no arguments that :func:`_made` calls once, on
+    first use, in place of a scan.  A frozen dataclass takes them through
+    ``object.__setattr__``."""
+    for name, make in recipes.items():
+        object.__setattr__(obj, "_make_" + name, make)
+    return obj
+
+
+def _made(obj, name: str, scan):
+    """The value of the cached property ``name`` of ``obj``: its maker's
+    recipe (:func:`_held`), dropped once called, or ``scan()`` where it
+    left none."""
+    make = vars(obj).pop("_make_" + name, None)
+    return (scan if make is None else make)()
+
+
+def _full_form(f: _Factor, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather form of every row (side 0) or every column (side 1) of
+    the matrix of ``f``, in its own indices: a row outside the support is
+    all padding."""
+    idx, w = f.form(side)
+    inner, outer = (f.cols, f.rows) if side == 0 else (f.rows, f.cols)
+    if not isinstance(inner, slice):
+        idx = inner[idx]
+    if isinstance(outer, slice):
+        return idx, w
+    full_idx = np.zeros((f.shape[side], idx.shape[1]), dtype=np.intp)
+    full_w = np.zeros((f.shape[side], w.shape[1]), dtype=w.dtype)
+    full_idx[outer], full_w[outer] = idx, w
+    return full_idx, full_w
+
+
+def _defect_on_pattern(x: _Factor, alpha, beta):
+    """|X A - B X| and its Oettli-Prager size |X| |A| + |B| |X|, entry by
+    entry on the union of the patterns of X A and B X, as two flat arrays
+    in one order, for square A and B; None when the cost rule leaves the
+    defect to the dense products (see the module docstring).  ``alpha``
+    and ``beta`` hold the patterns of A and B (``.pattern``), read only
+    where the inner dimensions of both products reach GATHER_COST: below
+    it no pattern is read, and none is scanned.
+
+    Each nonzero x of X at (i, j) meets row j of A and column i of B: the
+    terms x A[j, l] at (i, l) and -B[k, i] x at (k, j), taken k_A and k_B
+    at a time from the two padded gather forms, whose padding adds zero
+    terms only.  The terms are summed by position, after one sort of the
+    positions."""
+    if min(x.shape) < GATHER_COST:
+        return None
+    a, b = alpha.pattern, beta.pattern
+    i, j, e = x.entries()
+    k_a, k_b = a.widths[0], b.widths[1]
+    if i.size * (k_a + k_b) >= x.shape[0] * x.shape[1]:
+        return None
+    (ra, wa), (rb, wb) = _full_form(a, 0), _full_form(b, 1)
+    wa, wb, e = wa[j], wb[i], e[:, None]
+    n = a.shape[1]
+    at = np.concatenate(((i[:, None] * n + ra[j]).ravel(), (rb[i] * n + j[:, None]).ravel()))
+    terms = np.concatenate(((e * wa).ravel(), (wb * -e).ravel()))
+    e = np.abs(e)
+    sizes = np.concatenate(((e * np.abs(wa)).ravel(), (np.abs(wb) * e).ravel()))
+    keys, where = np.unique(at, return_inverse=True)
+    magnitude = np.hypot(np.bincount(where, terms.real, keys.size),
+                         np.bincount(where, terms.imag, keys.size))
+    return magnitude, np.bincount(where, sizes, keys.size)
 
 
 def _stacks(m: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:

@@ -43,8 +43,13 @@ from .channels import QuantumChannel, ReversingOperation, dual, kms_dual, theta_
 from .couplings import Coupling
 from .kernel import (
     DEFAULT_TOL,
-    _invariant_blocks,
+    _block_columns,
+    _blocks,
+    _Factor,
+    _factor,
+    _held,
     _json_int,
+    _made,
     _json_list,
     _json_number,
     as_matrix,
@@ -52,6 +57,7 @@ from .kernel import (
     is_hermitian,
     kraus_superop,
     kron,
+    _listed,
     mat_exp,
     relative_residual,
     vec,
@@ -95,12 +101,19 @@ class LindbladGenerator:
             raise ValueError("generator is not unital: L(1) != 0")
 
     @cached_property
+    def pattern(self) -> _Factor:
+        """The exact nonzero pattern of L as a ``kernel._Factor``: held from
+        the maker where it knows it (:func:`cycle_generator`, the duals),
+        scanned once, on first use, otherwise."""
+        return _made(self, "pattern", lambda: _factor(self.superoperator))
+
+    @cached_property
     def invariant_blocks(self) -> list[np.ndarray]:
-        """The exact-zero split of L (``kernel._invariant_blocks``), scanned
-        once.  For finite t >= 0 the pattern of t L is that of L or, where
-        an entry underflows or t = 0, part of it, so this is a valid split
-        of every t L."""
-        return _invariant_blocks(self.superoperator)
+        """The exact-zero split of L (``kernel._invariant_blocks``), read off
+        its :attr:`pattern`, so that L has one pattern.  For finite t >= 0
+        the pattern of t L is that of L or, where an entry underflows or
+        t = 0, part of it, so this is a valid split of every t L."""
+        return _blocks(self.dim**2, *self.pattern.entries()[:2])
 
     @property
     def kind(self) -> str:
@@ -143,11 +156,14 @@ def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
 
 
 def semigroup(gen: LindbladGenerator, t: float) -> QuantumChannel:
-    """The channel e^{tL}."""
+    """The channel e^{tL}, with its pattern read off the blocks of the split
+    it was taken on: e^{tL} is zero outside them."""
     if not math.isfinite(t) or t < 0:
         raise ValueError("semigroup time must be finite and non-negative")
-    s = mat_exp(t * gen.superoperator, gen.invariant_blocks)
-    return QuantumChannel(dim_in=gen.dim, dim_out=gen.dim, superoperator=s)
+    blocks = gen.invariant_blocks
+    s = mat_exp(t * gen.superoperator, blocks)
+    channel = QuantumChannel(dim_in=gen.dim, dim_out=gen.dim, superoperator=s)
+    return _held(channel, pattern=lambda: _listed(s, _block_columns(blocks, s.shape[0])))
 
 
 def dual_generator(
@@ -254,7 +270,15 @@ def cycle_generator(cycle_lengths, weights, ham_diag=None) -> LindbladGenerator:
     sup[there, here] = np.outer(t, t).ravel()
     sup[here, here] = (-(0.5 * (acc[:, None] + acc)) + 1j * (g - g[:, None])).ravel()
     jumps = (_shift(succ, s), _shift(succ, t).conj().T)
-    return LindbladGenerator(dim=n, superoperator=sup, jumps=jumps, hamiltonian=np.diag(g).astype(complex))
+    gen = LindbladGenerator(dim=n, superoperator=sup, jumps=jumps, hamiltonian=np.diag(g).astype(complex))
+
+    def pattern():
+        # row p n + q holds its diagonal, (succ p, succ q) and (pred p, pred q)
+        back = np.empty_like(there)
+        back[there] = here
+        return _listed(sup, np.sort(np.stack((here, there, back), axis=1)))
+
+    return _held(gen, pattern=pattern)
 
 
 VALID_BLOCK_TYPES = ("entangled", "mixed", "product")

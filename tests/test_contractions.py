@@ -846,16 +846,23 @@ GATHER = gather_cases()
 
 class TestGatherProducts:
     """At n >= 12 the cost rule gathers the products of a single-cycle or a
-    diagonal pairing matrix (kernel._factor); the report keeps the bits
-    of the four dense products (conftest.is_balanced_dense)."""
+    diagonal pairing matrix (kernel._factor); on the dense route of
+    is_balanced the report keeps the bits of the four dense products
+    (conftest.is_balanced_dense).  These triples take the pattern route,
+    which sums the same terms in another order: the same verdicts, and
+    floats that agree to rounding."""
 
     @pytest.mark.parametrize("name", sorted(GATHER))
-    def test_report_bits(self, name):
+    def test_report_bits(self, name, monkeypatch):
         sys_a, sys_b, w, balanced = GATHER[name]
         p = w.pairing()
         assert full_support(w) and np.count_nonzero(p, axis=1).max() == 1, name
         assert _factor(p).left is not None, name
-        new, dense = is_balanced(sys_a, sys_b, w), is_balanced_dense(sys_a, sys_b, w)
+        dense = is_balanced_dense(sys_a, sys_b, w)
+        assert_json_match(is_balanced(sys_a, sys_b, w).to_json(), dense.to_json())
+        # the dense route, which the cost rule takes when the terms are too many
+        monkeypatch.setattr(balance, "_defect_on_pattern", lambda *args: None)
+        new = is_balanced(sys_a, sys_b, w)
         assert json.dumps(new.to_json()) == json.dumps(dense.to_json()), name
         assert new.balanced == balanced and new.method_agreement, name
 

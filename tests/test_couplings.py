@@ -36,7 +36,7 @@ from balance_lab.couplings import (
 )
 import balance_lab.channels as channels
 import balance_lab.kernel as kernel
-from balance_lab.kernel import DEFAULT_TOL, frob_distance, kron, matrix_unit, partial_trace
+from balance_lab.kernel import DEFAULT_TOL, _factor, frob_distance, kron, matrix_unit, partial_trace
 from balance_lab.lindblad import (
     cycle_generator,
     scenario_build,
@@ -61,6 +61,7 @@ from conftest import (
     preserving_generator,
     probe_like_triples,
     random_matrix,
+    assert_same_factor,
     random_state_vector,
     scenario_compose_oracle,
 )
@@ -613,17 +614,25 @@ class TestCouplingFactor:
         assert calls == ["validate_coupling", "check_psd"]
 
     def test_derived_couplings_do_not_share(self, monkeypatch):
+        """A flip and a KMS flip derive their factor from w's, with no scan,
+        and it is the factor a scan of their pairing matrix gives, to the
+        bit; any other coupling of the same kappa scans its own."""
         calls = self.counted(monkeypatch)
-        w = probe_like_triples()[0].coupling
-        f = w.factor
-        others = [flip_coupling(w), kms_flip(w), _from_pairing(w.pairing(), w.state_a, w.state_b)]
-        for other in others:
-            assert other.factor is not f
-            assert other.factor is other.factor
-        assert len(calls) == 1 + len(others)
-        # the flip's factor is the factor of the flipped pairing, P^T
-        flip = others[0].factor
-        assert flip.left is not None and flip.left[0].tobytes() == f.right[0].tobytes()
+        for i, t in enumerate(probe_like_triples()):
+            w = t.coupling
+            f = w.factor
+            others = [flip_coupling(w), kms_flip(w), _from_pairing(w.pairing(), w.state_a, w.state_b)]
+            del calls[:]
+            for other in others:
+                assert other.factor is not f
+                assert other.factor is other.factor
+            assert len(calls) == 1
+            for other in others:
+                assert_same_factor(other.factor, _factor(other.pairing()))
+            if i == 0:
+                # the flip's factor is the factor of the flipped pairing, P^T
+                flip = others[0].factor
+                assert flip.left is not None and flip.left[0].tobytes() == f.right[0].tobytes()
 
     def test_cached_factor_gives_the_fresh_report(self):
         """is_balanced on a coupling whose factor is cached (and was read

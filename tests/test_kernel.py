@@ -45,6 +45,7 @@ from conftest import (
     kernel_projector,
     kron_entry_oracle,
     make_spec,
+    mpmath_exp_oracle,
     nullspace_dense,
     partial_trace_oracle,
     probe_like_triples,
@@ -191,7 +192,8 @@ class TestPadeStacks:
         # dense 9 x 9 generators at n = 3; e^L is a channel, so its size stays
         # near 1 at every scale.  The Taylor oracle's own error passes 1e-13
         # above a 1-norm of about 10 (scipy and it part by up to 7e-13 at
-        # 1e3 on such generators), so it is compared up to there.
+        # 1e3 on such generators), so it is compared up to there; the
+        # 40-digit reference holds at every norm, up to 1e3.
         for seed in range(4):
             gens = []
             for i, norm in enumerate(self.NORMS):
@@ -202,19 +204,28 @@ class TestPadeStacks:
             m, idx, split = block_diagonal_stack(gens)
             x = mat_exp(m, split)
             for ix, a, norm in zip(idx, gens, self.NORMS):
-                refs = [scipy.linalg.expm(a)] + ([taylor_exp_oracle(a)] if norm <= 10 else [])
+                refs = [scipy.linalg.expm(a), mpmath_exp_oracle(a)]
+                refs += [taylor_exp_oracle(a)] if norm <= 10 else []
                 for ref in refs:
                     assert frob_distance(x[np.ix_(ix, ix)], ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_random_dense_matches_scipy_and_taylor(self):
+        # scipy and the Taylor oracle up to a 1-norm of 10, the 40-digit
+        # reference up to 1e3 (scipy's own error nears 1e-13 above 10).
+        # Entries reach 1e166 at 1e3, so both sides are divided by the
+        # largest one, which keeps the sums of squares finite
         for seed in range(4):
             blocks = [scaled_to_norm(random_matrix(6, seed=200 + 10 * seed + i), x)
-                      for i, x in enumerate(self.NORMS[:4])]
+                      for i, x in enumerate(self.NORMS)]
             m, idx, split = block_diagonal_stack(blocks)
             x = mat_exp(m, split)
-            for ix, a in zip(idx, blocks):
-                for ref in (scipy.linalg.expm(a), taylor_exp_oracle(a)):
-                    assert frob_distance(x[np.ix_(ix, ix)], ref) <= 1e-13 * np.linalg.norm(ref)
+            for ix, a, norm in zip(idx, blocks, self.NORMS):
+                refs = [mpmath_exp_oracle(a)]
+                refs += [scipy.linalg.expm(a), taylor_exp_oracle(a)] if norm <= 10 else []
+                for ref in refs:
+                    top = np.abs(ref).max()
+                    got, ref = x[np.ix_(ix, ix)] / top, ref / top
+                    assert frob_distance(got, ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("lam", [-1.0, 0.5j, -30.0, 2.0])
     def test_jordan_block(self, lam):
@@ -223,7 +234,7 @@ class TestPadeStacks:
         k = 8
         a = lam * np.eye(k) + np.eye(k, k=1) + 0.3 * np.eye(k, k=2)
         x = mat_exp(a)
-        for ref in (scipy.linalg.expm(a), taylor_exp_oracle(a)):
+        for ref in (scipy.linalg.expm(a), taylor_exp_oracle(a), mpmath_exp_oracle(a)):
             assert frob_distance(x, ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -2,7 +2,7 @@
 
 Builds, from ``perfbench/workloads.py`` (read as it is, unchanged), the
 ``probes`` rounds at seeds 1 and 2, the ``grid`` round at seed 1 and the
-``cli_commands`` at seeds 1-3, runs them in-process and prints one digest
+``cli_commands`` at seeds 1-3, runs them in-process and prints two digests
 per op kind and per command.  After the ``cli_commands`` of a seed it also
 runs ``sqdb --scenario <spec> --theta-unitary <phases>`` for each of their
 slots, with diagonal phases drawn from ``THETA_SEED`` and written next to
@@ -39,6 +39,13 @@ its exit code, stdout, stderr and every file it writes are hashed, with the
 work directory masked, so two checkouts give the same digests exactly when
 their reports have the same bytes.  Diff the output of two checkouts: a line
 that differs names the op kind or the command whose result moved.
+
+Each line prints a second digest over the non-float leaves alone: the bools,
+ints, strings and structure, with every float and complex value (and every
+array of them) reduced to its type tag.  A command's stdout, stderr and
+files are parsed as JSON for it where they parse, so a float printed in a
+report counts as a float.  A line whose first digest differs and whose
+second does not is one whose verdicts are identical and whose floats moved.
 
 The tool runs BLAS on one thread: it sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before numpy is imported,
@@ -80,49 +87,76 @@ MULTI_CYCLE_LAYOUTS = (
 WORK = "<work>"
 
 
-def _feed(h, x) -> None:
-    """Feed the value ``x`` to the hash ``h``, tagged by its type."""
+def _feed(h, x, floats: bool = True) -> None:
+    """Feed the value ``x`` to the hash ``h``, tagged by its type.  With
+    ``floats`` False a float or complex leaf, or an array of them, feeds
+    its tag alone (an array its dtype and shape), so that the hash reads
+    the bools, ints, strings and structure only."""
     if isinstance(x, (bool, np.bool_)):
         h.update(b"b1" if x else b"b0")
     elif isinstance(x, (int, np.integer)):
         h.update(b"i%d;" % int(x))
     elif isinstance(x, (float, np.floating)):
-        h.update(b"f" + float(x).hex().encode() + b";")
+        h.update(b"f" + (float(x).hex().encode() + b";" if floats else b""))
     elif isinstance(x, (complex, np.complexfloating)):
-        h.update(b"c" + x.real.hex().encode() + b"," + x.imag.hex().encode() + b";")
+        h.update(b"c" + (x.real.hex().encode() + b"," + x.imag.hex().encode() + b";" if floats else b""))
     elif x is None:
         h.update(b"n")
     elif isinstance(x, str):
         h.update(b"s%d:" % len(x) + x.encode())
     elif isinstance(x, np.ndarray):
-        h.update(f"a{x.dtype.str}{x.shape}:".encode() + np.ascontiguousarray(x).tobytes())
+        h.update(f"a{x.dtype.str}{x.shape}:".encode())
+        if floats or x.dtype.kind not in "fc":
+            h.update(np.ascontiguousarray(x).tobytes())
     elif dataclasses.is_dataclass(x):
         h.update(f"d{type(x).__name__}(".encode())
         for f in dataclasses.fields(x):
             h.update(f.name.encode() + b"=")
-            _feed(h, getattr(x, f.name))
+            _feed(h, getattr(x, f.name), floats)
         h.update(b")")
     elif isinstance(x, (list, tuple)):
         h.update(b"l%d[" % len(x))
         for v in x:
-            _feed(h, v)
+            _feed(h, v, floats)
         h.update(b"]")
     elif isinstance(x, dict):
         h.update(b"m%d{" % len(x))
         for k, v in x.items():
-            _feed(h, k)
-            _feed(h, v)
+            _feed(h, k, floats)
+            _feed(h, v, floats)
         h.update(b"}")
     else:
         raise TypeError(f"cannot hash {type(x)!r}")
 
 
+class _Digests:
+    """The two digests of one line: over every leaf, and over the non-float
+    leaves alone (:func:`_feed`)."""
+
+    def __init__(self):
+        self.all, self.verdicts = hashlib.sha256(), hashlib.sha256()
+
+    def feed(self, x, text: bool = False) -> None:
+        """Feed ``x`` to both; a ``text`` that parses as JSON feeds its
+        parsed value to the second, so that a float printed in a report
+        moves only the first."""
+        _feed(self.all, x)
+        if text:
+            with contextlib.suppress(ValueError):
+                x = json.loads(x)
+        _feed(self.verdicts, x, floats=False)
+
+    def hexdigest(self) -> str:
+        return f"{self.all.hexdigest()[:16]} {self.verdicts.hexdigest()[:16]}"
+
+
 def round_digests(workloads, name: str, seed: int) -> dict[str, str]:
-    """One digest per op kind of a round, over its ops' results in order."""
+    """The digests of each op kind of a round, over its ops' results in
+    order."""
     hashes = {}
     for op in workloads.build_round(name, seed, "").ops:
-        _feed(hashes.setdefault(op.kind, hashlib.sha256()), op.run())
-    return {f"{name}/seed{seed} {kind}": h.hexdigest()[:16] for kind, h in hashes.items()}
+        hashes.setdefault(op.kind, _Digests()).feed(op.run())
+    return {f"{name}/seed{seed} {kind}": h.hexdigest() for kind, h in hashes.items()}
 
 
 def _files(workdir: str) -> dict[str, bytes]:
@@ -341,15 +375,15 @@ def command_digests(cli, commands: list, workdir: str, prefix: str) -> dict[str,
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(list(argv))
-        h = hashlib.sha256()
-        _feed(h, code)
-        _feed(h, mask(stdout.getvalue().encode()).decode())
-        _feed(h, mask(stderr.getvalue().encode()).decode())
+        h = _Digests()
+        h.feed(code)
+        h.feed(mask(stdout.getvalue().encode()).decode(), text=True)
+        h.feed(mask(stderr.getvalue().encode()).decode(), text=True)
         for path, data in sorted(_files(workdir).items()):
             if before.get(path) != data:
-                _feed(h, path.replace(workdir, WORK))
-                _feed(h, mask(data).decode())
-        out[f"{prefix} {i:02d} {name}"] = h.hexdigest()[:16]
+                h.feed(path.replace(workdir, WORK))
+                h.feed(mask(data).decode(), text=True)
+        out[f"{prefix} {i:02d} {name}"] = h.hexdigest()
     return out
 
 
