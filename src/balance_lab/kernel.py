@@ -390,23 +390,33 @@ class _Factor:
     ``right``, on a side the cost rule gathers, and by BLAS with the dense
     ``block`` on a side it does not; ``block`` is None when both sides
     gather.  The block is cut from ``dense``, any array holding m's entries
-    on the support, unless it is given."""
+    on the support, unless it is given, or a function of no arguments that
+    makes it is."""
 
     # numpy defers ``x @ f``, with x an array, to ``f.__rmatmul__(x)``
     __array_ufunc__ = None
 
     def __init__(self, shape, rows, cols, forms, widths=None, dense=None, block=None):
         self.shape, self.rows, self.cols, self._forms = shape, rows, cols, list(forms)
-        self.widths = widths or (forms[0][0].shape[1], forms[1][0].shape[1])
+        self._widths = widths
         n_rows = shape[0] if isinstance(rows, slice) else rows.size
         n_cols = shape[1] if isinstance(cols, slice) else cols.size
-        self.gathers = (0 < self.widths[0] * GATHER_COST <= n_cols,
-                        0 < self.widths[1] * GATHER_COST <= n_rows)
+        if max(n_rows, n_cols) < GATHER_COST:  # no width passes the rule
+            self.gathers = (False, False)
+        else:
+            self.gathers = (0 < self.widths[0] * GATHER_COST <= n_cols,
+                            0 < self.widths[1] * GATHER_COST <= n_rows)
         if all(self.gathers):
             block = None
         elif block is None:
             block = dense[:, cols][rows]
-        self.block = block
+        self.block = block() if callable(block) else block
+
+    @property
+    def widths(self) -> tuple[int, int]:
+        if self._widths is None:
+            self._widths = tuple(self.form(side)[0].shape[1] for side in (0, 1))
+        return self._widths
 
     def form(self, side: int) -> tuple[np.ndarray, np.ndarray]:
         """The row form (side 0) or the column form (side 1), built once."""
@@ -461,8 +471,11 @@ class _Factor:
         where dense is None."""
         if dense is not None:
             block = None if self.block is None else dense(self.block)
-        forms = (lambda: self._mapped(0, row)), (lambda: self._mapped(1, col))
-        return _Factor(self.shape, self.rows, self.cols, forms, self.widths, block=block)
+        # the support, the widths and the cost rule's sides are this factor's
+        out = object.__new__(_Factor)
+        out.__dict__.update(vars(self), block=block)
+        out._forms = [lambda: self._mapped(0, row), lambda: self._mapped(1, col)]
+        return out
 
     def __abs__(self) -> "_Factor":
         return self._map(np.abs, lambda idx, w: np.abs(w), lambda idx, w: np.abs(w))
@@ -489,7 +502,8 @@ class _Factor:
         """The factor of m.T: the two forms swapped, the block transposed."""
         block = None if self.block is None else self.block.T
         forms = (lambda: self.form(1)), (lambda: self.form(0))
-        return _Factor(self.shape[::-1], self.cols, self.rows, forms, self.widths[::-1], block=block)
+        widths = None if self._widths is None else self._widths[::-1]
+        return _Factor(self.shape[::-1], self.cols, self.rows, forms, widths, block=block)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of m as (rows, columns, values) in m's own indices,
@@ -503,17 +517,12 @@ class _Factor:
     def permuted(self, row_map, col_map, dense: np.ndarray | None = None) -> "_Factor":
         """The factor of m' with m'[row_map[i], col_map[j]] = m[i, j], for
         two permutations: the nonzeros moved and put in row-major order
-        again, no scan.  The block is cut from ``dense`` when it is given,
-        and read off this factor's block otherwise."""
+        again, no scan, with the block of ``dense`` as :func:`_from_nonzeros`
+        takes it."""
         r, c, v = self.entries()
         r, c = row_map[r], col_map[c]
         order = np.lexsort((c, r))
-        block = None
-        if dense is None and self.block is not None:
-            to_r = np.argsort(row_map[_span(self.rows, self.shape[0])])
-            to_c = np.argsort(col_map[_span(self.cols, self.shape[1])])
-            block = self.block[to_r][:, to_c]
-        return _from_nonzeros(self.shape, r[order], c[order], v[order], dense, block)
+        return _from_nonzeros(self.shape, r[order], c[order], v[order], dense)
 
     def regions(self, xa: np.ndarray, bx: np.ndarray, op) -> tuple[np.ndarray, np.ndarray]:
         """X A op B X (op np.subtract or np.add) for an X with this support,
@@ -528,44 +537,89 @@ class _Factor:
         return xa, bx[other]
 
 
-def _from_nonzeros(shape, r, c, v, dense=None, block=None) -> _Factor:
+def _once(make):
+    """A function of no arguments that returns make(), calling it on the
+    first call only and dropping it then, with what it holds."""
+    made = []
+
+    def once():
+        nonlocal make
+        if make is not None:
+            made.append(make())
+            make = None
+        return made[0]
+
+    return once
+
+
+def _forms(listing) -> tuple:
+    """The builders of the two forms of a block from ``listing()``: its
+    nonzeros (r, c, v) in block indices, in row-major order, and the
+    nonzeros in each of its rows and columns.  The row form is the list as
+    it stands, the column form the list after one stable sort by column,
+    which keeps the rows ascending within each column."""
+
+    def row_form():
+        r, c, v, count_r, _ = listing()
+        return _padded(r, c, v, count_r)
+
+    def column_form():
+        r, c, v, _, count_c = listing()
+        # numpy's stable sort of 16-bit keys is a radix sort, 2.5 times
+        # faster than its merge sort of 64-bit ones (4096 keys)
+        order = np.argsort(c.astype(np.uint16) if count_c.size <= 1 << 16 else c, kind="stable")
+        return _padded(c[order], r[order], v[order], count_c)
+
+    return row_form, column_form
+
+
+def _from_nonzeros(shape, r, c, v, dense=None) -> _Factor:
     """The :class:`_Factor` of the matrix of ``shape`` whose nonzeros are
-    v at (r, c), listed in row-major order: its support rows and columns,
-    and, each on first use, the row form of the support block as the list
-    stands and the column form after one stable sort by column, which keeps
-    the rows ascending within each column.  ``dense`` or ``block`` give the
-    support block, as in :class:`_Factor`."""
+    v at (r, c), listed in row-major order, with its forms built from the
+    list on first use (:func:`_forms`).  Where a side stays on BLAS the
+    block is cut from ``dense`` or, without it, scattered from the list
+    into zeros, whose zeros are all +0."""
     counts = np.bincount(r, minlength=shape[0]), np.bincount(c, minlength=shape[1])
     hits = [count > 0 for count in counts]
     rows, cols = map(_index, hits)
 
-    def within():
-        """r, c and the counts within the support block."""
-        return [x if isinstance(index, slice) else (np.cumsum(hit) - 1)[x]
-                for x, hit, index in zip((r, c), hits, (rows, cols))] + [
-                count[hit] for count, hit in zip(counts, hits)]
+    @_once
+    def listing():
+        r_block, c_block = (x if isinstance(index, slice) else (np.cumsum(hit) - 1)[x]
+                            for x, hit, index in zip((r, c), hits, (rows, cols)))
+        return r_block, c_block, v, counts[0][hits[0]], counts[1][hits[1]]
 
-    def row_form():
-        r, c, count_r, _ = within()
-        return _padded(r, c, v, count_r)
-
-    def column_form():
-        r, c, _, count_c = within()
-        # numpy's stable sort of 16-bit keys is a radix sort, 2.5 times
-        # faster than its merge sort of 64-bit ones (4096 keys)
-        order = np.argsort(c.astype(np.uint16) if shape[1] <= 1 << 16 else c, kind="stable")
-        return _padded(c[order], r[order], v[order], count_c)
+    def block():
+        r, c, v, count_r, count_c = listing()
+        out = np.zeros((count_r.size, count_c.size), dtype=v.dtype)
+        out[r, c] = v
+        return out
 
     widths = tuple(int(count.max(initial=0)) for count in counts)
-    return _Factor(shape, rows, cols, (row_form, column_form), widths, dense, block)
+    return _Factor(shape, rows, cols, _forms(listing), widths, dense,
+                   None if dense is not None else block)
 
 
 def _factor(m: np.ndarray) -> _Factor:
-    """m as a :class:`_Factor`, from one scan of m != 0, with the dense
-    support block when a side stays on BLAS, so that such a product runs
-    exactly as the product with the block."""
-    r, c = _nonzeros(_nonzero(m))
-    return _from_nonzeros(m.shape, r, c, m[r, c], dense=m)
+    """m as a :class:`_Factor`, from one scan of m != 0: its support, and
+    the dense support block, kept where a side stays on BLAS, so that such
+    a product runs exactly as the product with the block.  The list of
+    the block's nonzeros is read off the scan on first use, for the forms
+    or for the widths, which the cost rule reads only where a side of the
+    support reaches GATHER_COST."""
+    mask = _nonzero(m)
+    rows, cols = _index(mask.any(axis=1)), _index(mask.any(axis=0))
+    block, mask = m[:, cols][rows], mask[:, cols][rows]
+
+    @_once
+    def listing():
+        r, c = _nonzeros(mask)
+        return r, c, block[r, c], np.count_nonzero(mask, axis=1), np.count_nonzero(mask, axis=0)
+
+    widths = None
+    if max(mask.shape) >= GATHER_COST:
+        widths = tuple(int(count.max(initial=0)) for count in listing()[3:])
+    return _Factor(m.shape, rows, cols, _forms(listing), widths, block=block)
 
 
 def _listed(m: np.ndarray, cand: np.ndarray) -> _Factor:
