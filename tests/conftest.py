@@ -730,7 +730,7 @@ def assert_same_factor(got, want) -> None:
     assert got.shape == want.shape and got.gathers == want.gathers
     for a, b in ((got.rows, want.rows), (got.cols, want.cols)):
         assert (isinstance(a, slice) and a == b) if isinstance(b, slice) else np.array_equal(a, b)
-    for (gi, gw), (wi, ww) in zip(got.forms, want.forms):
+    for (gi, gw), (wi, ww) in ((got.form(side), want.form(side)) for side in (0, 1)):
         assert gi.shape == wi.shape and gi.tobytes() == wi.tobytes()
         assert gw.dtype == ww.dtype and gw.shape == ww.shape and gw.tobytes() == ww.tobytes()
     assert (got.block is None) == (want.block is None)

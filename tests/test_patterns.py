@@ -137,7 +137,7 @@ class TestHeldPatterns:
             assert len(gen.invariant_blocks) >= 1
             for dyn in (gen, dual(gen, s, s), kms_dual(gen, s, s), semigroup(gen, 1.0),
                         dual(semigroup(gen, 0.5), s, s), kms_dual(semigroup(gen, 2.0), s, s)):
-                assert dyn.pattern.forms[0][0].size > 0
+                assert dyn.pattern.form(0)[0].size > 0
 
     @pytest.mark.parametrize("index", range(0, len(FAMILIES), 5))
     def test_split_is_read_off_the_pattern(self, index):
@@ -152,8 +152,8 @@ class TestHeldPatterns:
         t = probe_like_triples()[2]
         gen, s = t.system_a.dynamics, t.system_a.state
         d = dual(gen, s, s)
-        assert d.pattern.forms[0][0] is gen.pattern.forms[1][0]
-        assert d.pattern.forms[1][0] is gen.pattern.forms[0][0]
+        assert d.pattern.form(0)[0] is gen.pattern.form(1)[0]
+        assert d.pattern.form(1)[0] is gen.pattern.form(0)[0]
 
 
 def assert_same_report(got, want):
