@@ -379,12 +379,12 @@ def _span(index: np.ndarray | slice, size: int) -> np.ndarray:
 class _Factor:
     """A matrix m, zero outside its support ``rows`` x ``cols``, as its exact
     nonzero pattern and a factor of products (made by :func:`_factor` from a
-    scan, or by :func:`_from_nonzeros` from a list of nonzeros).  ``forms``
-    holds the gather form (idx, w) of the support block and that of its
-    transpose, with idx relative to the block, each padded to its width k,
-    the most nonzeros in a row of it (``widths``).  A form is built on first
-    use: a maker may give a function of no arguments that builds it, with
-    the widths.  Products take the support block alone: ``f @ x`` is
+    scan, or by :func:`_from_nonzeros` from a list of nonzeros).
+    ``form(0)`` is the gather form (idx, w) of the support block and
+    ``form(1)`` that of its transpose, with idx relative to the block, each
+    padded to its width k, the most nonzeros in a row of it (``widths``).
+    A form is built on first use: a maker may give a function of no
+    arguments that builds it, with the widths.  Products take the support block alone: ``f @ x`` is
     (m @ y)[rows] for x = y[cols], and ``x @ f`` is (y @ m)[:, cols] for
     x = y[:, rows].  Each is taken by the gather form, ``left`` or
     ``right``, on a side the cost rule gathers, and by BLAS with the dense
