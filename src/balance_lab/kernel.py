@@ -61,7 +61,9 @@ Conventions used throughout the package:
   A maker leaves its pattern as a recipe (``_held``), which runs on first
   use, so dynamics whose pattern is never read, as most semigroups of a
   convergence probe, never pay for it.  Each is the factor that
-  ``_factor`` scans off the dense matrix, to the bit.  The dense
+  ``_factor`` scans off the dense matrix, to the bit, except that a block
+  a KMS-flipped coupling scatters from its nonzeros holds +0 where the
+  dense matrix may hold -0.0.  The dense
   superoperators stay as they are: every dense computation reads them.
 * A product with a ``_Factor`` is taken over its support block alone:
   m @ x is nonzero only on the support rows of m and reads only the rows
