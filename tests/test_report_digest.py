@@ -5,6 +5,8 @@ structure).  Checked here on hand-made values; no round is run."""
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,3 +93,15 @@ def test_first_digest_is_the_old_single_digest(report_digest):
     h = hashlib.sha256()
     report_digest._feed(h, value)
     assert digests(report_digest, value)[0] == h.hexdigest()[:16]
+
+
+def test_src_names_the_tree_hashed(report_digest, tmp_path):
+    """``--src`` puts the named tree's balance_lab first on the path, ahead
+    of this checkout's, whose src/ is the default: a stub package there is
+    the one imported."""
+    assert report_digest.parser().parse_args([]).src == os.path.join(os.path.dirname(TOOLS), "src")
+    (tmp_path / "balance_lab").mkdir()
+    (tmp_path / "balance_lab" / "__init__.py").write_text("raise ImportError('stub tree')\n")
+    run = subprocess.run([sys.executable, os.path.join(TOOLS, "report_digest.py"), "--src", str(tmp_path)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0 and "ImportError: stub tree" in run.stderr

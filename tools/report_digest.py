@@ -30,7 +30,13 @@ one-cycle spec conjugated by a unitary, through the product coupling: each
 is one dense block, and no benchmark command exponentiates such a block.
 Run from the root of a checkout:
 
-    python tools/report_digest.py
+    python tools/report_digest.py [--src DIR]
+
+``--src`` names the source tree whose ``balance_lab`` is hashed (default:
+this checkout's ``src/``); the rounds and commands are always built from
+this checkout's ``perfbench/workloads.py``.  So one copy of the tool hashes
+another tree, such as a parent commit unpacked by ``git archive``, and the
+two outputs diff line for line.
 
 An op result is hashed by value: a float by ``float.hex``, an array by its
 dtype, shape and bytes, a dataclass by its fields in order, and lists,
@@ -56,6 +62,7 @@ threads on unchanged code.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -73,7 +80,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 PROBES_SEEDS, GRID_SEEDS, CLI_SEEDS = (1, 2), (1,), (1, 2, 3)
 THETA_SEED = 21
 MULTI_CYCLE_SEED = 22
@@ -409,7 +415,16 @@ def fixed_digests(workloads) -> dict[str, str]:
         return command_digests(workloads.bl.cli, commands, workdir, "cli/fixed")
 
 
-def main() -> int:
+def parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(description="Hash the results of the benchmark's rounds.")
+    p.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="the source tree whose balance_lab is hashed (default: this checkout's src/)")
+    return p
+
+
+def main(argv=None) -> int:
+    args = parser().parse_args(argv)
+    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
     import workloads
 
     digests = {}
