@@ -17,8 +17,6 @@ from .states import (
     System,
     canonicalize_density_matrix,
     gns_vector,
-    kms_pairing,
-    modular_transpose,
     new_faithful_state,
     state_from_json,
 )
@@ -56,7 +54,6 @@ from .lindblad import (
     ScenarioSpec,
     build_generator,
     cycle_generator,
-    cycle_shift,
     dual_generator,
     scenario_build,
     scenario_coupling,

@@ -285,7 +285,7 @@ def _kms_conjugate(dyn):
 
 
 def kms_dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TOL):
-    """modular_transpose o dual o modular_transpose; the KMS-pairing adjoint."""
+    """j o dual o j for the modular transposition j; the KMS-pairing adjoint."""
     return _kms_conjugate(dual(dyn, s_in, s_out, tol))
 
 

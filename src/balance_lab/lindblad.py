@@ -220,15 +220,6 @@ def _roots(cycle_lengths, weights) -> np.ndarray:
     return np.sqrt(np.repeat(weights, [int(r) for r in cycle_lengths]))
 
 
-def cycle_shift(cycle_lengths, weights) -> np.ndarray:
-    """Block-diagonal weighted cyclic shift, block j = sqrt(w_j) O_{r_j}."""
-    weights = np.asarray(weights, dtype=float)
-    # a comparison with NaN is false, so ask each weight to be inside
-    if not np.all((weights >= 0.0) & (weights < math.inf)):
-        raise ValueError("shift weights must be finite and non-negative")
-    return _shift(_cycle_successor(cycle_lengths), _roots(cycle_lengths, weights))
-
-
 def cycle_generator(cycle_lengths, weights, ham_diag=None) -> LindbladGenerator:
     """K(a) = R_k* a R_k + R_{1-k} a R_{1-k}* - a + i[diag(g), a], written by
     index from the cycle-successor permutation succ.

@@ -141,21 +141,6 @@ def gns_vector(s: FaithfulState) -> np.ndarray:
     return v
 
 
-def kms_pairing(s: FaithfulState, a, b) -> complex:
-    """Tr(rho^1/2 a rho^1/2 b^T), the bilinear pairing implemented by the GNS vector."""
-    a, b = as_matrix(a), as_matrix(b)
-    n = s.dim
-    if a.shape != (n, n) or b.shape != (n, n):
-        raise ValueError("kms_pairing operands must match the state dimension")
-    r = s.sqrt_spectrum
-    return complex(np.sum((r[:, None] * a * r[None, :]) * b))
-
-
-def modular_transpose(a) -> np.ndarray:
-    """Transpose in the fixed basis; identifies the algebra with its commutant copy."""
-    return as_matrix(a).T.copy()
-
-
 @dataclass(frozen=True, eq=False)
 class System:
     """A faithful state together with dynamics preserving it.

@@ -9,6 +9,7 @@ path.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -66,8 +67,10 @@ from balance_lab.kernel import (
 from balance_lab.lindblad import (
     LindbladGenerator,
     ScenarioSpec,
+    _cycle_successor,
+    _roots,
+    _shift,
     build_generator,
-    cycle_shift,
     scenario_build,
     scenario_state,
     semigroup,
@@ -75,7 +78,6 @@ from balance_lab.lindblad import (
 from balance_lab.states import (
     FaithfulState,
     System,
-    kms_pairing,
     new_faithful_state,
     preserves_state,
 )
@@ -137,6 +139,30 @@ def evaluate(w: Coupling, a, c) -> complex:
     if a.shape != (n, n) or c.shape != (m, m):
         raise ValueError("operand dimensions do not match the coupling")
     return complex(vec(c) @ w.pairing() @ vec(a))
+
+
+def kms_pairing(s: FaithfulState, a, b) -> complex:
+    """Tr(rho^1/2 a rho^1/2 b^T), the bilinear pairing implemented by the GNS vector."""
+    a, b = as_matrix(a), as_matrix(b)
+    n = s.dim
+    if a.shape != (n, n) or b.shape != (n, n):
+        raise ValueError("kms_pairing operands must match the state dimension")
+    r = s.sqrt_spectrum
+    return complex(np.sum((r[:, None] * a * r[None, :]) * b))
+
+
+def modular_transpose(a) -> np.ndarray:
+    """Transpose in the fixed basis; identifies the algebra with its commutant copy."""
+    return as_matrix(a).T.copy()
+
+
+def cycle_shift(cycle_lengths, weights) -> np.ndarray:
+    """Block-diagonal weighted cyclic shift, block j = sqrt(w_j) O_{r_j}."""
+    weights = np.asarray(weights, dtype=float)
+    # a comparison with NaN is false, so ask each weight to be inside
+    if not np.all((weights >= 0.0) & (weights < math.inf)):
+        raise ValueError("shift weights must be finite and non-negative")
+    return _shift(_cycle_successor(cycle_lengths), _roots(cycle_lengths, weights))
 
 
 def extraction_is_valid(w: Coupling, tol: float = DEFAULT_TOL) -> bool:

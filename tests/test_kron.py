@@ -20,7 +20,6 @@ from balance_lab.lindblad import (
     VALID_BLOCK_TYPES,
     build_generator,
     cycle_generator,
-    cycle_shift,
     scenario_build,
     standard_grid,
 )
@@ -29,6 +28,7 @@ from balance_lab.states import new_faithful_state
 from conftest import (
     build_generator_kron,
     channel_from_kraus_kron,
+    cycle_shift,
     random_matrix,
     rng,
 )

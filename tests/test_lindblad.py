@@ -18,7 +18,6 @@ from balance_lab.lindblad import (
     balance_sub_residuals,
     build_generator,
     cycle_generator,
-    cycle_shift,
     dual_generator,
     scenario_build,
     scenario_coupling,
@@ -32,6 +31,7 @@ from balance_lab.states import System, new_faithful_state, state_preservation_re
 
 from conftest import (
     balance_sub_residuals_kron,
+    cycle_shift,
     make_spec,
     random_matrix,
     scenario_coupling_kron,

@@ -11,13 +11,11 @@ from balance_lab.states import (
     System,
     canonicalize_density_matrix,
     gns_vector,
-    kms_pairing,
-    modular_transpose,
     new_faithful_state,
     state_from_json,
 )
 
-from conftest import random_matrix, random_state_vector
+from conftest import kms_pairing, modular_transpose, random_matrix, random_state_vector
 
 
 class TestFaithfulState:
