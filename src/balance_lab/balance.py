@@ -133,7 +133,13 @@ def is_balanced(
     differ by rounding only.
     """
     _check_triple(sys_a, sys_b, w)
-    alpha, beta = sys_a.dynamics, sys_b.dynamics
+    return _balance(sys_a.dynamics, sys_b.dynamics, w, tol)
+
+
+def _balance(alpha, beta, w: Coupling, tol: float) -> BalanceReport:
+    """:func:`is_balanced` of the dynamics alpha and beta, for a caller that
+    has checked the triple (``_check_triple``) and knows that the two
+    dynamics preserve the coupling's states."""
     s_e = _weigh_rows(w.factor, w.state_b.inv_sqrt_spectrum)
     on_pattern = _defect_on_pattern(s_e, alpha, beta)
     if on_pattern is not None:
@@ -142,8 +148,7 @@ def is_balanced(
         residual = relative_residual(frob_norm(magnitude), scale)
         def_residual = _max_relative_residual(magnitude, size)
     else:
-        residual, def_residual = _dense_defect(s_e, sys_a.dynamics.superoperator,
-                                               sys_b.dynamics.superoperator)
+        residual, def_residual = _dense_defect(s_e, alpha.superoperator, beta.superoperator)
 
     balanced = residual <= tol
     agree = balanced == (def_residual <= tol)
@@ -159,9 +164,7 @@ def is_balanced(
 def _dense_defect(s_e, s_alpha: np.ndarray, s_beta: np.ndarray) -> tuple[float, float]:
     """The two cuts of :func:`is_balanced` by the dense products with the
     factor s_e: every product is taken over the support block alone, by row
-    gather where the kernel's cost rule allows and by BLAS elsewhere.  The
-    two products that read one operand are taken together
-    (``_Factor.products``), so a gather copies it to C order once.  D and
+    gather where the kernel's cost rule allows and by BLAS elsewhere.  D and
     its size are each read on the two regions where they can be nonzero
     (``_Factor.regions``): the support rows (both terms on the support
     columns, the first alone on the others) and the other rows on the
@@ -169,11 +172,16 @@ def _dense_defect(s_e, s_alpha: np.ndarray, s_beta: np.ndarray) -> tuple[float, 
     the regions' norms, the componentwise maximum the larger of their
     maxima."""
     scale = frob_norm(s_alpha) + frob_norm(s_beta)
-    ea, size_a = s_e.products(s_alpha[s_e.cols], 0)
-    be, size_b = s_e.products(s_beta[:, s_e.rows], -1)
+    # each n^2 x n^2 operand and product is released once read: the
+    # high-water mark of this call is close to the peak memory of a process
+    # of heavy probes
+    a = s_alpha[s_e.cols]
+    ea, size_a = s_e @ a, abs(s_e) @ np.abs(a)
+    del a
+    b = s_beta[:, s_e.rows]
+    be, size_b = b @ s_e, np.abs(b) @ abs(s_e)
+    del b
     defect = s_e.regions(ea, be, np.subtract)
-    # each n^2 x n^2 product is released once read: the high-water mark of
-    # this call is close to the peak memory of a process of heavy probes
     del ea, be
     residual = relative_residual(math.hypot(*map(frob_norm, defect)), scale)
     size = s_e.regions(size_a, size_b, np.add)
@@ -184,15 +192,14 @@ def _dense_defect(s_e, s_alpha: np.ndarray, s_beta: np.ndarray) -> tuple[float, 
 def sampled_balance(
     sys_a: System, sys_b: System, w: Coupling, ts=(0.1, 1.0, 5.0), tol: float = DEFAULT_TOL
 ) -> list[tuple[float, BalanceReport]]:
-    """Balance of the exponentials e^{tK}, e^{tL} at sampled times."""
+    """Balance of the exponentials e^{tK}, e^{tL} at sampled times.  The
+    triple is checked once: e^{tK} and e^{tL} preserve the states that K
+    and L annihilate, so they are not checked again at each t."""
     if sys_a.kind != "generator" or sys_b.kind != "generator":
         raise ValueError("sampled balance requires generator dynamics")
-    out = []
-    for t in ts:
-        a_t = System(state=sys_a.state, dynamics=semigroup(sys_a.dynamics, t))
-        b_t = System(state=sys_b.state, dynamics=semigroup(sys_b.dynamics, t))
-        out.append((float(t), is_balanced(a_t, b_t, w, tol)))
-    return out
+    _check_triple(sys_a, sys_b, w)
+    return [(float(t), _balance(semigroup(sys_a.dynamics, t), semigroup(sys_b.dynamics, t), w, tol))
+            for t in ts]
 
 
 def is_kms_symmetric(sys: System, tol: float = DEFAULT_TOL) -> bool:
@@ -325,10 +332,11 @@ def dual_order_check(
     d_b = System(state=s_b, dynamics=dual(sys_b.dynamics, s_b, s_b, tol))
     d_a = System(state=s_a, dynamics=dual(sys_a.dynamics, s_a, s_a, tol))
     dual_pair = is_balanced(d_b, d_a, flip_coupling(w), tol).balanced
-    # the KMS-duals are j o dual o j (channels.kms_dual) of the duals just made
-    k_b = System(state=s_b, dynamics=_kms_conjugate(d_b.dynamics))
-    k_a = System(state=s_a, dynamics=_kms_conjugate(d_a.dynamics))
-    kms_pair = is_balanced(k_b, k_a, kms_flip(w), tol).balanced
+    # the KMS-duals are j o dual o j (channels.kms_dual) of the duals just
+    # made, which preserve the states, as the KMS-duals then do, since j
+    # fixes a diagonal rho; and kms_flip(w) has the states of flip_coupling(w)
+    k_b, k_a = _kms_conjugate(d_b.dynamics), _kms_conjugate(d_a.dynamics)
+    kms_pair = _balance(k_b, k_a, kms_flip(w), tol).balanced
     return DualOrderReport(
         primal=bool(primal),
         dual_pair=bool(dual_pair),

@@ -40,9 +40,10 @@ Conventions used throughout the package:
 * The exact nonzero pattern of a matrix has one sparse form, ``_Factor``:
   its support rows and columns and the gather forms (idx, w) of its
   support block and of the block's transpose, the row and the column
-  form, each padded to the most nonzeros in a row of it and built on
-  first use.  Every dynamics holds the pattern of its superoperator
-  (``pattern``), and every coupling that of its pairing matrix
+  form, each padded to its width, the most nonzeros in a row of it.  The
+  widths are given by the maker, and the forms are built on first use.
+  Every dynamics holds the pattern of its superoperator (``pattern``),
+  and every coupling that of its pairing matrix
   (``couplings.Coupling.factor``), each made once:
   - *given by its maker*, which knows it, with no scan:
     ``lindblad.cycle_generator`` lists its 3 n^2 entries by index,
@@ -55,9 +56,10 @@ Conventions used throughout the package:
     nonzeros (``_Factor.permuted``), and ``couplings.flip_coupling`` and
     ``couplings.kms_flip`` transpose, and permute, the factor of the
     coupling they flip;
-  - *scanned once, on first use* (``_factor``), for everything else: a
-    generator from jumps or from a file, the result of a change of frame,
-    a coupling read or composed.
+  - *scanned once, on first use* (``_factor``, which hands the nonzeros
+    of its scan to ``_from_nonzeros``, as a maker with a list does), for
+    everything else: a generator from jumps or from a file, the result of
+    a change of frame, a coupling read or composed.
   A maker leaves its pattern as a recipe (``_held``), which runs on first
   use, so dynamics whose pattern is never read, as most semigroups of a
   convergence probe, never pay for it.  Each is the factor that
@@ -95,8 +97,7 @@ Conventions used throughout the package:
   of a complex product into one rounding, and BLAS's own rounding of it
   depends on the kernel it picks for the shape.  A gather reads its operand
   in C order, and copies one that is not (``_gather_product``, the one
-  place that does); the products that read one operand in one op are taken
-  together (``_Factor.products``) from that one copy.
+  place that does).
 * The balance defect X A - B X (``balance.is_balanced``: X = S_E, A and B
   the two superoperators) is formed on the patterns
   (``_defect_on_pattern``): each nonzero of X meets a row of A's row form
@@ -345,15 +346,13 @@ def _padded(keys: np.ndarray, others: np.ndarray, entries: np.ndarray, count: np
     return idx.reshape(size, k), w.reshape(size, k)
 
 
-def _gather_product(x: np.ndarray, form: tuple[np.ndarray, np.ndarray], axis: int):
+def _gather_product(x: np.ndarray, form: tuple[np.ndarray, np.ndarray], axis: int) -> np.ndarray:
     """m @ x from the gather form of m (axis 0, gathering rows of x), or
-    x @ m from the gather form of m.T (axis -1, gathering columns); and x
-    as it was read, C-ordered, for a further product with it."""
+    x @ m from the gather form of m.T (axis -1, gathering columns)."""
     idx, w = form
     # np.take copies an x that is not C-ordered, such as a dual's
     # superoperator (channels.dual), on every pass: once is enough.  This is
-    # the one place that puts a gathered operand in C order; callers pass
-    # their operands as they are, or as a first product handed them back
+    # the one place that puts a gathered operand in C order
     x = np.ascontiguousarray(x)
     dtype = np.result_type(x, w)
     out = None
@@ -363,7 +362,7 @@ def _gather_product(x: np.ndarray, form: tuple[np.ndarray, np.ndarray], axis: in
         term = np.take(x, idx[:, j], axis=axis).astype(dtype, copy=False)
         term *= w[:, j, None] if axis == 0 else w[:, j]
         out = term if out is None else np.add(out, term, out=out)
-    return out, x
+    return out
 
 
 def _index(hit: np.ndarray) -> np.ndarray | slice:
@@ -380,45 +379,32 @@ def _span(index: np.ndarray | slice, size: int) -> np.ndarray:
 
 class _Factor:
     """A matrix m, zero outside its support ``rows`` x ``cols``, as its exact
-    nonzero pattern and a factor of products (made by :func:`_factor` from a
-    scan, or by :func:`_from_nonzeros` from a list of nonzeros).
-    ``form(0)`` is the gather form (idx, w) of the support block and
-    ``form(1)`` that of its transpose, with idx relative to the block, each
-    padded to its width k, the most nonzeros in a row of it (``widths``).
-    A form is built on first use: a maker may give a function of no
-    arguments that builds it, with the widths.  Products take the support block alone: ``f @ x`` is
+    nonzero pattern and a factor of products (made by :func:`_from_nonzeros`
+    from a list of nonzeros, which :func:`_factor` reads off a scan, or by
+    :func:`_listed` from a maker's index array).  ``form(0)`` is the gather
+    form (idx, w) of the support block and ``form(1)`` that of its
+    transpose, with idx relative to the block, each padded to its width k,
+    the most nonzeros in a row of it.  The maker gives the two ``widths``
+    and each form, or a function of no arguments that builds it on first
+    use.  Products take the support block alone: ``f @ x`` is
     (m @ y)[rows] for x = y[cols], and ``x @ f`` is (y @ m)[:, cols] for
     x = y[:, rows].  Each is taken by the gather form, ``left`` or
     ``right``, on a side the cost rule gathers, and by BLAS with the dense
-    ``block`` on a side it does not; ``block`` is None when both sides
-    gather.  The block is cut from ``dense``, any array holding m's entries
-    on the support, unless it is given, or a function of no arguments that
-    makes it is."""
+    ``block`` on a side it does not.  The maker gives the block as a
+    function of no arguments, called only where a side stays on BLAS;
+    ``block`` is None when both sides gather."""
 
     # numpy defers ``x @ f``, with x an array, to ``f.__rmatmul__(x)``
     __array_ufunc__ = None
 
-    def __init__(self, shape, rows, cols, forms, widths=None, dense=None, block=None):
-        self.shape, self.rows, self.cols, self._forms = shape, rows, cols, list(forms)
-        self._widths = widths
+    def __init__(self, shape, rows, cols, forms, widths, block):
+        self.shape, self.rows, self.cols, self.widths = shape, rows, cols, widths
+        self._forms = list(forms)
         n_rows = shape[0] if isinstance(rows, slice) else rows.size
         n_cols = shape[1] if isinstance(cols, slice) else cols.size
-        if max(n_rows, n_cols) < GATHER_COST:  # no width passes the rule
-            self.gathers = (False, False)
-        else:
-            self.gathers = (0 < self.widths[0] * GATHER_COST <= n_cols,
-                            0 < self.widths[1] * GATHER_COST <= n_rows)
-        if all(self.gathers):
-            block = None
-        elif block is None:
-            block = dense[:, cols][rows]
-        self.block = block() if callable(block) else block
-
-    @property
-    def widths(self) -> tuple[int, int]:
-        if self._widths is None:
-            self._widths = tuple(self.form(side)[0].shape[1] for side in (0, 1))
-        return self._widths
+        self.gathers = (0 < widths[0] * GATHER_COST <= n_cols,
+                        0 < widths[1] * GATHER_COST <= n_rows)
+        self.block = None if all(self.gathers) else block()
 
     def form(self, side: int) -> tuple[np.ndarray, np.ndarray]:
         """The row form (side 0) or the column form (side 1), built once."""
@@ -434,49 +420,26 @@ class _Factor:
     def right(self):
         return self.form(1) if self.gathers[1] else None
 
-    def _times(self, x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """m @ x (axis 0) or x @ m (axis -1), and x as the product read it:
-        its C-ordered copy where the product gathers."""
-        form = self.left if axis == 0 else self.right
-        if form is None:
-            return (self.block @ x if axis == 0 else x @ self.block), x
-        return _gather_product(x, form, axis)
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._times(x, 0)[0]
+        return _gather_product(x, self.form(0), 0) if self.gathers[0] else self.block @ x
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._times(x, -1)[0]
-
-    def products(self, x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """The two products of one operand x that an Oettli-Prager residual
-        reads: m @ x and |m| @ |x| (for axis -1: x @ m and |x| @ |m|).  The
-        second reads the C-ordered copy that the first made where it
-        gathers, where it alone would copy x again: 8 of the 12 gathered
-        products of a dual order check on a 16-cycle read a dual's
-        F-ordered superoperator."""
-        y, x = self._times(x, axis)
-        return y, abs(self)._times(np.abs(x), axis)[0]
+        return _gather_product(x, self.form(1), -1) if self.gathers[1] else x @ self.block
 
     def _mapped(self, side: int, weigh):
         idx, w = self.form(side)
         return idx, weigh(idx, w)
 
-    def _map(self, dense, row, col, block=None) -> "_Factor":
-        """The factor of the same support with the weights w of the two forms
-        (idx, w), as they are built, passed through the functions ``row``
-        and ``col``, and the block through ``dense``, or the given ``block``
-        where dense is None."""
-        if dense is not None:
-            block = None if self.block is None else dense(self.block)
-        # the support, the widths and the cost rule's sides are this factor's
-        out = object.__new__(_Factor)
-        out.__dict__.update(vars(self), block=block)
-        out._forms = [lambda: self._mapped(0, row), lambda: self._mapped(1, col)]
-        return out
+    def _map(self, block, row, col) -> "_Factor":
+        """The factor of the same support and widths, with the weights w of
+        the two forms (idx, w), as they are built, passed through the
+        functions ``row`` and ``col``, and the block made by ``block``."""
+        forms = (lambda: self._mapped(0, row)), (lambda: self._mapped(1, col))
+        return _Factor(self.shape, self.rows, self.cols, forms, self.widths, block)
 
     def __abs__(self) -> "_Factor":
-        return self._map(np.abs, lambda idx, w: np.abs(w), lambda idx, w: np.abs(w))
+        return self._map(lambda: np.abs(self.block), lambda idx, w: np.abs(w),
+                         lambda idx, w: np.abs(w))
 
     def __mul__(self, column: np.ndarray) -> "_Factor":
         """m with row i multiplied by column[i, 0], for a column of shape
@@ -484,24 +447,23 @@ class _Factor:
         alike, so a product with the result has the bits of the product
         with the weighed dense matrix."""
         c = column[self.rows]
-        return self._map(lambda b: b * c, lambda idx, w: w * c, lambda idx, w: w * c[idx, 0])
+        return self._map(lambda: self.block * c, lambda idx, w: w * c, lambda idx, w: w * c[idx, 0])
 
     def scaled(self, a: np.ndarray, b: np.ndarray, dense: np.ndarray) -> "_Factor":
         """The factor of ``dense``, m with entry (i, j) multiplied by a[i]
         and then by b[j], as ``m * a[:, None] * b[None, :]`` rounds it; only
         the forms are weighed, and the block is cut from ``dense``."""
         a, b = a[self.rows], b[self.cols]
-        block = None if all(self.gathers) else dense[:, self.cols][self.rows]
-        return self._map(None, lambda idx, w: w * a[:, None] * b[idx],
-                         lambda idx, w: w * a[idx] * b[:, None], block)
+        return self._map(lambda: dense[:, self.cols][self.rows],
+                         lambda idx, w: w * a[:, None] * b[idx],
+                         lambda idx, w: w * a[idx] * b[:, None])
 
     @property
     def T(self) -> "_Factor":
         """The factor of m.T: the two forms swapped, the block transposed."""
-        block = None if self.block is None else self.block.T
         forms = (lambda: self.form(1)), (lambda: self.form(0))
-        widths = None if self._widths is None else self._widths[::-1]
-        return _Factor(self.shape[::-1], self.cols, self.rows, forms, widths, block=block)
+        return _Factor(self.shape[::-1], self.cols, self.rows, forms, self.widths[::-1],
+                       lambda: self.block.T)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of m as (rows, columns, values) in m's own indices,
@@ -573,10 +535,10 @@ def _forms(listing) -> tuple:
 
 def _from_nonzeros(shape, r, c, v, dense=None) -> _Factor:
     """The :class:`_Factor` of the matrix of ``shape`` whose nonzeros are
-    v at (r, c), listed in row-major order, with its forms built from the
-    list on first use (:func:`_forms`).  Where a side stays on BLAS the
-    block is cut from ``dense`` or, without it, scattered from the list
-    into zeros, whose zeros are all +0."""
+    v at (r, c), listed in row-major order, with its widths read off the
+    list and its forms built from it on first use (:func:`_forms`).  Where
+    a side stays on BLAS the block is cut from ``dense`` or, without it,
+    scattered from the list into zeros, whose zeros are all +0."""
     counts = np.bincount(r, minlength=shape[0]), np.bincount(c, minlength=shape[1])
     hits = [count > 0 for count in counts]
     rows, cols = map(_index, hits)
@@ -588,36 +550,24 @@ def _from_nonzeros(shape, r, c, v, dense=None) -> _Factor:
         return r_block, c_block, v, counts[0][hits[0]], counts[1][hits[1]]
 
     def block():
+        if dense is not None:
+            return dense[:, cols][rows]
         r, c, v, count_r, count_c = listing()
         out = np.zeros((count_r.size, count_c.size), dtype=v.dtype)
         out[r, c] = v
         return out
 
     widths = tuple(int(count.max(initial=0)) for count in counts)
-    return _Factor(shape, rows, cols, _forms(listing), widths, dense,
-                   None if dense is not None else block)
+    return _Factor(shape, rows, cols, _forms(listing), widths, block)
 
 
 def _factor(m: np.ndarray) -> _Factor:
-    """m as a :class:`_Factor`, from one scan of m != 0: its support, and
-    the dense support block, kept where a side stays on BLAS, so that such
-    a product runs exactly as the product with the block.  The list of
-    the block's nonzeros is read off the scan on first use, for the forms
-    or for the widths, which the cost rule reads only where a side of the
-    support reaches GATHER_COST."""
-    mask = _nonzero(m)
-    rows, cols = _index(mask.any(axis=1)), _index(mask.any(axis=0))
-    block, mask = m[:, cols][rows], mask[:, cols][rows]
-
-    @_once
-    def listing():
-        r, c = _nonzeros(mask)
-        return r, c, block[r, c], np.count_nonzero(mask, axis=1), np.count_nonzero(mask, axis=0)
-
-    widths = None
-    if max(mask.shape) >= GATHER_COST:
-        widths = tuple(int(count.max(initial=0)) for count in listing()[3:])
-    return _Factor(m.shape, rows, cols, _forms(listing), widths, block=block)
+    """m as a :class:`_Factor`, from one scan of m != 0 that lists its
+    nonzeros in row-major order for :func:`_from_nonzeros`, with the dense
+    support block cut from m where a side stays on BLAS, so that such a
+    product runs exactly as the product with the block."""
+    r, c = _nonzeros(_nonzero(m))
+    return _from_nonzeros(m.shape, r, c, m[r, c], m)
 
 
 def _listed(m: np.ndarray, cand: np.ndarray) -> _Factor:
@@ -635,7 +585,7 @@ def _listed(m: np.ndarray, cand: np.ndarray) -> _Factor:
     hit = v != 0
     if listed[:, 0].all() and np.array_equal(hit, listed):
         forms = (at, v), (at, np.where(listed, m[at, rows], 0))
-        return _Factor(m.shape, slice(None), slice(None), forms, dense=m)
+        return _Factor(m.shape, slice(None), slice(None), forms, (at.shape[1],) * 2, lambda: m)
     r, slot = _nonzeros(hit)
     return _from_nonzeros(m.shape, r, cand[r, slot], v[r, slot], dense=m)
 
@@ -826,14 +776,24 @@ def eigenvalues(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
 
 
 def frob_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """||a||_F.  numpy sums the squares of the entries, which overflows
+    once an entry passes about 1e154; where that makes the norm inf and
+    every entry is finite, a is scaled by the largest modulus of a real or
+    an imaginary part, as LAPACK's dznrm2 scales, and the norm taken
+    again.  numpy's overflow warning of the first sum still shows."""
+    a = np.asarray(a)
+    norm = float(np.linalg.norm(a))
+    if norm != math.inf or not np.isfinite(a).all():
+        return norm
+    big = float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))
+    return big * float(np.linalg.norm(a / big))
 
 
 def frob_distance(a, b) -> float:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return frob_norm(a - b)
 
 
 def relative_residual(residual: float, scale: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 import balance_lab.balance as balance
 import balance_lab.channels as channels
+import balance_lab.states as states
 from balance_lab.balance import (
     check_theta_sqdb,
     convergence_probe,
@@ -21,6 +22,7 @@ from balance_lab.balance import (
 )
 from balance_lab.channels import (
     ReversingOperation,
+    _kms_conjugate,
     constant_channel,
     dual,
     fixed_point_space,
@@ -29,7 +31,7 @@ from balance_lab.channels import (
     theta_kms_dual,
 )
 from balance_lab.cli import dumps_canonical
-from balance_lab.couplings import diagonal_coupling, product_coupling
+from balance_lab.couplings import diagonal_coupling, flip_coupling, kms_flip, product_coupling
 from balance_lab.kernel import frob_distance
 from balance_lab.lindblad import (
     LindbladGenerator,
@@ -305,6 +307,63 @@ class TestDualOrder:
             theta_kms_dual(sys_a.dynamics, s, ReversingOperation(dim=7)),
         ):
             System(state=s, dynamics=d)
+
+
+class TestStateChecks:
+    """sampled_balance checks its triple once, and dual_order_check wraps
+    its two duals in systems but not the KMS-duals, which preserve the
+    states exactly when the duals do: the reports are those of every
+    dynamics wrapped in a System and judged by is_balanced, with fewer
+    state checks (``states.preserves_state``)."""
+
+    @staticmethod
+    def cases():
+        g = tuple(np.linspace(-0.9, 0.8, 12))
+        specs = [
+            make_spec(types=("entangled", "mixed")),
+            make_spec(types=("entangled", "entangled"), l=(0.3, 0.5)),
+            make_spec(types=("entangled",), partition=((0,),), k=(0.4,), l=(0.4,), g=g,
+                      h=tuple(np.add(g, 0.1)), cycles=(12,), block_probs=(1.0,)),
+        ]
+        return [(t.system_a, t.system_b, t.coupling) for t in map(scenario_build, specs)]
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        real = states.preserves_state
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(states, "preserves_state", counted)
+        return calls
+
+    def test_sampled_balance(self, monkeypatch):
+        ts = (0.1, 1.0, 5.0)
+        for sys_a, sys_b, w in self.cases():
+            want = [(t, is_balanced(*(System(state=s.state, dynamics=semigroup(s.dynamics, t))
+                                      for s in (sys_a, sys_b)), w).to_json()) for t in ts]
+            calls = self.counted(monkeypatch)
+            got = sampled_balance(sys_a, sys_b, w, ts)
+            assert json.dumps([(t, rep.to_json()) for t, rep in got]) == json.dumps(want)
+            assert calls == []
+
+    def test_dual_order_check(self, monkeypatch):
+        for sys_a, sys_b, w in self.cases():
+            s_a, s_b = sys_a.state, sys_b.state
+            d_b = System(state=s_b, dynamics=dual(sys_b.dynamics, s_b, s_b))
+            d_a = System(state=s_a, dynamics=dual(sys_a.dynamics, s_a, s_a))
+            k_b = System(state=s_b, dynamics=_kms_conjugate(d_b.dynamics))
+            k_a = System(state=s_a, dynamics=_kms_conjugate(d_a.dynamics))
+            verdicts = (is_balanced(sys_a, sys_b, w).balanced,
+                        is_balanced(d_b, d_a, flip_coupling(w)).balanced,
+                        is_balanced(k_b, k_a, kms_flip(w)).balanced)
+            calls = self.counted(monkeypatch)
+            rep = dual_order_check(sys_a, sys_b, w)
+            assert (rep.primal, rep.dual_pair, rep.kms_pair) == verdicts
+            assert rep.consistent == (len(set(verdicts)) == 1)
+            assert len(calls) == 2
 
 
 class TestErgodicity:

@@ -21,6 +21,7 @@ from balance_lab.kernel import (
     close,
     eigenvalues,
     frob_distance,
+    frob_norm,
     is_psd,
     kron,
     mat_exp,
@@ -991,6 +992,22 @@ class TestPredicates:
         assert is_psd(c * a) and not is_psd(c * shifted)
         gen = cycle_generator((3, 4), [0.3, 0.6]).superoperator
         assert len(nullspace(c * gen)) == len(nullspace(gen)) == 7
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_norms_past_the_overflow_of_the_squares(self):
+        """Past about 1e154 an entry's square overflows numpy's sum of
+        squares; the norm is rescaled and stays finite, so a gap of 1e-7
+        relative is not close, however large the entries."""
+        a = np.full((3, 3), 1e160, dtype=complex)
+        assert frob_norm(a) == pytest.approx(3e160, rel=1e-15)
+        assert frob_distance(a, -a) == pytest.approx(6e160, rel=1e-15)
+        assert not close(a, a + 1e153) and close(a, a * (1 + 1e-12))
+        assert frob_norm(np.array([1e308, -1e308j])) == pytest.approx(np.sqrt(2) * 1e308, rel=1e-15)
+        # a norm past the largest float, and an entry that is not finite,
+        # keep numpy's value
+        assert frob_norm(np.full(4, 1e308)) == np.inf
+        assert frob_norm(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(frob_norm(np.array([np.nan, 1e300])))
 
     def test_frob_distance_self(self):
         a = random_matrix(3, seed=4)
