@@ -71,7 +71,6 @@ from .balance import (
     is_balanced,
     is_ergodic,
     is_kms_symmetric,
-    kms_symmetry_flip_check,
     sampled_balance,
 )
 

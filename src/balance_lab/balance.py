@@ -39,7 +39,6 @@ from .channels import (
     ReversingOperation,
     _fixed_point_operator,
     _kms_conjugate,
-    change_frame,
     dual,
     fixed_point_space,
     kms_dual,
@@ -48,8 +47,6 @@ from .channels import (
 from .couplings import (
     Coupling,
     _weigh_rows,
-    coupling_from_channel,
-    extract_channel,
     has_scalar_range,
     kms_flip,
     flip_coupling,
@@ -58,6 +55,7 @@ from .kernel import (
     DEFAULT_TOL,
     Report,
     _defect_on_pattern,
+    _block_product,
     _max_relative_residual,
     _relative_residuals,
     eigenvalues,
@@ -65,7 +63,7 @@ from .kernel import (
     relative_residual,
     vec,
 )
-from .lindblad import semigroup
+from .lindblad import _exponentials, _semigroup
 from .states import System
 
 
@@ -194,12 +192,18 @@ def sampled_balance(
 ) -> list[tuple[float, BalanceReport]]:
     """Balance of the exponentials e^{tK}, e^{tL} at sampled times.  The
     triple is checked once: e^{tK} and e^{tL} preserve the states that K
-    and L annihilate, so they are not checked again at each t."""
+    and L annihilate, so they are not checked again at each t.  The
+    exponentials of all times and of both generators are taken in one
+    batched pass (``lindblad._exponentials``), each with the bits of its
+    ``semigroup`` call, and held as their blocks: the defect reads their
+    patterns, and their dense superoperators are formed only where the
+    defect is left to the dense products (n^2 < GATHER_COST)."""
     if sys_a.kind != "generator" or sys_b.kind != "generator":
         raise ValueError("sampled balance requires generator dynamics")
     _check_triple(sys_a, sys_b, w)
-    return [(float(t), _balance(semigroup(sys_a.dynamics, t), semigroup(sys_b.dynamics, t), w, tol))
-            for t in ts]
+    pairs = [(sys.dynamics, t) for t in ts for sys in (sys_a, sys_b)]
+    held = iter(_semigroup(gen, x) for (gen, _), x in zip(pairs, _exponentials(pairs)))
+    return [(float(t), _balance(next(held), next(held), w, tol)) for t in ts]
 
 
 def is_kms_symmetric(sys: System, tol: float = DEFAULT_TOL) -> bool:
@@ -250,67 +254,6 @@ def check_theta_sqdb(
         via_balance=bool(via),
         methods_agree=bool(sqdb == via),
         tol=tol,
-    )
-
-
-@dataclass(frozen=True, eq=False, kw_only=True)
-class FlipSymmetryReport(Report):
-    hypothesis_met: bool
-    forward_balanced: bool | None = None
-    backward_balanced: bool | None = None
-    equivalent: bool | None = None
-    theta_forward: bool | None = None
-    theta_backward: bool | None = None
-    theta_equivalent: bool | None = None
-    message: str
-
-
-def kms_symmetry_flip_check(
-    sys_a: System,
-    sys_b: System,
-    w: Coupling,
-    tol: float = DEFAULT_TOL,
-    th: ReversingOperation | None = None,
-) -> FlipSymmetryReport:
-    """Symmetry of balance under KMS-symmetric dynamics.
-
-    When both dynamics are KMS-symmetric, balance of (A, B, omega) must be
-    equivalent to balance of (B, A, kms_flip(omega)).  With a reversing
-    operation supplied (and A KMS-symmetric), additionally checks that A is in
-    balance with its Theta-KMS-dual with respect to omega exactly when the
-    dual is in balance with A with respect to the coupling of
-    Theta o E_omega o Theta.
-    """
-    if not (is_kms_symmetric(sys_a, tol) and is_kms_symmetric(sys_b, tol)):
-        return FlipSymmetryReport(
-            hypothesis_met=False, message="hypothesis not met: dynamics are not KMS-symmetric"
-        )
-    forward = is_balanced(sys_a, sys_b, w, tol).balanced
-    backward = is_balanced(sys_b, sys_a, kms_flip(w), tol).balanced
-
-    theta_fwd = theta_bwd = theta_eq = None
-    message = "kms-symmetric flip equivalence evaluated"
-    if th is not None:
-        if not sys_a.state.same_state(sys_b.state):
-            raise ValueError("theta variant requires both systems on one state")
-        s = sys_a.state
-        a_theta = System(state=s, dynamics=theta_kms_dual(sys_a.dynamics, s, th, tol))
-        theta_fwd = is_balanced(sys_a, a_theta, w, tol).balanced
-        e = extract_channel(w)
-        e_conj = change_frame(_kms_conjugate(e), *th.frame)
-        w_e = coupling_from_channel(e_conj, s, s, tol)
-        theta_bwd = is_balanced(a_theta, sys_a, w_e, tol).balanced
-        theta_eq = theta_fwd == theta_bwd
-        message += "; theta variant evaluated"
-    return FlipSymmetryReport(
-        hypothesis_met=True,
-        forward_balanced=bool(forward),
-        backward_balanced=bool(backward),
-        equivalent=bool(forward == backward),
-        theta_forward=theta_fwd,
-        theta_backward=theta_bwd,
-        theta_equivalent=theta_eq,
-        message=message,
     )
 
 
@@ -509,6 +452,10 @@ def convergence_probe(
     The states are E_ii and the projections onto (e_i + e_j)/sqrt2 and
     (e_i + i e_j)/sqrt2, i < j; each lambda(b) is read off at most four
     entries of b (:func:`_spanning_traces`), with no m^2 x m^2 product.
+    The exponentials of every grid time are taken in one batched pass
+    (``lindblad._exponentials``) and held as the stacks of the blocks of
+    L's split, and e^{tL} S_E is taken from them
+    (``kernel._block_product``), so no dense e^{tL} is formed.
 
     ``vacuous`` means that E_omega has scalar range, and the transfer then
     says nothing.  Since E_omega is unital and mu_B o E_omega = mu_A, a
@@ -541,17 +488,17 @@ def convergence_probe(
     if certified and (not times or times[-1] < threshold):
         times = sorted(set(times) | {threshold})
     # a zero column of S_E is the image of a matrix unit, which every state
-    # sees at deviation 0, so only the nonzero columns are evolved, over the
-    # nonzero rows, each by column gather where the kernel's cost rule
-    # allows: S_E as the coupling's factor with its rows weighed, which has
-    # the bits of the factor of S_E itself
+    # sees at deviation 0, so only the nonzero columns are evolved, each by
+    # column gather where the kernel's cost rule allows, from the blocks of
+    # e^{tL} with no dense e^{tL} (kernel._block_product): S_E as the
+    # coupling's factor with its rows weighed, which has the bits of the
+    # factor of S_E itself
     s_e = _weigh_rows(w.factor, w.state_b.inv_sqrt_spectrum)
     targets = vec(sys_b.state.rho)[s_e.rows] @ s_e
+    blocks = sys_b.dynamics.invariant_blocks
     deviations = []
-    for t in times:
-        evolved = _spanning_traces(
-            semigroup(sys_b.dynamics, t).superoperator[:, s_e.rows] @ s_e, w.state_b.dim
-        )
+    for t, stacks in zip(times, _exponentials([(sys_b.dynamics, t) for t in times])):
+        evolved = _spanning_traces(_block_product(blocks, stacks, s_e), w.state_b.dim)
         evolved -= targets
         deviations.append((t, float(np.max(np.abs(evolved), initial=0.0))))
         del evolved  # not held while the next time's traces are formed

@@ -12,21 +12,23 @@ built by one core, ``dual``, exact for diagonal states:
 * the dual is the adjoint with respect to the bilinear pairing
   Tr(rho^1/2 a rho^1/2 b^T), the weighted transpose W_in^-1 S^T W_out with
   W = rho^1/2 (x) rho^1/2.  It is defined for state-preserving dynamics only,
-  as judged by ``states.preserves_state``.  Its superoperator is the
-  transposed view of W_out S W_in^-1, formed as one fresh array scaled in
-  place, one n^2 x n^2 temporary fewer than (S^T W_out) W_in^-1.
-  Each entry is S[j, i] w_out[j] / w_in[i], multiplied by w_out[j] and then
-  by the reciprocal 1 / w_in[i], where (S^T W_out) W_in^-1 divided: numpy
-  takes the quotient of a + ib by a real c as (a + b 0) (1 / c) +
+  as judged by ``states.preserves_state``.  It is held as its nonzeros
+  (``kernel._Dynamics``): those of S, weighed in the two gather forms of
+  its pattern and transposed (``kernel._Factor.scaled`` and ``.T``), so a
+  dual costs the nonzeros of S, not n^4.  Each entry is
+  S[j, i] w_out[j] / w_in[i], multiplied by w_out[j] and then by the
+  reciprocal 1 / w_in[i], where (S^T W_out) W_in^-1 divided: numpy takes
+  the quotient of a + ib by a real c as (a + b 0) (1 / c) +
   i (b - a 0) (1 / c), so the product has its bits up to the sign of a
-  zero part (adding b 0 or subtracting a 0 can turn a -0.0 positive), at
-  about half the cost (0.66 -> 0.37 ms at n = 16, one BLAS thread).  The
-  layout is that of the quotient too (F-ordered for a C-ordered S, and
-  C-ordered for the dual of a dual);
+  zero part (adding b 0 or subtracting a 0 can turn a -0.0 positive).
+  The dense superoperator is formed on its first read only, by one
+  scatter of the nonzeros, as the transposed view of W_out S W_in^-1: the
+  layout of the quotient (F-ordered for a C-ordered S, and C-ordered for
+  the dual of a dual), with +0 at every zero;
 * the KMS-dual, the adjoint for the KMS pairing Tr(rho^1/2 a rho^1/2 b), is
   j o dual o j for the modular transposition j, X -> X^T.  On a
-  superoperator that conjugation is an index permutation (``_kms_flip``,
-  as dynamics ``_kms_conjugate``);
+  superoperator that conjugation is an index permutation (``_kms_flip``),
+  and dynamics ``_kms_conjugate`` hold it as their nonzeros permuted;
 * the Theta-KMS-dual is Theta o (j o dual o j) o Theta for a reversing
   operation Theta = Ad_u o j.  Since j o Ad_u o j = Ad_conj(u), it is
   Ad_u o dual o Ad_conj(u): the dual seen in the frame of Theta's unitary,
@@ -60,9 +62,9 @@ import numpy as np
 from .kernel import (
     DEFAULT_TOL,
     Report,
+    _Dynamics,
     _Factor,
     _factor,
-    _held,
     _json_int,
     _made,
     ad_superop,
@@ -82,19 +84,19 @@ from .states import FaithfulState, preserves_state
 
 
 @dataclass(frozen=True, eq=False)
-class QuantumChannel:
-    """Linear map between matrix algebras in superoperator form."""
+class QuantumChannel(_Dynamics):
+    """Linear map between matrix algebras in superoperator form, given as
+    a dense array or as its nonzeros (``kernel._Dynamics``)."""
 
     dim_in: int
     dim_out: int
     superoperator: np.ndarray
 
     def __post_init__(self):
-        s = as_matrix(self.superoperator)
+        s = self._given()
         expected = (self.dim_out**2, self.dim_in**2)
         if s.shape != expected:
             raise ValueError(f"superoperator shape {s.shape} != {expected}")
-        object.__setattr__(self, "superoperator", s)
 
     @cached_property
     def pattern(self) -> _Factor:
@@ -111,7 +113,7 @@ class QuantumChannel:
     def scale(self) -> float:
         """The size its verdicts are relative to, ||S||: a channel that
         preserves a state is never zero."""
-        return frob_norm(self.superoperator)
+        return self._norm()
 
     @cached_property
     def choi(self) -> np.ndarray:
@@ -200,12 +202,12 @@ def validate_ucp(ch: QuantumChannel, tol: float = DEFAULT_TOL) -> UcpReport:
 # the dual core
 
 
-def _like(dyn, superoperator: np.ndarray, growth: float = 1.0, pattern=None):
+def _like(dyn, superoperator, growth: float = 1.0):
     """The result constructor: dynamics of the kind of ``dyn`` with the given
-    superoperator, on the dimensions that superoperator maps between, and
-    the recipe of its pattern when it is given (``kernel._held``).  A generator keeps the scale of
-    ``dyn`` times ``growth``, a bound on how much the map that made the
-    superoperator can grow its norm."""
+    superoperator, a dense array or its nonzeros (``kernel._Factor``), on
+    the dimensions that superoperator maps between.  A generator keeps the
+    scale of ``dyn`` times ``growth``, a bound on how much the map that made
+    the superoperator can grow its norm."""
     if dyn.kind == "generator":
         dim = math.isqrt(superoperator.shape[0])
         out = type(dyn)(dim=dim, superoperator=superoperator, scale=dyn.scale * growth)
@@ -215,7 +217,7 @@ def _like(dyn, superoperator: np.ndarray, growth: float = 1.0, pattern=None):
             dim_out=math.isqrt(superoperator.shape[0]),
             superoperator=superoperator,
         )
-    return out if pattern is None else _held(out, pattern=pattern)
+    return out
 
 
 def change_frame(dyn, u_in=None, u_out=None):
@@ -247,22 +249,19 @@ def dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TO
         raise ValueError(f"{name} undefined: the state is not preserved (residual {res:.3e})")
     w_in, w_out = s_in.kms_weights, s_out.kms_weights
     growth = float(w_out.max() / w_in.min())
-    # W_out S W_in^-1 as one fresh array, returned as its transposed view
-    # (see the module docstring), and its pattern weighed with the same
-    # two roundings and transposed
-    inverse = 1.0 / w_in
-    t = dyn.superoperator * w_out[:, None]
-    t *= inverse[None, :]
-    return _like(dyn, t.T, growth, lambda: dyn.pattern.scaled(w_out, inverse, t).T)
+    # the pattern of W_out S W_in^-1, weighed with two roundings and
+    # transposed (see the module docstring)
+    return _like(dyn, dyn.pattern.scaled(w_out, 1.0 / w_in).T, growth)
 
 
 def _kms_flip(superoperator: np.ndarray) -> np.ndarray:
     """j o S o j for the modular transposition j: X -> X^T, as an index
     permutation; equal to T_m @ S @ T_n for the commutation matrices T_n,
     the superoperators of X -> X^T on M_n.
-    The flip of a transposed view, as a dual's superoperator is, is the
-    transposed flip of the C-ordered array behind it: one copy where the
-    reshape of the view would take two."""
+    The flip of a transposed view, as the transposed pairing matrix of
+    ``couplings.kms_flip`` is, is the transposed flip of the C-ordered
+    array behind it: one copy where the reshape of the view would take
+    two."""
     if superoperator.flags.f_contiguous and not superoperator.flags.c_contiguous:
         return _kms_flip(superoperator.T).T
     m, n = math.isqrt(superoperator.shape[0]), math.isqrt(superoperator.shape[1])
@@ -277,11 +276,10 @@ def _tensor_swap(n: int) -> np.ndarray:
 
 def _kms_conjugate(dyn):
     """j o dyn o j, as dynamics of the kind of ``dyn``: the KMS-dual of
-    dynamics whose dual is ``dyn``.  Its pattern is that of ``dyn`` with
-    the indices permuted."""
-    s = _kms_flip(dyn.superoperator)
+    dynamics whose dual is ``dyn``.  It is held as the nonzeros of ``dyn``
+    with the indices permuted, the entries of ``_kms_flip``."""
     swap_out, swap_in = _tensor_swap(dyn.dim_out), _tensor_swap(dyn.dim_in)
-    return _like(dyn, s, pattern=lambda: dyn.pattern.permuted(swap_out, swap_in, s))
+    return _like(dyn, dyn.pattern.permuted(swap_out, swap_in))
 
 
 def kms_dual(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = DEFAULT_TOL):

@@ -34,8 +34,8 @@ Conventions used throughout the package:
   per call (``_nonzeros``), except where it travels with the matrix: a
   generator reads its split off its held pattern (below,
   ``lindblad.LindbladGenerator.invariant_blocks``), ``lindblad.semigroup``
-  hands it to ``mat_exp`` for every t, since the pattern of t L is that
-  of L or, where entries underflow, part of it, and
+  takes e^{tL} on it for every t, since the pattern of t L is that of L
+  or, where entries underflow, part of it, and
   ``channels.fixed_point_space`` hands it to ``nullspace``.
 * The exact nonzero pattern of a matrix has one sparse form, ``_Factor``:
   its support rows and columns and the gather forms (idx, w) of its
@@ -46,9 +46,9 @@ Conventions used throughout the package:
   and every coupling that of its pairing matrix
   (``couplings.Coupling.factor``), each made once:
   - *given by its maker*, which knows it, with no scan:
-    ``lindblad.cycle_generator`` lists its 3 n^2 entries by index,
-    ``lindblad.semigroup`` reads e^{tL} off the blocks of the split it
-    exponentiated (``_listed``);
+    ``lindblad.cycle_generator`` lists its 3 n^2 entries by index
+    (``_listed``), and ``lindblad.semigroup`` reads e^{tL} off the
+    stacks of the blocks it exponentiated (``_block_entries``);
   - *derived from the pattern it was made from*, with no scan:
     ``channels.dual`` weighs its parent's two forms with the two
     roundings of the dense dual and swaps them (``_Factor.scaled``,
@@ -60,13 +60,29 @@ Conventions used throughout the package:
     of its scan to ``_from_nonzeros``, as a maker with a list does), for
     everything else: a generator from jumps or from a file, the result of
     a change of frame, a coupling read or composed.
-  A maker leaves its pattern as a recipe (``_held``), which runs on first
-  use, so dynamics whose pattern is never read, as most semigroups of a
-  convergence probe, never pay for it.  Each is the factor that
-  ``_factor`` scans off the dense matrix, to the bit, except that a block
-  a KMS-flipped coupling scatters from its nonzeros holds +0 where the
-  dense matrix may hold -0.0.  The dense
-  superoperators stay as they are: every dense computation reads them.
+  Each is the factor that ``_factor`` scans off the dense matrix, to the
+  bit, except that a block a KMS-flipped coupling scatters from its
+  nonzeros holds +0 where the dense matrix may hold -0.0.
+* Dynamics have one primary form each (``_Dynamics``).  Those built from
+  a dense array hold it, read it in every dense computation and leave
+  their pattern as a recipe (``_held``) or a scan, which runs on first
+  use; that covers ``lindblad.cycle_generator``, ``build_generator``,
+  ``channels.change_frame``, every file input and every grid generator,
+  which no pattern reaches at n <= 11.  The duals, the KMS conjugates and
+  the semigroups are held as their ``_Factor`` alone, and the dense
+  superoperator is formed on its first read, by the recipe the maker
+  leaves: one scatter of the nonzeros into zeros (``_Factor.dense``), in
+  the layout of the dense dual (its transposed view), or for e^{tL} the
+  scatter of its blocks that ``mat_exp`` makes, whose bits it has.  Their
+  state preservation, a channel's scale and a generator's unital check
+  read the nonzeros (``_Dynamics._times``, ``_Dynamics._norm``), and
+  differ from the dense products by rounding only; the dense form keeps
+  the bits of the dense computation it replaced, except that the dual
+  and the conjugate of e^{tL} hold +0 inside its blocks where the dense
+  quotient may hold -0.0.  So the duals, ``balance.dual_order_check``
+  and ``balance.sampled_balance`` from n = 12 form no dense
+  superoperator, and ``balance.convergence_probe`` takes e^{tL} S_E off
+  the blocks (``_block_product``).
 * A product with a ``_Factor`` is taken over its support block alone:
   m @ x is nonzero only on the support rows of m and reads only the rows
   of x on its support columns, and x @ m alike.  A matrix whose support
@@ -377,6 +393,24 @@ def _span(index: np.ndarray | slice, size: int) -> np.ndarray:
     return np.arange(size) if isinstance(index, slice) else index
 
 
+class _on_read:
+    """A value of an instance made on its first read by the decorated
+    method and kept by the instance, whose own attribute then shadows this
+    non-data descriptor: ``functools.cached_property`` without the lock it
+    takes on every first read (Python 3.11).  It has no value on the
+    class, so a dataclass sees no default for a field of its name."""
+
+    def __init__(self, make):
+        self.make, self.name = make, make.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = self.make(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 class _Factor:
     """A matrix m, zero outside its support ``rows`` x ``cols``, as its exact
     nonzero pattern and a factor of products (made by :func:`_from_nonzeros`
@@ -391,20 +425,33 @@ class _Factor:
     x = y[:, rows].  Each is taken by the gather form, ``left`` or
     ``right``, on a side the cost rule gathers, and by BLAS with the dense
     ``block`` on a side it does not.  The maker gives the block as a
-    function of no arguments, called only where a side stays on BLAS;
-    ``block`` is None when both sides gather."""
+    function of no arguments, called on the first product on a side that
+    stays on BLAS, and by default the dense matrix (:meth:`dense`), for a
+    support that is everything; ``block`` is None when both sides gather.
+    ``transposed`` tells the layout of :meth:`dense`."""
 
     # numpy defers ``x @ f``, with x an array, to ``f.__rmatmul__(x)``
     __array_ufunc__ = None
 
-    def __init__(self, shape, rows, cols, forms, widths, block):
+    def __init__(self, shape, rows, cols, forms, widths, block=None, transposed=False):
         self.shape, self.rows, self.cols, self.widths = shape, rows, cols, widths
-        self._forms = list(forms)
+        self._forms, self.transposed = list(forms), transposed
         n_rows = shape[0] if isinstance(rows, slice) else rows.size
         n_cols = shape[1] if isinstance(cols, slice) else cols.size
         self.gathers = (0 < widths[0] * GATHER_COST <= n_cols,
                         0 < widths[1] * GATHER_COST <= n_rows)
-        self.block = None if all(self.gathers) else block()
+        # the builder may hold a dense matrix, kept only if it can be called
+        self._block = None if all(self.gathers) else block
+
+    @_on_read
+    def block(self) -> np.ndarray | None:
+        """The dense support block, built on the first read, which a
+        product on a side that stays on BLAS makes; None when both sides
+        gather."""
+        if all(self.gathers):
+            return None
+        make, self._block = self._block, None
+        return make() if make else self.dense()
 
     def form(self, side: int) -> tuple[np.ndarray, np.ndarray]:
         """The row form (side 0) or the column form (side 1), built once."""
@@ -431,11 +478,12 @@ class _Factor:
         return idx, weigh(idx, w)
 
     def _map(self, block, row, col) -> "_Factor":
-        """The factor of the same support and widths, with the weights w of
-        the two forms (idx, w), as they are built, passed through the
-        functions ``row`` and ``col``, and the block made by ``block``."""
+        """The factor of the same support, widths and layout, with the
+        weights w of the two forms (idx, w), as they are built, passed
+        through the functions ``row`` and ``col``, and the block made by
+        ``block``."""
         forms = (lambda: self._mapped(0, row)), (lambda: self._mapped(1, col))
-        return _Factor(self.shape, self.rows, self.cols, forms, self.widths, block)
+        return _Factor(self.shape, self.rows, self.cols, forms, self.widths, block, self.transposed)
 
     def __abs__(self) -> "_Factor":
         return self._map(lambda: np.abs(self.block), lambda idx, w: np.abs(w),
@@ -449,21 +497,38 @@ class _Factor:
         c = column[self.rows]
         return self._map(lambda: self.block * c, lambda idx, w: w * c, lambda idx, w: w * c[idx, 0])
 
-    def scaled(self, a: np.ndarray, b: np.ndarray, dense: np.ndarray) -> "_Factor":
-        """The factor of ``dense``, m with entry (i, j) multiplied by a[i]
-        and then by b[j], as ``m * a[:, None] * b[None, :]`` rounds it; only
-        the forms are weighed, and the block is cut from ``dense``."""
+    def scaled(self, a: np.ndarray, b: np.ndarray) -> "_Factor":
+        """m with entry (i, j) multiplied by a[i] and then by b[j], as
+        ``m * a[:, None] * b[None, :]`` rounds it, in the forms and the
+        block alike."""
         a, b = a[self.rows], b[self.cols]
-        return self._map(lambda: dense[:, self.cols][self.rows],
+        return self._map(lambda: self.block * a[:, None] * b[None, :],
                          lambda idx, w: w * a[:, None] * b[idx],
                          lambda idx, w: w * a[idx] * b[:, None])
 
     @property
     def T(self) -> "_Factor":
-        """The factor of m.T: the two forms swapped, the block transposed."""
+        """The factor of m.T: the two forms swapped, the block transposed,
+        the layout of :meth:`dense` flipped."""
         forms = (lambda: self.form(1)), (lambda: self.form(0))
         return _Factor(self.shape[::-1], self.cols, self.rows, forms, self.widths[::-1],
-                       lambda: self.block.T)
+                       lambda: self.block.T, not self.transposed)
+
+    def dense(self) -> np.ndarray:
+        """m, scattered from its nonzeros into zeros, which are all +0: a
+        C-ordered array, or for a factor that was transposed (``T``) an
+        odd number of times the transposed view of one, the layout of the
+        dense transpose it stands for."""
+        r, c, v = self.entries()
+        out = np.zeros(self.shape[::-1], v.dtype).T if self.transposed else np.zeros(self.shape, v.dtype)
+        out[r, c] = v
+        return out
+
+    def vector(self, x: np.ndarray, side: int) -> np.ndarray:
+        """m @ x (side 0) or x @ m (side 1) for a vector x, from the gather
+        form of every row or every column, a sum over the slots of each."""
+        idx, w = _full_form(self, side)
+        return (w * x[idx]).sum(axis=1)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of m as (rows, columns, values) in m's own indices,
@@ -474,15 +539,16 @@ class _Factor:
         rows, cols = _span(self.rows, self.shape[0]), _span(self.cols, self.shape[1])
         return rows[i], cols[idx[i, slot]], w[i, slot]
 
-    def permuted(self, row_map, col_map, dense: np.ndarray | None = None) -> "_Factor":
+    def permuted(self, row_map, col_map) -> "_Factor":
         """The factor of m' with m'[row_map[i], col_map[j]] = m[i, j], for
         two permutations: the nonzeros moved and put in row-major order
-        again, no scan, with the block of ``dense`` as :func:`_from_nonzeros`
-        takes it."""
+        again, no scan."""
         r, c, v = self.entries()
         r, c = row_map[r], col_map[c]
         order = np.lexsort((c, r))
-        return _from_nonzeros(self.shape, r[order], c[order], v[order], dense)
+        out = _from_nonzeros(self.shape, r[order], c[order], v[order])
+        out.transposed = self.transposed
+        return out
 
     def regions(self, xa: np.ndarray, bx: np.ndarray, op) -> tuple[np.ndarray, np.ndarray]:
         """X A op B X (op np.subtract or np.add) for an X with this support,
@@ -570,41 +636,93 @@ def _factor(m: np.ndarray) -> _Factor:
     return _from_nonzeros(m.shape, r, c, m[r, c], m)
 
 
-def _listed(m: np.ndarray, cand: np.ndarray) -> _Factor:
-    """m as a :class:`_Factor` from the columns that can hold a nonzero of
-    each row, with no scan of m, for an m whose pattern is symmetric, as a
-    split into blocks makes it: cand[i] lists those of row i, and so the
-    rows of column i, ascending and padded at the end with -1.  Where every
-    row lists a column and no listed entry holds a zero, cand is the index
-    array of both forms, padding and all; otherwise the nonzeros are read
-    off the list in row-major order."""
+def _listed(cand: np.ndarray, v: np.ndarray, v_t: np.ndarray, dense=None) -> _Factor:
+    """The :class:`_Factor` of a square m from the columns that can hold a
+    nonzero of each row, with no scan of m, for an m whose pattern is
+    symmetric, as a split into blocks makes it: cand[i] lists those of row
+    i, and so the rows of column i, ascending and padded at the end with
+    -1, and v[i, a] = m[i, cand[i, a]] and v_t[i, a] = m[cand[i, a], i]
+    hold their entries, zero on the padding.  Where every row lists a
+    column and no listed entry holds a zero, cand is the index array of
+    both forms, padding and all; otherwise the nonzeros are read off the
+    list in row-major order.  ``dense``, where the maker holds it, is m,
+    which the block of a side on BLAS is cut from."""
     listed = cand >= 0
-    at = np.where(listed, cand, 0)
-    rows = np.arange(m.shape[0])[:, None]
-    v = np.where(listed, m[rows, at], 0)
     hit = v != 0
+    shape = (cand.shape[0],) * 2
     if listed[:, 0].all() and np.array_equal(hit, listed):
-        forms = (at, v), (at, np.where(listed, m[at, rows], 0))
-        return _Factor(m.shape, slice(None), slice(None), forms, (at.shape[1],) * 2, lambda: m)
+        at = np.where(listed, cand, 0)
+        block = None if dense is None else (lambda: dense)
+        return _Factor(shape, slice(None), slice(None), ((at, v), (at, v_t)), (at.shape[1],) * 2, block)
     r, slot = _nonzeros(hit)
-    return _from_nonzeros(m.shape, r, cand[r, slot], v[r, slot], dense=m)
+    return _from_nonzeros(shape, r, cand[r, slot], v[r, slot], dense)
 
 
-def _block_columns(blocks: list[np.ndarray], size: int) -> np.ndarray:
-    """The columns of each row of a matrix of ``size`` rows that is zero
-    outside the blocks of a split, as :func:`_listed` takes them: those of
-    the row's block, ascending as the split lists them."""
+def _block_entries(blocks: list[np.ndarray], stacks: list[np.ndarray], size: int) -> tuple:
+    """The matrix of ``size`` rows that holds the (count, k, k) ``stacks``
+    on the blocks of a split and is zero outside them, as :func:`_scatter`
+    makes it, in the arrays (cand, v, v_t) of :func:`_listed`, read off the
+    stacks: each row lists the columns of its block, ascending as the split
+    lists them, with the row's entries in v and the column's in v_t."""
     cand = np.full((size, max(idx.shape[1] for idx in blocks)), -1)
-    for idx in blocks:
-        cand[idx.ravel(), : idx.shape[1]] = np.repeat(idx, idx.shape[1], axis=0)
-    return cand
+    v, v_t = np.zeros((2, *cand.shape), dtype=complex)
+    for idx, x in zip(blocks, stacks):
+        k, at = idx.shape[1], idx.ravel()
+        cand[at, :k] = np.repeat(idx, k, axis=0)
+        v[at, :k], v_t[at, :k] = x.reshape(-1, k), x.transpose(0, 2, 1).reshape(-1, k)
+    return cand, v, v_t
+
+
+def _block_product(blocks: list[np.ndarray], stacks: list[np.ndarray], f: _Factor) -> np.ndarray:
+    """M @ m[:, cols] for the matrix M that holds ``stacks`` on the blocks of
+    a split (:func:`_block_entries`) and the matrix m of ``f``, over the
+    support columns of m, with no dense M.  Where the cost rule gathers
+    the columns of m, it is the column gather of ``_gather_product``, slot
+    by slot in the order of its sum, each column r of M read off its
+    block: a row outside the block adds nothing.  Elsewhere it is the
+    stacked product of each group's blocks with the rows of m on them."""
+    size = f.shape[0]
+    if not f.gathers[1]:
+        out = np.zeros((size, f.block.shape[1]), dtype=complex)
+        out[f.rows] = f.block
+        for idx, x in zip(blocks, stacks):
+            out[idx] = x @ out[idx]
+        return out
+    cand, _, v_t = _block_entries(blocks, stacks, size)
+    idx, w = f.form(1)
+    rows, at = _span(f.rows, size), np.arange(idx.shape[0])[:, None]
+    # one row more, which the padding of cand (-1) writes to
+    out = np.zeros((size + 1, idx.shape[0]), dtype=complex)
+    for j in range(idx.shape[1]):
+        r = rows[idx[:, j]]
+        out[cand[r], at] += v_t[r] * w[:, j, None]
+    return out[:-1]
+
+
+def _block_stacks(f: _Factor, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The matrix of ``f`` on each group of a split of its pattern, as the
+    (count, k, k) stack :func:`_stacks` cuts from the dense matrix, scattered
+    from its nonzeros into zeros: in the flat stacks, the i-th index of the
+    split's r-th row of a group of size k starts its row at r k^2 + i k, and
+    sits in its column at i more."""
+    r, c, v = f.entries()
+    sizes = [idx.size * idx.shape[1] for idx in blocks]
+    start, place = np.empty((2, f.shape[0]), dtype=np.intp)
+    for idx, base in zip(blocks, np.cumsum(sizes) - sizes):
+        start[idx.ravel()] = base + np.arange(idx.size) * idx.shape[1]
+        place[idx] = np.arange(idx.shape[1])
+    flat = np.zeros(sum(sizes), dtype=v.dtype)
+    flat[start[r] + place[c]] = v
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [x.reshape(*idx.shape, idx.shape[1]) for idx, x in zip(blocks, parts)]
 
 
 def _held(obj, **recipes):
-    """``obj`` with a recipe left by its maker for each named cached
-    property: a function of no arguments that :func:`_made` calls once, on
-    first use, in place of a scan.  A frozen dataclass takes them through
-    ``object.__setattr__``."""
+    """``obj`` with a recipe left by its maker for each named value formed
+    on first use (a cached pattern, or the dense superoperator of
+    dynamics held as their nonzeros, ``_Dynamics``): a function of no
+    arguments that :func:`_made` calls once, in place of a scan.  A frozen
+    dataclass takes them through ``object.__setattr__``."""
     for name, make in recipes.items():
         object.__setattr__(obj, "_make_" + name, make)
     return obj
@@ -616,6 +734,49 @@ def _made(obj, name: str, scan):
     left none."""
     make = vars(obj).pop("_make_" + name, None)
     return (scan if make is None else make)()
+
+
+class _Dynamics:
+    """The superoperator S of a channel or a generator, given to the
+    constructor as a dense array or, by a maker that holds its nonzeros,
+    as their :class:`_Factor` (see the module docstring).  A factor is held
+    as ``nonzeros`` and as the ``pattern``, and the dense array is formed on
+    its first read by the recipe the maker leaves (:func:`_held`), the
+    factor's scatter (``_Factor.dense``) unless it leaves another."""
+
+    nonzeros = None
+
+    @_on_read
+    def superoperator(self) -> np.ndarray:
+        """S, formed on its first read, by the recipe the maker left, for
+        dynamics held as their nonzeros; an instance given a dense array
+        holds it, which shadows this."""
+        return _made(self, "superoperator", None)
+
+    def _given(self):
+        """S as given to the constructor: a factor, held as above, or a
+        dense array, made a complex matrix."""
+        s = self.superoperator
+        if isinstance(s, _Factor):
+            del vars(self)["superoperator"]
+            vars(self).update(nonzeros=s, pattern=s)
+            _held(self, superoperator=s.dense)
+            return s
+        s = as_matrix(s)
+        object.__setattr__(self, "superoperator", s)
+        return s
+
+    def _norm(self) -> float:
+        """||S||_F, read off the dense array or the nonzeros, whichever S
+        was given as."""
+        return frob_norm(self.superoperator if self.nonzeros is None else self.nonzeros.form(0)[1])
+
+    def _times(self, x: np.ndarray, side: int) -> np.ndarray:
+        """S @ x (side 0) or x @ S (side 1) for a vector x: the dense
+        product, or the sum over the nonzeros (``_Factor.vector``)."""
+        if self.nonzeros is not None:
+            return self.nonzeros.vector(x, side)
+        return self.superoperator @ x if side == 0 else x @ self.superoperator
 
 
 def _full_form(f: _Factor, side: int) -> tuple[np.ndarray, np.ndarray]:
@@ -730,8 +891,11 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
 def mat_exp(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     """Matrix exponential, one invariant block at a time: the blocks of each
     size go to one stacked pass (``_exp_stack``) and are scattered into a
-    zero matrix.  ``blocks`` is ``_invariant_blocks(m)`` for a caller that
-    holds it, or any split into unions of its blocks.
+    zero matrix (:func:`_scatter`).  ``blocks`` is ``_invariant_blocks(m)``
+    for a caller that holds it, or any split into unions of its blocks.
+    A (count, k, k) stack, as ``scipy.linalg.expm`` takes one, is one such
+    pass, each slice taken whole; ``lindblad.semigroup`` hands it the blocks
+    of t L it cut itself.
 
     Each slice is scaled by 2^-s, with s the least integer >= 0 that brings
     its 1-norm to theta_13 or below, replaced by the [13/13] Pade
@@ -757,11 +921,19 @@ def mat_exp(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     underflows to a diagonal gives the bits of any split of it.  Any other
     slice with a NaN or infinite entry, or a 1-norm that overflows, is NaN,
     and no squaring count is read off it."""
+    if np.ndim(m) == 3:
+        return _exp_stack(np.asarray(m, dtype=complex))
     m = as_matrix(m)
-    out = np.zeros_like(m)
-    for idx in _invariant_blocks(m) if blocks is None else blocks:
-        block = idx[:, :, None], idx[:, None, :]
-        out[block] = _exp_stack(m[block])
+    blocks = _invariant_blocks(m) if blocks is None else blocks
+    return _scatter(blocks, [_exp_stack(_stacks(m, idx, idx)) for idx in blocks], m.shape[0])
+
+
+def _scatter(blocks: list[np.ndarray], stacks: list[np.ndarray], size: int) -> np.ndarray:
+    """The size x size matrix that holds the (count, k, k) ``stacks`` on
+    the blocks of a split and is zero (+0) outside them."""
+    out = np.zeros((size, size), dtype=complex)
+    for idx, x in zip(blocks, stacks):
+        out[idx[:, :, None], idx[:, None, :]] = x
     return out
 
 
@@ -857,8 +1029,8 @@ def check_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
         raise ValueError("a PSD check requires a square matrix")
     stacks = [_stacks(m, idx, idx) for idx in _invariant_blocks(m)]
     adjoints = [s.conj().swapaxes(1, 2) for s in stacks]
-    residual = math.hypot(*(np.linalg.norm(s - a) for s, a in zip(stacks, adjoints)))
-    if not relative_residual(residual, math.hypot(*map(np.linalg.norm, stacks))) <= tol:
+    residual = math.hypot(*(frob_norm(s - a) for s, a in zip(stacks, adjoints)))
+    if not relative_residual(residual, math.hypot(*map(frob_norm, stacks))) <= tol:
         return False, -math.inf
     evals = np.concatenate(
         [np.linalg.eigvalsh((s + a) / 2.0).ravel() for s, a in zip(stacks, adjoints)]

@@ -33,6 +33,7 @@ must be constant on every entangled block.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,8 +44,10 @@ from .channels import QuantumChannel, ReversingOperation, dual, kms_dual, theta_
 from .couplings import Coupling
 from .kernel import (
     DEFAULT_TOL,
-    _block_columns,
+    _block_entries,
+    _block_stacks,
     _blocks,
+    _Dynamics,
     _Factor,
     _factor,
     _held,
@@ -58,6 +61,7 @@ from .kernel import (
     kraus_superop,
     kron,
     _listed,
+    _scatter,
     mat_exp,
     relative_residual,
     vec,
@@ -69,8 +73,9 @@ _PREDICT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class LindbladGenerator:
-    """GKS generator; ``jumps`` may be None when only the superoperator is known.
+class LindbladGenerator(_Dynamics):
+    """GKS generator; ``jumps`` may be None when only the superoperator is
+    known, given as a dense array or as its nonzeros (``kernel._Dynamics``).
 
     ``scale`` is the a-priori size of L that its verdicts are relative to:
     sum_j ||V_j||^2 + ||H|| when the jumps are known, ||L|| otherwise, unless
@@ -84,20 +89,19 @@ class LindbladGenerator:
     scale: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        s = as_matrix(self.superoperator)
+        s = self._given()
         if s.shape != (self.dim**2, self.dim**2):
             raise ValueError("generator superoperator has wrong shape")
-        object.__setattr__(self, "superoperator", s)
         if self.scale is None:
             if self.jumps is None:
-                scale = frob_norm(s)
+                scale = self._norm()
             else:
                 # ||V||^2 and ||H|| as vdot(V, V), which costs a third of a norm call
                 h = 0.0 if self.hamiltonian is None else math.sqrt(np.vdot(self.hamiltonian, self.hamiltonian).real)
                 scale = sum(np.vdot(v, v).real for v in self.jumps) + h
             object.__setattr__(self, "scale", float(scale))
         one = vec(np.eye(self.dim, dtype=complex))
-        if relative_residual(frob_norm(s @ one), self.scale) > DEFAULT_TOL:
+        if relative_residual(frob_norm(self._times(one, 0)), self.scale) > DEFAULT_TOL:
             raise ValueError("generator is not unital: L(1) != 0")
 
     @cached_property
@@ -156,14 +160,39 @@ def build_generator(jumps, hamiltonian=None) -> LindbladGenerator:
 
 
 def semigroup(gen: LindbladGenerator, t: float) -> QuantumChannel:
-    """The channel e^{tL}, with its pattern read off the blocks of the split
-    it was taken on: e^{tL} is zero outside them."""
-    if not math.isfinite(t) or t < 0:
+    """The channel e^{tL}, held as its blocks on the split of L
+    (``invariant_blocks``), zero outside them: its pattern is read off the
+    blocks, and its dense superoperator is formed on first read by the
+    scatter of ``kernel.mat_exp``, whose bits it has."""
+    return _semigroup(gen, _exponentials([(gen, t)])[0])
+
+
+def _exponentials(pairs) -> list[list[np.ndarray]]:
+    """e^{tL} for each (L, t) of ``pairs``, as one (count, k, k) stack per
+    group of the split of L, in its order.  t L is taken on the stacks
+    read off the pattern of L (``kernel._block_stacks``), and all slices of
+    one size, over every pair, go through one ``kernel.mat_exp`` pass,
+    which gives each slice the bits it gets alone: e^{tL} is block
+    diagonal (Van Loan, J. Comput. Appl. Math. 123, 85 (2000)), and this
+    takes the blocks of many times and generators as one stack."""
+    if not all(math.isfinite(t) and t >= 0 for _, t in pairs):
         raise ValueError("semigroup time must be finite and non-negative")
-    blocks = gen.invariant_blocks
-    s = mat_exp(t * gen.superoperator, blocks)
-    channel = QuantumChannel(dim_in=gen.dim, dim_out=gen.dim, superoperator=s)
-    return _held(channel, pattern=lambda: _listed(s, _block_columns(blocks, s.shape[0])))
+    gens = {id(gen): gen for gen, _ in pairs}
+    held = {key: _block_stacks(gen.pattern, gen.invariant_blocks) for key, gen in gens.items()}
+    scaled = [[t * x for x in held[id(gen)]] for gen, t in pairs]
+    by_size = {}
+    for x in itertools.chain.from_iterable(scaled):
+        by_size.setdefault(x.shape[-1], []).append(x)
+    done = {k: iter(np.split(mat_exp(np.concatenate(xs)), np.cumsum([len(x) for x in xs])[:-1]))
+            for k, xs in by_size.items()}
+    return [[next(done[x.shape[-1]]) for x in row] for row in scaled]
+
+
+def _semigroup(gen: LindbladGenerator, stacks: list[np.ndarray]) -> QuantumChannel:
+    """The channel e^{tL} of its stacks on the split of L (:func:`_exponentials`)."""
+    blocks, size = gen.invariant_blocks, gen.dim**2
+    channel = QuantumChannel(gen.dim, gen.dim, _listed(*_block_entries(blocks, stacks, size)))
+    return _held(channel, superoperator=lambda: _scatter(blocks, stacks, size))
 
 
 def dual_generator(
@@ -267,7 +296,8 @@ def cycle_generator(cycle_lengths, weights, ham_diag=None) -> LindbladGenerator:
         # row p n + q holds its diagonal, (succ p, succ q) and (pred p, pred q)
         back = np.empty_like(there)
         back[there] = here
-        return _listed(sup, np.sort(np.stack((here, there, back), axis=1)))
+        cand = np.sort(np.stack((here, there, back), axis=1))
+        return _listed(cand, sup[here[:, None], cand], sup[cand, here[:, None]], sup)
 
     return _held(gen, pattern=pattern)
 

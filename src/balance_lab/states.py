@@ -182,16 +182,18 @@ def state_preservation_residual(
     ``s_out`` defaults to ``s_in``.  The value is
     ||S^dagger vec(rho_out) - vec(rho_in)|| for a channel and
     ||S^dagger vec(rho)|| for a generator.  S^dagger v is formed as
-    conj(conj(v) S), a vector-matrix product that reads S as it is stored,
-    with the bits of the product with an n^2 x n^2 conjugated copy of S.
+    conj(conj(v) S), a vector-matrix product that reads S as it is held:
+    on a dense S with the bits of the product with an n^2 x n^2 conjugated
+    copy of S, and on dynamics held as their nonzeros over the column form
+    of those alone (``kernel._Dynamics``).
     """
     s_out = s_in if s_out is None else s_out
     if (dyn.dim_in, dyn.dim_out) != (s_in.dim, s_out.dim):
         raise ValueError("states do not match the dimensions of the dynamics")
-    image = (vec(s_out.rho).conj() @ dyn.superoperator).conj()
+    image = dyn._times(vec(s_out.rho).conj(), 1).conj()
     if dyn.kind == "channel":
         image = image - vec(s_in.rho)
-    return float(np.linalg.norm(image))
+    return frob_norm(image)
 
 
 def preserves_state(

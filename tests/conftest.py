@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -28,15 +29,20 @@ from balance_lab.balance import (
     DisjointnessReport,
     _check_triple,
     is_balanced,
+    is_kms_symmetric,
 )
 from balance_lab.channels import (
     QuantumChannel,
+    ReversingOperation,
+    _kms_conjugate,
     _like,
     apply,
+    change_frame,
     channel_from_kraus,
     constant_channel,
     dual,
     fixed_point_space,
+    theta_kms_dual,
     validate_ucp,
 )
 from balance_lab.couplings import (
@@ -46,10 +52,12 @@ from balance_lab.couplings import (
     compose,
     coupling_from_channel,
     extract_channel,
+    kms_flip,
     validate_coupling,
 )
 from balance_lab.kernel import (
     DEFAULT_TOL,
+    Report,
     _components,
     _max_relative_residual,
     ad_superop,
@@ -130,6 +138,67 @@ def new_coupling(kappa, state_a: FaithfulState, state_b: FaithfulState,
     if not report.valid:
         raise ValueError(f"not a coupling: {report.to_json()}")
     return w
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class FlipSymmetryReport(Report):
+    hypothesis_met: bool
+    forward_balanced: bool | None = None
+    backward_balanced: bool | None = None
+    equivalent: bool | None = None
+    theta_forward: bool | None = None
+    theta_backward: bool | None = None
+    theta_equivalent: bool | None = None
+    message: str
+
+
+def kms_symmetry_flip_check(
+    sys_a: System,
+    sys_b: System,
+    w: Coupling,
+    tol: float = DEFAULT_TOL,
+    th: ReversingOperation | None = None,
+) -> FlipSymmetryReport:
+    """Symmetry of balance under KMS-symmetric dynamics.
+
+    When both dynamics are KMS-symmetric, balance of (A, B, omega) must be
+    equivalent to balance of (B, A, kms_flip(omega)).  With a reversing
+    operation supplied (and A KMS-symmetric), additionally checks that A is in
+    balance with its Theta-KMS-dual with respect to omega exactly when the
+    dual is in balance with A with respect to the coupling of
+    Theta o E_omega o Theta.
+    """
+    if not (is_kms_symmetric(sys_a, tol) and is_kms_symmetric(sys_b, tol)):
+        return FlipSymmetryReport(
+            hypothesis_met=False, message="hypothesis not met: dynamics are not KMS-symmetric"
+        )
+    forward = is_balanced(sys_a, sys_b, w, tol).balanced
+    backward = is_balanced(sys_b, sys_a, kms_flip(w), tol).balanced
+
+    theta_fwd = theta_bwd = theta_eq = None
+    message = "kms-symmetric flip equivalence evaluated"
+    if th is not None:
+        if not sys_a.state.same_state(sys_b.state):
+            raise ValueError("theta variant requires both systems on one state")
+        s = sys_a.state
+        a_theta = System(state=s, dynamics=theta_kms_dual(sys_a.dynamics, s, th, tol))
+        theta_fwd = is_balanced(sys_a, a_theta, w, tol).balanced
+        e = extract_channel(w)
+        e_conj = change_frame(_kms_conjugate(e), *th.frame)
+        w_e = coupling_from_channel(e_conj, s, s, tol)
+        theta_bwd = is_balanced(a_theta, sys_a, w_e, tol).balanced
+        theta_eq = theta_fwd == theta_bwd
+        message += "; theta variant evaluated"
+    return FlipSymmetryReport(
+        hypothesis_met=True,
+        forward_balanced=bool(forward),
+        backward_balanced=bool(backward),
+        equivalent=bool(forward == backward),
+        theta_forward=theta_fwd,
+        theta_backward=theta_bwd,
+        theta_equivalent=theta_eq,
+        message=message,
+    )
 
 
 def evaluate(w: Coupling, a, c) -> complex:
@@ -298,6 +367,16 @@ def dual_reference(dyn, s_in: FaithfulState, s_out: FaithfulState, tol: float = 
     w_in, w_out = s_in.kms_weights, s_out.kms_weights
     growth = float(w_out.max() / w_in.min())
     return _like(dyn, (dyn.superoperator.T * w_out[None, :]) / w_in[:, None], growth)
+
+
+def weighted_transpose_reference(s: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
+    """The dense superoperator of the dual as channels.dual formed it
+    before duals were held as their nonzeros: W_out S W_in^-1 as one fresh
+    array, multiplied in place by the reciprocal 1 / w_in, and returned as
+    its transposed view."""
+    t = s * w_out[:, None]
+    t *= (1.0 / w_in)[None, :]
+    return t.T
 
 
 def semigroup_reference(gen, t: float) -> np.ndarray:

@@ -17,7 +17,6 @@ from balance_lab.balance import (
     is_balanced,
     is_ergodic,
     is_kms_symmetric,
-    kms_symmetry_flip_check,
     sampled_balance,
 )
 from balance_lab.channels import (
@@ -44,6 +43,7 @@ from balance_lab.states import System, new_faithful_state
 
 from conftest import (
     dual_reference,
+    kms_symmetry_flip_check,
     make_spec,
     preserving_generator,
     random_state_vector,

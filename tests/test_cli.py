@@ -24,6 +24,7 @@ from balance_lab.couplings import (
 )
 from balance_lab.kernel import (
     _invariant_blocks,
+    _stacks,
     ad_superop,
     matrix_from_json,
     matrix_to_json,
@@ -605,7 +606,8 @@ class TestSqdbErgodicConvergence:
 
     def test_convergence_default_times_probe_once(self, workdir, capsys, monkeypatch):
         # the default grid (0.1, 1, 5) ends before the threshold time 50 / gap;
-        # the probe adds that time itself, so nothing is computed twice
+        # the probe adds that time itself, so nothing is computed twice: the
+        # four exponentials are taken in one batched pass
         g = (0.11, -0.52, 0.37, 0.93, -0.08, 0.64, -0.71)
         spec = make_spec(
             cycles=(7,), block_probs=(1.0,), partition=((0,),), types=("entangled",),
@@ -614,11 +616,13 @@ class TestSqdbErgodicConvergence:
         f = write(workdir / "spec.json", spec.to_json())
         calls = {}
         for name, home in (("convergence_probe", balance), ("is_balanced", balance),
-                           ("semigroup", lindblad)):
+                           ("_exponentials", lindblad)):
             orig = getattr(home, name)
 
             def counted(*args, _name=name, _orig=orig, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
+                if _name == "_exponentials":
+                    calls["times"] = calls.get("times", 0) + len(args[0])
                 return _orig(*args, **kwargs)
 
             for module in (cli, balance, lindblad):
@@ -629,7 +633,7 @@ class TestSqdbErgodicConvergence:
         rep = json.loads(out)
         assert rep["verdicts"]["certified"] is True and rep["verdicts"]["passed"] is True
         assert [d["t"] for d in rep["deviations"]] == [0.1, 1.0, 5.0, rep["threshold_time"]]
-        assert calls == {"convergence_probe": 1, "is_balanced": 1, "semigroup": 4}
+        assert calls == {"convergence_probe": 1, "is_balanced": 1, "_exponentials": 1, "times": 4}
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
     def test_non_finite_times_rejected(self, workdir, capsys, bad):
@@ -1138,9 +1142,16 @@ class TestBlockwiseMatchesDense:
             assert sum(idx.shape[0] for idx in _invariant_blocks(sys_x.dynamics.superoperator)) > 1
         f = write(workdir / "spec.json", spec.to_json())
         blockwise = self.reports(capsys, f)
-        # semigroup hands mat_exp the generator's split, and convergence_probe
-        # hands it to eigenvalues; the dense expm and eigvals ignore it
-        monkeypatch.setattr(lindblad, "mat_exp", lambda m, blocks=None: scipy.linalg.expm(m))
+        # the exponentials are taken on the generator's split, as stacks
+        # (lindblad._exponentials, which balance calls too), and
+        # convergence_probe hands the split to eigenvalues; the dense expm,
+        # cut into the same stacks, and eigvals ignore it
+        def dense_exponentials(pairs):
+            return [[_stacks(scipy.linalg.expm(t * gen.superoperator), idx, idx)
+                     for idx in gen.invariant_blocks] for gen, t in pairs]
+
+        for module in (lindblad, balance):
+            monkeypatch.setattr(module, "_exponentials", dense_exponentials)
         monkeypatch.setattr(balance, "eigenvalues", lambda m, blocks=None: np.linalg.eigvals(m))
         dense = self.reports(capsys, f)
         for x, y in zip(blockwise, dense):

@@ -44,7 +44,6 @@ from balance_lab.balance import (
     disjointness_probe,
     dual_order_check,
     is_balanced,
-    kms_symmetry_flip_check,
 )
 from balance_lab.channels import (
     ReversingOperation,
@@ -64,7 +63,7 @@ from balance_lab.kernel import Report
 from balance_lab.lindblad import scenario_build
 from balance_lab.states import System, new_faithful_state
 
-from conftest import make_spec
+from conftest import kms_symmetry_flip_check, make_spec
 
 
 def single_cycle(types=("entangled",), g=(0.05, 0.21, 0.47)):
