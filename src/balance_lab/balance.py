@@ -55,9 +55,10 @@ from .kernel import (
     DEFAULT_TOL,
     Report,
     _defect_on_pattern,
-    _block_product,
     _max_relative_residual,
     _relative_residuals,
+    _scatter,
+    _span,
     eigenvalues,
     frob_norm,
     relative_residual,
@@ -193,9 +194,10 @@ def sampled_balance(
     """Balance of the exponentials e^{tK}, e^{tL} at sampled times.  The
     triple is checked once: e^{tK} and e^{tL} preserve the states that K
     and L annihilate, so they are not checked again at each t.  The
-    exponentials of all times and of both generators are taken in one
-    batched pass (``lindblad._exponentials``), each with the bits of its
-    ``semigroup`` call, and held as their blocks: the defect reads their
+    exponentials of all times and of both generators are taken in batched
+    passes (``lindblad._exponentials``, whose runs are bounded by one dense
+    superoperator), each with the bits of its ``semigroup`` call, and held
+    as their blocks, one time at a time: the defect reads their
     patterns, and their dense superoperators are formed only where the
     defect is left to the dense products (n^2 < GATHER_COST)."""
     if sys_a.kind != "generator" or sys_b.kind != "generator":
@@ -452,10 +454,12 @@ def convergence_probe(
     The states are E_ii and the projections onto (e_i + e_j)/sqrt2 and
     (e_i + i e_j)/sqrt2, i < j; each lambda(b) is read off at most four
     entries of b (:func:`_spanning_traces`), with no m^2 x m^2 product.
-    The exponentials of every grid time are taken in one batched pass
-    (``lindblad._exponentials``) and held as the stacks of the blocks of
-    L's split, and e^{tL} S_E is taken from them
-    (``kernel._block_product``), so no dense e^{tL} is formed.
+    The exponentials of the grid times are taken in batched passes
+    (``lindblad._exponentials``, whose runs are bounded by one dense
+    superoperator) and held as the stacks of the blocks of L's split; the
+    columns of e^{tL} that meet S_E are scattered from them
+    (``kernel._scatter``) and multiplied by S_E, so no dense e^{tL} is
+    formed beyond those columns.
 
     ``vacuous`` means that E_omega has scalar range, and the transfer then
     says nothing.  Since E_omega is unital and mu_B o E_omega = mu_A, a
@@ -488,17 +492,18 @@ def convergence_probe(
     if certified and (not times or times[-1] < threshold):
         times = sorted(set(times) | {threshold})
     # a zero column of S_E is the image of a matrix unit, which every state
-    # sees at deviation 0, so only the nonzero columns are evolved, each by
-    # column gather where the kernel's cost rule allows, from the blocks of
-    # e^{tL} with no dense e^{tL} (kernel._block_product): S_E as the
-    # coupling's factor with its rows weighed, which has the bits of the
-    # factor of S_E itself
+    # sees at deviation 0, so only the nonzero columns are evolved, over the
+    # nonzero rows, each by column gather where the kernel's cost rule
+    # allows: S_E as the coupling's factor with its rows weighed, which has
+    # the bits of the factor of S_E itself.  The columns of e^{tL} on those
+    # rows are scattered from its blocks (kernel._scatter), with no dense
+    # e^{tL}
     s_e = _weigh_rows(w.factor, w.state_b.inv_sqrt_spectrum)
     targets = vec(sys_b.state.rho)[s_e.rows] @ s_e
-    blocks = sys_b.dynamics.invariant_blocks
+    blocks, rows = sys_b.dynamics.invariant_blocks, _span(s_e.rows, s_e.shape[0])
     deviations = []
     for t, stacks in zip(times, _exponentials([(sys_b.dynamics, t) for t in times])):
-        evolved = _spanning_traces(_block_product(blocks, stacks, s_e), w.state_b.dim)
+        evolved = _spanning_traces(_scatter(blocks, stacks, rows) @ s_e, w.state_b.dim)
         evolved -= targets
         deviations.append((t, float(np.max(np.abs(evolved), initial=0.0))))
         del evolved  # not held while the next time's traces are formed

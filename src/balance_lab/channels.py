@@ -113,7 +113,7 @@ class QuantumChannel(_Dynamics):
     def scale(self) -> float:
         """The size its verdicts are relative to, ||S||: a channel that
         preserves a state is never zero."""
-        return self._norm()
+        return frob_norm(self.superoperator)
 
     @cached_property
     def choi(self) -> np.ndarray:

@@ -73,16 +73,20 @@ Conventions used throughout the package:
   superoperator is formed on its first read, by the recipe the maker
   leaves: one scatter of the nonzeros into zeros (``_Factor.dense``), in
   the layout of the dense dual (its transposed view), or for e^{tL} the
-  scatter of its blocks that ``mat_exp`` makes, whose bits it has.  Their
-  state preservation, a channel's scale and a generator's unital check
-  read the nonzeros (``_Dynamics._times``, ``_Dynamics._norm``), and
-  differ from the dense products by rounding only; the dense form keeps
+  scatter of its blocks that ``mat_exp`` makes, whose bits it has.  Only
+  their class of :func:`_holding` forms it on read, so the reads of the
+  superoperator of dynamics built dense stay plain attribute reads.  The
+  check of state preservation (``states.preserves_state``) and a
+  generator's unital check read the nonzeros (:func:`_times`), and
+  differ from the dense products by rounding only; the values a caller
+  reads, ``states.state_preservation_residual`` and a channel's
+  ``scale``, read the dense form, with its bits.  The dense form keeps
   the bits of the dense computation it replaced, except that the dual
   and the conjugate of e^{tL} hold +0 inside its blocks where the dense
   quotient may hold -0.0.  So the duals, ``balance.dual_order_check``
   and ``balance.sampled_balance`` from n = 12 form no dense
-  superoperator, and ``balance.convergence_probe`` takes e^{tL} S_E off
-  the blocks (``_block_product``).
+  superoperator, and ``balance.convergence_probe`` scatters only the
+  columns of e^{tL} that meet S_E (``_scatter``).
 * A product with a ``_Factor`` is taken over its support block alone:
   m @ x is nonzero only on the support rows of m and reads only the rows
   of x on its support columns, and x @ m alike.  A matrix whose support
@@ -159,6 +163,7 @@ row-major list of length ``rows*cols``.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 import os
@@ -426,14 +431,13 @@ class _Factor:
     ``right``, on a side the cost rule gathers, and by BLAS with the dense
     ``block`` on a side it does not.  The maker gives the block as a
     function of no arguments, called on the first product on a side that
-    stays on BLAS, and by default the dense matrix (:meth:`dense`), for a
-    support that is everything; ``block`` is None when both sides gather.
-    ``transposed`` tells the layout of :meth:`dense`."""
+    stays on BLAS; ``block`` is None when both sides gather.  ``transposed``
+    tells the layout of the dense matrix it stands for (:meth:`dense`)."""
 
     # numpy defers ``x @ f``, with x an array, to ``f.__rmatmul__(x)``
     __array_ufunc__ = None
 
-    def __init__(self, shape, rows, cols, forms, widths, block=None, transposed=False):
+    def __init__(self, shape, rows, cols, forms, widths, block, transposed):
         self.shape, self.rows, self.cols, self.widths = shape, rows, cols, widths
         self._forms, self.transposed = list(forms), transposed
         n_rows = shape[0] if isinstance(rows, slice) else rows.size
@@ -451,7 +455,7 @@ class _Factor:
         if all(self.gathers):
             return None
         make, self._block = self._block, None
-        return make() if make else self.dense()
+        return make()
 
     def form(self, side: int) -> tuple[np.ndarray, np.ndarray]:
         """The row form (side 0) or the column form (side 1), built once."""
@@ -515,20 +519,8 @@ class _Factor:
                        lambda: self.block.T, not self.transposed)
 
     def dense(self) -> np.ndarray:
-        """m, scattered from its nonzeros into zeros, which are all +0: a
-        C-ordered array, or for a factor that was transposed (``T``) an
-        odd number of times the transposed view of one, the layout of the
-        dense transpose it stands for."""
-        r, c, v = self.entries()
-        out = np.zeros(self.shape[::-1], v.dtype).T if self.transposed else np.zeros(self.shape, v.dtype)
-        out[r, c] = v
-        return out
-
-    def vector(self, x: np.ndarray, side: int) -> np.ndarray:
-        """m @ x (side 0) or x @ m (side 1) for a vector x, from the gather
-        form of every row or every column, a sum over the slots of each."""
-        idx, w = _full_form(self, side)
-        return (w * x[idx]).sum(axis=1)
+        """m, scattered from its nonzeros (:func:`_scattered`)."""
+        return _scattered(self.shape, *self.entries(), self.transposed)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of m as (rows, columns, values) in m's own indices,
@@ -546,9 +538,7 @@ class _Factor:
         r, c, v = self.entries()
         r, c = row_map[r], col_map[c]
         order = np.lexsort((c, r))
-        out = _from_nonzeros(self.shape, r[order], c[order], v[order])
-        out.transposed = self.transposed
-        return out
+        return _from_nonzeros(self.shape, r[order], c[order], v[order], None, self.transposed)
 
     def regions(self, xa: np.ndarray, bx: np.ndarray, op) -> tuple[np.ndarray, np.ndarray]:
         """X A op B X (op np.subtract or np.add) for an X with this support,
@@ -599,12 +589,23 @@ def _forms(listing) -> tuple:
     return row_form, column_form
 
 
-def _from_nonzeros(shape, r, c, v, dense=None) -> _Factor:
+def _scattered(shape, r, c, v, transposed: bool) -> np.ndarray:
+    """The matrix of ``shape`` that holds v at (r, c) and +0 elsewhere: a
+    C-ordered array, or where ``transposed`` the transposed view of one,
+    the layout of the dense transpose that a factor transposed an odd
+    number of times stands for (``_Factor.T``)."""
+    out = np.zeros(shape[::-1], v.dtype).T if transposed else np.zeros(shape, v.dtype)
+    out[r, c] = v
+    return out
+
+
+def _from_nonzeros(shape, r, c, v, dense, transposed: bool) -> _Factor:
     """The :class:`_Factor` of the matrix of ``shape`` whose nonzeros are
     v at (r, c), listed in row-major order, with its widths read off the
-    list and its forms built from it on first use (:func:`_forms`).  Where
-    a side stays on BLAS the block is cut from ``dense`` or, without it,
-    scattered from the list into zeros, whose zeros are all +0."""
+    list and its forms built from it on first use (:func:`_forms`), in the
+    layout ``transposed``.  Where a side stays on BLAS the block is cut
+    from ``dense`` or, where that is None, scattered from the list
+    (:func:`_scattered`)."""
     counts = np.bincount(r, minlength=shape[0]), np.bincount(c, minlength=shape[1])
     hits = [count > 0 for count in counts]
     rows, cols = map(_index, hits)
@@ -619,12 +620,10 @@ def _from_nonzeros(shape, r, c, v, dense=None) -> _Factor:
         if dense is not None:
             return dense[:, cols][rows]
         r, c, v, count_r, count_c = listing()
-        out = np.zeros((count_r.size, count_c.size), dtype=v.dtype)
-        out[r, c] = v
-        return out
+        return _scattered((count_r.size, count_c.size), r, c, v, transposed)
 
     widths = tuple(int(count.max(initial=0)) for count in counts)
-    return _Factor(shape, rows, cols, _forms(listing), widths, block)
+    return _Factor(shape, rows, cols, _forms(listing), widths, block, transposed)
 
 
 def _factor(m: np.ndarray) -> _Factor:
@@ -633,7 +632,7 @@ def _factor(m: np.ndarray) -> _Factor:
     support block cut from m where a side stays on BLAS, so that such a
     product runs exactly as the product with the block."""
     r, c = _nonzeros(_nonzero(m))
-    return _from_nonzeros(m.shape, r, c, m[r, c], m)
+    return _from_nonzeros(m.shape, r, c, m[r, c], m, False)
 
 
 def _listed(cand: np.ndarray, v: np.ndarray, v_t: np.ndarray, dense=None) -> _Factor:
@@ -646,16 +645,24 @@ def _listed(cand: np.ndarray, v: np.ndarray, v_t: np.ndarray, dense=None) -> _Fa
     column and no listed entry holds a zero, cand is the index array of
     both forms, padding and all; otherwise the nonzeros are read off the
     list in row-major order.  ``dense``, where the maker holds it, is m,
-    which the block of a side on BLAS is cut from."""
+    which the block of a side on BLAS is; where it is None, the block is
+    scattered from the list (:func:`_scattered`)."""
     listed = cand >= 0
     hit = v != 0
     shape = (cand.shape[0],) * 2
     if listed[:, 0].all() and np.array_equal(hit, listed):
         at = np.where(listed, cand, 0)
-        block = None if dense is None else (lambda: dense)
-        return _Factor(shape, slice(None), slice(None), ((at, v), (at, v_t)), (at.shape[1],) * 2, block)
+
+        def block():
+            if dense is not None:
+                return dense
+            r, slot = _nonzeros(hit)
+            return _scattered(shape, r, cand[r, slot], v[r, slot], False)
+
+        return _Factor(shape, slice(None), slice(None), ((at, v), (at, v_t)), (at.shape[1],) * 2,
+                       block, False)
     r, slot = _nonzeros(hit)
-    return _from_nonzeros(shape, r, cand[r, slot], v[r, slot], dense)
+    return _from_nonzeros(shape, r, cand[r, slot], v[r, slot], dense, False)
 
 
 def _block_entries(blocks: list[np.ndarray], stacks: list[np.ndarray], size: int) -> tuple:
@@ -671,32 +678,6 @@ def _block_entries(blocks: list[np.ndarray], stacks: list[np.ndarray], size: int
         cand[at, :k] = np.repeat(idx, k, axis=0)
         v[at, :k], v_t[at, :k] = x.reshape(-1, k), x.transpose(0, 2, 1).reshape(-1, k)
     return cand, v, v_t
-
-
-def _block_product(blocks: list[np.ndarray], stacks: list[np.ndarray], f: _Factor) -> np.ndarray:
-    """M @ m[:, cols] for the matrix M that holds ``stacks`` on the blocks of
-    a split (:func:`_block_entries`) and the matrix m of ``f``, over the
-    support columns of m, with no dense M.  Where the cost rule gathers
-    the columns of m, it is the column gather of ``_gather_product``, slot
-    by slot in the order of its sum, each column r of M read off its
-    block: a row outside the block adds nothing.  Elsewhere it is the
-    stacked product of each group's blocks with the rows of m on them."""
-    size = f.shape[0]
-    if not f.gathers[1]:
-        out = np.zeros((size, f.block.shape[1]), dtype=complex)
-        out[f.rows] = f.block
-        for idx, x in zip(blocks, stacks):
-            out[idx] = x @ out[idx]
-        return out
-    cand, _, v_t = _block_entries(blocks, stacks, size)
-    idx, w = f.form(1)
-    rows, at = _span(f.rows, size), np.arange(idx.shape[0])[:, None]
-    # one row more, which the padding of cand (-1) writes to
-    out = np.zeros((size + 1, idx.shape[0]), dtype=complex)
-    for j in range(idx.shape[1]):
-        r = rows[idx[:, j]]
-        out[cand[r], at] += v_t[r] * w[:, j, None]
-    return out[:-1]
 
 
 def _block_stacks(f: _Factor, blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -739,44 +720,59 @@ def _made(obj, name: str, scan):
 class _Dynamics:
     """The superoperator S of a channel or a generator, given to the
     constructor as a dense array or, by a maker that holds its nonzeros,
-    as their :class:`_Factor` (see the module docstring).  A factor is held
-    as ``nonzeros`` and as the ``pattern``, and the dense array is formed on
-    its first read by the recipe the maker leaves (:func:`_held`), the
+    as their :class:`_Factor` (see the module docstring).  A dense array is
+    held as the plain attribute ``superoperator``.  A factor is held as
+    ``nonzeros`` and as the ``pattern``, and the instance takes the class
+    :func:`_holding` makes of its own, whose ``superoperator`` is formed on
+    its first read by the recipe the maker leaves (:func:`_held`): the
     factor's scatter (``_Factor.dense``) unless it leaves another."""
 
     nonzeros = None
 
-    @_on_read
-    def superoperator(self) -> np.ndarray:
-        """S, formed on its first read, by the recipe the maker left, for
-        dynamics held as their nonzeros; an instance given a dense array
-        holds it, which shadows this."""
-        return _made(self, "superoperator", None)
-
     def _given(self):
-        """S as given to the constructor: a factor, held as above, or a
-        dense array, made a complex matrix."""
+        """S as given to the constructor: a dense array, made a complex
+        matrix, or a factor, held as above."""
         s = self.superoperator
-        if isinstance(s, _Factor):
-            del vars(self)["superoperator"]
-            vars(self).update(nonzeros=s, pattern=s)
-            _held(self, superoperator=s.dense)
+        if not isinstance(s, _Factor):
+            s = as_matrix(s)
+            object.__setattr__(self, "superoperator", s)
             return s
-        s = as_matrix(s)
-        object.__setattr__(self, "superoperator", s)
+        del vars(self)["superoperator"]
+        vars(self).update(nonzeros=s, pattern=s)
+        object.__setattr__(self, "__class__", _holding(type(self)))
+        _held(self, superoperator=s.dense)
         return s
 
-    def _norm(self) -> float:
-        """||S||_F, read off the dense array or the nonzeros, whichever S
-        was given as."""
-        return frob_norm(self.superoperator if self.nonzeros is None else self.nonzeros.form(0)[1])
 
-    def _times(self, x: np.ndarray, side: int) -> np.ndarray:
-        """S @ x (side 0) or x @ S (side 1) for a vector x: the dense
-        product, or the sum over the nonzeros (``_Factor.vector``)."""
-        if self.nonzeros is not None:
-            return self.nonzeros.vector(x, side)
-        return self.superoperator @ x if side == 0 else x @ self.superoperator
+@functools.cache
+def _holding(cls):
+    """The class of dynamics of the class ``cls`` held as their nonzeros:
+    ``cls`` with a ``superoperator`` formed on its first read
+    (:class:`_on_read`).  ``cls`` itself has no such descriptor, since
+    even shadowed by an instance's own array it would take every read of
+    the superoperator of dynamics built dense off CPython's specialized
+    attribute read (21 against 7 ns a read, Python 3.11)."""
+    if "superoperator" in vars(cls):
+        return cls
+
+    def superoperator(self) -> np.ndarray:
+        return _made(self, "superoperator", None)
+
+    return type(cls.__name__, (cls,), {"superoperator": _on_read(superoperator),
+                                       "__qualname__": cls.__qualname__,
+                                       "__module__": cls.__module__})
+
+
+def _times(s, x: np.ndarray, side: int) -> np.ndarray:
+    """S @ x (side 0) or x @ S (side 1) for a vector x and S a dense array
+    or a :class:`_Factor`, whose product is the gather over the form of
+    every row or column (``_full_form``), its nonzeros alone, with no
+    dense block; zero where there are none."""
+    if isinstance(s, _Factor):
+        if not s.widths[side]:
+            return np.zeros(s.shape[side], np.result_type(x, complex))
+        return _gather_product(x, _full_form(s, side), -1)
+    return s @ x if side == 0 else x @ s
 
 
 def _full_form(f: _Factor, side: int) -> tuple[np.ndarray, np.ndarray]:
@@ -925,15 +921,22 @@ def mat_exp(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
         return _exp_stack(np.asarray(m, dtype=complex))
     m = as_matrix(m)
     blocks = _invariant_blocks(m) if blocks is None else blocks
-    return _scatter(blocks, [_exp_stack(_stacks(m, idx, idx)) for idx in blocks], m.shape[0])
+    return _scatter(blocks, [_exp_stack(_stacks(m, idx, idx)) for idx in blocks], np.arange(m.shape[0]))
 
 
-def _scatter(blocks: list[np.ndarray], stacks: list[np.ndarray], size: int) -> np.ndarray:
-    """The size x size matrix that holds the (count, k, k) ``stacks`` on
-    the blocks of a split and is zero (+0) outside them."""
-    out = np.zeros((size, size), dtype=complex)
+def _scatter(blocks: list[np.ndarray], stacks: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
+    """The columns ``cols`` (ascending) of the square matrix that holds the
+    (count, k, k) ``stacks`` on the blocks of a split and is zero (+0)
+    outside them, each block written whole: all of them where cols is
+    every index."""
+    size = sum(idx.size for idx in blocks)
+    place = np.full(size, -1)
+    place[cols] = np.arange(cols.size)
+    out = np.zeros((size, cols.size), dtype=complex)
     for idx, x in zip(blocks, stacks):
-        out[idx[:, :, None], idx[:, None, :]] = x
+        at = place[idx]
+        g, b = np.nonzero(at >= 0)
+        out[idx[g], at[g, b, None]] = x[g, :, b]
     return out
 
 

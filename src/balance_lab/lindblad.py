@@ -62,6 +62,7 @@ from .kernel import (
     kron,
     _listed,
     _scatter,
+    _times,
     mat_exp,
     relative_residual,
     vec,
@@ -94,14 +95,14 @@ class LindbladGenerator(_Dynamics):
             raise ValueError("generator superoperator has wrong shape")
         if self.scale is None:
             if self.jumps is None:
-                scale = self._norm()
+                scale = frob_norm(self.superoperator)
             else:
                 # ||V||^2 and ||H|| as vdot(V, V), which costs a third of a norm call
                 h = 0.0 if self.hamiltonian is None else math.sqrt(np.vdot(self.hamiltonian, self.hamiltonian).real)
                 scale = sum(np.vdot(v, v).real for v in self.jumps) + h
             object.__setattr__(self, "scale", float(scale))
         one = vec(np.eye(self.dim, dtype=complex))
-        if relative_residual(frob_norm(self._times(one, 0)), self.scale) > DEFAULT_TOL:
+        if relative_residual(frob_norm(_times(s, one, 0)), self.scale) > DEFAULT_TOL:
             raise ValueError("generator is not unital: L(1) != 0")
 
     @cached_property
@@ -164,35 +165,53 @@ def semigroup(gen: LindbladGenerator, t: float) -> QuantumChannel:
     (``invariant_blocks``), zero outside them: its pattern is read off the
     blocks, and its dense superoperator is formed on first read by the
     scatter of ``kernel.mat_exp``, whose bits it has."""
-    return _semigroup(gen, _exponentials([(gen, t)])[0])
+    (stacks,) = _exponentials([(gen, t)])
+    return _semigroup(gen, stacks)
 
 
-def _exponentials(pairs) -> list[list[np.ndarray]]:
-    """e^{tL} for each (L, t) of ``pairs``, as one (count, k, k) stack per
-    group of the split of L, in its order.  t L is taken on the stacks
-    read off the pattern of L (``kernel._block_stacks``), and all slices of
-    one size, over every pair, go through one ``kernel.mat_exp`` pass,
-    which gives each slice the bits it gets alone: e^{tL} is block
-    diagonal (Van Loan, J. Comput. Appl. Math. 123, 85 (2000)), and this
-    takes the blocks of many times and generators as one stack."""
-    if not all(math.isfinite(t) and t >= 0 for _, t in pairs):
-        raise ValueError("semigroup time must be finite and non-negative")
-    gens = {id(gen): gen for gen, _ in pairs}
-    held = {key: _block_stacks(gen.pattern, gen.invariant_blocks) for key, gen in gens.items()}
-    scaled = [[t * x for x in held[id(gen)]] for gen, t in pairs]
+def _exponentials(pairs):
+    """Yield e^{tL} for each (L, t) of ``pairs`` in turn, as one (count, k, k)
+    stack per group of the split of L, in its order.  t L is taken on the
+    stacks read off the pattern of L (``kernel._block_stacks``), and the
+    slices of one size over a run of consecutive pairs go through one
+    ``kernel.mat_exp`` pass, which gives each slice the bits it gets alone:
+    e^{tL} is block diagonal (Van Loan, J. Comput. Appl. Math. 123, 85
+    (2000)), and this takes the blocks of many times and generators as one
+    stack.  A run holds at most n^4 entries, those of one dense
+    superoperator of its generators, and is taken once the pairs before it
+    are consumed, so a pass, which holds about nine stacks of its size at
+    its peak, does not grow with the number of pairs."""
+    held, run, entries = {}, [], 0
+    for gen, t in pairs:
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError("semigroup time must be finite and non-negative")
+        if id(gen) not in held:
+            held[id(gen)] = _block_stacks(gen.pattern, gen.invariant_blocks)
+        size = sum(x.size for x in held[id(gen)])
+        if run and entries + size > gen.dim**4:
+            yield from _exp_run(run)
+            run, entries = [], 0
+        run.append([t * x for x in held[id(gen)]])
+        entries += size
+    yield from _exp_run(run)
+
+
+def _exp_run(run: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
+    """The exponentials of the stacks of each row of ``run``, those of one
+    size over every row taken in one ``mat_exp`` pass."""
     by_size = {}
-    for x in itertools.chain.from_iterable(scaled):
+    for x in itertools.chain.from_iterable(run):
         by_size.setdefault(x.shape[-1], []).append(x)
     done = {k: iter(np.split(mat_exp(np.concatenate(xs)), np.cumsum([len(x) for x in xs])[:-1]))
             for k, xs in by_size.items()}
-    return [[next(done[x.shape[-1]]) for x in row] for row in scaled]
+    return [[next(done[x.shape[-1]]) for x in row] for row in run]
 
 
 def _semigroup(gen: LindbladGenerator, stacks: list[np.ndarray]) -> QuantumChannel:
     """The channel e^{tL} of its stacks on the split of L (:func:`_exponentials`)."""
     blocks, size = gen.invariant_blocks, gen.dim**2
     channel = QuantumChannel(gen.dim, gen.dim, _listed(*_block_entries(blocks, stacks, size)))
-    return _held(channel, superoperator=lambda: _scatter(blocks, stacks, size))
+    return _held(channel, superoperator=lambda: _scatter(blocks, stacks, np.arange(size)))
 
 
 def dual_generator(

@@ -19,6 +19,7 @@ from .kernel import (
     _json_int,
     _json_list,
     _json_number,
+    _times,
     as_matrix,
     deterministic_eigh,
     frob_norm,
@@ -182,15 +183,21 @@ def state_preservation_residual(
     ``s_out`` defaults to ``s_in``.  The value is
     ||S^dagger vec(rho_out) - vec(rho_in)|| for a channel and
     ||S^dagger vec(rho)|| for a generator.  S^dagger v is formed as
-    conj(conj(v) S), a vector-matrix product that reads S as it is held:
-    on a dense S with the bits of the product with an n^2 x n^2 conjugated
-    copy of S, and on dynamics held as their nonzeros over the column form
-    of those alone (``kernel._Dynamics``).
+    conj(conj(v) S), a vector-matrix product that reads the dense S as it
+    is stored, with the bits of the product with an n^2 x n^2 conjugated
+    copy of S; dynamics held as their nonzeros (``kernel._Dynamics``) form
+    their dense S for it.
     """
+    return _preservation_residual(dyn, dyn.superoperator, s_in, s_out)
+
+
+def _preservation_residual(dyn, s, s_in: FaithfulState, s_out: FaithfulState | None) -> float:
+    """:func:`state_preservation_residual` with S read as ``s``: a dense
+    array, or a ``kernel._Factor``, summed over its nonzeros alone."""
     s_out = s_in if s_out is None else s_out
     if (dyn.dim_in, dyn.dim_out) != (s_in.dim, s_out.dim):
         raise ValueError("states do not match the dimensions of the dynamics")
-    image = dyn._times(vec(s_out.rho).conj(), 1).conj()
+    image = _times(s, vec(s_out.rho).conj(), 1).conj()
     if dyn.kind == "channel":
         image = image - vec(s_in.rho)
     return frob_norm(image)
@@ -200,6 +207,15 @@ def preserves_state(
     dyn, s_in: FaithfulState, s_out: FaithfulState | None = None, tol: float = DEFAULT_TOL
 ) -> tuple[float, bool]:
     """The preservation residual and whether it is within tol relative to the
-    scale of the dynamics (||S||, or the size of a generator's terms)."""
-    res = state_preservation_residual(dyn, s_in, s_out)
-    return res, relative_residual(res, dyn.scale) <= tol
+    scale of the dynamics (||S||, or the size of a generator's terms).
+    Dynamics held as their nonzeros (``kernel._Dynamics``) are judged on
+    those, so the check forms no dense S: their residual, and a channel's
+    ||S||, sum the same terms as :func:`state_preservation_residual` and
+    ``scale`` in another order, and differ from them by rounding only."""
+    held = dyn.nonzeros
+    if held is None:
+        res = state_preservation_residual(dyn, s_in, s_out)
+        return res, relative_residual(res, dyn.scale) <= tol
+    res = _preservation_residual(dyn, held, s_in, s_out)
+    scale = dyn.scale if dyn.kind == "generator" else frob_norm(held.form(0)[1])
+    return res, relative_residual(res, scale) <= tol

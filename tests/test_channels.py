@@ -27,7 +27,7 @@ from balance_lab.channels import (
 import balance_lab.kernel as kernel
 import balance_lab.lindblad as lindblad
 from balance_lab.couplings import coupling_from_channel, extract_channel
-from balance_lab.kernel import ad_superop, frob_distance, frob_norm, matrix_unit, nullspace, vec
+from balance_lab.kernel import ad_superop, frob_distance, matrix_unit, nullspace, vec
 from balance_lab.lindblad import (
     build_generator,
     cycle_generator,
@@ -640,23 +640,14 @@ class TestDualLayout:
     """dual holds W_out S W_in^-1 as its nonzeros and forms, on first read,
     its transposed view: the bits of the (S^T * w_out) / w_in it replaced
     (conftest.dual_reference), for the three duals, the dual of a dual, the
-    preservation residual of either layout and the JSON form.  Dynamics
-    held as their nonzeros (a dual, a semigroup) read a channel's scale and
-    the preservation residual off those, which sums the terms in another
-    order than the dense product: there the two agree with the reference
-    to rounding, and a dense copy keeps the reference's bits."""
+    preservation residual of either layout and the JSON form."""
 
     @pytest.mark.parametrize("case", sorted(layout_cases()))
     def test_duals_keep_their_bits(self, case):
         dyn, s_in, s_out = layout_cases()[case]
         got, ref = dual(dyn, s_in, s_out), dual_reference(dyn, s_in, s_out)
         assert got.superoperator.tobytes() == ref.superoperator.tobytes()
-        assert not got.superoperator.flags.owndata
-        if got.kind == "generator":
-            assert got.scale == ref.scale
-        else:
-            assert got.scale == frob_norm(got.pattern.form(0)[1])
-            assert abs(got.scale - ref.scale) <= 4 * np.finfo(float).eps * ref.scale
+        assert not got.superoperator.flags.owndata and got.scale == ref.scale
         kms = kms_dual(dyn, s_in, s_out).superoperator
         assert kms.tobytes() == _kms_flip(ref.superoperator).tobytes()
         # the dual of a dual reads a transposed view and is C-ordered
@@ -688,12 +679,7 @@ class TestDualLayout:
         c_ordered = _like(d, np.ascontiguousarray(d.superoperator))
         for x, a, b in ((dyn, s_in, s_out), (d, s_out, s_in), (c_ordered, s_out, s_in)):
             got = state_preservation_residual(x, a, b)
-            ref = state_preservation_residual_reference(x, a, b)
-            if x.nonzeros is None:
-                assert got == ref
-            else:
-                assert abs(got - ref) <= 1e-15 * x.scale
-            assert got <= 1e-12
+            assert got == state_preservation_residual_reference(x, a, b) and got <= 1e-12
 
     @pytest.mark.parametrize("case", ["channel-5", "channel-2-to-3"])
     def test_json_of_transposed_view(self, case):

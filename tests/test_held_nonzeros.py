@@ -136,7 +136,7 @@ def test_exponential_times_checked():
     gen = triple_of(("grid", 0)).system_a.dynamics
     for t in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and non-negative"):
-            _exponentials([(gen, 1.0), (gen, t)])
+            list(_exponentials([(gen, 1.0), (gen, t)]))
 
 
 def record_reads(monkeypatch) -> dict:

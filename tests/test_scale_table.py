@@ -1,5 +1,6 @@
 """tools/scale_table.py at n = 7: one child process per layout, every op of
-the table timed, and the peak RSS read; the table has a row per op."""
+the table timed, and the peak RSS read, of the layout and of its
+many-times convergence probe; the table has a row per op."""
 
 import os
 
@@ -27,5 +28,10 @@ def test_table(scale_table, capsys):
     assert scale_table.main(["--layouts", "1x7", "3x3", "--calls", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "| op | n = 7 (1×7) | n = 9 (3×3) |"
-    assert [line.split(" | ")[0] for line in lines[2:-1]] == [f"| `{op}`" for op in scale_table.OPS]
-    assert lines[-1].startswith("| peak RSS, MB | ")
+    assert [line.split(" | ")[0] for line in lines[2:-2]] == [f"| `{op}`" for op in scale_table.OPS]
+    assert lines[-2].startswith("| peak RSS, MB | ")
+    assert lines[-1].startswith("| peak RSS of `convergence_probe` (200 times), MB | ")
+
+
+def test_many_times_peak(scale_table):
+    assert scale_table.run_child("1x7", 1, "--many-times")["peak_rss_mb"] > 0

@@ -14,9 +14,12 @@ at every call, so it pays for the scan of the coupling's factor; every
 other op reuses the triple, whose held patterns the warm call made.
 
 The table has one row per op and one column per layout, each cell the best
-and the worst call in ms, and a last row with the peak RSS of the layout's
-process in MB.  Run from the root of a checkout; it times the package in
-that checkout's ``src/``.
+and the worst call in ms, a row with the peak RSS of the layout's process
+in MB, and a last row with the peak RSS of one more fresh process per
+layout that builds the triple and makes one ``convergence_probe`` call
+over ``MANY_TIMES`` (200 times), where the exponentials of many times
+meet.  Run from the root of a checkout; it times the package in that
+checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ OPS = (
     "extract_channel", "semigroup (t = 1)", "sampled_balance (3 times)",
     "convergence_probe (t = 1, 1000)",
 )
+MANY_TIMES = tuple(0.05 * i for i in range(1, 201))
 
 
 def cycles_of(layout: str) -> tuple:
@@ -45,8 +49,8 @@ def cycles_of(layout: str) -> tuple:
     return (length,) * count
 
 
-def layout_ops(layout: str) -> dict:
-    """The ops of one layout, each a function of no arguments."""
+def layout_triple(layout: str):
+    """perfbench's balanced triple of one layout, and the package."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import numpy as np
     import workloads
@@ -55,7 +59,12 @@ def layout_ops(layout: str) -> dict:
 
     cycles = cycles_of(layout)
     spec = workloads._balanced_spec(np.random.default_rng(SEED), cycles, ("entangled",) * len(cycles))
-    triple = bl.scenario_build(spec)
+    return bl, spec, bl.scenario_build(spec)
+
+
+def layout_ops(layout: str) -> dict:
+    """The ops of one layout, each a function of no arguments."""
+    bl, spec, triple = layout_triple(layout)
     a, b, w = triple.system_a, triple.system_b, triple.coupling
     th = bl.ReversingOperation(dim=spec.dim)
 
@@ -94,11 +103,27 @@ def time_layout(layout: str, calls: int) -> dict:
     return {"ms": times, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
-def run_child(layout: str, calls: int) -> dict:
+def many_times_peak(layout: str) -> dict:
+    """The peak RSS in MB of this process after one ``convergence_probe``
+    call over ``MANY_TIMES`` on the layout's triple."""
+    bl, _, triple = layout_triple(layout)
+    bl.convergence_probe(triple.system_a, triple.system_b, triple.coupling, MANY_TIMES)
+    return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+def run_child(layout: str, calls: int, *flags: str) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    argv = [sys.executable, os.path.abspath(__file__), "--child", layout, "--calls", str(calls)]
+    argv = [sys.executable, os.path.abspath(__file__), "--child", layout, "--calls", str(calls), *flags]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_layout(layout: str, calls: int) -> dict:
+    """The layout's timings and peak RSS, and the peak RSS of its
+    many-times probe, each from a fresh child process."""
+    res = run_child(layout, calls)
+    res["many_times_rss_mb"] = run_child(layout, calls, "--many-times")["peak_rss_mb"]
+    return res
 
 
 def _ms(x: float) -> str:
@@ -116,6 +141,8 @@ def table(results: dict) -> str:
             cells.append(lo if lo == hi else f"{lo}–{hi}")
         lines.append(f"| `{name}` | " + " | ".join(cells) + " |")
     lines.append("| peak RSS, MB | " + " | ".join(f"{r['peak_rss_mb']:.0f}" for r in results.values()) + " |")
+    lines.append(f"| peak RSS of `convergence_probe` ({len(MANY_TIMES)} times), MB | "
+                 + " | ".join(f"{r['many_times_rss_mb']:.0f}" for r in results.values()) + " |")
     return "\n".join(lines)
 
 
@@ -124,11 +151,12 @@ def main(argv=None) -> int:
     parser.add_argument("--layouts", nargs="+", default=list(LAYOUTS))
     parser.add_argument("--calls", type=int, default=3)
     parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--many-times", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(time_layout(args.child, args.calls)))
+        print(json.dumps(many_times_peak(args.child) if args.many_times else time_layout(args.child, args.calls)))
         return 0
-    print(table({lay: run_child(lay, args.calls) for lay in args.layouts}))
+    print(table({lay: run_layout(lay, args.calls) for lay in args.layouts}))
     return 0
 
 
