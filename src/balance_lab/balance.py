@@ -195,9 +195,9 @@ def sampled_balance(
     triple is checked once: e^{tK} and e^{tL} preserve the states that K
     and L annihilate, so they are not checked again at each t.  The
     exponentials of all times and of both generators are taken in batched
-    passes (``lindblad._exponentials``, whose runs are bounded by one dense
-    superoperator), each with the bits of its ``semigroup`` call, and held
-    as their blocks, one time at a time: the defect reads their
+    passes (``lindblad._exponentials``, over runs bounded by a quarter of
+    a dense superoperator), each with the bits of its ``semigroup`` call,
+    and held as their blocks, one time at a time: the defect reads their
     patterns, and their dense superoperators are formed only where the
     defect is left to the dense products (n^2 < GATHER_COST)."""
     if sys_a.kind != "generator" or sys_b.kind != "generator":
@@ -455,9 +455,9 @@ def convergence_probe(
     (e_i + i e_j)/sqrt2, i < j; each lambda(b) is read off at most four
     entries of b (:func:`_spanning_traces`), with no m^2 x m^2 product.
     The exponentials of the grid times are taken in batched passes
-    (``lindblad._exponentials``, whose runs are bounded by one dense
-    superoperator) and held as the stacks of the blocks of L's split; the
-    columns of e^{tL} that meet S_E are scattered from them
+    (``lindblad._exponentials``, over runs bounded by a quarter of a
+    dense superoperator) and held as the stacks of the blocks of L's
+    split; the columns of e^{tL} that meet S_E are scattered from them
     (``kernel._scatter``) and multiplied by S_E, so no dense e^{tL} is
     formed beyond those columns.
 

@@ -177,10 +177,11 @@ def _exponentials(pairs):
     ``kernel.mat_exp`` pass, which gives each slice the bits it gets alone:
     e^{tL} is block diagonal (Van Loan, J. Comput. Appl. Math. 123, 85
     (2000)), and this takes the blocks of many times and generators as one
-    stack.  A run holds at most n^4 entries, those of one dense
-    superoperator of its generators, and is taken once the pairs before it
-    are consumed, so a pass, which holds about nine stacks of its size at
-    its peak, does not grow with the number of pairs."""
+    stack.  A run holds at most n^4 / 4 entries and is taken once the
+    pairs before it are consumed, so a pass, which holds about nine stacks
+    of its size at its peak, stays near the two dense n^2 x n^2 arrays
+    (t L and e^{tL}) of one dense exponential, whatever the number of
+    pairs."""
     held, run, entries = {}, [], 0
     for gen, t in pairs:
         if not (math.isfinite(t) and t >= 0):
@@ -188,7 +189,7 @@ def _exponentials(pairs):
         if id(gen) not in held:
             held[id(gen)] = _block_stacks(gen.pattern, gen.invariant_blocks)
         size = sum(x.size for x in held[id(gen)])
-        if run and entries + size > gen.dim**4:
+        if run and entries + size > gen.dim**4 // 4:
             yield from _exp_run(run)
             run, entries = [], 0
         run.append([t * x for x in held[id(gen)]])

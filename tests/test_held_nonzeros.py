@@ -249,3 +249,44 @@ def test_gathering_factor_keeps_no_block_builder():
     f, gone = kernel._factor(m), weakref.ref(m)
     del m
     assert all(f.gathers) and gone() is None and f.block is None
+
+
+def test_runs_of_exponentials_are_bounded(monkeypatch):
+    """Over many times, each mat_exp pass of the batched exponentials
+    holds at most n^4 / 4 entries, and the passes
+    are taken as the exponentials are consumed, with the bits of one
+    semigroup call per time."""
+    gen = probe_like_triples()[0].system_a.dynamics
+    times = [0.05 * i for i in range(1, 41)]
+    passes = []
+    real = lindblad.mat_exp
+
+    def recorded(m, blocks=None):
+        passes.append(np.shape(m))
+        return real(m, blocks)
+
+    monkeypatch.setattr(lindblad, "mat_exp", recorded)
+    made = _exponentials([(gen, t) for t in times])
+    first = next(made)
+    assert 0 < len(passes) < 40
+    rest = list(made)
+    assert len(passes) > 1 and all(np.prod(shape) <= gen.dim**4 // 4 for shape in passes)
+    monkeypatch.setattr(lindblad, "mat_exp", real)
+    for t, stacks in zip(times, [first, *rest]):
+        (one,) = _exponentials([(gen, t)])
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(stacks, one))
+
+
+def test_only_held_dynamics_form_their_superoperator_on_read():
+    """Dynamics built dense keep their class, which has no descriptor for
+    the superoperator, so its reads stay plain attribute reads; held
+    dynamics take a subclass of the same name that forms it on read."""
+    sys = probe_like_triples()[0].system_a
+    gen, s = sys.dynamics, sys.state
+    assert "superoperator" not in vars(LindbladGenerator) and "superoperator" not in vars(channels.QuantumChannel)
+    assert type(gen) is LindbladGenerator and "superoperator" in vars(gen)
+    for held in (dual(gen, s, s), semigroup(gen, 1.0), _kms_conjugate(dual(gen, s, s))):
+        cls = type(held)
+        assert cls.__bases__[0] in (LindbladGenerator, channels.QuantumChannel)
+        assert cls.__name__ == cls.__bases__[0].__name__ and "superoperator" not in vars(held)
+        assert isinstance(held.superoperator, np.ndarray) and "superoperator" in vars(held)
