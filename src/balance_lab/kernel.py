@@ -37,6 +37,32 @@ Conventions used throughout the package:
   takes e^{tL} on it for every t, since the pattern of t L is that of L
   or, where entries underflow, part of it, and
   ``channels.fixed_point_space`` hands it to ``nullspace``.
+* Mirror blocks are filled, not factored.  A unital *-preserving map
+  commutes with the adjoint, L(a*) = L(a)*: under column stacking
+  S[tau a, tau b] = conj S[a, b] with tau(i + n j) = j + n i, so tau carries
+  a block B of the split onto a mirror block tau B, on which e^{tS}, the
+  spectrum and the kernel are those on B conjugated and permuted.  The
+  split's mirror plan (``_mirrors``) lists, per group, the rows whose
+  blocks are tau-images of earlier rows and per pair the permutation that
+  sorts tau of the image's indices; ``mat_exp``, ``eigenvalues`` and
+  ``nullspace`` factor the other rows only and fill each mirror from its
+  image (e^{tS} conjugated and permuted, eigenvalues conjugated, rows of
+  V^H conjugated and permuted beside the same singular values).  The rule
+  is exact: a pair is kept only where the two stacks are exact conjugates
+  entry by entry (a NaN fails; the sign of a zero is not read), so a
+  matrix without exact *-symmetry (a generator from complex jumps, whose
+  V* V BLAS rounds off Hermitian) and a split that tau does not map onto
+  itself (a union of blocks) keep the plan-free computation on every pair
+  that fails.  Two traps: a diagonal slice is never mirrored, since it
+  keeps ``np.exp`` of its own diagonal, whose signed zeros a conjugate
+  would not reproduce (and a t L whose image underflows to its diagonal,
+  or t = 0, factors the mirror too, ``_factored``); and ``conj`` leaves
+  -0.0 on a zero imaginary part, which the fill turns into +0 (``_conj``),
+  as a scatter into zeros writes it.  A generator makes its plan once,
+  beside its split (``_Split``), from the stacks of L: t L keeps L's exact
+  symmetry for real t.  A call with no held split makes the same plan from
+  the stacks it cuts, so held and scanned splits give the same bytes.
+  Factored slices keep their bits; mirror slices move by rounding only.
 * The exact nonzero pattern of a matrix has one sparse form, ``_Factor``:
   its support rows and columns and the gather forms (idx, w) of its
   support block and of the block's transpose, the row and the column
@@ -884,6 +910,115 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Split(list):
+    """The groups of the split of a square matrix that its owner holds
+    (``lindblad.LindbladGenerator.invariant_blocks``), with the matrix's
+    mirror plan (:func:`_mirrors`), made on its first read from
+    ``stacks()``, the matrix's stacks on the groups."""
+
+    def __init__(self, groups, stacks):
+        super().__init__(groups)
+        self.stacks = stacks
+
+    @_on_read
+    def mirrors(self) -> list:
+        return _mirrors(self, self.stacks)
+
+
+def _per_block(m: np.ndarray, blocks, factor, *mirror_of) -> tuple[list, list]:
+    """The split of a square m (``blocks``, or scanned where None) and per
+    group the results of ``factor`` on its stack, taken on the rows that
+    the split's mirror plan factors (:func:`_factored`): the plan its owner
+    holds (:class:`_Split`), or one made from the stacks.  Each result is
+    filled into the group's rows by :func:`_filled`, its mirrors by the
+    ``mirror_of`` of the same place."""
+    blocks = _invariant_blocks(m) if blocks is None else blocks
+    stacks = [_stacks(m, idx, idx) for idx in blocks]
+    plan = blocks.mirrors if isinstance(blocks, _Split) else _mirrors(blocks, lambda: stacks)
+    out = []
+    for x, mirrors in zip(stacks, plan):
+        rows, mirrors = _factored(x, mirrors)
+        out.append([_filled(d, rows, mirrors, f) for d, f in zip(factor(x[rows]), mirror_of)])
+    return blocks, out
+
+
+def _mirrors(blocks, stacks) -> list:
+    """The mirror plan of a split of an n^2 x n^2 matrix m (see the module
+    docstring), per group (mirror, image, perm, big): the rows of the
+    group's blocks that are the images of earlier rows under
+    tau(i + n j) = j + n i, those earlier rows, per pair the permutation
+    that sorts tau of the image's indices, so that the mirror's stack is
+    conj(x[perm][:, perm]) for the image's x (:func:`_mirror_exp`), and the
+    largest real or imaginary part off the image's diagonal, which tells
+    whether t x is diagonal there (t big == 0, :func:`_factored`); None for
+    a group with no pair.  A pair is kept only where the two stacks, read
+    from ``stacks()`` on first need, are exact conjugates entry by entry (a
+    NaN fails) and the image's slice is not diagonal (a NaN off it
+    counts).  Every group is None where the size is not a square."""
+    size = sum(idx.size for idx in blocks)
+    n, plan, stacks = math.isqrt(size), [None] * len(blocks), _once(stacks)
+    if n * n != size:
+        return plan
+    flat = np.arange(size)
+    swap, group, row = flat % n * n + flat // n, np.empty(size, np.intp), np.empty(size, np.intp)
+    for g, idx in enumerate(blocks):
+        group[idx], row[idx] = g, np.arange(len(idx))[:, None]
+    for g, idx in enumerate(blocks):
+        perm = np.argsort(swap[idx], axis=1)
+        image = np.take_along_axis(swap[idx], perm, 1)
+        partner = np.where(group[image[:, 0]] == g, row[image[:, 0]], -1)
+        first = np.flatnonzero((partner > np.arange(len(idx))) & (idx[partner] == image).all(axis=1))
+        if first.size:
+            x, mirror, perm, r = stacks()[g], partner[first], perm[first], np.arange(idx.shape[1])
+            off = x[first]
+            off[:, r, r] = 0
+            big = np.abs(off.view(np.float64)).max(axis=(1, 2))
+            kept = (x[mirror] == _mirror_exp(x[first], perm)).all(axis=(1, 2)) & (big != 0)
+            plan[g] = (mirror[kept], first[kept], perm[kept], big[kept]) if kept.any() else None
+    return plan
+
+
+def _factored(x: np.ndarray, mirrors, t: float = 1.0) -> tuple:
+    """The rows of a group's stack t x that a factorization takes under the
+    group's mirror plan, and the pairs it fills: every row but the mirrors
+    whose image slice in t x is not diagonal (a t L whose image underflows
+    to its diagonal, or t = 0, factors the mirror too); every row, as a
+    slice, where the plan is None."""
+    if mirrors is None:
+        return slice(None), None
+    kept = t * mirrors[3] != 0
+    rows = np.ones(len(x), dtype=bool)
+    rows[mirrors[0][kept]] = False
+    return np.flatnonzero(rows), tuple(a[kept] for a in mirrors)
+
+
+def _filled(done: np.ndarray, rows, mirrors, mirror_of) -> np.ndarray:
+    """A group's stack of results from ``done``, the results of its
+    ``rows`` (:func:`_factored`), with each mirror's made by
+    ``mirror_of(results of the images, perms)``."""
+    if mirrors is None:
+        return done
+    mirror, image, perm, _ = mirrors
+    out = np.empty((rows.size + mirror.size, *done.shape[1:]), dtype=done.dtype)
+    out[rows] = done
+    out[mirror] = mirror_of(out[image], perm)
+    return out
+
+
+def _conj(x: np.ndarray) -> np.ndarray:
+    """conj(x) with +0 for the -0.0 that conj leaves on a zero imaginary
+    part, as a scatter into zeros writes it."""
+    x = x.conj()
+    x.imag += 0.0
+    return x
+
+
+def _mirror_exp(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """conj(x[s][perm[s]][:, perm[s]]) for each slice s of a stack: the
+    stack of a mirror, and its exponential, from its image's."""
+    return _conj(x[np.arange(len(x))[:, None, None], perm[:, :, None], perm[:, None, :]])
+
+
 def mat_exp(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     """Matrix exponential, one invariant block at a time: the blocks of each
     size go to one stacked pass (``_exp_stack``) and are scattered into a
@@ -911,6 +1046,10 @@ def mat_exp(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     depend on that slice alone, never on the stack it sits in, and a held
     split gives the bytes of the scanned one.
 
+    A 2-d m takes the slices that its split's mirror plan factors and fills
+    each mirror from its image (see the module docstring); a 3-d stack is
+    taken slice by slice, with no plan.
+
     Exact cases, as in ``scipy.linalg.expm``: a slice with no nonzero off
     its diagonal (a 1 x 1 block and the zero slice included) gets ``np.exp``
     of its diagonal, so t = 0 gives 1 exactly and a t L that
@@ -920,8 +1059,8 @@ def mat_exp(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     if np.ndim(m) == 3:
         return _exp_stack(np.asarray(m, dtype=complex))
     m = as_matrix(m)
-    blocks = _invariant_blocks(m) if blocks is None else blocks
-    return _scatter(blocks, [_exp_stack(_stacks(m, idx, idx)) for idx in blocks], np.arange(m.shape[0]))
+    blocks, out = _per_block(m, blocks, lambda x: [_exp_stack(x)], _mirror_exp)
+    return _scatter(blocks, [e for (e,) in out], np.arange(m.shape[0]))
 
 
 def _scatter(blocks: list[np.ndarray], stacks: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
@@ -942,12 +1081,12 @@ def _scatter(blocks: list[np.ndarray], stacks: list[np.ndarray], cols: np.ndarra
 
 def eigenvalues(m, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     """All eigenvalues with multiplicity, in no particular order, taken one
-    invariant block at a time as in :func:`mat_exp`.  ``blocks`` is
+    invariant block at a time as in :func:`mat_exp`, a mirror block's the
+    conjugates of its image's.  ``blocks`` is
     ``_invariant_blocks(m)`` for a caller that holds it, or any split into
     unions of its blocks."""
-    m = as_matrix(m)
-    blocks = _invariant_blocks(m) if blocks is None else blocks
-    return np.concatenate([np.linalg.eigvals(_stacks(m, idx, idx)).ravel() for idx in blocks])
+    _, out = _per_block(as_matrix(m), blocks, lambda x: [np.linalg.eigvals(x)], lambda e, p: _conj(e))
+    return np.concatenate([e.ravel() for (e,) in out])
 
 
 def frob_norm(a) -> float:
@@ -1074,18 +1213,21 @@ def nullspace(
     """Orthonormal basis of the numerical kernel: the right singular vectors
     whose singular values are not > tol * the largest (all of them for zero),
     taken one invariant block at a time as in :func:`mat_exp` and padded
-    with zeros.  The permutation that makes a square m block-diagonal acts
-    on its rows and its columns alike, so the kernel is the direct sum of
-    the blocks' kernels.  A matrix that is not square is one block, the
+    with zeros, a mirror block's from its image's.  The permutation that
+    makes a square m block-diagonal acts on its rows and its columns alike,
+    so the kernel is the direct sum of the blocks' kernels.  A matrix that is not square is one block, the
     dense SVD.  For a square m, ``blocks`` is ``_invariant_blocks(m)`` for a
     caller that holds it, or any split into unions of its blocks."""
     m = as_matrix(m)
     r, c = m.shape
     if r != c:
-        pairs = [(np.arange(r)[None], np.arange(c)[None])]
+        factored = [(np.arange(c)[None], *np.linalg.svd(_stacks(m, np.arange(r)[None], np.arange(c)[None]))[1:])]
     else:
-        pairs = [(idx, idx) for idx in (_invariant_blocks(m) if blocks is None else blocks)]
-    factored = [(cols, *np.linalg.svd(_stacks(m, rows, cols))[1:]) for rows, cols in pairs]
+        # a mirror's V^H is its image's, conjugated and permuted, beside
+        # the same singular values
+        mirror_vh = lambda vh, p: _conj(np.take_along_axis(vh, p[:, None, :], 2))  # noqa: E731
+        blocks, out = _per_block(m, blocks, lambda x: np.linalg.svd(x)[1:], lambda sv, p: sv, mirror_vh)
+        factored = [(cols, sv, vh) for cols, (sv, vh) in zip(blocks, out)]
     top = max((float(sv.max()) for _, sv, _ in factored if sv.size), default=0.0)
     parts = []
     for col_idx, sv, vh in factored:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -47,6 +47,9 @@ from .kernel import (
     _block_entries,
     _block_stacks,
     _blocks,
+    _factored,
+    _filled,
+    _mirror_exp,
     _Dynamics,
     _Factor,
     _factor,
@@ -62,6 +65,7 @@ from .kernel import (
     kron,
     _listed,
     _scatter,
+    _Split,
     _times,
     mat_exp,
     relative_residual,
@@ -117,8 +121,11 @@ class LindbladGenerator(_Dynamics):
         """The exact-zero split of L (``kernel._invariant_blocks``), read off
         its :attr:`pattern`, so that L has one pattern.  For finite t >= 0
         the pattern of t L is that of L or, where an entry underflows or
-        t = 0, part of it, so this is a valid split of every t L."""
-        return _blocks(self.dim**2, *self.pattern.entries()[:2])
+        t = 0, part of it, so this is a valid split of every t L.  It holds
+        the mirror plan of L (``kernel._Split``), made on first need from
+        the stacks of L: t L keeps L's exact symmetry for real t."""
+        groups = _blocks(self.dim**2, *self.pattern.entries()[:2])
+        return _Split(groups, partial(_block_stacks, self.pattern, groups))
 
     @property
     def kind(self) -> str:
@@ -173,39 +180,48 @@ def _exponentials(pairs):
     """Yield e^{tL} for each (L, t) of ``pairs`` in turn, as one (count, k, k)
     stack per group of the split of L, in its order.  t L is taken on the
     stacks read off the pattern of L (``kernel._block_stacks``), and the
-    slices of one size over a run of consecutive pairs go through one
-    ``kernel.mat_exp`` pass, which gives each slice the bits it gets alone:
-    e^{tL} is block diagonal (Van Loan, J. Comput. Appl. Math. 123, 85
-    (2000)), and this takes the blocks of many times and generators as one
-    stack.  A run holds at most n^4 / 4 entries and is taken once the
-    pairs before it are consumed, so a pass, which holds about nine stacks
-    of its size at its peak, stays near the two dense n^2 x n^2 arrays
+    slices that the mirror plan of L factors, those of one size over a run
+    of consecutive pairs, go through one batched pass
+    (:func:`_exp_run`), which gives each slice the bits it gets alone
+    and fills each mirror from its image: e^{tL} is block diagonal (Van
+    Loan, J. Comput. Appl. Math. 123, 85 (2000)), and this takes the blocks
+    of many times and generators as one stack.  A run holds at most n^4 / 4
+    entries of e^{tL}, mirrors included, and is taken once the pairs before
+    it are consumed, so a pass, which holds about nine stacks of its
+    factored slices at its peak, stays near the two dense n^2 x n^2 arrays
     (t L and e^{tL}) of one dense exponential, whatever the number of
     pairs."""
     held, run, entries = {}, [], 0
     for gen, t in pairs:
         if not (math.isfinite(t) and t >= 0):
             raise ValueError("semigroup time must be finite and non-negative")
+        split = gen.invariant_blocks
         if id(gen) not in held:
-            held[id(gen)] = _block_stacks(gen.pattern, gen.invariant_blocks)
-        size = sum(x.size for x in held[id(gen)])
+            held[id(gen)] = _block_stacks(gen.pattern, split)
+        stacks = held[id(gen)]
+        size = sum(x.size for x in stacks)
         if run and entries + size > gen.dim**4 // 4:
             yield from _exp_run(run)
             run, entries = [], 0
-        run.append([t * x for x in held[id(gen)]])
+        run.append((t, stacks, split.mirrors))
         entries += size
     yield from _exp_run(run)
 
 
-def _exp_run(run: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
-    """The exponentials of the stacks of each row of ``run``, those of one
-    size over every row taken in one ``mat_exp`` pass."""
+def _exp_run(run: list) -> list[list[np.ndarray]]:
+    """e^{tx} of the stacks x of each (t, stacks, plan) of ``run``, a
+    generator's L on the groups of its split and its mirror plan: t times
+    the slices that the plan factors (``kernel._factored``), those of one
+    size over the whole run in one ``mat_exp`` pass, and each mirror filled
+    from its image (``kernel._filled``)."""
+    sent = [[(t, x, *_factored(x, mirrors, t)) for x, mirrors in zip(stacks, plan)] for t, stacks, plan in run]
     by_size = {}
-    for x in itertools.chain.from_iterable(run):
-        by_size.setdefault(x.shape[-1], []).append(x)
+    for t, x, rows, _ in itertools.chain.from_iterable(sent):
+        by_size.setdefault(x.shape[-1], []).append(t * x[rows])
     done = {k: iter(np.split(mat_exp(np.concatenate(xs)), np.cumsum([len(x) for x in xs])[:-1]))
             for k, xs in by_size.items()}
-    return [[next(done[x.shape[-1]]) for x in row] for row in run]
+    return [[_filled(next(done[x.shape[-1]]), rows, mirrors, _mirror_exp) for _, x, rows, mirrors in row]
+            for row in sent]
 
 
 def _semigroup(gen: LindbladGenerator, stacks: list[np.ndarray]) -> QuantumChannel:

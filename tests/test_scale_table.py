@@ -1,6 +1,7 @@
 """tools/scale_table.py at n = 7: one child process per layout, every op of
 the table timed, and the peak RSS read, of the layout and of its
-many-times convergence probe; the table has a row per op."""
+many-times convergence probe; the table has a row per op, the fixed-point
+space of ``is_ergodic`` among them."""
 
 import os
 
@@ -20,6 +21,7 @@ def scale_table(monkeypatch):
 def test_layout_of_seven(scale_table):
     result = scale_table.run_child("1x7", calls=2)
     assert list(result["ms"]) == list(scale_table.OPS)
+    assert "is_ergodic" in result["ms"]
     assert all(len(ms) == 2 and min(ms) > 0 for ms in result["ms"].values())
     assert result["peak_rss_mb"] > 0
 

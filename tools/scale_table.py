@@ -37,7 +37,7 @@ LAYOUTS = ("4x4", "4x6", "4x8", "1x16", "1x24", "4x12")
 SEED = 3
 OPS = (
     "scenario_build", "is_balanced", "dual_order_check", "is_orthogonal (w, w)",
-    "compose (w, w)", "disjointness_probe", "validate_coupling", "check_theta_sqdb",
+    "compose (w, w)", "disjointness_probe", "is_ergodic", "validate_coupling", "check_theta_sqdb",
     "extract_channel", "semigroup (t = 1)", "sampled_balance (3 times)",
     "convergence_probe (t = 1, 1000)",
 )
@@ -78,6 +78,7 @@ def layout_ops(layout: str) -> dict:
         lambda: bl.is_orthogonal(w, w),
         lambda: bl.compose(w, w),
         lambda: bl.disjointness_probe(b),
+        lambda: bl.is_ergodic(b),
         lambda: bl.validate_coupling(w),
         lambda: bl.check_theta_sqdb(b, th),
         lambda: bl.extract_channel(w),
