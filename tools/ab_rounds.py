@@ -22,7 +22,7 @@ median ms of a whole round per side; and the share of rounds each side won
 before numpy is imported.
 
 Two trees timed in separate processes drift apart with the machine: on a
-shared 2-core VM, unchanged code read 60-101 ms a ``probes`` round from run
+shared 2-core VM, unchanged code read 67-111 ms a ``probes`` round from run
 to run.  Alternating rounds in one process puts that drift on both sides.
 """
 
